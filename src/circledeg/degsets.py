@@ -374,20 +374,26 @@ class DecompositionCertificate:
             raise InputError(f"malformed decomposition certificate: {exc}") from exc
 
 
-def _symbol(index: int) -> int:
-    """Entry values enumerated by magnitude then sign: 1, -1, 2, -2, ..."""
-    mag = index // 2 + 1
-    return mag if index % 2 == 0 else -mag
-
-
 class _Budget:
-    def __init__(self, total: int) -> None:
-        self.left = total
+    """Leaves the decomposition search may still test.
 
-    def spend(self) -> None:
-        self.left -= 1
+    ``progress`` ends the cap message, so that a cap hit says how far the
+    search got.
+    """
+
+    def __init__(self, total: int) -> None:
+        self.total = total
+        self.left = total
+        self.progress = ""
+
+    def spend(self, n: int = 1) -> None:
+        """Charge ``n`` leaves; raises once the total is overdrawn."""
+        self.left -= n
         if self.left < 0:
-            raise ResourceCapError("budget", 0, "decomposition search budget exhausted")
+            raise ResourceCapError(
+                "budget", self.total,
+                f"decomposition search budget exhausted{self.progress}",
+            )
 
 
 def _search_excluding(target: frozenset[int], bad: int, limits: SearchLimits,
@@ -397,34 +403,68 @@ def _search_excluding(target: frozenset[int], bad: int, limits: SearchLimits,
 
     Sequences are enumerated as non-decreasing tuples of symbol indices
     (each multiset once), lengths first, entries ordered by magnitude then
-    sign.  Branches whose reachable positive or negative totals cannot
-    cover the target hull are pruned without spending budget on leaves.
+    sign: index i is the entry i // 2 + 1, negated for odd i.  Branches
+    whose reachable positive or negative totals cannot cover the target
+    hull are pruned without spending budget on leaves; every other leaf
+    costs one unit of budget.
+
+    Each node carries the sums S of its prefix down the recursion, and
+    entry v extends them to S | (S + v); below a prefix whose S already
+    holds ``bad`` they are no longer extended, since no leaf there can
+    succeed.  The last slot is tested in one loop instead of recursing.
+    With ``missing`` the targets outside S, entry v completes a hit iff
+    ``bad - v`` is outside S and ``t - v`` lies in S for every missing t.
+    So v must be missing[0] - s for some s in S: only those candidates are
+    tested, in index order, whatever the size of the entries.  The budget
+    is charged as if every leaf were tested in turn: for the leaves up to
+    the hit, or for all of them at once when none holds.
     """
     need_hi = max(target)
     need_lo = min(target)
-    symbols = [_symbol(i) for i in range(2 * limits.max_entry)]
     top = limits.max_entry
+    end = 2 * top
 
-    def rec(start: int, slots: int, pos: int, neg: int,
+    def last_slot(start: int, sums: set[int],
+                  picked: list[int]) -> SequenceB | None:
+        if bad not in sums:
+            # never empty: a prefix whose sums held the target without
+            # ``bad`` would have been a hit one length earlier
+            missing = [t for t in target if t not in sums]
+            # v = missing[0] - s is never 0, as missing[0] is not in S
+            for idx in sorted(2 * v - 2 if v > 0 else -2 * v - 1
+                              for v in [missing[0] - s for s in sums]):
+                if idx < start:
+                    continue
+                if idx >= end:
+                    break
+                val = -(idx // 2 + 1) if idx & 1 else idx // 2 + 1
+                if bad - val in sums:
+                    continue
+                for t in missing:
+                    if t - val not in sums:
+                        break
+                else:
+                    budget.spend(idx - start + 1)
+                    return SequenceB((*picked, val))
+        budget.spend(end - start)
+        return None
+
+    def rec(start: int, slots: int, pos: int, neg: int, sums: set[int],
             picked: list[int]) -> SequenceB | None:
-        if slots == 0:
-            budget.spend()
-            if pos < need_hi or neg > need_lo:
-                return None
-            sums = _sums_of(picked)
-            if bad in sums or not target <= sums:
-                return None
-            return SequenceB(tuple(picked))
         # prune: even with the largest remaining magnitudes this branch
         # cannot reach the hull
         if pos + slots * top < need_hi or neg - slots * top > need_lo:
             return None
-        for idx in range(start, len(symbols)):
-            val = symbols[idx]
+        if slots == 1:
+            return last_slot(start, sums, picked)
+        doomed = bad in sums
+        for idx in range(start, end):
+            val = -(idx // 2 + 1) if idx & 1 else idx // 2 + 1
             picked.append(val)
             hit = rec(idx, slots - 1,
                       pos + val if val > 0 else pos,
                       neg + val if val < 0 else neg,
+                      sums if doomed else sums | {x + val for x in sums},
                       picked)
             if hit is not None:
                 return hit
@@ -432,7 +472,7 @@ def _search_excluding(target: frozenset[int], bad: int, limits: SearchLimits,
         return None
 
     for length in range(1, limits.max_len + 1):
-        hit = rec(0, length, 0, 0, [])
+        hit = rec(0, length, 0, 0, {0}, [])
         if hit is not None:
             return hit
     return None
@@ -473,14 +513,17 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
         sums = _sums_of(s.entries)
         current = sums if current is None else current & sums
         transcript.append(TranscriptStep(s, tuple(sorted(sums)), tuple(sorted(current))))
-    assert current is not None
 
-    if not target <= current:
+    if current is None or not target <= current:
         raise InputError("internal seed does not cover the target")  # unreachable
 
-    for bad in sorted(current - target):
+    extraneous = sorted(current - target)
+    for bad in extraneous:
         if bad not in current:
             continue
+        done = len(extraneous) - len(current - target)
+        budget.progress = (f" while excluding {bad} ({done} of {len(extraneous)}"
+                           f" extraneous values excluded, budget {limits.budget})")
         found = _search_excluding(target, bad, limits, budget)
         if found is None:
             raise ResourceCapError(
@@ -493,7 +536,9 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
         sequences.append(found)
         transcript.append(TranscriptStep(found, tuple(sorted(sums)), tuple(sorted(current))))
 
-    assert current == target
+    if current != target:  # unreachable: each step excludes its value
+        raise RuntimeError(f"decomposition intersection {sorted(current)} "
+                           f"is not the target {sorted(target)}")
     return DecompositionCertificate(
         tuple(sorted(target)),
         tuple(sequences),

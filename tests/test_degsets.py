@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circledeg import degsets
 from circledeg.degsets import (
     DecompositionCertificate,
     DegreeSet,
@@ -214,6 +216,39 @@ def test_decompose_budget_cap():
     with pytest.raises(ResourceCapError) as err:
         decompose({0, 1, 3}, SearchLimits(budget=1))
     assert err.value.cap_name == "budget"
+
+
+def test_budget_cap_message_shows_progress():
+    # the seed (1, 2, 4) leaves 3, 5, 6, 7 to exclude; the sequence found
+    # for 3, (1, 1, 4), also excludes 7, and the budget runs out on 5
+    with pytest.raises(ResourceCapError) as err:
+        decompose({0, 1, 2, 4}, SearchLimits(budget=1000))
+    assert err.value.cap_name == "budget"
+    assert err.value.cap_value == 1000
+    assert str(err.value) == (
+        "decomposition search budget exhausted while excluding 5 "
+        "(2 of 4 extraneous values excluded, budget 1000)")
+
+
+def test_huge_max_entry_is_bounded_by_the_budget():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError) as err:
+            decompose({0, 1, 3}, SearchLimits(max_entry=10**9, budget=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.cap_name == "budget"
+    assert peak < 1 << 20  # nothing of size max_entry
+
+
+def test_decompose_checks_its_result_without_assert(monkeypatch):
+    # a search that returns a sequence excluding nothing must not yield a
+    # certificate, also under ``python -O``
+    monkeypatch.setattr(degsets, "_search_excluding",
+                        lambda *args: SequenceB((1, 1, 1, 1)))
+    with pytest.raises(RuntimeError, match="is not the target"):
+        decompose({0, 1, 3})
 
 
 def test_verify_decomposition_rejects_tampering():
