@@ -22,8 +22,9 @@ stdin) and are checked against the shipped schemas before any
 computation; small inputs can be given as flags (``--set``, ``-m/-k``,
 ``--seq``, volumes).  Output is JSON on stdout by default,
 ``--format text`` switches to a human rendering, ``--out FILE`` writes
-to a file.  Exit codes: 0 success, 1 invalid input or unmet hypothesis,
-2 resource cap hit, 3 verification or selftest failure.
+to a file.  Exit codes: 0 success, 1 invalid input (usage errors
+included) or unmet hypothesis, 2 resource cap hit, 3 verification or
+selftest failure.
 """
 
 from __future__ import annotations
@@ -404,8 +405,17 @@ def _add_cap_flags(p: argparse.ArgumentParser) -> None:
                    help="total candidate budget for the search")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as bad input; argparse's own 2 is the code of
+    a resource cap hit."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circledeg",
         description="Exact degree-set arithmetic for oriented circle bundles.",
     )
@@ -501,6 +511,12 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        # what the nesting bound in validate_payload cannot catch, such as
+        # JSON text too deep for the parser itself
+        print(f"error: input too deeply nested or too large "
+              f"({type(exc).__name__})", file=sys.stderr)
+        return 1
 
     rendered = text if args.format == "text" else json.dumps(
         obj, indent=2, sort_keys=True)

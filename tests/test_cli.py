@@ -219,6 +219,50 @@ def test_missing_file_is_input_error(cli):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("levels, message", [
+    # refused by the nesting bound before any schema check recurses
+    (300, "error: invalid realizationCertificate at payload: nested more than"),
+    # too deep for json.loads itself; main turns its RecursionError into a line
+    (5000, "error: input too deeply nested or too large (RecursionError)"),
+])
+def test_deeply_nested_certificate_is_input_error(cli, levels, message):
+    code, out, _ = cli("realize", "--set", "0,1,3")
+    cert = json.loads(out)
+    inner = json.dumps(cert["combination"]["resultDomain"])
+    cert["combination"]["resultDomain"] = "@"
+    # built by concatenation: json.dumps would recurse as deep as the text
+    wrapped = ('{"stabilized": {"inner": ' * levels + inner
+               + ', "shift": 3}}' * levels)
+    code, out, err = cli("verify", stdin_text=json.dumps(cert).replace('"@"', wrapped))
+    assert code == 1 and out == ""
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--set", "-6,1,2"],
+    ["pair", "-m", "two"],
+    ["nonsense"],
+    [],
+])
+def test_usage_error_exits_1(capsys, argv):
+    # exit 2 is kept for resource caps
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: circledeg")
+    assert ": error: " in err and not err.startswith("resource cap:")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: circledeg decompose")
+
+
 def test_budget_cap_exit_code(cli):
     code, _, err = cli("decompose", "--set", "0,1,3", "--budget", "1")
     assert code == 2

@@ -1,0 +1,347 @@
+"""Compiled schema checks against jsonschema, the reference they replace.
+
+Every verdict of a compiled check must equal jsonschema's Draft 2020-12
+verdict, and every rejection must carry the text jsonschema's best match
+gives, on the golden files, the payloads the CLI reads and writes, and
+random mutations of valid ones.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
+import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import circledeg
+from circledeg import realize, schema
+from circledeg.cli import main
+from circledeg.errors import InputError
+from circledeg.schema import schema_for, schema_names, validate_payload
+
+GOLDEN = Path(__file__).parent / "golden"
+NAMES = schema_names()
+# what a mutation puts in place of a node or under a new key
+VALUES = [0, 0.0, 1.0, 2.5, True, False, None, "", [], {}]
+
+
+@lru_cache(maxsize=None)
+def reference(name: str) -> jsonschema.Draft202012Validator:
+    return jsonschema.Draft202012Validator(schema_for(name))
+
+
+def reference_error(name: str, obj: object) -> str | None:
+    """The rejection text of the jsonschema-only gate, None if valid."""
+    best = jsonschema.exceptions.best_match(reference(name).iter_errors(obj))
+    if best is None:
+        return None
+    where = best.json_path if best.json_path != "$" else "payload"
+    return f"invalid {name} at {where}: {best.message}"
+
+
+def assert_agrees(name: str, obj: object) -> None:
+    verdict = schema._shipped()(name)(obj)
+    assert verdict == reference(name).is_valid(obj), (name, obj)
+    try:
+        validate_payload(name, obj)
+    except InputError as exc:
+        assert not verdict and str(exc) == reference_error(name, obj)
+    else:
+        assert verdict
+
+
+def run_main(argv: list[str], payload: object = None) -> tuple[int, str]:
+    stdin = json.dumps(payload) if payload is not None else ""
+    out = io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+DFP = {
+    "domainGroup": {"rank": 1}, "targetGroup": {"rank": 1},
+    "a": {"free": [2]}, "b": {"free": [1]},
+    "catalogue": {"complete": True,
+                  "maps": [{"degree": 3,
+                            "action": {"rows": 1, "cols": 1, "entries": [4]}}]},
+}
+# schema-valid only: ``finite`` itself accepts bare bundles
+NESTED_FINITE = {
+    "domain": {"sum": [
+        {"bundle": {"base": "knot-glue-3", "euler": {"free": [1], "torsion": []}}},
+        {"stabilized": {"inner": {"sphereProduct": 2}, "shift": 3}},
+        {"repeat": {"factor": {"sphereProduct": 3}, "symbol": "l"}},
+    ]},
+    "target": {"bundle": {"base": "hyp-odd-4", "euler": {"free": [2]}}},
+    "dBaseFinite": True,
+}
+# (argv, stdin payload) of the requests the CLI tests make
+CLI_REQUESTS = [
+    (["snf"], {"matrix": {"rows": 2, "cols": 3, "entries": [4, 6, 8, 2, 4, 8]}}),
+    (["group"], {"relations": {"rows": 2, "cols": 2, "entries": [2, 0, 0, 3]}}),
+    (["solve-k"], {"group": {"rank": 1, "torsion": []},
+                   "a": {"free": [2]}, "c": {"free": [6]}}),
+    (["sums", "--seq", "1,3"], None),
+    (["sums"], {"sequence": [2, -5, 7]}),
+    (["decompose", "--set", "0,1,3"], None),
+    (["decompose"], {"set": [0, 2, 5], "maxLen": None, "maxEntry": 9, "budget": 10**5}),
+    (["dv"], {"group": {"rank": 0, "torsion": [6]},
+              "a": {"torsion": [2]}, "b": {"torsion": [4]}}),
+    (["dfp"], DFP),
+    (["pair", "-m", "2", "-k", "6"], None),
+    (["pair", "-m", "-3", "-k", "6", "--preset", "surface"], None),
+    (["pair"], {"m": 5, "k": 5, "classLabel": "b"}),
+    (["bound", "--domain-volume", "7/2", "--target-volume", "1/3"], None),
+    (["bound"], {"domainVolume": "10", "targetVolume": 1.5}),
+    (["finite"], {
+        "domain": {"bundle": {"base": "knot-glue-3", "euler": {"free": [1]}}},
+        "target": {"bundle": {"base": "hyp-odd-4", "euler": {"free": [2]}}},
+    }),
+    (["realize"], {"set": [0, 2], "dim": 7, "preset": "knot-glue-3",
+                   "maxEntry": None, "budget": 10**6}),
+    (["selftest"], None),
+]
+
+
+@lru_cache(maxsize=1)
+def corpus() -> list:
+    """Golden files, and the payloads the CLI tests read and write."""
+    objs = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.json"))]
+    for argv, payload in CLI_REQUESTS:
+        code, out = run_main(argv, payload)
+        assert code == 0, argv
+        objs += [obj for obj in (payload, json.loads(out)) if obj is not None]
+    code, out = run_main(["realize", "--set", "0,1,3"])
+    cert = json.loads(out)
+    wrapped = {"certificate": cert, "dim": 9}
+    objs += [cert, wrapped]
+    for argv, payload in ((["verify"], cert), (["stabilize", "--dim", "8"], cert),
+                          (["stabilize"], wrapped)):
+        code, out = run_main(argv, payload)
+        assert code == 0, argv
+        objs.append(json.loads(out))
+    return objs
+
+
+def test_every_shipped_definition_compiles():
+    for name in NAMES:  # a fresh compiler each time, so nothing is cached
+        assert callable(schema._compile(schema._document()["$defs"])(name))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_corpus_verdicts_match_jsonschema(name):
+    for obj in corpus():
+        assert_agrees(name, obj)
+
+
+@lru_cache(maxsize=1)
+def valid_seeds() -> list[tuple[str, object]]:
+    """Valid payloads to mutate, each with the schema it matches."""
+    cert = realize.build_construction([-2, 0, 1, 4], 3)
+    seeds = [
+        ("realizationCertificate", realize.build_construction([0, 1, 3], 4).to_json()),
+        ("realizationCertificate", realize.stabilize(cert, 7).to_json()),
+        ("stabilizeInput", {"certificate": cert.to_json(), "dim": 6}),
+        ("verificationReport", realize.verify_certificate(cert).to_json()),
+        ("decompositionCertificate", cert.decomposition.to_json()),
+        ("finiteInput", NESTED_FINITE),
+    ]
+    seeds += [(f"{argv[0].removesuffix('-k')}Input", payload)
+              for argv, payload in CLI_REQUESTS if payload is not None]
+    for name, obj in seeds:
+        assert reference(name).is_valid(obj), name
+    return seeds
+
+
+def paths(obj, prefix=()):
+    """Every path into ``obj``, the root's included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, item in items:
+        yield from paths(item, prefix + (key,))
+
+
+def at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def mutated(draw):
+    """A valid payload with one to three nodes replaced, keys dropped or
+    keys added."""
+    name, obj = draw(st.sampled_from(valid_seeds()))
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.integers(1, 3))):
+        value = copy.deepcopy(draw(st.sampled_from(VALUES)))
+        dicts = [p for p in paths(obj) if isinstance(at(obj, p), dict)]
+        kind = draw(st.sampled_from(["replace", "drop", "add"]))
+        if kind == "replace":
+            path = draw(st.sampled_from(list(paths(obj))))
+            if not path:
+                obj = value
+                continue
+            at(obj, path[:-1])[path[-1]] = value
+        elif kind == "drop" and any(at(obj, p) for p in dicts):
+            node = at(obj, draw(st.sampled_from([p for p in dicts if at(obj, p)])))
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif dicts:
+            node = at(obj, draw(st.sampled_from(dicts)))
+            node[draw(st.sampled_from(["extra", "kind", "inner", "free"]))] = value
+    return name, obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated())
+def test_mutations_match_jsonschema(case):
+    name, obj = case
+    assert_agrees(name, obj)
+    for other in NAMES:
+        assert schema._shipped()(other)(obj) == reference(other).is_valid(obj), other
+
+
+@pytest.mark.parametrize("definition, value, valid", [
+    # not: {const: 0} flips the const verdict, so 0 == 0.0 matters
+    ({"not": {"const": 0}}, 0, False),
+    ({"not": {"const": 0}}, 0.0, False),
+    ({"not": {"const": 0}}, False, True),
+    ({"not": {"const": 0}}, "0", True),
+    ({"type": "integer", "not": {"const": 0}}, False, False),
+    ({"type": "integer"}, 3.0, True),
+    ({"type": "integer"}, 3.5, False),
+    ({"type": "integer"}, True, False),
+    ({"type": "integer"}, float("inf"), False),
+    ({"type": "number"}, True, False),
+    ({"type": ["integer", "null"]}, None, True),
+    ({"type": ["string", "number"]}, [], False),
+    ({"const": 1}, True, False),
+    ({"const": 1}, 1.0, True),
+    ({"const": True}, 1, False),
+    ({"const": True}, True, True),
+    ({"const": "a"}, ["a"], False),
+    ({"enum": ["finite", "unknown"]}, "finite", True),
+    ({"enum": [0, "x"]}, False, False),
+    ({"enum": [0, "x"]}, 0.0, True),
+    # minimum, minLength and minItems ignore values of other types
+    ({"minimum": 1}, "x", True),
+    ({"minimum": 1}, 0.5, False),
+    ({"minimum": 1}, True, True),
+    ({"minLength": 1}, 5, True),
+    ({"minLength": 1}, "", False),
+    ({"minItems": 1}, {}, True),
+    ({"minItems": 1}, [], False),
+    ({"items": {"type": "integer"}}, "abc", True),
+    ({"items": {"type": "integer"}}, [1, 2.0, "3"], False),
+    ({"required": ["a"]}, [], True),
+    ({"properties": {"a": {"type": "string"}}}, {"a": 1}, False),
+    ({"additionalProperties": {"type": "integer"}}, {"a": 1, "b": 2.0}, True),
+    ({"additionalProperties": {"type": "integer"}}, {"a": "1"}, False),
+    ({"properties": {"a": {}}, "additionalProperties": False}, {"a": 1, "b": 2}, False),
+    # oneOf: two matching branches fail like none
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, 5, False),
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1.5, False),
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, "a", True),
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1, True),
+])
+def test_edge_cases_match_jsonschema(definition, value, valid):
+    check = schema._compile({"x": definition})("x")
+    assert check(value) is valid
+    assert jsonschema.Draft202012Validator(definition).is_valid(value) is valid
+
+
+@pytest.mark.parametrize("payload", [
+    {"m": 0, "k": 6}, {"m": 0.0, "k": 6}, {"m": False, "k": 6},
+    {"m": 3.0, "k": 6}, {"m": 2, "k": 6.5}, {"m": 2, "k": 6, "preset": ""},
+])
+def test_shipped_edge_cases_match_jsonschema(payload):
+    assert_agrees("pairInput", payload)
+
+
+def test_manifold_expr_one_of_edges():
+    bundle = {"base": "x", "euler": {}}
+    assert_agrees("manifoldExpr", {})
+    assert_agrees("manifoldExpr", {"bundle": bundle, "sphereProduct": 2})
+    assert_agrees("manifoldExpr", {"sum": []})
+    assert_agrees("manifoldExpr", {"sum": [{"bundle": bundle}]})
+
+
+@pytest.mark.parametrize("definition", [
+    {"type": "string", "pattern": "^a"},
+    {"type": "integer", "maximum": 3},
+    {"properties": {"a": {"title": "nested"}}},
+    {"$ref": "https://example.invalid/other.schema.json"},
+    {"$ref": "other.schema.json#/$defs/x"},
+    {"$ref": "#/$defs/missing"},
+    {"$ref": "#/definitions/x"},
+    {"type": "decimal"},
+    {"const": [0]},
+    {"items": True},
+])
+def test_compile_refuses_what_it_does_not_know(definition):
+    with pytest.raises(ValueError):
+        schema._compile({"x": definition})("x")
+
+
+def test_unknown_name_raises_key_error():
+    with pytest.raises(KeyError, match="no schema named 'nope'"):
+        validate_payload("nope", {})
+
+
+def nested_expr(levels: int, shift: int = 3) -> dict:
+    expr: dict = {"sphereProduct": 2}
+    for _ in range(levels):
+        expr = {"stabilized": {"inner": expr, "shift": shift}}
+    return expr
+
+
+def test_nesting_bound_is_exact():
+    # finiteInput -> domain -> one object and its "stabilized" per level
+    levels = (schema.MAX_NESTING - 2) // 2
+    deepest = {"domain": nested_expr(levels), "target": {"sphereProduct": 2}}
+    assert not schema._nested_deeper_than(deepest, schema.MAX_NESTING)
+    assert schema._nested_deeper_than(deepest, schema.MAX_NESTING - 1)
+    validate_payload("finiteInput", deepest)
+    # a rejection at the bound is still worded by jsonschema
+    bad = {"domain": nested_expr(levels, shift=2), "target": {"sphereProduct": 2}}
+    assert_agrees("finiteInput", bad)
+    deeper = {"domain": {"sum": [nested_expr(levels)]}, "target": {"sphereProduct": 2}}
+    with pytest.raises(InputError, match="finiteInput at payload: nested more than"):
+        validate_payload("finiteInput", deeper)
+    assert not schema._nested_deeper_than(5, 0)
+    assert schema._nested_deeper_than([], 0)
+
+
+def test_valid_request_never_imports_jsonschema():
+    env = dict(os.environ)
+    src = str(Path(circledeg.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from circledeg.cli import main\n"
+              "assert main(['pair', '-m', '2', '-k', '6']) == 0\n"
+              "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"finite": [0, 3]}
+    proc = subprocess.run([sys.executable, "-m", "circledeg.cli", "snf"],
+                          input='{"matrix": {"rows": 2}}', capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: invalid snfInput at $.matrix: "
+                           "'cols' is a required property\n")
