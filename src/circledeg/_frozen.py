@@ -1,0 +1,61 @@
+"""Value semantics for the package's immutable records.
+
+Each record class declares its fields as ``__slots__``, in constructor
+order, and writes out its own ``__init__``, which validates and then sets
+every field once with ``object.__setattr__``.  :class:`Frozen` supplies
+the rest: equality and hashing over the tuple of fields, the
+``Name(field=value, ...)`` repr, refusal of assignment and deletion, copy
+and pickle support through the constructor, and ``_replace``.
+
+>>> class Point(Frozen):
+...     __slots__ = ("x", "y")
+...     def __init__(self, x, y=0):
+...         object.__setattr__(self, "x", x)
+...         object.__setattr__(self, "y", y)
+>>> p = Point(1)
+>>> p, p == Point(1, 0), hash(p) == hash((1, 0)), p._replace(y=2)
+(Point(x=1, y=0), True, True, Point(x=1, y=2))
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Frozen:
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of a single name returns the value, not a 1-tuple
+        cls._astuple = staticmethod(get if len(cls.__slots__) > 1
+                                    else lambda obj: (get(obj),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == self._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self.__slots__, self._astuple(self)))
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._astuple(self))
+
+    def _replace(self, **changes: object):
+        """A copy with ``changes`` applied, validated by the constructor."""
+        fields = dict(zip(self.__slots__, self._astuple(self)))
+        fields.update(changes)
+        return self.__class__(**fields)

@@ -22,11 +22,11 @@ JSON formats (stable, used by the CLI and the certificate files):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from ._frozen import Frozen
 from .errors import GroupMismatchError, InputError
 
 __all__ = [
@@ -50,26 +50,26 @@ __all__ = [
 # matrices
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Frozen):
     """Immutable integer matrix, row-major.
 
     >>> IntegerMatrix.from_rows([[1, 2], [3, 4]]).det()
     -2
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise InputError("entry rows do not match declared row count")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise InputError("entry row length does not match column count")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -153,8 +153,7 @@ class IntegerMatrix:
 # groups and elements
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Frozen):
     """Finitely generated abelian group in invariant-factor form.
 
     ``torsion`` must be a divisibility chain of integers >= 2.  Use
@@ -165,19 +164,20 @@ class FgAbelianGroup:
     3
     """
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
+        if rank < 0:
             raise InputError("rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        for d in self.torsion:
+        torsion = tuple(int(d) for d in torsion)
+        for d in torsion:
             if d < 2:
                 raise InputError("torsion invariant factors must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise InputError("torsion factors must form a divisibility chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def generator_count(self) -> int:
@@ -216,8 +216,7 @@ class FgAbelianGroup:
             raise InputError(f"malformed group object: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """Element of an :class:`FgAbelianGroup`; torsion residues stay reduced.
 
     >>> g = FgAbelianGroup(1, (6,))
@@ -225,18 +224,18 @@ class GroupElement:
     (4,)
     """
 
-    group: FgAbelianGroup
-    free: tuple[int, ...]
-    torsion: tuple[int, ...]
+    __slots__ = ("group", "free", "torsion")
 
-    def __post_init__(self) -> None:
-        free = tuple(int(x) for x in self.free)
-        tors = tuple(int(x) for x in self.torsion)
-        if len(free) != self.group.rank:
+    def __init__(self, group: FgAbelianGroup, free: tuple[int, ...],
+                 torsion: tuple[int, ...]) -> None:
+        free = tuple(int(x) for x in free)
+        tors = tuple(int(x) for x in torsion)
+        if len(free) != group.rank:
             raise InputError("free coordinate count does not match group rank")
-        if len(tors) != len(self.group.torsion):
+        if len(tors) != len(group.torsion):
             raise InputError("torsion coordinate count does not match group")
-        tors = tuple(r % d for r, d in zip(tors, self.group.torsion))
+        tors = tuple(r % d for r, d in zip(tors, group.torsion))
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "torsion", tors)
 
@@ -428,26 +427,27 @@ def is_torsion(a: GroupElement) -> tuple[bool, int | None]:
     return (True, order)
 
 
-@dataclass(frozen=True)
-class ScalarSolutionSet:
+class ScalarSolutionSet(Frozen):
     """Solutions k of a scalar equation, empty or an arithmetic progression.
 
-    ``modulus`` 0 encodes the singleton {base}; ``modulus`` m > 0 encodes
-    {base + q*m : q in Z} with 0 <= base < m.
+    ``kind`` is "empty" or "progression".  ``modulus`` 0 encodes the
+    singleton {base}; ``modulus`` m > 0 encodes {base + q*m : q in Z} with
+    0 <= base < m.
     """
 
-    kind: str  # "empty" | "progression"
-    base: int = 0
-    modulus: int = 0
+    __slots__ = ("kind", "base", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("empty", "progression"):
+    def __init__(self, kind: str, base: int = 0, modulus: int = 0) -> None:
+        if kind not in ("empty", "progression"):
             raise InputError("solution set kind must be 'empty' or 'progression'")
-        if self.kind == "progression":
-            if self.modulus < 0:
+        if kind == "progression":
+            if modulus < 0:
                 raise InputError("modulus must be nonnegative")
-            if self.modulus > 0 and not (0 <= self.base < self.modulus):
-                object.__setattr__(self, "base", self.base % self.modulus)
+            if modulus > 0 and not (0 <= base < modulus):
+                base %= modulus
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "modulus", modulus)
 
     @classmethod
     def empty(cls) -> "ScalarSolutionSet":

@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
+from ._frozen import Frozen
 from .abelian import (
     FgAbelianGroup,
     GroupElement,
@@ -60,6 +60,7 @@ from .abelian import (
 )
 from .degsets import DegreeSet
 from .errors import GroupMismatchError, HypothesisError, InputError
+from .schema import MAX_NESTING
 
 __all__ = [
     "KNOWN_FLAGS",
@@ -103,8 +104,7 @@ PRESET_ENV_VAR = "CIRCLEDEG_PRESETS"
 # base manifolds
 
 
-@dataclass(frozen=True)
-class BaseManifold:
+class BaseManifold(Frozen):
     """Closed oriented base manifold with declared properties.
 
     ``h2`` is the second integral cohomology group (Euler classes live
@@ -113,42 +113,44 @@ class BaseManifold:
     simplicial volume when known.
     """
 
-    name: str
-    dim: int
-    h2: FgAbelianGroup
-    named_classes: tuple[tuple[str, GroupElement], ...] = ()
-    flags: frozenset[str] = frozenset()
-    fixes: frozenset[str] = frozenset()
-    volume: Fraction | None = None
+    __slots__ = ("name", "dim", "h2", "named_classes", "flags", "fixes", "volume")
 
-    def __post_init__(self) -> None:
-        if self.dim < 2:
+    def __init__(self, name: str, dim: int, h2: FgAbelianGroup,
+                 named_classes: tuple[tuple[str, GroupElement], ...] = (),
+                 flags: frozenset[str] = frozenset(),
+                 fixes: frozenset[str] = frozenset(),
+                 volume: Fraction | None = None) -> None:
+        if dim < 2:
             raise InputError("base manifold dimension must be >= 2")
-        unknown = set(self.flags) - KNOWN_FLAGS
+        unknown = set(flags) - KNOWN_FLAGS
         if unknown:
             raise InputError(f"unknown flags: {sorted(unknown)}")
-        flags = set(self.flags)
+        flags = set(flags)
         if "hyperbolic" in flags:
             flags |= {"aspherical", "scf_pi1", "d_self_finite"}
         if "d_self_is_01" in flags:
             flags.add("d_self_finite")
-        object.__setattr__(self, "flags", frozenset(flags))
-        object.__setattr__(self, "fixes", frozenset(self.fixes))
-        classes = dict(self.named_classes)
-        object.__setattr__(self, "named_classes", tuple(sorted(classes.items())))
+        fixes = frozenset(fixes)
+        classes = dict(named_classes)
         for label, cls in classes.items():
-            if cls.group != self.h2:
+            if cls.group != h2:
                 raise InputError(f"class {label!r} does not live in the base's group")
-        for label in self.fixes:
+        for label in fixes:
             if label not in classes:
                 raise InputError(f"fixed class {label!r} is not a named class")
             if is_torsion(classes[label])[0]:
                 raise InputError(f"fixed class {label!r} must be non-torsion")
-        if self.volume is not None:
-            vol = Fraction(self.volume)
-            if vol < 0:
+        if volume is not None:
+            volume = Fraction(volume)
+            if volume < 0:
                 raise InputError("simplicial volume must be nonnegative")
-            object.__setattr__(self, "volume", vol)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "named_classes", tuple(sorted(classes.items())))
+        object.__setattr__(self, "flags", frozenset(flags))
+        object.__setattr__(self, "fixes", fixes)
+        object.__setattr__(self, "volume", volume)
 
     def has(self, flag: str) -> bool:
         return flag in self.flags
@@ -200,58 +202,60 @@ class BaseManifold:
 # manifold expressions
 
 
-@dataclass(frozen=True)
-class CircleBundle:
-    base: BaseManifold
-    euler: GroupElement
+class CircleBundle(Frozen):
+    __slots__ = ("base", "euler")
 
-    def __post_init__(self) -> None:
-        if self.euler.group != self.base.h2:
+    def __init__(self, base: BaseManifold, euler: GroupElement) -> None:
+        if euler.group != base.h2:
             raise InputError("Euler class must live in the base's cohomology group")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "euler", euler)
 
 
-@dataclass(frozen=True)
-class SphereProduct:
+class SphereProduct(Frozen):
     """S^(dim-1) x S^1 of total dimension ``dim``."""
 
-    dim: int
+    __slots__ = ("dim",)
 
-    def __post_init__(self) -> None:
-        if self.dim < 2:
+    def __init__(self, dim: int) -> None:
+        if dim < 2:
             raise InputError("sphere product dimension must be >= 2")
+        object.__setattr__(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class ConnectedSum:
-    summands: tuple["ManifoldExpr", ...]
+class ConnectedSum(Frozen):
+    __slots__ = ("summands",)
 
-    def __post_init__(self) -> None:
-        if not self.summands:
+    def __init__(self, summands: tuple[ManifoldExpr, ...]) -> None:
+        if not summands:
             raise InputError("connected sum needs at least one summand")
-        dims = {expr_dim(s) for s in self.summands}
+        dims = {expr_dim(s) for s in summands}
         if len(dims) != 1:
             raise InputError("connected sum summands must share a dimension")
+        object.__setattr__(self, "summands", summands)
 
 
-@dataclass(frozen=True)
-class Stabilized:
+class Stabilized(Frozen):
     """The higher-dimensional stand-in for ``inner`` after a dimension
     shift; shifts below 3 are not covered by the stabilization rule."""
 
-    inner: "ManifoldExpr"
-    shift: int
+    __slots__ = ("inner", "shift")
 
-    def __post_init__(self) -> None:
-        if self.shift < 3:
+    def __init__(self, inner: ManifoldExpr, shift: int) -> None:
+        if shift < 3:
             raise InputError("stabilization shift must be >= 3")
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "shift", shift)
 
 
-@dataclass(frozen=True)
-class SymbolicRepeat:
+class SymbolicRepeat(Frozen):
     """A symbolic number of connected-sum copies of ``factor``."""
 
-    factor: "ManifoldExpr"
-    symbol: str
+    __slots__ = ("factor", "symbol")
+
+    def __init__(self, factor: ManifoldExpr, symbol: str) -> None:
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "symbol", symbol)
 
 
 ManifoldExpr = Union[CircleBundle, SphereProduct, ConnectedSum, Stabilized, SymbolicRepeat]
@@ -285,10 +289,17 @@ def expr_to_json(expr: ManifoldExpr) -> dict:
     raise InputError(f"not a manifold expression: {expr!r}")
 
 
-def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold]) -> ManifoldExpr:
+def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold],
+                   depth: int = 0) -> ManifoldExpr:
+    """Parse a manifold expression; ``depth`` counts the expressions
+    around ``obj``.  Nesting deeper than ``MAX_NESTING`` is refused, so
+    that callers who skip ``validate_payload`` cannot exhaust the stack."""
+    if depth >= MAX_NESTING:
+        raise InputError(f"manifold expression nested more than {MAX_NESTING} levels deep")
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InputError("manifold expression must be a one-key object")
     key, val = next(iter(obj.items()))
+    depth += 1
     if key == "bundle":
         name = val.get("base")
         if name not in registry:
@@ -298,11 +309,12 @@ def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold]) -> ManifoldE
     if key == "sphereProduct":
         return SphereProduct(int(val))
     if key == "sum":
-        return ConnectedSum(tuple(expr_from_json(s, registry) for s in val))
+        return ConnectedSum(tuple(expr_from_json(s, registry, depth) for s in val))
     if key == "stabilized":
-        return Stabilized(expr_from_json(val["inner"], registry), int(val["shift"]))
+        return Stabilized(expr_from_json(val["inner"], registry, depth), int(val["shift"]))
     if key == "repeat":
-        return SymbolicRepeat(expr_from_json(val["factor"], registry), str(val["symbol"]))
+        return SymbolicRepeat(expr_from_json(val["factor"], registry, depth),
+                              str(val["symbol"]))
     raise InputError(f"unknown manifold expression kind: {key!r}")
 
 
@@ -329,18 +341,18 @@ def render_expr(expr: ManifoldExpr) -> str:
 # map catalogues
 
 
-@dataclass(frozen=True)
-class MapModel:
+class MapModel(Frozen):
     """Homotopy data of one fiber-preserving map: its degree and the
     induced action on the target base's cohomology (column convention,
     landing in the source base's group)."""
 
-    degree: int
-    action: IntegerMatrix
+    __slots__ = ("degree", "action")
 
-    def __post_init__(self) -> None:
-        if self.degree == 0:
+    def __init__(self, degree: int, action: IntegerMatrix) -> None:
+        if degree == 0:
             raise InputError("map degree must be nonzero")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "action", action)
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "action": self.action.to_json()}
@@ -353,13 +365,15 @@ class MapModel:
             raise InputError(f"malformed map model: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class MapCatalogue:
+class MapCatalogue(Frozen):
     """Collection of base-map models; ``complete`` declares that every
     relevant homotopy class is listed, making derived sets exact."""
 
-    maps: tuple[MapModel, ...]
-    complete: bool = False
+    __slots__ = ("maps", "complete")
+
+    def __init__(self, maps: tuple[MapModel, ...], complete: bool = False) -> None:
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "complete", complete)
 
     def to_json(self) -> dict:
         return {"complete": self.complete, "maps": [m.to_json() for m in self.maps]}
@@ -413,19 +427,22 @@ def torsion_consistency(a: GroupElement, b: GroupElement) -> str:
     return "incompatible" if ta != tb else "compatible"
 
 
-@dataclass(frozen=True)
-class MapContribution:
+class MapContribution(Frozen):
     """Transcript entry: how one catalogued map feeds the degree set.
 
     Every nonzero degree d it contributes factors as d = k * degree with
     k drawn from ``solutions``, the solution set of k*a = image.
     """
 
-    index: int
-    degree: int
-    image: GroupElement
-    solutions: ScalarSolutionSet
-    contribution: DegreeSet
+    __slots__ = ("index", "degree", "image", "solutions", "contribution")
+
+    def __init__(self, index: int, degree: int, image: GroupElement,
+                 solutions: ScalarSolutionSet, contribution: DegreeSet) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "solutions", solutions)
+        object.__setattr__(self, "contribution", contribution)
 
     def to_json(self) -> dict:
         return {
@@ -437,11 +454,14 @@ class MapContribution:
         }
 
 
-@dataclass(frozen=True)
-class FiberPreservingResult:
-    degree_set: DegreeSet
-    exact: bool
-    contributions: tuple[MapContribution, ...] = ()
+class FiberPreservingResult(Frozen):
+    __slots__ = ("degree_set", "exact", "contributions")
+
+    def __init__(self, degree_set: DegreeSet, exact: bool,
+                 contributions: tuple[MapContribution, ...] = ()) -> None:
+        object.__setattr__(self, "degree_set", degree_set)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "contributions", contributions)
 
     def to_json(self) -> dict:
         return {
@@ -509,11 +529,13 @@ def promote_to_full_degree_set(domain_base: BaseManifold, target_base: BaseManif
 # same-base pairs, volume bound, finiteness
 
 
-@dataclass(frozen=True)
-class PairResult:
-    degree_set: DegreeSet
-    exact: bool
-    rule: str
+class PairResult(Frozen):
+    __slots__ = ("degree_set", "exact", "rule")
+
+    def __init__(self, degree_set: DegreeSet, exact: bool, rule: str) -> None:
+        object.__setattr__(self, "degree_set", degree_set)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "rule", rule)
 
     def to_json(self) -> dict:
         out = self.degree_set.to_json()

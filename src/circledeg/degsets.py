@@ -24,10 +24,11 @@ JSON formats:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
+from ._frozen import Frozen
+from .abelian import _crt
 from .errors import InputError, ResourceCapError
 
 __all__ = [
@@ -46,19 +47,7 @@ SUM_LENGTH_CAP = 40
 VERIFY_LENGTH_CAP = 20
 
 
-def _crt_pair(b1: int, m1: int, b2: int, m2: int) -> tuple[int, int] | None:
-    g = gcd(m1, m2)
-    if (b1 - b2) % g != 0:
-        return None
-    l = lcm(m1, m2)
-    if m2 // g == 1:
-        return (b1 % l, l)
-    t = ((b2 - b1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return ((b1 + m1 * t) % l, l)
-
-
-@dataclass(frozen=True)
-class DegreeSet:
+class DegreeSet(Frozen):
     """Finite integers plus arithmetic progressions, canonicalized.
 
     ``excludes_zero_in_progressions`` removes 0 from the progression part
@@ -73,13 +62,13 @@ class DegreeSet:
     True
     """
 
-    finite: tuple[int, ...] = ()
-    progressions: tuple[tuple[int, int], ...] = ()
-    excludes_zero_in_progressions: bool = False
+    __slots__ = ("finite", "progressions", "excludes_zero_in_progressions")
 
-    def __post_init__(self) -> None:
+    def __init__(self, finite: tuple[int, ...] = (),
+                 progressions: tuple[tuple[int, int], ...] = (),
+                 excludes_zero_in_progressions: bool = False) -> None:
         progs = []
-        for base, mod in self.progressions:
+        for base, mod in progressions:
             if mod < 1:
                 raise InputError("progression modulus must be >= 1")
             progs.append((base % mod, mod))
@@ -93,8 +82,8 @@ class DegreeSet:
         # the containment test above treats equal pairs as distinct objects;
         # dedupe handled by set() already, and mutual containment of distinct
         # pairs cannot happen after base reduction.
-        flag = self.excludes_zero_in_progressions
-        finite = sorted(set(int(x) for x in self.finite))
+        flag = excludes_zero_in_progressions
+        finite = sorted(set(int(x) for x in finite))
         if flag and (0 in finite or not any(base == 0 for base, _ in kept)):
             flag = False
         def in_progs(x: int) -> bool:
@@ -172,7 +161,7 @@ class DegreeSet:
         progs = []
         for b1, m1 in self.progressions:
             for b2, m2 in other.progressions:
-                hit = _crt_pair(b1, m1, b2, m2)
+                hit = _crt(b1, m1, b2, m2)
                 if hit is not None:
                     progs.append(hit)
         return DegreeSet(
@@ -227,18 +216,17 @@ class DegreeSet:
         return " u ".join(parts) if parts else "{}"
 
 
-@dataclass(frozen=True)
-class SequenceB:
+class SequenceB(Frozen):
     """Finite sequence of nonzero integers; duplicates are meaningful.
 
     >>> SequenceB((1, 1, -2)).entries
     (1, 1, -2)
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        ent = tuple(int(x) for x in self.entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        ent = tuple(int(x) for x in entries)
         if any(x == 0 for x in ent):
             raise InputError("sequence entries must be nonzero")
         object.__setattr__(self, "entries", ent)
@@ -285,17 +273,20 @@ def subsequence_sums(b: SequenceB, max_len: int = SUM_LENGTH_CAP) -> DegreeSet:
 # decomposition search
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(Frozen):
     """Caps for the decomposition search; None means the derived default.
 
     Defaults: length |a| + 4, entry magnitude 4 * max|a|, and a total
     candidate budget of 10^7 sequences.
     """
 
-    max_len: int | None = None
-    max_entry: int | None = None
-    budget: int = 10_000_000
+    __slots__ = ("max_len", "max_entry", "budget")
+
+    def __init__(self, max_len: int | None = None, max_entry: int | None = None,
+                 budget: int = 10_000_000) -> None:
+        object.__setattr__(self, "max_len", max_len)
+        object.__setattr__(self, "max_entry", max_entry)
+        object.__setattr__(self, "budget", budget)
 
     def resolve(self, target: frozenset[int]) -> "SearchLimits":
         hull = max((abs(x) for x in target), default=0)
@@ -306,11 +297,14 @@ class SearchLimits:
         )
 
 
-@dataclass(frozen=True)
-class TranscriptStep:
-    sequence: SequenceB
-    sums: tuple[int, ...]
-    intersection: tuple[int, ...]
+class TranscriptStep(Frozen):
+    __slots__ = ("sequence", "sums", "intersection")
+
+    def __init__(self, sequence: SequenceB, sums: tuple[int, ...],
+                 intersection: tuple[int, ...]) -> None:
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "intersection", intersection)
 
     def to_json(self) -> dict:
         return {
@@ -328,8 +322,7 @@ class TranscriptStep:
         )
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+class DecompositionCertificate(Frozen):
     """Witness that ``target`` equals the intersection of the S_B(i).
 
     ``hull_bound`` is the entry-magnitude cap that was in effect; ``caps``
@@ -337,11 +330,16 @@ class DecompositionCertificate:
     choice and not part of the mathematical statement.
     """
 
-    target: tuple[int, ...]
-    sequences: tuple[SequenceB, ...]
-    hull_bound: int
-    caps: SearchLimits
-    transcript: tuple[TranscriptStep, ...]
+    __slots__ = ("target", "sequences", "hull_bound", "caps", "transcript")
+
+    def __init__(self, target: tuple[int, ...], sequences: tuple[SequenceB, ...],
+                 hull_bound: int, caps: SearchLimits,
+                 transcript: tuple[TranscriptStep, ...]) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "sequences", sequences)
+        object.__setattr__(self, "hull_bound", hull_bound)
+        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "transcript", transcript)
 
     def to_json(self) -> dict:
         return {

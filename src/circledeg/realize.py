@@ -36,9 +36,9 @@ check singled out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
+from ._frozen import Frozen
 from .bundles import (
     BaseManifold,
     CircleBundle,
@@ -124,15 +124,18 @@ def choose_primes(sequences: Sequence[SequenceB]) -> tuple[int, ...]:
 # certificate records
 
 
-@dataclass(frozen=True)
-class PairClaim:
+class PairClaim(Frozen):
     """One constructed pair M_i -> N_i with its exact degree set."""
 
-    index: int
-    domain: ManifoldExpr
-    target: ManifoldExpr
-    claimed: DegreeSet
-    rule: str
+    __slots__ = ("index", "domain", "target", "claimed", "rule")
+
+    def __init__(self, index: int, domain: ManifoldExpr, target: ManifoldExpr,
+                 claimed: DegreeSet, rule: str) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "claimed", claimed)
+        object.__setattr__(self, "rule", rule)
 
     def to_json(self) -> dict:
         return {
@@ -157,16 +160,18 @@ class PairClaim:
             raise InputError(f"malformed pair claim: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(Frozen):
     """Firewall record: summand ``summand`` of M_i cannot reach N_j with
     nonzero degree because its multiplier does not divide alpha_j."""
 
-    i: int
-    j: int
-    summand: int
-    multiplier: int
-    verdict: str
+    __slots__ = ("i", "j", "summand", "multiplier", "verdict")
+
+    def __init__(self, i: int, j: int, summand: int, multiplier: int, verdict: str) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "summand", summand)
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "verdict", verdict)
 
     def to_json(self) -> dict:
         return {
@@ -186,16 +191,19 @@ class CrossCheck:
             raise InputError(f"malformed cross check: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Combination:
+class Combination(Frozen):
     """The assembled pair; ``pad_symbol`` names the free parameter for the
     number of S^(n-1) x S^1 padding copies, None when a single pair is
     used as-is."""
 
-    pad_symbol: str | None
-    result_domain: ManifoldExpr
-    result_target: ManifoldExpr
-    rule: str
+    __slots__ = ("pad_symbol", "result_domain", "result_target", "rule")
+
+    def __init__(self, pad_symbol: str | None, result_domain: ManifoldExpr,
+                 result_target: ManifoldExpr, rule: str) -> None:
+        object.__setattr__(self, "pad_symbol", pad_symbol)
+        object.__setattr__(self, "result_domain", result_domain)
+        object.__setattr__(self, "result_target", result_target)
+        object.__setattr__(self, "rule", rule)
 
     def to_json(self) -> dict:
         return {
@@ -219,12 +227,15 @@ class Combination:
             raise InputError(f"malformed combination record: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Stabilization:
-    shift: int
-    from_dimension: int
-    to_dimension: int
-    rule: str = "dimension-stabilization"
+class Stabilization(Frozen):
+    __slots__ = ("shift", "from_dimension", "to_dimension", "rule")
+
+    def __init__(self, shift: int, from_dimension: int, to_dimension: int,
+                 rule: str = "dimension-stabilization") -> None:
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "from_dimension", from_dimension)
+        object.__setattr__(self, "to_dimension", to_dimension)
+        object.__setattr__(self, "rule", rule)
 
     def to_json(self) -> dict:
         return {
@@ -243,20 +254,29 @@ class Stabilization:
             raise InputError(f"malformed stabilization record: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RealizationCertificate:
-    target: DegreeSet
-    dimension: int
-    base: BaseManifold
-    class_label: str
-    decomposition: DecompositionCertificate
-    primes: tuple[int, ...]
-    multipliers: tuple[int, ...]
-    pairs: tuple[PairClaim, ...]
-    cross_checks: tuple[CrossCheck, ...]
-    combination: Combination
-    final_set: DegreeSet
-    stabilizations: tuple[Stabilization, ...] = ()
+class RealizationCertificate(Frozen):
+    __slots__ = ("target", "dimension", "base", "class_label", "decomposition", "primes",
+                 "multipliers", "pairs", "cross_checks", "combination", "final_set",
+                 "stabilizations")
+
+    def __init__(self, target: DegreeSet, dimension: int, base: BaseManifold,
+                 class_label: str, decomposition: DecompositionCertificate,
+                 primes: tuple[int, ...], multipliers: tuple[int, ...],
+                 pairs: tuple[PairClaim, ...], cross_checks: tuple[CrossCheck, ...],
+                 combination: Combination, final_set: DegreeSet,
+                 stabilizations: tuple[Stabilization, ...] = ()) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "class_label", class_label)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "multipliers", multipliers)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "cross_checks", cross_checks)
+        object.__setattr__(self, "combination", combination)
+        object.__setattr__(self, "final_set", final_set)
+        object.__setattr__(self, "stabilizations", stabilizations)
 
     def to_json(self) -> dict:
         return {
@@ -439,14 +459,12 @@ def stabilize(cert: RealizationCertificate, dimension: int) -> RealizationCertif
             f"stabilization shift must be at least 3, got {shift} "
             f"(from dimension {cert.dimension} to {dimension})"
         )
-    combo = replace(
-        cert.combination,
+    combo = cert.combination._replace(
         result_domain=Stabilized(cert.combination.result_domain, shift),
         result_target=Stabilized(cert.combination.result_target, shift),
     )
     record = Stabilization(shift, cert.dimension, dimension)
-    return replace(
-        cert,
+    return cert._replace(
         dimension=dimension,
         combination=combo,
         stabilizations=cert.stabilizations + (record,),
@@ -457,11 +475,13 @@ def stabilize(cert: RealizationCertificate, dimension: int) -> RealizationCertif
 # verification
 
 
-@dataclass(frozen=True)
-class Check:
-    id: str
-    ok: bool
-    detail: str = ""
+class Check(Frozen):
+    __slots__ = ("id", "ok", "detail")
+
+    def __init__(self, id: str, ok: bool, detail: str = "") -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
     def to_json(self) -> dict:
         out: dict = {"id": self.id, "ok": self.ok}
@@ -470,11 +490,13 @@ class Check:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    valid: bool
-    checks: tuple[Check, ...]
-    first_failure: str | None
+class VerificationReport(Frozen):
+    __slots__ = ("valid", "checks", "first_failure")
+
+    def __init__(self, valid: bool, checks: tuple[Check, ...], first_failure: str | None) -> None:
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "first_failure", first_failure)
 
     def to_json(self) -> dict:
         return {

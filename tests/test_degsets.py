@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledeg import degsets
+from circledeg.abelian import _crt
 from circledeg.degsets import (
     DecompositionCertificate,
     DegreeSet,
@@ -75,6 +76,23 @@ def test_intersect_progressions_crt():
     assert got.progressions == ((5, 6),)
     none = x.intersect(DegreeSet.from_parts([], [(0, 3)]))
     assert none.is_empty
+
+
+def test_crt_matches_brute_force_intersection():
+    # _crt is the one helper behind DegreeSet.intersect and ScalarSolutionSet.meet
+    for m1, m2 in itertools.product(range(1, 13), repeat=2):
+        span = range(2 * m1 * m2)
+        for b1, b2 in itertools.product(range(m1), range(m2)):
+            want = [x for x in span if x % m1 == b1 and x % m2 == b2]
+            hit = _crt(b1, m1, b2, m2)
+            if hit is None:
+                assert want == []
+            else:
+                base, mod = hit
+                assert 0 <= base < mod
+                assert want == [x for x in span if x % mod == base]
+            got = DegreeSet.from_parts([], [(b1, m1)]) & DegreeSet.from_parts([], [(b2, m2)])
+            assert got.window(0, span[-1]) == want
 
 
 def test_union_mixed_flags_keeps_zero_membership():

@@ -16,9 +16,11 @@ from circledeg.bundles import (
     SymbolicRepeat,
     builtin_registry,
     expr_dim,
+    expr_from_json,
 )
 from circledeg.degsets import DegreeSet, SequenceB
 from circledeg.errors import HypothesisError, InputError
+from circledeg.schema import MAX_NESTING
 from circledeg.realize import (
     RealizationCertificate,
     build_construction,
@@ -220,6 +222,46 @@ def test_stabilize_appends_and_chains():
         stabilize(cert, 6)
     with pytest.raises(InputError, match="at least 3"):
         stabilize(cert, 4)
+
+
+def test_stabilize_changes_only_dimension_combination_and_records():
+    cert = build_construction({0, 1, 3}, 4)
+    want = cert.to_json()
+    want["dimension"] = 7
+    for key in ("resultDomain", "resultTarget"):
+        inner = want["combination"][key]
+        want["combination"][key] = {"stabilized": {"inner": inner, "shift": 3}}
+    want["stabilizations"].append({"shift": 3, "fromDimension": 4, "toDimension": 7,
+                                   "rule": "dimension-stabilization"})
+    assert stabilize(cert, 7).to_json() == want
+
+
+def stabilized_sphere(levels: int) -> dict:
+    expr: dict = {"sphereProduct": 2}
+    for _ in range(levels):
+        expr = {"stabilized": {"inner": expr, "shift": 3}}
+    return expr
+
+
+def test_library_parsers_bound_expression_depth():
+    # callers that skip validate_payload get an InputError, not a RecursionError
+    reg = builtin_registry()
+    deepest = expr_from_json(stabilized_sphere(MAX_NESTING - 1), reg)
+    assert expr_dim(deepest) == 2 + 3 * (MAX_NESTING - 1)
+    for levels in (MAX_NESTING, 2000):
+        with pytest.raises(InputError, match="nested more than 100 levels deep"):
+            expr_from_json(stabilized_sphere(levels), reg)
+    obj = build_construction({0, 1, 3}, 4).to_json()
+    obj["combination"]["resultDomain"] = stabilized_sphere(2000)
+    with pytest.raises(InputError, match="nested more than 100 levels deep"):
+        RealizationCertificate.from_json(obj)
+
+    cert = build_construction({0, 1, 3}, 4)
+    for _ in range(45):
+        cert = stabilize(cert, cert.dimension + 3)
+    back = RealizationCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert back == cert
+    assert reverify(back)
 
 
 # ---------------------------------------------------------------------------

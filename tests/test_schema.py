@@ -334,7 +334,8 @@ def test_valid_request_never_imports_jsonschema():
     script = ("import sys\n"
               "from circledeg.cli import main\n"
               "assert main(['pair', '-m', '2', '-k', '6']) == 0\n"
-              "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n")
+              "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+              "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
