@@ -33,6 +33,8 @@ class Frozen:
                                     else lambda obj: (get(obj),))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if other.__class__ is self.__class__:
             return self._astuple(self) == self._astuple(other)
         return NotImplemented

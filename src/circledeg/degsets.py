@@ -41,10 +41,15 @@ __all__ = [
     "verify_decomposition",
     "SUM_LENGTH_CAP",
     "VERIFY_LENGTH_CAP",
+    "EQUALS_MODULUS_CAP",
 ]
 
 SUM_LENGTH_CAP = 40
 VERIFY_LENGTH_CAP = 20
+# residues ``DegreeSet.equals`` enumerates at most: whether residue classes
+# cover the integers is coNP-hard, its complement being Simultaneous
+# Incongruences (Garey–Johnson AN2)
+EQUALS_MODULUS_CAP = 1 << 20
 
 
 class DegreeSet(Frozen):
@@ -174,19 +179,39 @@ class DegreeSet(Frozen):
     __and__ = intersect
 
     def equals(self, other: "DegreeSet") -> bool:
-        """Exact denotational equality (structural forms may differ)."""
-        mods = [m for _, m in self.progressions] + [m for _, m in other.progressions]
-        big = lcm(*mods) if mods else 1
-        def covered(s: "DegreeSet") -> frozenset[int]:
-            return frozenset(
-                r for r in range(big)
-                for base, mod in s.progressions
-                if (r - base) % mod == 0
+        """Exact denotational equality (structural forms may differ).
+
+        Raises :class:`ResourceCapError` when deciding it would enumerate
+        more than ``EQUALS_MODULUS_CAP`` residues.
+
+        >>> DegreeSet.from_parts([], [(0, 2), (1, 2)]).equals(DegreeSet.from_parts([], [(0, 1)]))
+        True
+        """
+        if not self.progressions or not other.progressions:
+            # a progression stays infinite when excludesZero removes 0,
+            # and a finite part is sorted and free of duplicates
+            return not self.progressions and not other.progressions \
+                and self.finite == other.finite
+        if self == other:
+            return True
+        big = lcm(*(m for _, m in self.progressions + other.progressions))
+        if big > EQUALS_MODULUS_CAP:
+            raise ResourceCapError(
+                "equals_modulus", EQUALS_MODULUS_CAP,
+                f"comparing degree sets would enumerate {big} residues (the lcm "
+                f"of their moduli), beyond the cap of {EQUALS_MODULUS_CAP}",
             )
-        if covered(self) != covered(other):
+        if self._residues(big) != other._residues(big):
             return False
         probes = set(self.finite) | set(other.finite) | {0}
         return all(self.contains(p) == other.contains(p) for p in probes)
+
+    def _residues(self, big: int) -> bytearray:
+        """Flags of the residues modulo ``big`` the progressions cover."""
+        covered = bytearray(big)
+        for base, mod in self.progressions:
+            covered[base::mod] = b"\1" * len(range(base, big, mod))
+        return covered
 
     def to_json(self) -> dict:
         out: dict = {"finite": list(self.finite)}

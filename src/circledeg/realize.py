@@ -36,7 +36,7 @@ check singled out.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._frozen import Frozen
 from .bundles import (
@@ -79,6 +79,7 @@ __all__ = [
     "verify_certificate",
     "render_certificate",
     "DEFAULT_BASE_BY_DIMENSION",
+    "PRIMALITY_BOUND",
 ]
 
 DEFAULT_BASE_BY_DIMENSION = {3: "surface", 4: "knot-glue-3", 5: "hyp-odd-4"}
@@ -86,16 +87,45 @@ DEFAULT_BASE_BY_DIMENSION = {3: "surface", 4: "knot-glue-3", 5: "hyp-odd-4"}
 PAD_SYMBOL = "l"
 
 
+# Miller–Rabin with the 13 prime bases up to 41 decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86 (2017))
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality below ``PRIMALITY_BOUND``; at or above it raises
+    :class:`ResourceCapError`.
+
+    >>> [n for n in range(30) if _is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    >>> _is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5 and 7
+    False
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:  # no prime factor up to 41
+        return True
+    if n >= PRIMALITY_BOUND:
+        raise ResourceCapError(
+            "primality_bound", PRIMALITY_BOUND,
+            f"primality of {n} is decided only below {PRIMALITY_BOUND}",
+        )
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -541,6 +571,14 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     def check(cid: str, ok: bool, detail: str = "") -> None:
         checks.append(Check(cid, bool(ok), detail if not ok else ""))
 
+    def capped(test: Callable[[], bool], detail: str) -> tuple[bool, str]:
+        """``test()`` with ``detail``, or a failure that names the cap
+        ``test`` hit."""
+        try:
+            return test(), detail
+        except ResourceCapError as exc:
+            return False, str(exc)
+
     target = cert.target
     check("target.form", target.is_finite_set and target.contains(0),
           "target must be a finite set containing 0")
@@ -550,12 +588,9 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     check("decomposition.matches-target", decomp.target == tgt_sorted,
           f"decomposition target {list(decomp.target)} differs from "
           f"certificate target {list(tgt_sorted)}")
-    try:
-        dec_ok = verify_decomposition(decomp)
-        dec_detail = "stored sequences do not intersect to the target"
-    except ResourceCapError as exc:
-        dec_ok, dec_detail = False, str(exc)
-    check("decomposition.valid", dec_ok, dec_detail)
+    check("decomposition.valid", *capped(
+        lambda: verify_decomposition(decomp),
+        "stored sequences do not intersect to the target"))
 
     seqs = decomp.sequences
     r = len(seqs)
@@ -565,8 +600,12 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
           f"got {len(cert.primes)}")
     check("primes.distinct", len(set(cert.primes)) == len(cert.primes),
           "primes repeat")
-    bad_primality = [p for p in cert.primes if not _is_prime(p)]
-    check("primes.primality", not bad_primality, f"not prime: {bad_primality}")
+    try:
+        composite = [p for p in cert.primes if not _is_prime(p)]
+        prime_ok, prime_detail = not composite, f"not prime: {composite}"
+    except ResourceCapError as exc:
+        prime_ok, prime_detail = False, str(exc)
+    check("primes.primality", prime_ok, prime_detail)
     hull = max((abs(x) for s in seqs for x in s.entries), default=0)
     small = [p for p in cert.primes if p <= hull]
     check("primes.size", not small,
@@ -640,27 +679,27 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         if div_bad:
             rule_ok, rule_detail = False, "multiplier ratios are not integers"
         else:
-            for beta in entries:
-                got = _claimed_pair_set(alpha // beta, alpha, base, label)
-                want = DegreeSet.from_finite([0, beta])
-                if isinstance(got, str):
-                    rule_ok, rule_detail = False, got
-                    break
-                if not got.equals(want):
-                    rule_ok, rule_detail = False, (
-                        f"summand with multiplier {alpha // beta} realizes "
-                        f"{got.render()}, not {want.render()}"
-                    )
-                    break
+            try:
+                for beta in entries:
+                    got = _claimed_pair_set(alpha // beta, alpha, base, label)
+                    want = DegreeSet.from_finite([0, beta])
+                    if isinstance(got, str):
+                        rule_ok, rule_detail = False, got
+                        break
+                    if not got.equals(want):
+                        rule_ok, rule_detail = False, (
+                            f"summand with multiplier {alpha // beta} realizes "
+                            f"{got.render()}, not {want.render()}"
+                        )
+                        break
+            except ResourceCapError as exc:
+                rule_ok, rule_detail = False, str(exc)
         check(f"{pid}.sum-rule", rule_ok, rule_detail)
 
-        try:
-            enum_ok = pair.claimed.equals(subsequence_sums(seqs[i]))
-            enum_detail = (f"claimed set {pair.claimed.render()} is not the "
-                           f"subsequence-sum set of {list(entries)}")
-        except ResourceCapError as exc:
-            enum_ok, enum_detail = False, str(exc)
-        check(f"{pid}.claimed-vs-enumeration", enum_ok, enum_detail)
+        check(f"{pid}.claimed-vs-enumeration", *capped(
+            lambda: pair.claimed.equals(subsequence_sums(seqs[i])),
+            f"claimed set {pair.claimed.render()} is not the "
+            f"subsequence-sum set of {list(entries)}"))
 
     expected_cross = {
         (i, j, s_idx)
@@ -735,12 +774,13 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     inter = None
     for pair in cert.pairs:
         inter = pair.claimed if inter is None else inter.intersect(pair.claimed)
-    final_ok = inter is not None and cert.final_set.equals(inter)
-    check("final.intersection", final_ok,
-          "final set must be the intersection of the pair degree sets")
-    check("final.equals-target", cert.final_set.equals(target),
-          f"final set {cert.final_set.render()} differs from the target "
-          f"{target.render()}")
+    check("final.intersection", *capped(
+        lambda: inter is not None and cert.final_set.equals(inter),
+        "final set must be the intersection of the pair degree sets"))
+    check("final.equals-target", *capped(
+        lambda: cert.final_set.equals(target),
+        f"final set {cert.final_set.render()} differs from the target "
+        f"{target.render()}"))
 
     dim = n0
     chain_ok = True

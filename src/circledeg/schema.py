@@ -11,9 +11,14 @@ whether a payload is valid.  They know exactly the keywords the document
 uses, with jsonschema's Draft 2020-12 meaning, and compiling refuses any
 other keyword and any ``$ref`` outside the document, so an edit to the
 schema cannot silently weaken validation.  jsonschema is imported only
-to word a rejection: its best match names the offending field.  A
-payload nested more than ``MAX_NESTING`` containers deep is refused
-before either runs, so neither can exhaust the interpreter's stack.
+to word a rejection: its best match names the offending field.  Its
+``properties`` and ``items`` keywords are guided by the compiled checks:
+a child that the check for its subschema accepts yields no error, so
+jsonschema walks only the subtrees the compiled checks reject, and the
+errors, their order and the best match stay what a plain validator
+gives.  A payload nested more than ``MAX_NESTING`` containers deep is
+refused before either runs, so neither can exhaust the interpreter's
+stack.
 
 >>> validate_payload("pairInput", {"m": 2, "k": 6})
 >>> validate_payload("pairInput", {"m": 0, "k": 6})
@@ -177,11 +182,13 @@ def _one_of(subs: list[_Check]) -> _Check:
     return check
 
 
-def _compile(defs: dict) -> Callable[[str], _Check]:
+def _compile(defs: dict, by_id: dict[int, _Check] | None = None) -> Callable[[str], _Check]:
     """Look-up of the check for a definition of a ``$defs`` table, compiled
     on its first request, that returns the verdict jsonschema's Draft
     2020-12 validator gives.  Compiling raises ``ValueError`` on a keyword
-    or reference it does not know."""
+    or reference it does not know.  With ``by_id``, the check of every
+    subschema compiled is recorded there under ``id(subschema)``; ``defs``
+    must then outlive the table."""
     table: dict[str, _Check] = {}
     pending: set[str] = set()
 
@@ -249,14 +256,21 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
         if "minLength" in schema:
             shortest = schema["minLength"]
             checks.append(lambda v: not isinstance(v, str) or len(v) >= shortest)
-        return _all(checks)
+        compiled = _all(checks)
+        if by_id is not None:
+            by_id[id(schema)] = compiled
+        return compiled
 
     return definition
 
 
+# check of each compiled subschema of the shipped document, by id
+_SUBSCHEMA_CHECKS: dict[int, _Check] = {}
+
+
 @lru_cache(maxsize=1)
 def _shipped() -> Callable[[str], _Check]:
-    return _compile(_document()["$defs"])
+    return _compile(_document()["$defs"], _SUBSCHEMA_CHECKS)
 
 
 def _nested_deeper_than(obj: object, limit: int) -> bool:
@@ -273,11 +287,40 @@ def _nested_deeper_than(obj: object, limit: int) -> bool:
     return bool(layer)
 
 
+@lru_cache(maxsize=1)
+def _guided():
+    """Draft 2020-12 with ``properties`` and ``items`` descending only into
+    the children their compiled subschema check rejects; the arguments
+    passed to ``descend`` are those of jsonschema's own keywords.  The
+    ``items`` here assumes what compiling enforces: no ``prefixItems``,
+    and a subschema rather than a boolean."""
+    from jsonschema.validators import Draft202012Validator, extend
+
+    def accepts(instance, subschema) -> bool:
+        check = _SUBSCHEMA_CHECKS.get(id(subschema))
+        return check is not None and check(instance)
+
+    def properties(validator, properties, instance, schema):
+        if not validator.is_type(instance, "object"):
+            return
+        for name, subschema in properties.items():
+            if name in instance and not accepts(instance[name], subschema):
+                yield from validator.descend(
+                    instance[name], subschema, path=name, schema_path=name)
+
+    def items(validator, items, instance, schema):
+        if not validator.is_type(instance, "array"):
+            return
+        for index, item in enumerate(instance):
+            if not accepts(item, items):
+                yield from validator.descend(instance=item, schema=items, path=index)
+
+    return extend(Draft202012Validator, {"properties": properties, "items": items})
+
+
 @lru_cache(maxsize=None)
 def _validator(name: str):
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(schema_for(name))
+    return _guided()(schema_for(name))
 
 
 def validate_payload(name: str, obj: object) -> None:

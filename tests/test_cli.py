@@ -6,9 +6,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from cli_process import run_cli_process
 
 from circledeg.abelian import IntegerMatrix
 from circledeg.cli import main
@@ -356,12 +358,54 @@ def test_golden_tampered_verify(cli, tmp_path):
 
 
 def test_module_invocation_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "circledeg.cli", "pair", "-m", "2", "-k", "6"],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_cli_process("pair", "-m", "2", "-k", "6")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"finite": [0, 3]}
+
+
+# ---------------------------------------------------------------------------
+# hostile certificates: schema-valid, once unbounded work for the verifier
+
+
+def _hostile(edit) -> str:
+    cert = json.loads((GOLDEN / "realize-013-dim4.json").read_text())
+    edit(cert)
+    return json.dumps(cert)
+
+
+def _wide_progressions(cert):
+    # coprime moduli: comparing with the lcm's residues would take ~10^12 steps
+    cert["finalSet"] = {"finite": [0], "progressions": [
+        {"base": 1, "mod": 1000003}, {"base": 1, "mod": 999983}]}
+
+
+def _large_prime(cert):
+    # a prime: trial division would take ~5*10^8 steps
+    cert["primes"][0] = 2**60 - 93
+
+
+HOSTILE = {  # name -> (edit, first failing check)
+    "wide-progressions": (_wide_progressions, "final.intersection"),
+    "large-prime": (_large_prime, "alpha.product[0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_certificate_fails_fast(name, cli):
+    edit, first = HOSTILE[name]
+    text = _hostile(edit)
+    start = time.perf_counter()
+    code, out, err = cli("verify", stdin_text=text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3, err
+    assert json.loads(out)["firstFailure"] == first
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_certificate_exits_3_in_a_child_process(name):
+    proc = run_cli_process("verify", stdin_text=_hostile(HOSTILE[name][0]), timeout=10)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
 
 
 def test_demos_run():

@@ -8,7 +8,9 @@ before the sparse DP existed.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -112,6 +114,53 @@ def test_equals_is_denotational():
     assert evens_odds.equals(everything)
     assert not evens_odds.equals(DegreeSet.from_parts([], [(0, 2)]))
     assert DegreeSet.from_finite([1, 2]).equals(DegreeSet.from_finite([2, 1]))
+
+
+# coprime moduli whose lcm is far beyond the cap
+WIDE = [(1, 1000003), (1, 999983)]
+
+
+def test_equals_answers_without_enumerating_when_it_can():
+    wide = DegreeSet.from_parts([0], WIDE)
+    start = time.perf_counter()
+    # a progression is infinite, with or without excludesZero
+    assert not wide.equals(DegreeSet.from_finite([0, 1]))
+    assert not DegreeSet.from_finite([0]).equals(DegreeSet.from_parts([], [(0, 10**9)], True))
+    # structurally equal canonical forms
+    assert wide.equals(DegreeSet.from_parts([0, 1000004], WIDE[::-1]))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_equals_caps_the_residues_it_enumerates():
+    wide = DegreeSet.from_parts([0], WIDE)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=f"enumerate {1000003 * 999983} residues") as err:
+        wide.equals(DegreeSet.from_parts([0, 5], WIDE))
+    assert time.perf_counter() - start < 1.0
+    assert err.value.cap_name == "equals_modulus"
+    assert err.value.cap_value == degsets.EQUALS_MODULUS_CAP
+    # at the cap itself the residues are enumerated
+    at_cap = DegreeSet.from_parts([], [(0, 1 << 19), (1 << 19, 1 << 20)])
+    assert at_cap.equals(DegreeSet.from_parts([], [(0, 1 << 19)]))
+    assert not at_cap.equals(DegreeSet.from_parts([], [(0, 1 << 20)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20), max_size=4),
+    st.lists(st.tuples(st.integers(-10, 10), st.integers(1, 8)), max_size=3),
+    st.booleans(),
+    st.lists(st.integers(-20, 20), max_size=4),
+    st.lists(st.tuples(st.integers(-10, 10), st.integers(1, 8)), max_size=3),
+    st.booleans(),
+)
+def test_equals_matches_window_semantics(f1, p1, z1, f2, p2, z2):
+    x = DegreeSet.from_parts(f1, p1, z1)
+    y = DegreeSet.from_parts(f2, p2, z2)
+    # beyond the finite members both sets repeat with the lcm of all moduli
+    reach = 20 + math.lcm(*(m for _, m in p1 + p2))
+    assert x.equals(y) == (x.window(-reach, reach) == y.window(-reach, reach))
+    assert y.equals(x) == x.equals(y)
 
 
 @settings(max_examples=150, deadline=None)

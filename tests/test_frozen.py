@@ -136,3 +136,12 @@ def test_value_semantics(name):
     for back in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(back) is type(x) and back == x and hash(back) == hash(x)
 
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_equality_with_itself_skips_the_fields(name, monkeypatch):
+    x = SAMPLES[name]
+
+    def refuse(obj):
+        raise AssertionError("field tuple built")
+    monkeypatch.setattr(type(x), "_astuple", staticmethod(refuse))
+    assert x == x and not x != x

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 
 import pytest
 
@@ -19,10 +20,12 @@ from circledeg.bundles import (
     expr_from_json,
 )
 from circledeg.degsets import DegreeSet, SequenceB
-from circledeg.errors import HypothesisError, InputError
+from circledeg.errors import HypothesisError, InputError, ResourceCapError
 from circledeg.schema import MAX_NESTING
 from circledeg.realize import (
+    PRIMALITY_BOUND,
     RealizationCertificate,
+    _is_prime,
     build_construction,
     choose_primes,
     render_certificate,
@@ -406,6 +409,52 @@ def test_prime_firewall_is_what_blocks_cross_maps():
     assert "primes.distinct" in failing
     # 21/3 = 7 divides 14
     assert "cross[0,1,1].nondivisible" in failing
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    small = range(200_000)
+    assert [n for n in small if _is_prime(n)] == [n for n in small if sympy.isprime(n)]
+    rng = random.Random(2017)
+    for _ in range(500):
+        n = rng.randrange(2**40, 2**80) | 1
+        assert _is_prime(n) == sympy.isprime(n), n
+        assert _is_prime(sympy.nextprime(n))
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not sympy.isprime(n) and not _is_prime(n), n
+    assert _is_prime(sympy.prevprime(PRIMALITY_BOUND))
+
+
+def test_is_prime_caps_where_its_bases_stop_being_exact():
+    # a strong pseudoprime to all 13 bases
+    with pytest.raises(ResourceCapError, match="decided only below") as err:
+        _is_prime(PRIMALITY_BOUND)
+    assert err.value.cap_name == "primality_bound"
+    assert _is_prime(PRIMALITY_BOUND - 2) is False  # 17 divides it
+
+
+def test_caps_inside_the_verifier_become_failed_checks():
+    cert = build_construction({0, 1, 3}, 4)
+    wide = {"finite": [0], "progressions": [{"base": 1, "mod": 1000003},
+                                            {"base": 1, "mod": 999983}]}
+
+    def widen(obj):
+        for pair in obj["pairs"]:
+            pair["claimed"] = copy.deepcopy(wide)
+        obj["finalSet"] = {**wide, "finite": [0, 5]}
+
+    def huge_prime(obj):
+        obj["primes"][0] = PRIMALITY_BOUND
+
+    report = verify_certificate(mutate(cert, widen))
+    detail = {c.id: c.detail for c in report.checks if not c.ok}
+    assert "beyond the cap of" in detail["final.intersection"]
+    assert "final.equals-target" in detail
+    report = verify_certificate(mutate(cert, huge_prime))
+    detail = {c.id: c.detail for c in report.checks if not c.ok}
+    assert detail["primes.primality"] == (
+        f"primality of {PRIMALITY_BOUND} is decided only below {PRIMALITY_BOUND}")
 
 
 def test_render_lists_rules():

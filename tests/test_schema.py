@@ -298,6 +298,71 @@ def test_compile_refuses_what_it_does_not_know(definition):
         schema._compile({"x": definition})("x")
 
 
+def golden_certificate() -> dict:
+    return json.loads((GOLDEN / "realize-013-dim4.json").read_text())
+
+
+def _drop_primes(cert):
+    del cert["primes"]
+
+
+def _string_dimension(cert):
+    cert["dimension"] = str(cert["dimension"])
+
+
+def _string_multiplier(cert):
+    cert["multipliers"][0] = "x"
+
+
+def _extra_key(cert):
+    cert["note"] = "not in the schema"
+
+
+def _deep_summand(cert):
+    # a bundle inside a sum inside a sum: the rejection comes through the
+    # context of manifoldExpr's oneOf
+    cert["combination"]["resultDomain"]["sum"][1]["sum"][0]["bundle"]["euler"] = "14"
+
+
+@pytest.mark.parametrize("edit", [_drop_primes, _string_dimension, _string_multiplier,
+                                  _extra_key, _deep_summand])
+def test_guided_rejection_text_is_the_plain_validators(edit):
+    cert = golden_certificate()
+    edit(cert)
+    with pytest.raises(InputError) as err:
+        validate_payload("realizationCertificate", cert)
+    assert str(err.value) == reference_error("realizationCertificate", cert)
+    assert type(schema._validator("realizationCertificate")) is not \
+        type(reference("realizationCertificate"))
+
+
+def descended_paths(validator, obj) -> list:
+    """The ``path`` of every ``descend`` call while ``validator`` lists the
+    errors of ``obj``."""
+    seen: list = []
+    descend = type(validator).descend
+
+    def counting(self, *args, **kwargs):  # jsonschema passes ``path`` by name
+        seen.append(kwargs.get("path"))
+        return descend(self, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(validator), "descend", counting)
+        list(validator.iter_errors(obj))
+    return seen
+
+
+def test_guided_rejection_walks_only_rejected_subtrees():
+    cert = golden_certificate()
+    cert["dimension"] = "4"
+    with pytest.raises(InputError, match=r"at \$\.dimension: '4' is not of type"):
+        validate_payload("realizationCertificate", cert)
+    guided = descended_paths(schema._validator("realizationCertificate"), cert)
+    assert "dimension" in guided
+    assert not {"pairs", "crossChecks", "decomposition"} & set(guided)
+    plain = descended_paths(reference("realizationCertificate"), cert)
+    assert {"pairs", "crossChecks", "decomposition"} <= set(plain)
+
+
 def test_unknown_name_raises_key_error():
     with pytest.raises(KeyError, match="no schema named 'nope'"):
         validate_payload("nope", {})
