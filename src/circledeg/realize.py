@@ -557,6 +557,22 @@ def _claimed_pair_set(m: int, k: int, base: BaseManifold, label: str) -> DegreeS
     return res.degree_set
 
 
+def _sum_rule(alpha: int, entries: Sequence[int], base: BaseManifold,
+              label: str) -> tuple[bool, str]:
+    """Whether the summand with multiplier ``alpha // beta`` realizes
+    exactly ``{0, beta}`` for every ``beta`` in ``entries``, each of which
+    divides ``alpha``; with the first mismatch as detail."""
+    for beta in entries:
+        got = _claimed_pair_set(alpha // beta, alpha, base, label)
+        if isinstance(got, str):
+            return False, got
+        want = DegreeSet.from_finite([0, beta])
+        if not got.equals(want):
+            return False, (f"summand with multiplier {alpha // beta} realizes "
+                           f"{got.render()}, not {want.render()}")
+    return True, ""
+
+
 def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     """Re-derive every claim of a realization certificate.
 
@@ -571,11 +587,11 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     def check(cid: str, ok: bool, detail: str = "") -> None:
         checks.append(Check(cid, bool(ok), detail if not ok else ""))
 
-    def capped(test: Callable[[], bool], detail: str) -> tuple[bool, str]:
-        """``test()`` with ``detail``, or a failure that names the cap
+    def capped(test: Callable[[], tuple[bool, str]]) -> tuple[bool, str]:
+        """``test()``'s verdict and detail, or a failure that names the cap
         ``test`` hit."""
         try:
-            return test(), detail
+            return test()
         except ResourceCapError as exc:
             return False, str(exc)
 
@@ -588,9 +604,9 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     check("decomposition.matches-target", decomp.target == tgt_sorted,
           f"decomposition target {list(decomp.target)} differs from "
           f"certificate target {list(tgt_sorted)}")
-    check("decomposition.valid", *capped(
-        lambda: verify_decomposition(decomp),
-        "stored sequences do not intersect to the target"))
+    check("decomposition.valid", *capped(lambda: (
+        verify_decomposition(decomp),
+        "stored sequences do not intersect to the target")))
 
     seqs = decomp.sequences
     r = len(seqs)
@@ -600,12 +616,10 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
           f"got {len(cert.primes)}")
     check("primes.distinct", len(set(cert.primes)) == len(cert.primes),
           "primes repeat")
-    try:
+    def primality() -> tuple[bool, str]:
         composite = [p for p in cert.primes if not _is_prime(p)]
-        prime_ok, prime_detail = not composite, f"not prime: {composite}"
-    except ResourceCapError as exc:
-        prime_ok, prime_detail = False, str(exc)
-    check("primes.primality", prime_ok, prime_detail)
+        return not composite, f"not prime: {composite}"
+    check("primes.primality", *capped(primality))
     hull = max((abs(x) for s in seqs for x in s.entries), default=0)
     small = [p for p in cert.primes if p <= hull]
     check("primes.size", not small,
@@ -675,31 +689,16 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
               "domain summands must be the bundles with Euler classes "
               f"({alpha}/beta)*{label} for beta in {list(entries)}")
 
-        rule_ok, rule_detail = True, ""
         if div_bad:
-            rule_ok, rule_detail = False, "multiplier ratios are not integers"
+            check(f"{pid}.sum-rule", False, "multiplier ratios are not integers")
         else:
-            try:
-                for beta in entries:
-                    got = _claimed_pair_set(alpha // beta, alpha, base, label)
-                    want = DegreeSet.from_finite([0, beta])
-                    if isinstance(got, str):
-                        rule_ok, rule_detail = False, got
-                        break
-                    if not got.equals(want):
-                        rule_ok, rule_detail = False, (
-                            f"summand with multiplier {alpha // beta} realizes "
-                            f"{got.render()}, not {want.render()}"
-                        )
-                        break
-            except ResourceCapError as exc:
-                rule_ok, rule_detail = False, str(exc)
-        check(f"{pid}.sum-rule", rule_ok, rule_detail)
+            check(f"{pid}.sum-rule", *capped(
+                lambda: _sum_rule(alpha, entries, base, label)))
 
-        check(f"{pid}.claimed-vs-enumeration", *capped(
-            lambda: pair.claimed.equals(subsequence_sums(seqs[i])),
+        check(f"{pid}.claimed-vs-enumeration", *capped(lambda: (
+            pair.claimed.equals(subsequence_sums(seqs[i])),
             f"claimed set {pair.claimed.render()} is not the "
-            f"subsequence-sum set of {list(entries)}"))
+            f"subsequence-sum set of {list(entries)}")))
 
     expected_cross = {
         (i, j, s_idx)
@@ -774,13 +773,13 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     inter = None
     for pair in cert.pairs:
         inter = pair.claimed if inter is None else inter.intersect(pair.claimed)
-    check("final.intersection", *capped(
-        lambda: inter is not None and cert.final_set.equals(inter),
-        "final set must be the intersection of the pair degree sets"))
-    check("final.equals-target", *capped(
-        lambda: cert.final_set.equals(target),
+    check("final.intersection", *capped(lambda: (
+        inter is not None and cert.final_set.equals(inter),
+        "final set must be the intersection of the pair degree sets")))
+    check("final.equals-target", *capped(lambda: (
+        cert.final_set.equals(target),
         f"final set {cert.final_set.render()} differs from the target "
-        f"{target.render()}"))
+        f"{target.render()}")))
 
     dim = n0
     chain_ok = True

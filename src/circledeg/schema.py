@@ -182,14 +182,15 @@ def _one_of(subs: list[_Check]) -> _Check:
     return check
 
 
-def _compile(defs: dict, by_id: dict[int, _Check] | None = None) -> Callable[[str], _Check]:
+def _compile(defs: dict) -> Callable[[str], _Check]:
     """Look-up of the check for a definition of a ``$defs`` table, compiled
     on its first request, that returns the verdict jsonschema's Draft
     2020-12 validator gives.  Compiling raises ``ValueError`` on a keyword
-    or reference it does not know.  With ``by_id``, the check of every
-    subschema compiled is recorded there under ``id(subschema)``; ``defs``
-    must then outlive the table."""
+    or reference it does not know.  The look-up's ``checks`` maps
+    ``id(subschema)`` to the check of every subschema compiled so far;
+    the look-up holds ``defs``, so no id in it can be reused."""
     table: dict[str, _Check] = {}
+    by_id: dict[int, _Check] = {}
     pending: set[str] = set()
 
     def definition(name: str) -> _Check:
@@ -256,21 +257,16 @@ def _compile(defs: dict, by_id: dict[int, _Check] | None = None) -> Callable[[st
         if "minLength" in schema:
             shortest = schema["minLength"]
             checks.append(lambda v: not isinstance(v, str) or len(v) >= shortest)
-        compiled = _all(checks)
-        if by_id is not None:
-            by_id[id(schema)] = compiled
+        compiled = by_id[id(schema)] = _all(checks)
         return compiled
 
+    definition.checks = by_id
     return definition
-
-
-# check of each compiled subschema of the shipped document, by id
-_SUBSCHEMA_CHECKS: dict[int, _Check] = {}
 
 
 @lru_cache(maxsize=1)
 def _shipped() -> Callable[[str], _Check]:
-    return _compile(_document()["$defs"], _SUBSCHEMA_CHECKS)
+    return _compile(_document()["$defs"])
 
 
 def _nested_deeper_than(obj: object, limit: int) -> bool:
@@ -297,7 +293,7 @@ def _guided():
     from jsonschema.validators import Draft202012Validator, extend
 
     def accepts(instance, subschema) -> bool:
-        check = _SUBSCHEMA_CHECKS.get(id(subschema))
+        check = _shipped().checks.get(id(subschema))
         return check is not None and check(instance)
 
     def properties(validator, properties, instance, schema):
