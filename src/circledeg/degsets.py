@@ -40,12 +40,16 @@ __all__ = [
     "decompose",
     "verify_decomposition",
     "SUM_LENGTH_CAP",
+    "SUM_SIZE_CAP",
     "VERIFY_LENGTH_CAP",
     "EQUALS_MODULUS_CAP",
 ]
 
 SUM_LENGTH_CAP = 40
 VERIFY_LENGTH_CAP = 20
+# sums a subsequence-sum set may hold: the 2^20 subsets of a sequence at
+# VERIFY_LENGTH_CAP
+SUM_SIZE_CAP = 1 << 20
 # residues ``DegreeSet.equals`` enumerates at most: whether residue classes
 # cover the integers is coNP-hard, its complement being Simultaneous
 # Incongruences (Garey–Johnson AN2)
@@ -271,10 +275,20 @@ class SequenceB(Frozen):
 
 
 def _sums_of(entries: Sequence[int]) -> frozenset[int]:
-    """Sparse DP over the offset range [sum of negatives, sum of positives]."""
+    """Sparse DP over the offset range [sum of negatives, sum of positives].
+
+    Raises :class:`ResourceCapError` as soon as the set holds more than
+    ``SUM_SIZE_CAP`` sums.
+    """
     sums = {0}
-    for e in entries:
+    for done, e in enumerate(entries, 1):
         sums |= {s + e for s in sums}
+        if len(sums) > SUM_SIZE_CAP:
+            raise ResourceCapError(
+                "sum_size", SUM_SIZE_CAP,
+                f"subsequence sums reached {len(sums)} values after {done} of "
+                f"{len(entries)} entries, beyond the cap of {SUM_SIZE_CAP}",
+            )
     return frozenset(sums)
 
 
@@ -431,63 +445,81 @@ def _search_excluding(target: frozenset[int], bad: int, limits: SearchLimits,
     hull are pruned without spending budget on leaves; every other leaf
     costs one unit of budget.
 
-    Each node carries the sums S of its prefix down the recursion, and
-    entry v extends them to S | (S + v); below a prefix whose S already
-    holds ``bad`` they are no longer extended, since no leaf there can
-    succeed.  The last slot is tested in one loop instead of recursing.
-    With ``missing`` the targets outside S, entry v completes a hit iff
-    ``bad - v`` is outside S and ``t - v`` lies in S for every missing t.
-    So v must be missing[0] - s for some s in S: only those candidates are
-    tested, in index order, whatever the size of the entries.  The budget
-    is charged as if every leaf were tested in turn: for the leaves up to
-    the hit, or for all of them at once when none holds.
+    Each node carries the sums S of its prefix down the recursion as an
+    integer bitmask: bit x - neg stands for the sum x, where ``neg``, the
+    sum of the prefix's negative entries, is the least element of S.  An
+    entry of magnitude m, of either sign, extends the sums to
+    S | S << m (a negative entry lowers ``neg`` by m, which shifts the old
+    sums up by m).  Below a prefix whose S already holds ``bad`` no leaf
+    can succeed, so the mask is replaced by None and no longer extended; a
+    mask left unextended would be read at a stale offset once ``neg``
+    moves.
+
+    The last slot is tested in one pass instead of recursing.  With
+    ``missing`` the targets outside S, entry v = -u completes a hit iff
+    t + u lies in S for every missing t and bad + u does not.  Bit
+    k = u + need_hi - neg of S << (need_hi - t) is set iff t + u is in S,
+    so ANDing those shifts and clearing the shift of S by need_hi - bad
+    leaves exactly the valid u.  The first valid index at or after
+    ``start`` is then the lowest set bit above the negative entries'
+    cut-off (index 2m - 1 for v = -m) or the highest set bit below the
+    positive entries' cut-off (index 2m - 2 for v = m), whichever index is
+    smaller.  The budget is charged as if every leaf were tested in turn:
+    for the leaves up to the hit, or for all of them at once when none
+    holds.
     """
     need_hi = max(target)
     need_lo = min(target)
     top = limits.max_entry
     end = 2 * top
 
-    def last_slot(start: int, sums: set[int],
+    def last_slot(start: int, sums: int | None, neg: int,
                   picked: list[int]) -> SequenceB | None:
-        if bad not in sums:
-            # never empty: a prefix whose sums held the target without
-            # ``bad`` would have been a hit one length earlier
-            missing = [t for t in target if t not in sums]
-            # v = missing[0] - s is never 0, as missing[0] is not in S
-            for idx in sorted(2 * v - 2 if v > 0 else -2 * v - 1
-                              for v in [missing[0] - s for s in sums]):
-                if idx < start:
-                    continue
-                if idx >= end:
-                    break
-                val = -(idx // 2 + 1) if idx & 1 else idx // 2 + 1
-                if bad - val in sums:
-                    continue
-                for t in missing:
-                    if t - val not in sums:
-                        break
-                else:
-                    budget.spend(idx - start + 1)
-                    return SequenceB((*picked, val))
+        if sums is not None:
+            # ``fits`` ANDs at least one shift: a prefix whose sums held
+            # the target without ``bad`` would have been a hit one length
+            # earlier
+            fits = -1
+            for t in target:
+                if t < neg or not sums >> (t - neg) & 1:
+                    fits &= sums << (need_hi - t)
+            shift = need_hi - bad
+            fits &= ~(sums << shift if shift >= 0 else sums >> -shift)
+            zero = need_hi - neg  # the bit of u = 0, never set
+            best = end
+            lo = start // 2 + 1  # least magnitude of a negative entry
+            above = fits >> (zero + lo)
+            if above:
+                best = 2 * (lo + (above & -above).bit_length() - 1) - 1
+            lo = (start + 1) // 2 + 1  # least magnitude of a positive entry
+            if zero >= lo:
+                below = fits & ((2 << (zero - lo)) - 1)
+                if below:
+                    best = min(best, 2 * (zero - below.bit_length() + 1) - 2)
+            if best < end:
+                budget.spend(best - start + 1)
+                mag = best // 2 + 1
+                return SequenceB((*picked, -mag if best & 1 else mag))
         budget.spend(end - start)
         return None
 
-    def rec(start: int, slots: int, pos: int, neg: int, sums: set[int],
+    def rec(start: int, slots: int, pos: int, neg: int, sums: int | None,
             picked: list[int]) -> SequenceB | None:
         # prune: even with the largest remaining magnitudes this branch
         # cannot reach the hull
         if pos + slots * top < need_hi or neg - slots * top > need_lo:
             return None
+        if sums is not None and bad >= neg and sums >> (bad - neg) & 1:
+            sums = None
         if slots == 1:
-            return last_slot(start, sums, picked)
-        doomed = bad in sums
+            return last_slot(start, sums, neg, picked)
         for idx in range(start, end):
-            val = -(idx // 2 + 1) if idx & 1 else idx // 2 + 1
-            picked.append(val)
+            mag = idx // 2 + 1
+            picked.append(-mag if idx & 1 else mag)
             hit = rec(idx, slots - 1,
-                      pos + val if val > 0 else pos,
-                      neg + val if val < 0 else neg,
-                      sums if doomed else sums | {x + val for x in sums},
+                      pos if idx & 1 else pos + mag,
+                      neg - mag if idx & 1 else neg,
+                      None if sums is None else sums | sums << mag,
                       picked)
             if hit is not None:
                 return hit
@@ -495,7 +527,7 @@ def _search_excluding(target: frozenset[int], bad: int, limits: SearchLimits,
         return None
 
     for length in range(1, limits.max_len + 1):
-        hit = rec(0, length, 0, 0, {0}, [])
+        hit = rec(0, length, 0, 0, 1, [])
         if hit is not None:
             return hit
     return None

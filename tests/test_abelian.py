@@ -97,6 +97,30 @@ def test_snf_round_trip_random():
         snf_check_identity(m)
 
 
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(1979)
+    shapes = set()
+    deficient = 0
+    for n in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if n % 3 == 0 and rows > 1:
+            # the last row a combination of the others
+            coeffs = [rng.randint(-2, 2) for _ in entries[:-1]]
+            entries[-1] = [sum(c * row[j] for c, row in zip(coeffs, entries))
+                           for j in range(cols)]
+        d = smith_normal_form(IntegerMatrix.from_rows(entries, cols))[1]
+        diag = [d[i, i] for i in range(min(rows, cols))]
+        expected = invariant_factors(sympy.Matrix(entries), domain=sympy.ZZ)
+        assert diag == [int(x) for x in expected], entries
+        shapes.add(rows == cols)
+        deficient += 0 in diag
+    assert shapes == {True, False} and deficient > 20
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

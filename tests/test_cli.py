@@ -408,6 +408,20 @@ def test_hostile_certificate_exits_3_in_a_child_process(name):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    # 2^23 sums without the cap
+    ("sums", "--seq", ",".join(str(1 << i) for i in range(23))),
+    # a seed sequence with 2^26 sums
+    ("decompose", "--set", ",".join(["0"] + [str(1 << i) for i in range(26)])),
+])
+def test_sum_size_cap_exits_2_in_a_child_process(argv):
+    proc = run_cli_process(*argv, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("resource cap: subsequence sums reached ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_demos_run():
     demos = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
     assert len(demos) == 4

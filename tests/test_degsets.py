@@ -217,6 +217,22 @@ def test_sums_length_cap():
     assert err.value.cap_name == "max_len"
 
 
+def test_sums_size_cap(monkeypatch):
+    monkeypatch.setattr(degsets, "SUM_SIZE_CAP", 64)
+    doubling = tuple(1 << i for i in range(8))
+    assert len(subsequence_sums(SequenceB(doubling[:6])).finite) == 64
+    with pytest.raises(ResourceCapError) as err:
+        subsequence_sums(SequenceB(doubling))
+    assert err.value.cap_name == "sum_size"
+    assert err.value.cap_value == 64
+    assert str(err.value) == ("subsequence sums reached 128 values after 7 of 8 "
+                              "entries, beyond the cap of 64")
+    # the seed sequence of a decomposition holds every nonzero target
+    with pytest.raises(ResourceCapError) as err:
+        decompose({0, *doubling})
+    assert err.value.cap_name == "sum_size"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-9, 9).filter(bool), max_size=10))
 def test_sums_match_enumeration(entries):
@@ -298,15 +314,21 @@ def test_budget_cap_message_shows_progress():
 
 
 def test_huge_max_entry_is_bounded_by_the_budget():
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceCapError) as err:
-            decompose({0, 1, 3}, SearchLimits(max_entry=10**9, budget=1000))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert err.value.cap_name == "budget"
-    assert peak < 1 << 20  # nothing of size max_entry
+    for limits, outcome in (
+        (SearchLimits(max_entry=10**9, budget=1000), "budget"),
+        (SearchLimits(max_entry=10**5, budget=10**6), [(1, 3), (1, 2)]),
+    ):
+        tracemalloc.start()
+        try:
+            try:
+                got = [s.entries for s in decompose({0, 1, 3}, limits).sequences]
+            except ResourceCapError as exc:
+                got = exc.cap_name
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == outcome
+        assert peak < 1 << 20  # nothing of size max_entry
 
 
 def test_decompose_checks_its_result_without_assert(monkeypatch):

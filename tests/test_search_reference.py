@@ -4,7 +4,8 @@
 ``degsets._search_excluding`` replaced: it enumerates the same sequences
 in the same order, but rebuilds S_B from scratch at every leaf and charges
 the budget one leaf at a time.  Plugged into ``decompose`` in its place,
-it must give byte-identical certificates and identical cap errors.
+it must give byte-identical certificates and identical cap errors; called
+directly, the same sequence and the same budget left.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circledeg import degsets
@@ -135,6 +136,34 @@ def test_limited_searches_match_reference(target, limits, capped):
 def test_random_limits_match_reference(target, max_len, max_entry, budget):
     fast, slow = both_outcomes(target | {0}, SearchLimits(max_len, max_entry, budget))
     assert fast == slow
+
+
+def searched(search, target, bad, limits):
+    """The sequence found and the budget left, or the cap error."""
+    budget = degsets._Budget(limits.budget)
+    try:
+        return search(target, bad, limits, budget), budget.left
+    except ResourceCapError as exc:
+        return ("cap", exc.cap_name, exc.cap_value, str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(-7, 7).filter(bool), min_size=1, max_size=4),
+       st.integers(-8, 8).filter(bool),
+       st.sampled_from([None, 1, 2, 3, 4]),
+       st.sampled_from([None, 1, 2, 3, 5, 9]),
+       st.sampled_from([10, 100, 1000, 5000]))
+@example({-4, 2, 4}, 1, None, None, 1000)
+@example({-5, 2, 5}, 1, None, None, 5000)
+def test_search_matches_reference_directly(nonzero, beyond, max_len, max_entry, budget):
+    """Mostly pairs (target, bad) that ``decompose`` never asks for: ``bad``
+    lies ``beyond`` the target hull, above it when positive, below it when
+    negative."""
+    target = frozenset(nonzero | {0})
+    bad = max(target) + beyond if beyond > 0 else min(target) + beyond
+    limits = SearchLimits(max_len, max_entry, budget).resolve(target)
+    fast = searched(degsets._search_excluding, target, bad, limits)
+    assert fast == searched(reference_search_excluding, target, bad, limits)
 
 
 @pytest.mark.parametrize("target, smallest", [({0, 1, 3}, 27), ({0, 1, 2, 4}, 1130)])
