@@ -139,10 +139,8 @@ class IntegerMatrix(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntegerMatrix":
-        try:
-            rows, cols, flat = int(obj["rows"]), int(obj["cols"]), obj["entries"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed matrix object: {exc}") from exc
+        """Matrix from a payload valid under the ``matrix`` schema."""
+        rows, cols, flat = int(obj["rows"]), int(obj["cols"]), obj["entries"]
         if len(flat) != rows * cols:
             raise InputError("matrix entries length is not rows*cols")
         ent = tuple(tuple(int(flat[i * cols + j]) for j in range(cols)) for i in range(rows))
@@ -210,10 +208,8 @@ class FgAbelianGroup(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "FgAbelianGroup":
-        try:
-            return cls(int(obj["rank"]), tuple(int(d) for d in obj.get("torsion", ())))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed group object: {exc}") from exc
+        """Group from a payload valid under the ``group`` schema."""
+        return cls(int(obj["rank"]), tuple(int(d) for d in obj.get("torsion", ())))
 
 
 class GroupElement(Frozen):
@@ -271,11 +267,10 @@ class GroupElement(Frozen):
 
     @classmethod
     def from_json(cls, group: FgAbelianGroup, obj: dict) -> "GroupElement":
-        try:
-            return cls(group, tuple(int(x) for x in obj.get("free", ())),
-                       tuple(int(x) for x in obj.get("torsion", ())))
-        except TypeError as exc:
-            raise InputError(f"malformed element object: {exc}") from exc
+        """Element of ``group`` from a payload valid under the ``element``
+        schema."""
+        return cls(group, tuple(int(x) for x in obj.get("free", ())),
+                   tuple(int(x) for x in obj.get("torsion", ())))
 
 
 # ---------------------------------------------------------------------------

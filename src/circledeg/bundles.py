@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Union
@@ -60,7 +61,7 @@ from .abelian import (
 )
 from .degsets import DegreeSet
 from .errors import GroupMismatchError, HypothesisError, InputError
-from .schema import MAX_NESTING
+from .schema import MAX_NESTING, validate_payload
 
 __all__ = [
     "KNOWN_FLAGS",
@@ -86,6 +87,8 @@ __all__ = [
     "promote_to_full_degree_set",
     "same_base_pair_degree_set",
     "degree_bound",
+    "parse_volume",
+    "VOLUME_DIGIT_CAP",
     "finiteness_verdict",
     "builtin_registry",
     "load_registry",
@@ -98,6 +101,17 @@ KNOWN_FLAGS = frozenset(
 )
 
 PRESET_ENV_VAR = "CIRCLEDEG_PRESETS"
+
+# decimal digits a volume's numerator or denominator may have as written,
+# so that a volume ratio stays far below Python's 4300-digit int-to-str limit
+VOLUME_DIGIT_CAP = 2000
+
+# ``Fraction``'s string grammar: n, n/d, or a decimal with an exponent
+_RATIONAL = re.compile(r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<den>\d+(?:_\d+)*)
+     |(?:\.(?P<frac>\d*|\d+(?:_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)
+    \s*""", re.VERBOSE)
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +192,22 @@ class BaseManifold(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "BaseManifold":
-        try:
-            group = FgAbelianGroup.from_json(obj["group"])
-            classes = tuple(
-                (name, GroupElement.from_json(group, elem))
-                for name, elem in sorted(obj.get("classes", {}).items())
-            )
-            vol = obj.get("volume")
-            return cls(
-                str(obj["name"]),
-                int(obj["dim"]),
-                group,
-                classes,
-                frozenset(obj.get("flags", ())),
-                frozenset(obj.get("fixes", ())),
-                None if vol is None else Fraction(str(vol)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed base manifold object: {exc}") from exc
+        """Base from a payload valid under the ``baseManifold`` schema."""
+        group = FgAbelianGroup.from_json(obj["group"])
+        classes = tuple(
+            (name, GroupElement.from_json(group, elem))
+            for name, elem in sorted(obj.get("classes", {}).items())
+        )
+        vol = obj.get("volume")
+        return cls(
+            obj["name"],
+            int(obj["dim"]),
+            group,
+            classes,
+            frozenset(obj.get("flags", ())),
+            frozenset(obj.get("fixes", ())),
+            None if vol is None else parse_volume(vol, "volume"),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +303,12 @@ def expr_to_json(expr: ManifoldExpr) -> dict:
 
 def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold],
                    depth: int = 0) -> ManifoldExpr:
-    """Parse a manifold expression; ``depth`` counts the expressions
-    around ``obj``.  Nesting deeper than ``MAX_NESTING`` is refused, so
-    that callers who skip ``validate_payload`` cannot exhaust the stack."""
+    """Expression from a payload valid under the ``manifoldExpr`` schema;
+    ``depth`` counts the expressions around ``obj``.  Nesting deeper than
+    ``MAX_NESTING`` is refused, so that callers who skip
+    ``validate_payload`` cannot exhaust the stack."""
     if depth >= MAX_NESTING:
         raise InputError(f"manifold expression nested more than {MAX_NESTING} levels deep")
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise InputError("manifold expression must be a one-key object")
     key, val = next(iter(obj.items()))
     depth += 1
     if key == "bundle":
@@ -359,10 +370,9 @@ class MapModel(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "MapModel":
-        try:
-            return cls(int(obj["degree"]), IntegerMatrix.from_json(obj["action"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed map model: {exc}") from exc
+        """Model from a ``maps`` entry of a payload valid under the
+        ``catalogue`` schema."""
+        return cls(int(obj["degree"]), IntegerMatrix.from_json(obj["action"]))
 
 
 class MapCatalogue(Frozen):
@@ -380,11 +390,9 @@ class MapCatalogue(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "MapCatalogue":
-        try:
-            return cls(tuple(MapModel.from_json(m) for m in obj.get("maps", ())),
-                       bool(obj.get("complete", False)))
-        except TypeError as exc:
-            raise InputError(f"malformed map catalogue: {exc}") from exc
+        """Catalogue from a payload valid under the ``catalogue`` schema."""
+        return cls(tuple(MapModel.from_json(m) for m in obj["maps"]),
+                   bool(obj.get("complete", False)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +519,16 @@ def fiber_preserving_degree_set(catalogue: MapCatalogue, a: GroupElement,
     return FiberPreservingResult(out, catalogue.complete, tuple(contributions))
 
 
-def promote_to_full_degree_set(domain_base: BaseManifold, target_base: BaseManifold,
-                               dfp: DegreeSet) -> tuple[DegreeSet, bool]:
-    """The full degree set equals the fiber-preserving one when both
-    bases are aspherical and the target base has self-centralizing-free
-    fundamental group: every map is then homotopic to a fiber-preserving
-    one.  Returns (dfp, justified)."""
-    justified = (
+def promote_to_full_degree_set(domain_base: BaseManifold, target_base: BaseManifold) -> bool:
+    """Whether the full degree set equals the fiber-preserving one: it
+    does when both bases are aspherical and the target base has
+    self-centralizing-free fundamental group, since every map is then
+    homotopic to a fiber-preserving one."""
+    return (
         domain_base.has("aspherical")
         and target_base.has("aspherical")
         and target_base.has("scf_pi1")
     )
-    return (dfp, justified)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +581,37 @@ def same_base_pair_degree_set(m: int, k: int, base: BaseManifold,
         return PairResult(degs, True, rule)
     degs = DegreeSet.from_finite([0, k // m, -(k // m)] if divides else [0])
     return PairResult(degs, False, "eigenvalue-bound")
+
+
+def parse_volume(value: str | int | float, field: str) -> Fraction:
+    """A simplicial volume from a JSON string or number in ``Fraction``'s
+    syntax, such as ``10``, ``7/2`` or ``1.5e3``.
+
+    Raises :class:`InputError` naming ``field`` when ``value`` is not such
+    a rational, or when its numerator or denominator as written, before
+    reduction, would have more than ``VOLUME_DIGIT_CAP`` digits; that is
+    decided before any digit string is expanded.
+
+    >>> parse_volume("7/2", "volume"), parse_volume(1.5, "volume")
+    (Fraction(7, 2), Fraction(3, 2))
+    """
+    match = _RATIONAL.fullmatch(str(value))
+    if match is None:
+        raise InputError(f"{field} must be a rational number such as 10 or 7/2")
+    num, den, frac, exp = (
+        (match[g] or "").replace("_", "") for g in ("num", "den", "frac", "exp"))
+    long_exponent = len(exp.lstrip("+-").lstrip("0")) > len(str(VOLUME_DIGIT_CAP))
+    if match["den"] is None and not long_exponent:
+        # num.frac times 10**exp is num frac times 10**shift
+        shift = int(exp or "0") - len(frac)
+        num, den = num + frac + "0" * max(shift, 0), "1" + "0" * max(-shift, 0)
+    if long_exponent or max(len(num), len(den)) > VOLUME_DIGIT_CAP:
+        raise InputError(
+            f"{field} has more than {VOLUME_DIGIT_CAP} digits above or below the line")
+    if int(den) == 0:
+        raise InputError(f"{field} has a zero denominator")
+    volume = Fraction(int(num), int(den))
+    return -volume if match["sign"] == "-" else volume
 
 
 def degree_bound(vol_domain: Fraction, vol_target: Fraction) -> int:
@@ -656,15 +693,17 @@ def builtin_registry() -> dict[str, BaseManifold]:
 
 
 def load_registry(path: str | Path) -> dict[str, BaseManifold]:
-    """Built-ins plus the bases declared in a JSON registry file; file
-    entries override built-ins with the same name."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Built-ins plus the bases declared in a JSON registry file, which
+    must be valid under the ``presetRegistry`` schema; file entries
+    override built-ins with the same name."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"registry file is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or not isinstance(obj.get("bases"), list):
-        raise InputError("registry file must be an object with a 'bases' array")
+    except OSError as exc:
+        raise InputError(f"cannot read registry file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise InputError(f"registry file is not valid JSON: {exc}") from exc
+    validate_payload("presetRegistry", obj)
     registry = builtin_registry()
     for entry in obj["bases"]:
         base = BaseManifold.from_json(entry)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Callable
 
 from . import abelian, bundles, degsets, realize
@@ -49,7 +48,19 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise InputError(f"{what} must be a comma-separated list of integers") from exc
 
 
-def _read_payload(args: argparse.Namespace, schema: str) -> dict:
+# argparse dest -> payload key of every flag that is part of a payload
+_PAYLOAD_FLAGS = {
+    "seq": "sequence", "set": "set", "m": "m", "k": "k",
+    "domain_volume": "domainVolume", "target_volume": "targetVolume",
+    "dim": "dim", "preset": "preset", "class_label": "classLabel",
+    "max_len": "maxLen", "max_entry": "maxEntry", "budget": "budget",
+}
+# any of these builds the payload from the flags instead of reading it
+_FLAG_MODE = frozenset({"seq", "set", "m", "k", "domain_volume", "target_volume"})
+
+
+def _read_json(args: argparse.Namespace) -> object:
+    """The JSON document in ``--in FILE``, or on stdin for ``-`` or none."""
     if args.infile is None or args.infile == "-":
         text = sys.stdin.read()
         source = "stdin"
@@ -61,19 +72,27 @@ def _read_payload(args: argparse.Namespace, schema: str) -> dict:
             raise InputError(f"cannot read {args.infile}: {exc.strerror}") from exc
         source = args.infile
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise InputError(f"{source} is not valid JSON: {exc}") from exc
+
+
+def _read_payload(args: argparse.Namespace, schema: str) -> dict:
+    """The request's payload, valid under ``schema``: built from the
+    payload flags when a flag-mode flag is given, read as JSON otherwise."""
+    flags = {dest: value for dest, value in vars(args).items()
+             if dest in _PAYLOAD_FLAGS and value is not None}
+    if flags.keys() & _FLAG_MODE:
+        obj = {_PAYLOAD_FLAGS[dest]: _parse_ints(value, f"--{dest}")
+               if dest in ("seq", "set") else value for dest, value in flags.items()}
+    else:
+        obj = _read_json(args)
     validate_payload(schema, obj)
     return obj
 
 
-def _registry(args: argparse.Namespace) -> dict[str, bundles.BaseManifold]:
-    return bundles.registry_from_env()
-
-
-def _base_from(args: argparse.Namespace, name: str) -> bundles.BaseManifold:
-    registry = _registry(args)
+def _base_from(name: str) -> bundles.BaseManifold:
+    registry = bundles.registry_from_env()
     if name not in registry:
         raise InputError(
             f"unknown preset {name!r}; available: {', '.join(sorted(registry))}"
@@ -133,43 +152,14 @@ def _cmd_solve_k(args) -> tuple[int, dict, str]:
 
 
 def _cmd_sums(args) -> tuple[int, dict, str]:
-    if args.seq is not None:
-        entries = _parse_ints(args.seq, "--seq")
-        validate_payload("sumsInput", {"sequence": entries})
-    else:
-        entries = _read_payload(args, "sumsInput")["sequence"]
+    entries = _read_payload(args, "sumsInput")["sequence"]
     s = degsets.subsequence_sums(degsets.SequenceB(tuple(entries)))
     return 0, {"set": s.to_json()}, s.render()
 
 
-def _caps_from(payload: dict) -> degsets.SearchLimits:
-    kwargs = {}
-    if payload.get("maxLen") is not None:
-        kwargs["max_len"] = int(payload["maxLen"])
-    if payload.get("maxEntry") is not None:
-        kwargs["max_entry"] = int(payload["maxEntry"])
-    if payload.get("budget") is not None:
-        kwargs["budget"] = int(payload["budget"])
-    return degsets.SearchLimits(**kwargs)
-
-
-def _decompose_payload(args) -> dict:
-    if args.set is not None:
-        payload: dict = {"set": _parse_ints(args.set, "--set")}
-        if args.max_len is not None:
-            payload["maxLen"] = args.max_len
-        if args.max_entry is not None:
-            payload["maxEntry"] = args.max_entry
-        if args.budget is not None:
-            payload["budget"] = args.budget
-        validate_payload("decomposeInput", payload)
-        return payload
-    return _read_payload(args, "decomposeInput")
-
-
 def _cmd_decompose(args) -> tuple[int, dict, str]:
-    payload = _decompose_payload(args)
-    cert = degsets.decompose(payload["set"], _caps_from(payload))
+    payload = _read_payload(args, "decomposeInput")
+    cert = degsets.decompose(payload["set"], degsets.SearchLimits.from_json(payload))
     text = "\n".join(
         f"B{i + 1} = ({', '.join(str(x) for x in s.entries)})"
         for i, s in enumerate(cert.sequences)
@@ -205,18 +195,8 @@ def _cmd_dfp(args) -> tuple[int, dict, str]:
 
 
 def _cmd_pair(args) -> tuple[int, dict, str]:
-    if args.m is not None or args.k is not None:
-        if args.m is None or args.k is None:
-            raise InputError("pair needs both -m and -k")
-        payload = {"m": args.m, "k": args.k}
-        if args.preset is not None:
-            payload["preset"] = args.preset
-        if args.class_label is not None:
-            payload["classLabel"] = args.class_label
-        validate_payload("pairInput", payload)
-    else:
-        payload = _read_payload(args, "pairInput")
-    base = _base_from(args, payload.get("preset") or "knot-glue-3")
+    payload = _read_payload(args, "pairInput")
+    base = _base_from(payload.get("preset") or "knot-glue-3")
     res = bundles.same_base_pair_degree_set(
         int(payload["m"]), int(payload["k"]), base,
         payload.get("classLabel") or "b")
@@ -228,26 +208,16 @@ def _cmd_pair(args) -> tuple[int, dict, str]:
 
 
 def _cmd_bound(args) -> tuple[int, dict, str]:
-    if args.domain_volume is not None or args.target_volume is not None:
-        if args.domain_volume is None or args.target_volume is None:
-            raise InputError("bound needs both --domain-volume and --target-volume")
-        payload = {"domainVolume": args.domain_volume,
-                   "targetVolume": args.target_volume}
-        validate_payload("boundInput", payload)
-    else:
-        payload = _read_payload(args, "boundInput")
-    try:
-        vd = Fraction(str(payload["domainVolume"]))
-        vt = Fraction(str(payload["targetVolume"]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"volumes must be rational numbers: {exc}") from exc
-    n = bundles.degree_bound(vd, vt)
+    payload = _read_payload(args, "boundInput")
+    n = bundles.degree_bound(
+        bundles.parse_volume(payload["domainVolume"], "domainVolume"),
+        bundles.parse_volume(payload["targetVolume"], "targetVolume"))
     return 0, {"bound": n}, f"|deg| <= {n}"
 
 
 def _cmd_finite(args) -> tuple[int, dict, str]:
     payload = _read_payload(args, "finiteInput")
-    registry = _registry(args)
+    registry = bundles.registry_from_env()
     dom = bundles.expr_from_json(payload["domain"], registry)
     tgt = bundles.expr_from_json(payload["target"], registry)
     verdict = bundles.finiteness_verdict(
@@ -258,37 +228,17 @@ def _cmd_finite(args) -> tuple[int, dict, str]:
     return 0, {"verdict": verdict}, verdict
 
 
-def _realize_payload(args) -> dict:
-    if args.set is not None:
-        payload: dict = {"set": _parse_ints(args.set, "--set")}
-        if args.dim is not None:
-            payload["dim"] = args.dim
-        if args.preset is not None:
-            payload["preset"] = args.preset
-        if args.class_label is not None:
-            payload["classLabel"] = args.class_label
-        if args.max_len is not None:
-            payload["maxLen"] = args.max_len
-        if args.max_entry is not None:
-            payload["maxEntry"] = args.max_entry
-        if args.budget is not None:
-            payload["budget"] = args.budget
-        validate_payload("realizeInput", payload)
-        return payload
-    return _read_payload(args, "realizeInput")
-
-
 def _cmd_realize(args) -> tuple[int, dict, str]:
-    payload = _realize_payload(args)
+    payload = _read_payload(args, "realizeInput")
     base = None
     if payload.get("preset"):
-        base = _base_from(args, payload["preset"])
+        base = _base_from(payload["preset"])
     cert = realize.build_construction(
         payload["set"],
         int(payload.get("dim", 4)),
         base=base,
         class_label=payload.get("classLabel") or "b",
-        limits=_caps_from(payload),
+        limits=degsets.SearchLimits.from_json(payload),
     )
     return 0, cert.to_json(), realize.render_certificate(cert)
 
@@ -301,18 +251,7 @@ def _cmd_verify(args) -> tuple[int, dict, str]:
 
 
 def _cmd_stabilize(args) -> tuple[int, dict, str]:
-    if args.infile is None or args.infile == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.infile, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.infile}: {exc.strerror}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"certificate is not valid JSON: {exc}") from exc
+    obj = _read_json(args)
     if isinstance(obj, dict) and obj.get("kind") == "realization-certificate":
         validate_payload("realizationCertificate", obj)
         if args.dim is None:

@@ -227,12 +227,10 @@ class DegreeSet(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "DegreeSet":
-        try:
-            finite = tuple(int(x) for x in obj.get("finite", ()))
-            progs = tuple((int(p["base"]), int(p["mod"])) for p in obj.get("progressions", ()))
-            return cls(finite, progs, bool(obj.get("excludesZero", False)))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed degree set object: {exc}") from exc
+        """Degree set from a payload valid under the ``degreeSet`` schema."""
+        finite = tuple(int(x) for x in obj["finite"])
+        progs = tuple((int(p["base"]), int(p["mod"])) for p in obj.get("progressions", ()))
+        return cls(finite, progs, bool(obj.get("excludesZero", False)))
 
     def render(self) -> str:
         """Compact human-readable form, used by the text output mode."""
@@ -278,17 +276,22 @@ def _sums_of(entries: Sequence[int]) -> frozenset[int]:
     """Sparse DP over the offset range [sum of negatives, sum of positives].
 
     Raises :class:`ResourceCapError` as soon as the set holds more than
-    ``SUM_SIZE_CAP`` sums.
+    ``SUM_SIZE_CAP`` sums.  A step that could cross the cap adds its sums
+    one at a time, so the set never grows far past the cap.
     """
     sums = {0}
     for done, e in enumerate(entries, 1):
-        sums |= {s + e for s in sums}
-        if len(sums) > SUM_SIZE_CAP:
-            raise ResourceCapError(
-                "sum_size", SUM_SIZE_CAP,
-                f"subsequence sums reached {len(sums)} values after {done} of "
-                f"{len(entries)} entries, beyond the cap of {SUM_SIZE_CAP}",
-            )
+        if 2 * len(sums) <= SUM_SIZE_CAP:
+            sums |= {s + e for s in sums}
+            continue
+        for s in tuple(sums):
+            sums.add(s + e)
+            if len(sums) > SUM_SIZE_CAP:
+                raise ResourceCapError(
+                    "sum_size", SUM_SIZE_CAP,
+                    f"subsequence sums reached {len(sums)} values after {done} of "
+                    f"{len(entries)} entries, beyond the cap of {SUM_SIZE_CAP}",
+                )
     return frozenset(sums)
 
 
@@ -312,6 +315,10 @@ def subsequence_sums(b: SequenceB, max_len: int = SUM_LENGTH_CAP) -> DegreeSet:
 # decomposition search
 
 
+# JSON key and attribute of each search limit
+_CAP_KEYS = (("maxLen", "max_len"), ("maxEntry", "max_entry"), ("budget", "budget"))
+
+
 class SearchLimits(Frozen):
     """Caps for the decomposition search; None means the derived default.
 
@@ -326,6 +333,17 @@ class SearchLimits(Frozen):
         object.__setattr__(self, "max_len", max_len)
         object.__setattr__(self, "max_entry", max_entry)
         object.__setattr__(self, "budget", budget)
+
+    def to_json(self) -> dict:
+        return {key: getattr(self, name) for key, name in _CAP_KEYS}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SearchLimits":
+        """Limits from the ``maxLen``, ``maxEntry`` and ``budget`` keys of a
+        payload valid under the ``caps`` schema or a request schema that
+        spells them the same way; an absent or null key takes the default."""
+        return cls(**{name: int(obj[key]) for key, name in _CAP_KEYS
+                      if obj.get(key) is not None})
 
     def resolve(self, target: frozenset[int]) -> "SearchLimits":
         hull = max((abs(x) for x in target), default=0)
@@ -387,28 +405,21 @@ class DecompositionCertificate(Frozen):
             "target": list(self.target),
             "sequences": [s.to_json() for s in self.sequences],
             "hullBound": self.hull_bound,
-            "caps": {
-                "maxLen": self.caps.max_len,
-                "maxEntry": self.caps.max_entry,
-                "budget": self.caps.budget,
-            },
+            "caps": self.caps.to_json(),
             "transcript": [t.to_json() for t in self.transcript],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecompositionCertificate":
-        try:
-            caps = obj.get("caps", {})
-            return cls(
-                tuple(int(x) for x in obj["target"]),
-                tuple(SequenceB.from_json(s) for s in obj["sequences"]),
-                int(obj["hullBound"]),
-                SearchLimits(caps.get("maxLen"), caps.get("maxEntry"),
-                             caps.get("budget", 10_000_000)),
-                tuple(TranscriptStep.from_json(t) for t in obj.get("transcript", ())),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed decomposition certificate: {exc}") from exc
+        """Certificate from a payload valid under the
+        ``decompositionCertificate`` schema."""
+        return cls(
+            tuple(int(x) for x in obj["target"]),
+            tuple(SequenceB.from_json(s) for s in obj["sequences"]),
+            int(obj["hullBound"]),
+            SearchLimits.from_json(obj.get("caps", {})),
+            tuple(TranscriptStep.from_json(t) for t in obj.get("transcript", ())),
+        )
 
 
 class _Budget:

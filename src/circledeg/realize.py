@@ -178,16 +178,14 @@ class PairClaim(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict, registry: Mapping[str, BaseManifold]) -> "PairClaim":
-        try:
-            return cls(
-                int(obj["index"]),
-                expr_from_json(obj["domain"], registry),
-                expr_from_json(obj["target"], registry),
-                DegreeSet.from_json(obj["claimed"]),
-                str(obj["rule"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed pair claim: {exc}") from exc
+        """Claim from a payload valid under the ``pairClaim`` schema."""
+        return cls(
+            int(obj["index"]),
+            expr_from_json(obj["domain"], registry),
+            expr_from_json(obj["target"], registry),
+            DegreeSet.from_json(obj["claimed"]),
+            obj["rule"],
+        )
 
 
 class CrossCheck(Frozen):
@@ -214,11 +212,9 @@ class CrossCheck(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CrossCheck":
-        try:
-            return cls(int(obj["i"]), int(obj["j"]), int(obj["summand"]),
-                       int(obj["multiplier"]), str(obj["verdict"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed cross check: {exc}") from exc
+        """Record from a payload valid under the ``crossCheck`` schema."""
+        return cls(int(obj["i"]), int(obj["j"]), int(obj["summand"]),
+                   int(obj["multiplier"]), obj["verdict"])
 
 
 class Combination(Frozen):
@@ -245,16 +241,13 @@ class Combination(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict, registry: Mapping[str, BaseManifold]) -> "Combination":
-        try:
-            sym = obj["l"]
-            return cls(
-                None if sym is None else str(sym),
-                expr_from_json(obj["resultDomain"], registry),
-                expr_from_json(obj["resultTarget"], registry),
-                str(obj["rule"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed combination record: {exc}") from exc
+        """Record from a payload valid under the ``combinationRecord`` schema."""
+        return cls(
+            obj["l"],
+            expr_from_json(obj["resultDomain"], registry),
+            expr_from_json(obj["resultTarget"], registry),
+            obj["rule"],
+        )
 
 
 class Stabilization(Frozen):
@@ -277,11 +270,9 @@ class Stabilization(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Stabilization":
-        try:
-            return cls(int(obj["shift"]), int(obj["fromDimension"]),
-                       int(obj["toDimension"]), str(obj.get("rule", "dimension-stabilization")))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed stabilization record: {exc}") from exc
+        """Record from a payload valid under the ``stabilization`` schema."""
+        return cls(int(obj["shift"]), int(obj["fromDimension"]),
+                   int(obj["toDimension"]), obj.get("rule", "dimension-stabilization"))
 
 
 class RealizationCertificate(Frozen):
@@ -328,31 +319,32 @@ class RealizationCertificate(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "RealizationCertificate":
+        """Certificate from a payload valid under the
+        ``realizationCertificate`` schema; call ``validate_payload`` first
+        on JSON from outside.  Another kind of document or schema version
+        is refused here too."""
         if not isinstance(obj, dict):
             raise InputError("certificate must be a JSON object")
         if obj.get("kind") != "realization-certificate":
             raise InputError("not a realization certificate")
         if obj.get("schemaVersion") != 1:
             raise InputError(f"unsupported schema version: {obj.get('schemaVersion')!r}")
-        try:
-            base = BaseManifold.from_json(obj["base"])
-            registry = {base.name: base}
-            return cls(
-                DegreeSet.from_json(obj["targetSet"]),
-                int(obj["dimension"]),
-                base,
-                str(obj["classLabel"]),
-                DecompositionCertificate.from_json(obj["decomposition"]),
-                tuple(int(p) for p in obj["primes"]),
-                tuple(int(a) for a in obj["multipliers"]),
-                tuple(PairClaim.from_json(p, registry) for p in obj["pairs"]),
-                tuple(CrossCheck.from_json(c) for c in obj["crossChecks"]),
-                Combination.from_json(obj["combination"], registry),
-                DegreeSet.from_json(obj["finalSet"]),
-                tuple(Stabilization.from_json(s) for s in obj.get("stabilizations", ())),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed realization certificate: {exc}") from exc
+        base = BaseManifold.from_json(obj["base"])
+        registry = {base.name: base}
+        return cls(
+            DegreeSet.from_json(obj["targetSet"]),
+            int(obj["dimension"]),
+            base,
+            obj["classLabel"],
+            DecompositionCertificate.from_json(obj["decomposition"]),
+            tuple(int(p) for p in obj["primes"]),
+            tuple(int(a) for a in obj["multipliers"]),
+            tuple(PairClaim.from_json(p, registry) for p in obj["pairs"]),
+            tuple(CrossCheck.from_json(c) for c in obj["crossChecks"]),
+            Combination.from_json(obj["combination"], registry),
+            DegreeSet.from_json(obj["finalSet"]),
+            tuple(Stabilization.from_json(s) for s in obj.get("stabilizations", ())),
+        )
 
 
 # ---------------------------------------------------------------------------

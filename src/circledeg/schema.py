@@ -1,10 +1,13 @@
 """Named JSON schemas for every interchange format the package speaks.
 
 The shapes live in one versioned document shipped as package data; each
-public name is a definition in it.  ``validate_payload`` is the gate the
-command line runs inputs through before doing any arithmetic, so a
-malformed payload fails with a pointer to the offending field instead of
-a stack trace from deep inside the math.
+public name is a definition in it.  ``validate_payload`` is the only
+shape check: the ``from_json`` converters take a payload valid under
+their definition and check only mathematical conditions.  The command
+line and the preset-file loader run every input through it once before
+any arithmetic, so a malformed payload fails with a pointer to the
+offending field instead of a stack trace from deep inside the math;
+library callers holding unvalidated JSON call it first in the same way.
 
 Plain Python checks compiled from the document on first use decide
 whether a payload is valid.  They know exactly the keywords the document

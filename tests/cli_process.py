@@ -6,6 +6,7 @@ instead of stalling the whole run.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -13,13 +14,42 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# Runs the command line as the only child of a fresh interpreter, so that
+# the children's peak resident set size is the command line's own.
+_MEASURE = """\
+import json, resource, subprocess, sys
+proc = subprocess.run(sys.argv[2:], stdin=subprocess.DEVNULL, capture_output=True,
+                      text=True, timeout=float(sys.argv[1]))
+json.dump({"returncode": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+           "peak_kib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss},
+          sys.stdout)
+"""
+
+
+def _env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
 
 def run_cli_process(*argv: str, stdin_text: str = "",
                     timeout: float = 10.0) -> subprocess.CompletedProcess:
     """``python -m circledeg.cli *argv`` on ``stdin_text``, with the
     package imported from this checkout's ``src``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "circledeg.cli", *argv],
                           input=stdin_text, capture_output=True, text=True,
-                          timeout=timeout, env=env)
+                          timeout=timeout, env=_env())
+
+
+def run_cli_measured(*argv: str, timeout: float = 10.0
+                     ) -> tuple[subprocess.CompletedProcess, float]:
+    """``run_cli_process(*argv)`` on empty stdin, and the child's peak
+    resident set size in MB (Linux reports ``ru_maxrss`` in KiB)."""
+    cli = [sys.executable, "-m", "circledeg.cli", *argv]
+    outer = subprocess.run([sys.executable, "-c", _MEASURE, str(timeout), *cli],
+                           capture_output=True, text=True, timeout=timeout + 10,
+                           env=_env())
+    assert outer.returncode == 0, outer.stderr
+    got = json.loads(outer.stdout)
+    proc = subprocess.CompletedProcess(cli, got["returncode"], got["stdout"], got["stderr"])
+    return proc, got["peak_kib"] / 1024

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circledeg.abelian import FgAbelianGroup, IntegerMatrix, solve_scalar
 from circledeg.bundles import (
@@ -26,13 +28,13 @@ from circledeg.bundles import (
     fiber_preserving_degree_set,
     finiteness_verdict,
     load_registry,
+    parse_volume,
     promote_to_full_degree_set,
     render_expr,
     same_base_pair_degree_set,
     torsion_consistency,
     vertical_degree_set,
 )
-from circledeg.degsets import DegreeSet
 from circledeg.errors import HypothesisError, InputError
 
 
@@ -201,16 +203,14 @@ def test_vertical_contained_in_fiber_preserving_with_identity():
 
 def test_promotion_justified_by_flags():
     reg = builtin_registry()
-    dfp = DegreeSet.from_finite([0, 6])
-    got, ok = promote_to_full_degree_set(reg["surface"], reg["knot-glue-3"], dfp)
-    assert ok and got == dfp
+    assert promote_to_full_degree_set(reg["surface"], reg["knot-glue-3"]) is True
 
     h2 = FgAbelianGroup(1)
     bare = BaseManifold("bare", 3, h2, (("b", h2.element([1])),), frozenset({"aspherical"}))
-    got, ok = promote_to_full_degree_set(reg["surface"], bare, dfp)
-    assert not ok and got == dfp  # scf missing on the target side
-    got, ok = promote_to_full_degree_set(bare, reg["surface"], dfp)
-    assert ok  # scf only needed on the target
+    # scf missing on the target side
+    assert promote_to_full_degree_set(reg["surface"], bare) is False
+    # scf only needed on the target
+    assert promote_to_full_degree_set(bare, reg["surface"]) is True
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +292,33 @@ def test_degree_bound_floor():
     assert degree_bound(Fraction(1), Fraction(2)) == 0
     with pytest.raises(HypothesisError):
         degree_bound(Fraction(4), Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.from_regex(r"\A\s?[-+]?\d{1,4}(_\d{1,3})?(\.\d{0,4})?([eE][-+]?\d{1,3})?\s?\Z"),
+    st.from_regex(r"\A[-+]?(\d{1,4}/\d{1,4}|\.\d{1,4})\Z"),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**30, 10**30),
+    st.text(max_size=8),
+))
+def test_parse_volume_agrees_with_fraction(value):
+    # every literal here stays below the digit cap
+    try:
+        want = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError, match="^v (must be a rational|has a zero denominator)"):
+            parse_volume(value, "v")
+    else:
+        assert parse_volume(value, "v") == want
+
+
+@pytest.mark.parametrize("text", ["1e2001", "1e-2000", "0e99999999999", "1" * 2001,
+                                  "1/" + "1" * 2001, "1." + "0" * 2000])
+def test_parse_volume_refuses_long_literals_before_expanding(text):
+    with pytest.raises(InputError, match="^v has more than 2000 digits"):
+        parse_volume(text, "v")
+    assert parse_volume("9" * 2000 + "/" + "7" * 2000, "v") > 1
 
 
 def test_finiteness_hyperbolic_target():
@@ -431,3 +458,13 @@ def test_registry_file_overrides_and_extends(tmp_path):
     bad.write_text(json.dumps({"bases": {}}))
     with pytest.raises(InputError, match="bases"):
         load_registry(bad)
+    # every entry is checked against the schema before any is converted
+    for key, value, where in (("dim", "abc", r"\$\.bases\[0\]\.dim"),
+                              ("volume", "zz", "volume must be a rational"),
+                              ("classes", {"b": {"free": ["q"]}},
+                               r"\$\.bases\[0\]\.classes\.b\.free\[0\]")):
+        bad.write_text(json.dumps({"bases": [{**extra.to_json(), key: value}]}))
+        with pytest.raises(InputError, match=where):
+            load_registry(bad)
+    with pytest.raises(InputError, match="cannot read registry file"):
+        load_registry(tmp_path / "missing.json")

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from cli_process import run_cli_process
+from cli_process import run_cli_measured, run_cli_process
 
 from circledeg.abelian import IntegerMatrix
 from circledeg.cli import main
@@ -265,6 +266,40 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: circledeg decompose")
 
 
+COMMANDS = ["snf", "group", "solve-k", "sums", "decompose", "dv", "dfp", "pair",
+            "bound", "finite", "realize", "verify", "stabilize", "selftest"]
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_text_matches_snapshot(capsys, monkeypatch, command):
+    # the snapshots are rendered 80 columns wide
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    snapshot = GOLDEN / "help" / f"{command or 'circledeg'}.txt"
+    assert capsys.readouterr().out == snapshot.read_text()
+
+
+def test_help_snapshots_cover_every_command():
+    snapshots = GOLDEN / "help"
+    assert sorted(p.stem for p in snapshots.glob("*.txt")) == sorted(["circledeg", *COMMANDS])
+    assert "{" + ",".join(COMMANDS) + "}" in (snapshots / "circledeg.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["pair", "-m", "2"], r"\bk\b"),
+    (["pair", "-k", "6", "--preset", "surface"], r"\bm\b"),
+    (["bound", "--domain-volume", "3"], r"target.?volume"),
+    (["bound", "--target-volume", "3"], r"domain.?volume"),
+])
+def test_partial_flags_name_the_missing_field(cli, argv, field):
+    code, out, err = cli(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert re.search(field, err, re.IGNORECASE), err
+
+
 def test_budget_cap_exit_code(cli):
     code, _, err = cli("decompose", "--set", "0,1,3", "--budget", "1")
     assert code == 2
@@ -287,6 +322,20 @@ def test_hypothesis_failure_exit_code(cli, tmp_path, monkeypatch):
     code, _, err = cli("pair", "-m", "1", "-k", "2", "--preset", "weakling")
     assert code == 1
     assert "scf_pi1" in err
+    # a malformed or missing preset file is bad input too
+    base = registry["bases"][0]
+    for key, value, where in (("dim", "abc", "$.bases[0].dim"),
+                              ("volume", "zz", "volume must be a rational"),
+                              ("classes", {"b": {"free": ["q"]}}, "$.bases[0].classes.b")):
+        path.write_text(json.dumps({"bases": [{**base, key: value}]}))
+        proc = run_cli_process("pair", "-m", "2", "-k", "6")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and where in proc.stderr
+        assert "Traceback" not in proc.stderr
+    monkeypatch.setenv("CIRCLEDEG_PRESETS", str(tmp_path / "missing.json"))
+    proc = run_cli_process("pair", "-m", "2", "-k", "6")
+    assert proc.returncode == 1 and "cannot read registry file" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_tampered_exit_code(cli, tmp_path):
@@ -415,9 +464,37 @@ def test_hostile_certificate_exits_3_in_a_child_process(name):
     ("decompose", "--set", ",".join(["0"] + [str(1 << i) for i in range(26)])),
 ])
 def test_sum_size_cap_exits_2_in_a_child_process(argv):
-    proc = run_cli_process(*argv, timeout=10)
+    proc, peak_mb = run_cli_measured(*argv, timeout=10)
     assert proc.returncode == 2
     assert proc.stderr.startswith("resource cap: subsequence sums reached ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    # the step that crosses the cap stops near it: ~110 MB, once ~300 MB
+    assert peak_mb < 160
+
+
+def _volume(text):
+    def edit(cert):
+        cert["base"]["volume"] = text
+    return edit
+
+
+@pytest.mark.parametrize("argv, stdin_text, message", [
+    (["verify"], _hostile(_volume("zz")), "volume must be a rational number"),
+    (["verify"], _hostile(_volume("1/0")), "volume has a zero denominator"),
+    # Fraction would expand five million digits first
+    (["verify"], _hostile(_volume("1e5000000")), "volume has more than 2000 digits"),
+    # the bound would pass the 4300-digit limit of int-to-str conversion
+    (["bound", "--domain-volume", "1e100000", "--target-volume", "1"], "",
+     "domainVolume has more than 2000 digits"),
+    # json.loads raises a ValueError other than JSONDecodeError here
+    (["bound"], '{"domainVolume": %s, "targetVolume": 1}' % ("9" * 5000),
+     "stdin is not valid JSON"),
+], ids=["letters", "zero-denominator", "huge-exponent", "huge-bound", "huge-json-int"])
+def test_hostile_volume_exits_1_in_a_child_process(argv, stdin_text, message):
+    proc = run_cli_process(*argv, stdin_text=stdin_text, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 

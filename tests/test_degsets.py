@@ -225,7 +225,8 @@ def test_sums_size_cap(monkeypatch):
         subsequence_sums(SequenceB(doubling))
     assert err.value.cap_name == "sum_size"
     assert err.value.cap_value == 64
-    assert str(err.value) == ("subsequence sums reached 128 values after 7 of 8 "
+    # the step that crosses the cap stops at the first sum past it
+    assert str(err.value) == ("subsequence sums reached 65 values after 7 of 8 "
                               "entries, beyond the cap of 64")
     # the seed sequence of a decomposition holds every nonzero target
     with pytest.raises(ResourceCapError) as err:

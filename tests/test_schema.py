@@ -15,7 +15,7 @@ import json
 import os
 import subprocess
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import jsonschema
@@ -25,7 +25,10 @@ from hypothesis import strategies as st
 
 import circledeg
 from circledeg import realize, schema
+from circledeg.abelian import FgAbelianGroup, GroupElement, IntegerMatrix
+from circledeg.bundles import BaseManifold, MapCatalogue
 from circledeg.cli import main
+from circledeg.degsets import DecompositionCertificate, DegreeSet
 from circledeg.errors import InputError
 from circledeg.schema import schema_for, schema_names, validate_payload
 
@@ -183,10 +186,10 @@ def at(obj, path):
 
 
 @st.composite
-def mutated(draw):
-    """A valid payload with one to three nodes replaced, keys dropped or
-    keys added."""
-    name, obj = draw(st.sampled_from(valid_seeds()))
+def mutated(draw, seeds=valid_seeds):
+    """A valid payload of ``seeds()`` with one to three nodes replaced,
+    keys dropped or keys added."""
+    name, obj = draw(st.sampled_from(seeds()))
     obj = copy.deepcopy(obj)
     for _ in range(draw(st.integers(1, 3))):
         value = copy.deepcopy(draw(st.sampled_from(VALUES)))
@@ -214,6 +217,77 @@ def test_mutations_match_jsonschema(case):
     assert_agrees(name, obj)
     for other in NAMES:
         assert schema._shipped()(other)(obj) == reference(other).is_valid(obj), other
+
+
+# the converter of each definition that has a ``from_json``
+PARSERS = {
+    "matrix": IntegerMatrix.from_json,
+    "group": FgAbelianGroup.from_json,
+    # in a group with as many coordinates as the element has
+    "element": lambda obj: GroupElement.from_json(
+        FgAbelianGroup(len(obj.get("free", ())), (6,) * len(obj.get("torsion", ()))), obj),
+    "degreeSet": DegreeSet.from_json,
+    "catalogue": MapCatalogue.from_json,
+    "baseManifold": BaseManifold.from_json,
+    "decompositionCertificate": DecompositionCertificate.from_json,
+    "realizationCertificate": realize.RealizationCertificate.from_json,
+}
+
+
+@lru_cache(maxsize=None)
+def seeds_for(name: str) -> list[tuple[str, object]]:
+    """Every distinct node of the valid seeds that is valid under ``name``."""
+    found: list = []
+    for _, obj in valid_seeds():
+        for path in paths(obj):
+            node = at(obj, path)
+            if reference(name).is_valid(node) and node not in found:
+                found.append(node)
+    assert found, name
+    return [(name, node) for node in found]
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_schema_valid_payloads_convert(name, data):
+    # from_json checks no shape: whatever the schema accepts converts, or
+    # a constructor refuses it with an InputError
+    _, obj = data.draw(mutated(partial(seeds_for, name)))
+    try:
+        validate_payload(name, obj)
+    except InputError:
+        return
+    try:
+        PARSERS[name](obj)
+    except InputError:
+        pass
+
+
+def test_each_request_is_validated_once(monkeypatch, tmp_path):
+    checks = schema._shipped()
+    validated: list[str] = []
+
+    def counting(name):
+        validated.append(name)
+        return checks(name)
+    monkeypatch.setattr(schema, "_shipped", lambda: counting)
+    code, out = run_main(["realize", "--set", "0,1,3"])
+    cert = json.loads(out)
+    requests = CLI_REQUESTS + [(["verify"], cert), (["stabilize", "--dim", "8"], cert),
+                               (["stabilize"], {"certificate": cert, "dim": 9})]
+    for argv, payload in requests:
+        validated.clear()
+        code, _ = run_main(argv, payload)
+        assert code == 0, argv
+        assert len(validated) == (argv != ["selftest"]), (argv, validated)
+    # a preset file is one more payload, validated once too
+    registry = tmp_path / "bases.json"
+    registry.write_text(json.dumps({"bases": [cert["base"]]}))
+    monkeypatch.setenv("CIRCLEDEG_PRESETS", str(registry))
+    validated.clear()
+    assert run_main(["pair", "-m", "2", "-k", "6"])[0] == 0
+    assert validated == ["pairInput", "presetRegistry"]
 
 
 @pytest.mark.parametrize("definition, value, valid", [
