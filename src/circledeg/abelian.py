@@ -27,7 +27,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
-from .errors import GroupMismatchError, InputError
+from .errors import GroupMismatchError, InputError, ResourceCapError
 
 __all__ = [
     "FgAbelianGroup",
@@ -43,7 +43,14 @@ __all__ = [
     "validate_endomorphism",
     "apply_matrix",
     "unimodular_rational_eigen_check",
+    "SNF_DIGITS_CAP",
 ]
+
+# decimal digits an entry of the Smith normal form's working matrices may
+# reach: Python's default bound on int -> str, past which no entry of the
+# result could be printed or written as JSON
+SNF_DIGITS_CAP = 4300
+_SNF_ENTRY_BOUND = 10 ** SNF_DIGITS_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +292,11 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
     block, ties broken by lowest (row, col), so identical inputs always
     produce identical output.
 
+    Entries of the working matrix, U and V can grow without bound during
+    elimination; each row or column written is checked, and
+    :class:`ResourceCapError` is raised once an entry has more than
+    ``SNF_DIGITS_CAP`` decimal digits.
+
     >>> d = smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]]))[1]
     >>> [d[i, i] for i in range(2)]
     [1, 6]
@@ -293,6 +305,15 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
     a = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+
+    def bounded(line: list[int], name: str) -> None:
+        if max(line) >= _SNF_ENTRY_BOUND or min(line) <= -_SNF_ENTRY_BOUND:
+            raise ResourceCapError(
+                "snf_digits", SNF_DIGITS_CAP,
+                f"Smith normal form of a {r}x{c} matrix: an entry of {name} "
+                f"passed {SNF_DIGITS_CAP} decimal digits while placing pivot "
+                f"{t + 1} of {min(r, c)}",
+            )
 
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -312,6 +333,8 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
         # row i -= q * row j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        bounded(a[i], "the matrix")
+        bounded(u[i], "U")
 
     def col_sub(i: int, j: int, q: int) -> None:
         # col i -= q * col j
@@ -319,10 +342,14 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
+        bounded([row[i] for row in a], "the matrix")
+        bounded([row[i] for row in v], "V")
 
     def row_add(i: int, j: int) -> None:
         a[i] = [x + y for x, y in zip(a[i], a[j])]
         u[i] = [x + y for x, y in zip(u[i], u[j])]
+        bounded(a[i], "the matrix")
+        bounded(u[i], "U")
 
     for t in range(min(r, c)):
         # pivot: smallest |value| != 0 in the lower-right block, lowest (row, col) on ties
@@ -504,12 +531,10 @@ class ScalarSolutionSet(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScalarSolutionSet":
-        kind = obj.get("kind")
-        if kind == "empty":
+        """Solution set from a payload valid under the ``solutionSet`` schema."""
+        if obj["kind"] == "empty":
             return cls.empty()
-        if kind == "progression":
-            return cls("progression", int(obj["base"]), int(obj["mod"]))
-        raise InputError(f"unknown solution set kind: {kind!r}")
+        return cls("progression", int(obj["base"]), int(obj["mod"]))
 
 
 def _crt(b1: int, m1: int, b2: int, m2: int) -> tuple[int, int] | None:

@@ -25,7 +25,7 @@ JSON formats:
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
 from .abelian import _crt
@@ -444,113 +444,178 @@ class _Budget:
             )
 
 
-def _search_excluding(target: frozenset[int], bad: int, limits: SearchLimits,
-                      budget: _Budget) -> SequenceB | None:
-    """First sequence B in graded lexicographic order with target within S_B
-    and ``bad`` outside it.
+def _exclusion_search(target: frozenset[int], values: Iterable[int],
+                      limits: SearchLimits) -> Callable[[int, _Budget], SequenceB | None]:
+    """One lazy search walk that excludes each of ``values`` from ``target``.
+
+    Returns ``find(bad, budget)``: the first sequence B in graded
+    lexicographic order with target within S_B and ``bad`` outside it, or
+    None when no B within ``limits`` has both.  ``budget`` is charged what
+    a search for ``bad`` alone would charge: the leaves up to its hit, or
+    every leaf when none holds.
 
     Sequences are enumerated as non-decreasing tuples of symbol indices
     (each multiset once), lengths first, entries ordered by magnitude then
     sign: index i is the entry i // 2 + 1, negated for odd i.  Branches
     whose reachable positive or negative totals cannot cover the target
     hull are pruned without spending budget on leaves; every other leaf
-    costs one unit of budget.
+    costs one unit of budget.  A leaf group is a prefix together with all
+    its choices of last entry.
+
+    None of this depends on the value excluded, only which leaf hits does,
+    so one walk serves every value.  It records the first hit of each
+    value still pending (without a hit) and that hit's leaf position
+    (leaves charged from the start of the walk through the hit), advances
+    only until ``bad`` has a hit or the position passes ``budget.left``,
+    and then pauses; the next ``find`` resumes after the last leaf group
+    walked, whose prefix is kept as the cursor.  ``bad`` must be one of
+    ``values``; they may be asked for in any order.
 
     Each node carries the sums S of its prefix down the recursion as an
     integer bitmask: bit x - neg stands for the sum x, where ``neg``, the
     sum of the prefix's negative entries, is the least element of S.  An
     entry of magnitude m, of either sign, extends the sums to
     S | S << m (a negative entry lowers ``neg`` by m, which shifts the old
-    sums up by m).  Below a prefix whose S already holds ``bad`` no leaf
-    can succeed, so the mask is replaced by None and no longer extended; a
-    mask left unextended would be read at a stale offset once ``neg``
-    moves.
+    sums up by m).  Below a prefix whose S already holds every pending
+    value no leaf can hit, so the mask is replaced by None and no longer
+    extended; a mask left unextended would be read at a stale offset once
+    ``neg`` moves.
 
     The last slot is tested in one pass instead of recursing.  With
-    ``missing`` the targets outside S, entry v = -u completes a hit iff
-    t + u lies in S for every missing t and bad + u does not.  Bit
-    k = u + need_hi - neg of S << (need_hi - t) is set iff t + u is in S,
-    so ANDing those shifts and clearing the shift of S by need_hi - bad
-    leaves exactly the valid u.  The first valid index at or after
-    ``start`` is then the lowest set bit above the negative entries'
-    cut-off (index 2m - 1 for v = -m) or the highest set bit below the
-    positive entries' cut-off (index 2m - 2 for v = m), whichever index is
-    smaller.  The budget is charged as if every leaf were tested in turn:
-    for the leaves up to the hit, or for all of them at once when none
-    holds.
+    ``missing`` the targets outside S, entry v = -u completes a hit for
+    ``bad`` outside S iff t + u lies in S for every missing t and bad + u
+    does not.  Bit k = u + need_hi - neg of S << (need_hi - t) is set iff
+    t + u is in S, so ANDing those shifts gives ``fits``, once per group,
+    and clearing from it the shift of S by need_hi - bad leaves exactly
+    the valid u for ``bad``; pending values are only tested when ``fits``
+    is nonzero.  The first valid index at or after ``start`` is then the
+    lowest set bit above the negative entries' cut-off (index 2m - 1 for
+    v = -m) or the highest set bit below the positive entries' cut-off
+    (index 2m - 2 for v = m), whichever index is smaller.
     """
     need_hi = max(target)
     need_lo = min(target)
     top = limits.max_entry
     end = 2 * top
+    pending: list[int] = []
+    low = wanted = 0  # bit v - low of ``wanted`` is set for each pending v
+    # first hit of a value: its leaf position and the sequence's entries
+    hits: dict[int, tuple[int, tuple[int, ...]]] = {}
+    walked = 0  # leaves charged from the start of the walk
+    length = 1  # of the sequences being walked
+    cursor: list[int] = []  # prefix indices of the last group walked
+    following = False  # while true, the walk leads down the cursor
+    goal = limit = 0  # the value asked for and the budget left when asked
 
-    def last_slot(start: int, sums: int | None, neg: int,
-                  picked: list[int]) -> SequenceB | None:
+    def set_pending(kept: list[int]) -> None:
+        nonlocal pending, low, wanted
+        pending = kept
+        low = kept[0] if kept else 0
+        wanted = sum(1 << (v - low) for v in kept)
+
+    def last_slot(start: int, sums: int | None, neg: int, picked: list[int]) -> bool:
+        nonlocal walked, following
+        if following:  # the cursor's group, walked before the pause
+            following = False
+            return False
+        at = walked
+        walked += end - start
         if sums is not None:
             # ``fits`` ANDs at least one shift: a prefix whose sums held
-            # the target without ``bad`` would have been a hit one length
-            # earlier
+            # the target without a pending value would have been its hit
+            # one length earlier
             fits = -1
             for t in target:
                 if t < neg or not sums >> (t - neg) & 1:
                     fits &= sums << (need_hi - t)
-            shift = need_hi - bad
-            fits &= ~(sums << shift if shift >= 0 else sums >> -shift)
-            zero = need_hi - neg  # the bit of u = 0, never set
-            best = end
-            lo = start // 2 + 1  # least magnitude of a negative entry
-            above = fits >> (zero + lo)
-            if above:
-                best = 2 * (lo + (above & -above).bit_length() - 1) - 1
-            lo = (start + 1) // 2 + 1  # least magnitude of a positive entry
-            if zero >= lo:
-                below = fits & ((2 << (zero - lo)) - 1)
-                if below:
-                    best = min(best, 2 * (zero - below.bit_length() + 1) - 2)
-            if best < end:
-                budget.spend(best - start + 1)
-                mag = best // 2 + 1
-                return SequenceB((*picked, -mag if best & 1 else mag))
-        budget.spend(end - start)
-        return None
+            if fits:
+                zero = need_hi - neg  # the bit of u = 0, never set
+                for bad in pending:
+                    if bad >= neg and sums >> (bad - neg) & 1:
+                        continue
+                    shift = need_hi - bad
+                    valid = fits & ~(sums << shift if shift >= 0 else sums >> -shift)
+                    best = end
+                    lo = start // 2 + 1  # least magnitude of a negative entry
+                    above = valid >> (zero + lo)
+                    if above:
+                        best = 2 * (lo + (above & -above).bit_length() - 1) - 1
+                    lo = (start + 1) // 2 + 1  # least magnitude of a positive entry
+                    if zero >= lo:
+                        below = valid & ((2 << (zero - lo)) - 1)
+                        if below:
+                            best = min(best, 2 * (zero - below.bit_length() + 1) - 2)
+                    if best < end:
+                        mag = best // 2 + 1
+                        hits[bad] = (at + best - start + 1,
+                                     (*picked, -mag if best & 1 else mag))
+                if not hits.keys().isdisjoint(pending):
+                    set_pending([v for v in pending if v not in hits])
+        return goal in hits or walked > limit
 
     def rec(start: int, slots: int, pos: int, neg: int, sums: int | None,
-            picked: list[int]) -> SequenceB | None:
+            picked: list[int]) -> bool:
+        """Walks the groups below a prefix; true once the walk pauses."""
         # prune: even with the largest remaining magnitudes this branch
         # cannot reach the hull
         if pos + slots * top < need_hi or neg - slots * top > need_lo:
-            return None
-        if sums is not None and bad >= neg and sums >> (bad - neg) & 1:
+            return False
+        if sums is not None and low >= neg and sums >> (low - neg) & wanted == wanted:
             sums = None
         if slots == 1:
             return last_slot(start, sums, neg, picked)
-        for idx in range(start, end):
+        for idx in range(cursor[len(picked)] if following else start, end):
             mag = idx // 2 + 1
             picked.append(-mag if idx & 1 else mag)
-            hit = rec(idx, slots - 1,
-                      pos if idx & 1 else pos + mag,
-                      neg - mag if idx & 1 else neg,
-                      None if sums is None else sums | sums << mag,
-                      picked)
-            if hit is not None:
-                return hit
+            if rec(idx, slots - 1,
+                   pos if idx & 1 else pos + mag,
+                   neg - mag if idx & 1 else neg,
+                   None if sums is None else sums | sums << mag,
+                   picked):
+                return True
             picked.pop()
-        return None
+        return False
 
-    for length in range(1, limits.max_len + 1):
-        hit = rec(0, length, 0, 0, 1, [])
-        if hit is not None:
-            return hit
-    return None
+    def find(bad: int, budget: _Budget) -> SequenceB | None:
+        nonlocal goal, limit, length, cursor, following
+        if bad not in hits:
+            goal, limit = bad, budget.left
+            while length <= limits.max_len:
+                picked: list[int] = []
+                if rec(0, length, 0, 0, 1, picked):
+                    cursor = [2 * abs(e) - 2 + (e < 0) for e in picked]
+                    following = True
+                    break
+                length += 1
+        if bad not in hits:
+            budget.spend(walked)
+            return None
+        at, entries = hits[bad]
+        budget.spend(at)
+        return SequenceB(entries)
+
+    set_pending(sorted(set(values)))
+    return find
+
+
+def _search_excluding(target: frozenset[int], bad: int, limits: SearchLimits,
+                      budget: _Budget) -> SequenceB | None:
+    """First sequence B in graded lexicographic order with target within S_B
+    and ``bad`` outside it: the single walk of :func:`_exclusion_search`
+    with ``bad`` as its only pending value."""
+    return _exclusion_search(target, (bad,), limits)(bad, budget)
 
 
 def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> DecompositionCertificate:
     """Write ``a`` as an intersection of subsequence-sum sets.
 
     Seeds with the nonzero elements of ``a`` (ascending), then for each
-    remaining extraneous value finds, by iterative deepening, a sequence
-    whose sums contain ``a`` but not that value.  Deterministic: same
-    input, same certificate.
+    extraneous value still in the intersection, ascending, adds the first
+    sequence in graded lexicographic order whose sums contain ``a`` but not
+    that value.  One search walk (:func:`_exclusion_search`) serves all
+    the values: it resumes where the previous value's search stopped, and
+    each value is charged the leaves its own search from length 1 would
+    have tested.  Deterministic: same input, same certificate.
 
     >>> [s.entries for s in decompose({0, 1, 3}).sequences]
     [(1, 3), (1, 2)]
@@ -584,13 +649,14 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
         raise InputError("internal seed does not cover the target")  # unreachable
 
     extraneous = sorted(current - target)
+    find = _exclusion_search(target, extraneous, limits)
     for bad in extraneous:
         if bad not in current:
             continue
         done = len(extraneous) - len(current - target)
         budget.progress = (f" while excluding {bad} ({done} of {len(extraneous)}"
                            f" extraneous values excluded, budget {limits.budget})")
-        found = _search_excluding(target, bad, limits, budget)
+        found = find(bad, budget)
         if found is None:
             raise ResourceCapError(
                 "max_len", limits.max_len,

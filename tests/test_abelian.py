@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledeg.abelian import (
+    SNF_DIGITS_CAP,
     FgAbelianGroup,
     GroupElement,
     IntegerMatrix,
@@ -31,7 +32,7 @@ from circledeg.abelian import (
     unimodular_rational_eigen_check,
     validate_endomorphism,
 )
-from circledeg.errors import GroupMismatchError, InputError
+from circledeg.errors import GroupMismatchError, InputError, ResourceCapError
 
 
 def brute_solutions(a: GroupElement, c: GroupElement, lo: int, hi: int) -> list[int]:
@@ -119,6 +120,18 @@ def test_snf_diagonal_matches_sympy():
         shapes.add(rows == cols)
         deficient += 0 in diag
     assert shapes == {True, False} and deficient > 20
+
+
+def test_snf_entry_growth_is_capped_at_the_printable_bound():
+    # V's entry becomes -q, with q the second entry: 4300 digits print,
+    # 4301 do not
+    u, d, v = smith_normal_form(IntegerMatrix.from_rows([[1, 10**SNF_DIGITS_CAP - 1]]))
+    assert v[0, 1] == 1 - 10**SNF_DIGITS_CAP and len(str(-v[0, 1])) == SNF_DIGITS_CAP
+    with pytest.raises(ResourceCapError) as err:
+        smith_normal_form(IntegerMatrix.from_rows([[1, 10**SNF_DIGITS_CAP]]))
+    assert (err.value.cap_name, err.value.cap_value) == ("snf_digits", SNF_DIGITS_CAP)
+    assert str(err.value) == ("Smith normal form of a 1x2 matrix: an entry of V passed "
+                              "4300 decimal digits while placing pivot 1 of 1")
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -75,6 +76,23 @@ def test_solve_k_command(cli):
     got = json.loads(out)
     validate_payload("solveOutput", got)
     assert got["solutions"] == {"kind": "progression", "base": 3, "mod": 0}
+
+
+@pytest.mark.parametrize("payload, solutions", [
+    ({"group": {"rank": 1, "torsion": []}, "a": {"free": [2]}, "c": {"free": [5]}},
+     {"kind": "empty"}),
+    ({"group": {"rank": 0, "torsion": [6]}, "a": {"torsion": [2]}, "c": {"torsion": [4]}},
+     {"kind": "progression", "base": 2, "mod": 3}),
+    ({"group": {"rank": 0, "torsion": []}, "a": {}, "c": {}},
+     {"kind": "progression", "base": 0, "mod": 1}),
+])
+def test_solve_k_outputs_validate(cli, payload, solutions):
+    # each kind of solution set the command writes passes its schema
+    code, out, _ = cli("solve-k", stdin_text=json.dumps(payload))
+    assert code == 0
+    got = json.loads(out)
+    validate_payload("solveOutput", got)
+    assert got["solutions"] == solutions
 
 
 def test_sums_command(cli):
@@ -471,6 +489,26 @@ def test_sum_size_cap_exits_2_in_a_child_process(argv):
     assert proc.stdout == ""
     # the step that crosses the cap stops near it: ~110 MB, once ~300 MB
     assert peak_mb < 160
+
+
+def _random_matrix(seed: int, n: int = 32) -> dict:
+    rng = random.Random(seed)
+    return {"rows": n, "cols": n, "entries": [rng.randint(-9, 9) for _ in range(n * n)]}
+
+
+# without the digit cap both ended in a ValueError traceback, entries of U
+# being past Python's 4300-digit int-to-str bound: seed 2 after 0.8 s of
+# elimination, with ~40,000-digit entries, and seed 31 after ~23 s, with
+# entries of U reaching 678,000 bits and of V 1.36 M bits
+@pytest.mark.parametrize("seed", [2, 31])
+@pytest.mark.parametrize("command, key", [("snf", "matrix"), ("group", "relations")])
+def test_snf_digit_cap_exits_2_in_a_child_process(seed, command, key):
+    payload = json.dumps({key: _random_matrix(seed)})
+    proc = run_cli_process(command, stdin_text=payload, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("resource cap: Smith normal form of a 32x32 matrix: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def _volume(text):

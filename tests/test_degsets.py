@@ -335,10 +335,18 @@ def test_huge_max_entry_is_bounded_by_the_budget():
 def test_decompose_checks_its_result_without_assert(monkeypatch):
     # a search that returns a sequence excluding nothing must not yield a
     # certificate, also under ``python -O``
-    monkeypatch.setattr(degsets, "_search_excluding",
-                        lambda *args: SequenceB((1, 1, 1, 1)))
+    asked = []
+
+    def exclusion_search(target, values, limits):
+        def find(bad, budget):
+            asked.append(bad)
+            return SequenceB((1, 1, 1, 1))
+        return find
+
+    monkeypatch.setattr(degsets, "_exclusion_search", exclusion_search)
     with pytest.raises(RuntimeError, match="is not the target"):
         decompose({0, 1, 3})
+    assert asked == [4]
 
 
 def test_verify_decomposition_rejects_tampering():

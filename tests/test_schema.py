@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import circledeg
 from circledeg import realize, schema
-from circledeg.abelian import FgAbelianGroup, GroupElement, IntegerMatrix
+from circledeg.abelian import FgAbelianGroup, GroupElement, IntegerMatrix, ScalarSolutionSet
 from circledeg.bundles import BaseManifold, MapCatalogue
 from circledeg.cli import main
 from circledeg.degsets import DecompositionCertificate, DegreeSet
@@ -36,6 +36,8 @@ GOLDEN = Path(__file__).parent / "golden"
 NAMES = schema_names()
 # what a mutation puts in place of a node or under a new key
 VALUES = [0, 0.0, 1.0, 2.5, True, False, None, "", [], {}]
+# what a type-keeping mutation puts in place of a string or an integer
+SAME_TYPE = {str: ["", "zz", "1/0", "-3/4", "hyp-odd-4"], int: [0, 1, -1, 7, -(10**30), 10**30]}
 
 
 @lru_cache(maxsize=None)
@@ -163,6 +165,9 @@ def valid_seeds() -> list[tuple[str, object]]:
         ("decompositionCertificate", cert.decomposition.to_json()),
         ("finiteInput", NESTED_FINITE),
     ]
+    seeds += [("solveOutput", {"solutions": solutions.to_json()})
+              for solutions in (ScalarSolutionSet.empty(), ScalarSolutionSet.singleton(-3),
+                                ScalarSolutionSet.progression(2, 6))]
     seeds += [(f"{argv[0].removesuffix('-k')}Input", payload)
               for argv, payload in CLI_REQUESTS if payload is not None]
     for name, obj in seeds:
@@ -188,14 +193,19 @@ def at(obj, path):
 @st.composite
 def mutated(draw, seeds=valid_seeds):
     """A valid payload of ``seeds()`` with one to three nodes replaced,
-    keys dropped or keys added."""
+    keys dropped or keys added; a replaced string or integer keeps its
+    type half the time, so that many draws stay schema-valid."""
     name, obj = draw(st.sampled_from(seeds()))
     obj = copy.deepcopy(obj)
     for _ in range(draw(st.integers(1, 3))):
         value = copy.deepcopy(draw(st.sampled_from(VALUES)))
         dicts = [p for p in paths(obj) if isinstance(at(obj, p), dict)]
-        kind = draw(st.sampled_from(["replace", "drop", "add"]))
-        if kind == "replace":
+        typed = [p for p in paths(obj) if p and type(at(obj, p)) in SAME_TYPE]
+        kind = draw(st.sampled_from(["replace", "drop", "add"] + ["keep type"] * 3))
+        if kind == "keep type" and typed:
+            path = draw(st.sampled_from(typed))
+            at(obj, path[:-1])[path[-1]] = draw(st.sampled_from(SAME_TYPE[type(at(obj, path))]))
+        elif kind == "replace":
             path = draw(st.sampled_from(list(paths(obj))))
             if not path:
                 obj = value
@@ -227,6 +237,7 @@ PARSERS = {
     "element": lambda obj: GroupElement.from_json(
         FgAbelianGroup(len(obj.get("free", ())), (6,) * len(obj.get("torsion", ()))), obj),
     "degreeSet": DegreeSet.from_json,
+    "solutionSet": ScalarSolutionSet.from_json,
     "catalogue": MapCatalogue.from_json,
     "baseManifold": BaseManifold.from_json,
     "decompositionCertificate": DecompositionCertificate.from_json,
@@ -345,6 +356,18 @@ def test_edge_cases_match_jsonschema(definition, value, valid):
 ])
 def test_shipped_edge_cases_match_jsonschema(payload):
     assert_agrees("pairInput", payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "progression"}, {"kind": "progression", "base": 2},
+    {"kind": "progression", "mod": 3}, {"kind": "empty", "base": 0},
+    {"kind": "progression", "base": 2, "mod": -1}, {"kind": "singleton", "base": 2},
+])
+def test_solution_set_kinds_need_their_keys(payload):
+    # a progression needs ``base`` and ``mod``; the empty set takes neither
+    with pytest.raises(InputError) as err:
+        validate_payload("solutionSet", payload)
+    assert str(err.value) == reference_error("solutionSet", payload)
 
 
 def test_manifold_expr_one_of_edges():

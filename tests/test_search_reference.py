@@ -2,10 +2,12 @@
 
 ``reference_search_excluding`` is the straightforward search that
 ``degsets._search_excluding`` replaced: it enumerates the same sequences
-in the same order, but rebuilds S_B from scratch at every leaf and charges
-the budget one leaf at a time.  Plugged into ``decompose`` in its place,
-it must give byte-identical certificates and identical cap errors; called
-directly, the same sequence and the same budget left.
+in the same order, but rebuilds S_B from scratch at every leaf, charges
+the budget one leaf at a time and starts afresh for every excluded value.
+Plugged into ``decompose`` in place of the one walk per call
+(``degsets._exclusion_search``), one search per value, it must give
+byte-identical certificates and identical cap errors; called directly,
+the same sequence and the same budget left.
 """
 
 from __future__ import annotations
@@ -78,11 +80,34 @@ def outcome(target, limits=None):
         return ("cap", exc.cap_name, exc.cap_value, str(exc))
 
 
+def reference_seam(searched_values):
+    """A stand-in for ``degsets._exclusion_search`` that runs one
+    ``reference_search_excluding`` per value asked, appending the value to
+    ``searched_values``."""
+    def exclusion_search(target, values, limits):
+        def find(bad, budget):
+            searched_values.append(bad)
+            return reference_search_excluding(target, bad, limits, budget)
+        return find
+    return exclusion_search
+
+
 def both_outcomes(target, limits=None):
+    """``outcome`` through the one walk and through the reference.  The
+    reference must have searched once per sequence past the seed, or at
+    least once before a cap, so a bypassed seam cannot compare the walk
+    with itself."""
     fast = outcome(target, limits)
+    searched_values = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(degsets, "_search_excluding", reference_search_excluding)
+        patch.setattr(degsets, "_exclusion_search", reference_seam(searched_values))
         slow = outcome(target, limits)
+    if slow[0] == "cap":
+        assert searched_values
+    else:
+        cert = json.loads(slow)
+        seeds = 2 if cert["target"] == [0] else 1
+        assert len(searched_values) == len(cert["sequences"]) - seeds
     return fast, slow
 
 
@@ -166,12 +191,40 @@ def test_search_matches_reference_directly(nonzero, beyond, max_len, max_entry, 
     assert fast == searched(reference_search_excluding, target, bad, limits)
 
 
-@pytest.mark.parametrize("target, smallest", [({0, 1, 3}, 27), ({0, 1, 2, 4}, 1130)])
+@pytest.mark.parametrize("target, smallest", [
+    ({0, 1, 3}, 27),
+    ({0, 1, 2, 4}, 1130),
+    # values resolve out of order: alone, 5 hits at leaf 629, -1 at 631,
+    # -2 at 633 and 1 at 1180, and decompose asks for -2 first
+    ({-4, 0, 2, 3}, 633 + 1180),
+])
 def test_budget_sweep_matches_reference(target, smallest):
     """Every budget below the smallest that succeeds ends in the same cap
     error (same excluded value and progress), so the leaf charges agree
-    one by one, the bulk ones included."""
+    one by one, the bulk ones included, wherever the walk pauses."""
     for budget in range(smallest + 2):
         fast, slow = both_outcomes(target, SearchLimits(budget=budget))
         assert fast == slow, budget
         assert (fast[0] == "cap") == (budget < smallest), budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(-7, 7).filter(bool), min_size=1, max_size=4),
+       st.lists(st.integers(-12, 12), min_size=2, max_size=6, unique=True),
+       st.sampled_from([None, 1, 2, 3, 4]),
+       st.sampled_from([None, 1, 2, 3, 5, 9]),
+       st.lists(st.sampled_from([0, 10, 100, 1000, 5000]), min_size=6, max_size=6))
+@example({2, 3, -4}, [-2, -1, 1, 5], None, None, [5000] * 6)
+@example({2, 3, -4}, [5, 1, -1, -2], None, None, [700, 630, 1000, 5000, 0, 0])
+def test_one_walk_matches_reference_per_value(nonzero, asks, max_len, max_entry, budgets):
+    """One walk asked for several values, in any order and with a fresh
+    budget each time, answers each as a search for that value alone: same
+    sequence and budget left, or the same cap error."""
+    target = frozenset(nonzero | {0})
+    values = [v for v in asks if v not in target]
+    limits = SearchLimits(max_len, max_entry).resolve(target)
+    find = degsets._exclusion_search(target, values, limits)
+    for bad, total in zip(values, budgets):
+        capped = limits._replace(budget=total)
+        fast = searched(lambda t, v, lim, budget: find(v, budget), target, bad, capped)
+        assert fast == searched(reference_search_excluding, target, bad, capped), bad
