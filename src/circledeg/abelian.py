@@ -261,7 +261,14 @@ class GroupElement(Frozen):
         return self + (-other)
 
     def scale(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, tuple(k * a for a in self.free), tuple(k * a for a in self.torsion))
+        # built directly: the coordinates already fit the group, so only the
+        # torsion residues need reducing again
+        out = object.__new__(GroupElement)
+        object.__setattr__(out, "group", self.group)
+        object.__setattr__(out, "free", tuple(k * a for a in self.free))
+        object.__setattr__(out, "torsion", tuple(
+            k * r % d for r, d in zip(self.torsion, self.group.torsion)))
+        return out
 
     __rmul__ = scale
 

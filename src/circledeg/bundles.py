@@ -45,6 +45,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
@@ -678,7 +679,15 @@ def builtin_registry() -> dict[str, BaseManifold]:
     * ``hyp-odd-4``: closed hyperbolic 4-manifold with positive second
       Betti number and an isometry group of odd order, so degree +-1 self
       maps cannot reverse orientation and the self-degree set is {0, 1}.
+
+    The presets are immutable, so they are built once, on the first call,
+    and shared; each call returns a new dict that the caller may extend.
     """
+    return dict(_presets())
+
+
+@lru_cache(maxsize=1)
+def _presets() -> dict[str, BaseManifold]:
     return {
         "surface": _rank1_base(
             "surface", 2, ("hyperbolic", "d_self_is_01"), ("b",)

@@ -42,11 +42,15 @@ __all__ = [
     "SUM_LENGTH_CAP",
     "SUM_SIZE_CAP",
     "VERIFY_LENGTH_CAP",
+    "ENUMERATION_CAP",
     "EQUALS_MODULUS_CAP",
 ]
 
 SUM_LENGTH_CAP = 40
 VERIFY_LENGTH_CAP = 20
+# subsets a verifier enumerates at most over all sequences of a certificate:
+# sixteen sequences at VERIFY_LENGTH_CAP
+ENUMERATION_CAP = 1 << 24
 # sums a subsequence-sum set may hold: the 2^20 subsets of a sequence at
 # VERIFY_LENGTH_CAP
 SUM_SIZE_CAP = 1 << 20
@@ -76,6 +80,12 @@ class DegreeSet(Frozen):
     def __init__(self, finite: tuple[int, ...] = (),
                  progressions: tuple[tuple[int, int], ...] = (),
                  excludes_zero_in_progressions: bool = False) -> None:
+        if not progressions:
+            # a finite set: nothing to drop, and no flag that matters
+            object.__setattr__(self, "finite", tuple(sorted(set(map(int, finite)))))
+            object.__setattr__(self, "progressions", ())
+            object.__setattr__(self, "excludes_zero_in_progressions", False)
+            return
         progs = []
         for base, mod in progressions:
             if mod < 1:
@@ -92,13 +102,12 @@ class DegreeSet(Frozen):
         # dedupe handled by set() already, and mutual containment of distinct
         # pairs cannot happen after base reduction.
         flag = excludes_zero_in_progressions
-        finite = sorted(set(int(x) for x in finite))
+        finite = sorted(set(map(int, finite)))
         if flag and (0 in finite or not any(base == 0 for base, _ in kept)):
             flag = False
-        def in_progs(x: int) -> bool:
-            return any((x - base) % mod == 0 for base, mod in kept)
         finite = [x for x in finite
-                  if not in_progs(x) or (x == 0 and flag)]
+                  if (x == 0 and flag)
+                  or not any((x - base) % mod == 0 for base, mod in kept)]
         object.__setattr__(self, "finite", tuple(finite))
         object.__setattr__(self, "progressions", tuple(kept))
         object.__setattr__(self, "excludes_zero_in_progressions", flag)
@@ -134,8 +143,10 @@ class DegreeSet(Frozen):
         return frozenset(self.finite)
 
     def contains(self, d: int) -> bool:
-        if d in self.finite:
-            return True
+        return d in self.finite or self._covers(d)
+
+    def _covers(self, d: int) -> bool:
+        """Whether the progression part holds ``d``."""
         if d == 0 and self.excludes_zero_in_progressions:
             return False
         return any((d - base) % mod == 0 for base, mod in self.progressions)
@@ -165,8 +176,12 @@ class DegreeSet(Frozen):
         )
 
     def intersect(self, other: "DegreeSet") -> "DegreeSet":
-        finite = {x for x in self.finite if other.contains(x)}
-        finite |= {x for x in other.finite if self.contains(x)}
+        mine, theirs = set(self.finite), set(other.finite)
+        finite = mine & theirs
+        if other.progressions:
+            finite |= {x for x in mine if other._covers(x)}
+        if self.progressions:
+            finite |= {x for x in theirs if self._covers(x)}
         progs = []
         for b1, m1 in self.progressions:
             for b2, m2 in other.progressions:
@@ -207,8 +222,9 @@ class DegreeSet(Frozen):
             )
         if self._residues(big) != other._residues(big):
             return False
-        probes = set(self.finite) | set(other.finite) | {0}
-        return all(self.contains(p) == other.contains(p) for p in probes)
+        mine, theirs = set(self.finite), set(other.finite)
+        return all((p in mine or self._covers(p)) == (p in theirs or other._covers(p))
+                   for p in mine | theirs | {0})
 
     def _residues(self, big: int) -> bytearray:
         """Flags of the residues modulo ``big`` the progressions cover."""
@@ -686,16 +702,20 @@ def verify_decomposition(cert: DecompositionCertificate,
 
     Each S_B(i) is recomputed by walking all 2^|B| subsets (independent of
     the sparse DP used to build certificates); true iff the intersection
-    equals the stored target.
+    equals the stored target.  Before enumerating anything it raises
+    :class:`ResourceCapError` for a sequence longer than ``max_len`` and
+    then for more than ``ENUMERATION_CAP`` subsets in all.
     """
+    for s in cert.sequences:
+        if len(s) > max_len:
+            raise ResourceCapError(
+                "max_len", max_len,
+                f"verification cap: sequence length {len(s)} exceeds {max_len}",
+            )
+    _check_enumeration(cert.sequences)
     inter: frozenset[int] | None = None
     for s in cert.sequences:
         n = len(s)
-        if n > max_len:
-            raise ResourceCapError(
-                "max_len", max_len,
-                f"verification cap: sequence length {n} exceeds {max_len}",
-            )
         entries = s.entries
         sums = [0] * (1 << n)
         for mask in range(1, 1 << n):
@@ -706,3 +726,15 @@ def verify_decomposition(cert: DecompositionCertificate,
     if inter is None:
         return False
     return inter == frozenset(cert.target)
+
+
+def _check_enumeration(sequences: Sequence[SequenceB]) -> None:
+    """Raises :class:`ResourceCapError` when ``sequences`` have more than
+    ``ENUMERATION_CAP`` subsets in all."""
+    total = sum(1 << len(s) for s in sequences)
+    if total > ENUMERATION_CAP:
+        raise ResourceCapError(
+            "enumeration", ENUMERATION_CAP,
+            f"verification cap: the sequences have {total} subsets in all, "
+            f"beyond the cap of {ENUMERATION_CAP}",
+        )

@@ -106,7 +106,7 @@ _TYPES: dict[str, _Check] = {
 
 _KEYWORDS = frozenset({
     "type", "properties", "required", "additionalProperties", "items", "$ref",
-    "const", "enum", "not", "oneOf", "minimum", "minItems", "minLength",
+    "const", "enum", "not", "oneOf", "minimum", "maximum", "minItems", "minLength",
 })
 
 
@@ -257,6 +257,9 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
         if "minimum" in schema:
             low = schema["minimum"]
             checks.append(lambda v: not _is_number(v) or not v < low)
+        if "maximum" in schema:
+            high = schema["maximum"]
+            checks.append(lambda v: not _is_number(v) or not v > high)
         if "minLength" in schema:
             shortest = schema["minLength"]
             checks.append(lambda v: not isinstance(v, str) or len(v) >= shortest)

@@ -168,6 +168,24 @@ def test_group_validation():
         FgAbelianGroup(0, (4, 2))
 
 
+@pytest.mark.parametrize("group", [
+    FgAbelianGroup(1), FgAbelianGroup(0, (4,)), FgAbelianGroup(2, (2, 6)),
+    FgAbelianGroup(1, (3, 3, 9)), FgAbelianGroup(0),
+])
+def test_scale_matches_the_validating_constructor(group):
+    rng = random.Random(group.rank * 31 + len(group.torsion))
+    for _ in range(30):
+        a = group.element([rng.randint(-9, 9) for _ in range(group.rank)],
+                          [rng.randint(-20, 20) for _ in group.torsion])
+        for k in (0, 1, -1, 2, -3, 7, -(10**20) - 1):
+            want = GroupElement(group, tuple(k * x for x in a.free),
+                                tuple(k * x for x in a.torsion))
+            for got in (a.scale(k), k * a):
+                assert got == want and hash(got) == hash(want)
+                assert repr(got) == repr(want)
+                assert got.group is group
+
+
 def test_element_reduction_and_arithmetic():
     g = FgAbelianGroup(1, (6,))
     a = g.element([3], [8])

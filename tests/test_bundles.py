@@ -411,6 +411,12 @@ def test_builtin_presets_shape():
     assert reg["surface"].has("hyperbolic")
     assert reg["hyp-odd-4"].has("hyperbolic")
     assert not reg["knot-glue-3"].has("hyperbolic")
+    # the presets are shared, the dict is new on every call
+    again = builtin_registry()
+    assert again is not reg and again == reg
+    assert all(again[name] is base for name, base in reg.items())
+    reg.pop("surface")
+    assert "surface" in builtin_registry()
 
 
 def test_flag_closure_and_validation():
@@ -451,6 +457,9 @@ def test_registry_file_overrides_and_extends(tmp_path):
     assert reg["pretzel"] == extra
     assert reg["surface"] == override  # file wins over the built-in
     assert "hyp-odd-4" in reg  # built-ins still present
+    # loading a file leaves the built-ins of the next call as they were
+    assert "pretzel" not in builtin_registry()
+    assert builtin_registry()["surface"] != override
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     with pytest.raises(InputError, match="not valid JSON"):

@@ -451,9 +451,28 @@ def _large_prime(cert):
     cert["primes"][0] = 2**60 - 93
 
 
+def _huge_claimed_sets(cert):
+    # intersecting them member by member through the tuples took ~4*10^9 steps
+    for k, pair in enumerate(cert["pairs"]):
+        pair["claimed"] = {"finite": list(range(k, k + (1 << 17), 2))}
+
+
+def _many_short_sequences(cert):
+    # expecting cross checks one by one would build ~10^6 triples
+    cert["decomposition"]["sequences"] = [[1]] * 1000
+
+
+def _many_long_sequences(cert):
+    # enumerating them would walk 1000 * 2^20 subsets
+    cert["decomposition"]["sequences"] = [list(range(1, 21))] * 1000
+
+
 HOSTILE = {  # name -> (edit, first failing check)
     "wide-progressions": (_wide_progressions, "final.intersection"),
     "large-prime": (_large_prime, "alpha.product[0]"),
+    "huge-claimed-sets": (_huge_claimed_sets, "pair[0].claimed-vs-enumeration"),
+    "many-short-sequences": (_many_short_sequences, "decomposition.valid"),
+    "many-long-sequences": (_many_long_sequences, "decomposition.valid"),
 }
 
 
@@ -472,6 +491,36 @@ def test_hostile_certificate_fails_fast(name, cli):
 def test_hostile_certificate_exits_3_in_a_child_process(name):
     proc = run_cli_process("verify", stdin_text=_hostile(HOSTILE[name][0]), timeout=10)
     assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+
+
+def test_hostile_certificate_details(cli):
+    def details(edit):
+        code, out, _ = cli("verify", stdin_text=_hostile(edit))
+        assert code == 3
+        return {c["id"]: c.get("detail") for c in json.loads(out)["checks"]}
+
+    got = details(_many_long_sequences)
+    cap = ("verification cap: the sequences have 1048576000 subsets in all, "
+           "beyond the cap of 16777216")
+    assert got["decomposition.valid"] == cap
+    assert got["pair[0].claimed-vs-enumeration"] == cap
+    assert got["pair[1].claimed-vs-enumeration"] == cap
+    # counted, not listed: (0, 1, 1) and (1, 0, 1) now name no summand
+    got = details(_many_short_sequences)
+    assert got["cross.completeness"] == \
+        "missing 998998 of 999000 expected cross checks, unexpected 2"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["decompose", "--set=0,1,2,4,8,16", "--budget", str(10**12)], "budget"),
+    (["realize", "--set=0,1,2,4,8,16", "--max-len", "41"], "maxLen"),
+    (["decompose", "--set=0,1,3", "--max-entry", str(2**53 + 1)], "maxEntry"),
+])
+def test_oversized_search_caps_exit_1_in_a_child_process(argv, field):
+    proc = run_cli_process(*argv, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: invalid {argv[0]}Input at $.{field}: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -185,6 +185,38 @@ def test_algebra_matches_window_semantics(f1, p1, z1, f2, p2, z2):
         assert x.contains(probe) == (probe in wx)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.booleans(), st.integers(-50, 50)), max_size=12),
+       st.booleans())
+def test_finite_construction_matches_sorted_set(xs, excludes_zero):
+    s = DegreeSet(tuple(xs), (), excludes_zero)
+    assert s.finite == tuple(sorted(set(int(x) for x in xs)))
+    assert all(type(x) is int for x in s.finite)
+    assert s.progressions == () and s.excludes_zero_in_progressions is False
+    assert s == DegreeSet.from_finite(reversed(xs))
+    assert repr(s) == f"DegreeSet(finite={s.finite!r}, progressions=(), " \
+        "excludes_zero_in_progressions=False)"
+
+
+def test_intersect_and_equals_of_large_sets_take_linear_time():
+    n = 1 << 16
+    evens = DegreeSet.from_finite(range(0, 2 * n, 2))
+    threes = DegreeSet.from_finite(range(0, 3 * n, 3))
+    odd = [(1, 2)]
+    start = time.perf_counter()
+    assert evens.intersect(threes).finite == tuple(range(0, 2 * n, 6))
+    assert evens.equals(DegreeSet.from_finite(range(2 * n - 2, -1, -2)))
+    assert not evens.equals(threes)
+    # with progressions, each finite member is probed against both sets
+    x = DegreeSet.from_parts(range(0, 2 * n, 2), odd)
+    assert x.equals(DegreeSet.from_parts(range(0, 2 * n, 2), [(1, 4), (3, 4)]))
+    assert not x.equals(DegreeSet.from_parts(range(2, 2 * n, 2), odd))
+    both = x.intersect(threes)
+    assert time.perf_counter() - start < 1.0
+    lo, hi = -1, 3 * n
+    assert both.window(lo, hi) == sorted(set(x.window(lo, hi)) & set(threes.window(lo, hi)))
+
+
 def test_json_round_trip_compact():
     s = DegreeSet.from_parts([0], [(0, 5)], excludes_zero=False)
     js = s.to_json()
@@ -370,6 +402,28 @@ def test_verify_decomposition_length_cap():
     )
     with pytest.raises(ResourceCapError):
         verify_decomposition(cert)
+
+
+def test_verify_decomposition_enumeration_cap():
+    # 16 sequences at the length cap enumerate 2^24 subsets; one more
+    # sequence passes the cap, which is checked before enumerating any
+    long = SequenceB(tuple(range(1, degsets.VERIFY_LENGTH_CAP + 1)))
+    cert = DecompositionCertificate(
+        (0,), (long,) * 16 + (SequenceB((1,)),), 4, SearchLimits(), ())
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError) as err:
+        verify_decomposition(cert)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.cap_name == "enumeration"
+    assert err.value.cap_value == degsets.ENUMERATION_CAP == 1 << 24
+    assert str(err.value) == ("verification cap: the sequences have 16777218 "
+                              "subsets in all, beyond the cap of 16777216")
+    # a sequence over the length cap is named first, wherever it stands
+    cert = DecompositionCertificate(
+        (0,), (long,) * 17 + (SequenceB((1,) * 21),), 4, SearchLimits(), ())
+    with pytest.raises(ResourceCapError) as err:
+        verify_decomposition(cert)
+    assert err.value.cap_name == "max_len"
 
 
 def test_certificate_json_round_trip():

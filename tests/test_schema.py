@@ -28,7 +28,12 @@ from circledeg import realize, schema
 from circledeg.abelian import FgAbelianGroup, GroupElement, IntegerMatrix, ScalarSolutionSet
 from circledeg.bundles import BaseManifold, MapCatalogue
 from circledeg.cli import main
-from circledeg.degsets import DecompositionCertificate, DegreeSet
+from circledeg.degsets import (
+    SUM_LENGTH_CAP,
+    DecompositionCertificate,
+    DegreeSet,
+    SearchLimits,
+)
 from circledeg.errors import InputError
 from circledeg.schema import schema_for, schema_names, validate_payload
 
@@ -343,6 +348,11 @@ def test_each_request_is_validated_once(monkeypatch, tmp_path):
     ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1.5, False),
     ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, "a", True),
     ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1, True),
+    # maximum, like minimum, ignores values of other types
+    ({"maximum": 3}, 3, True),
+    ({"maximum": 3}, 3.5, False),
+    ({"maximum": 3}, "x", True),
+    ({"maximum": 3}, True, True),
 ])
 def test_edge_cases_match_jsonschema(definition, value, valid):
     check = schema._compile({"x": definition})("x")
@@ -378,9 +388,21 @@ def test_manifold_expr_one_of_edges():
     assert_agrees("manifoldExpr", {"sum": [{"bundle": bundle}]})
 
 
+def test_search_caps_are_bounded_alike_in_every_copy():
+    defs = schema._document()["$defs"]
+    copies = [{key: defs[name]["properties"][key] for key in ("maxLen", "maxEntry", "budget")}
+              for name in ("caps", "decomposeInput", "realizeInput")]
+    assert copies[0] == copies[1] == copies[2]
+    assert all("maximum" in prop for prop in copies[0].values())
+    # the default budget stays within the bound, and no longer sequence
+    # could have its sums taken
+    assert copies[0]["budget"]["maximum"] >= SearchLimits().budget
+    assert copies[0]["maxLen"]["maximum"] == SUM_LENGTH_CAP
+
+
 @pytest.mark.parametrize("definition", [
     {"type": "string", "pattern": "^a"},
-    {"type": "integer", "maximum": 3},
+    {"type": "integer", "exclusiveMaximum": 3},
     {"properties": {"a": {"title": "nested"}}},
     {"$ref": "https://example.invalid/other.schema.json"},
     {"$ref": "other.schema.json#/$defs/x"},
