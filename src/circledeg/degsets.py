@@ -39,15 +39,27 @@ __all__ = [
     "subsequence_sums",
     "decompose",
     "verify_decomposition",
+    "check_enumeration",
     "SUM_LENGTH_CAP",
     "SUM_SIZE_CAP",
     "VERIFY_LENGTH_CAP",
+    "MAX_ENTRY_CAP",
+    "BUDGET_CAP",
+    "TARGET_MAGNITUDE_CAP",
     "ENUMERATION_CAP",
     "EQUALS_MODULUS_CAP",
 ]
 
 SUM_LENGTH_CAP = 40
 VERIFY_LENGTH_CAP = 20
+# the schema's maxima for the search caps maxEntry and budget (maxLen's is
+# SUM_LENGTH_CAP): 2^53 is the largest integer every JSON reader keeps exact,
+# 10^8 ten times the default budget
+MAX_ENTRY_CAP = 1 << 53
+BUDGET_CAP = 10 ** 8
+# largest magnitude of a target member, whose default maxEntry (four times
+# the largest magnitude) then stays within MAX_ENTRY_CAP
+TARGET_MAGNITUDE_CAP = MAX_ENTRY_CAP // 4
 # subsets a verifier enumerates at most over all sequences of a certificate:
 # sixteen sequences at VERIFY_LENGTH_CAP
 ENUMERATION_CAP = 1 << 24
@@ -102,12 +114,13 @@ class DegreeSet(Frozen):
         # dedupe handled by set() already, and mutual containment of distinct
         # pairs cannot happen after base reduction.
         flag = excludes_zero_in_progressions
-        finite = sorted(set(map(int, finite)))
+        finite = sorted(set(int(x) for x in finite))
         if flag and (0 in finite or not any(base == 0 for base, _ in kept)):
             flag = False
+        def in_progs(x: int) -> bool:
+            return any((x - base) % mod == 0 for base, mod in kept)
         finite = [x for x in finite
-                  if (x == 0 and flag)
-                  or not any((x - base) % mod == 0 for base, mod in kept)]
+                  if not in_progs(x) or (x == 0 and flag)]
         object.__setattr__(self, "finite", tuple(finite))
         object.__setattr__(self, "progressions", tuple(kept))
         object.__setattr__(self, "excludes_zero_in_progressions", flag)
@@ -338,8 +351,8 @@ _CAP_KEYS = (("maxLen", "max_len"), ("maxEntry", "max_entry"), ("budget", "budge
 class SearchLimits(Frozen):
     """Caps for the decomposition search; None means the derived default.
 
-    Defaults: length |a| + 4, entry magnitude 4 * max|a|, and a total
-    candidate budget of 10^7 sequences.
+    Defaults: length |a| + 4 up to ``SUM_LENGTH_CAP``, entry magnitude
+    4 * max|a|, and a total candidate budget of 10^7 sequences.
     """
 
     __slots__ = ("max_len", "max_entry", "budget")
@@ -362,12 +375,26 @@ class SearchLimits(Frozen):
                       if obj.get(key) is not None})
 
     def resolve(self, target: frozenset[int]) -> "SearchLimits":
+        """The limits a search for ``target`` runs under, with every default
+        filled in.  Raises :class:`InputError` for a member of ``target``
+        beyond ``TARGET_MAGNITUDE_CAP`` or a cap beyond its schema maximum,
+        so the caps a certificate records always validate."""
         hull = max((abs(x) for x in target), default=0)
-        return SearchLimits(
-            self.max_len if self.max_len is not None else len(target) + 4,
+        if hull > TARGET_MAGNITUDE_CAP:
+            raise InputError(f"target member of magnitude {hull} exceeds "
+                             f"the cap of {TARGET_MAGNITUDE_CAP}")
+        limits = SearchLimits(
+            self.max_len if self.max_len is not None
+            else min(len(target) + 4, SUM_LENGTH_CAP),
             self.max_entry if self.max_entry is not None else max(4 * hull, 1),
             self.budget,
         )
+        if (limits.max_len > SUM_LENGTH_CAP or limits.max_entry > MAX_ENTRY_CAP
+                or limits.budget > BUDGET_CAP):
+            raise InputError(f"search caps {limits.to_json()} exceed the maxima "
+                             f"maxLen {SUM_LENGTH_CAP}, maxEntry {MAX_ENTRY_CAP}, "
+                             f"budget {BUDGET_CAP}")
+        return limits
 
 
 class TranscriptStep(Frozen):
@@ -712,7 +739,7 @@ def verify_decomposition(cert: DecompositionCertificate,
                 "max_len", max_len,
                 f"verification cap: sequence length {len(s)} exceeds {max_len}",
             )
-    _check_enumeration(cert.sequences)
+    check_enumeration(cert.sequences)
     inter: frozenset[int] | None = None
     for s in cert.sequences:
         n = len(s)
@@ -728,7 +755,7 @@ def verify_decomposition(cert: DecompositionCertificate,
     return inter == frozenset(cert.target)
 
 
-def _check_enumeration(sequences: Sequence[SequenceB]) -> None:
+def check_enumeration(sequences: Sequence[SequenceB]) -> None:
     """Raises :class:`ResourceCapError` when ``sequences`` have more than
     ``ENUMERATION_CAP`` subsets in all."""
     total = sum(1 << len(s) for s in sequences)

@@ -16,6 +16,7 @@ from cli_process import run_cli_measured, run_cli_process
 
 from circledeg.abelian import IntegerMatrix
 from circledeg.cli import main
+from circledeg.degsets import MAX_ENTRY_CAP, TARGET_MAGNITUDE_CAP
 from circledeg.schema import validate_payload
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -522,6 +523,25 @@ def test_oversized_search_caps_exit_1_in_a_child_process(argv, field):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: invalid {argv[0]}Input at $.{field}: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("hull", [TARGET_MAGNITUDE_CAP, -TARGET_MAGNITUDE_CAP])
+def test_largest_accepted_hull_round_trips_through_verify(cli, hull):
+    # the default maxEntry, 4 * |hull|, is the schema's maximum itself
+    code, out, err = cli("realize", f"--set=0,{hull}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["decomposition"]["caps"]["maxEntry"] == MAX_ENTRY_CAP
+    code, report, err = cli("verify", stdin_text=out)
+    assert (code, err) == (0, "")
+    assert json.loads(report)["valid"] is True
+
+
+@pytest.mark.parametrize("command", ["decompose", "realize"])
+@pytest.mark.parametrize("member", [TARGET_MAGNITUDE_CAP + 1, -TARGET_MAGNITUDE_CAP - 1])
+def test_target_members_beyond_the_cap_exit_1(cli, command, member):
+    code, out, err = cli(command, f"--set=0,{member}")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: invalid {command}Input at $.set[1]: ")
 
 
 @pytest.mark.parametrize("argv", [

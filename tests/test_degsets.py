@@ -364,6 +364,31 @@ def test_huge_max_entry_is_bounded_by_the_budget():
         assert peak < 1 << 20  # nothing of size max_entry
 
 
+@pytest.mark.parametrize("target, limits, message", [
+    ({0, degsets.TARGET_MAGNITUDE_CAP + 1}, SearchLimits(),
+     f"target member of magnitude {2**51 + 1} exceeds the cap of {2**51}"),
+    ({0, 1, 3}, SearchLimits(max_len=41),
+     "search caps {'maxLen': 41, 'maxEntry': 12, 'budget': 10000000} exceed the "
+     f"maxima maxLen 40, maxEntry {2**53}, budget 100000000"),
+    ({0, 1, 3}, SearchLimits(max_entry=degsets.MAX_ENTRY_CAP + 1), "search caps "),
+    ({0, 1, 3}, SearchLimits(budget=degsets.BUDGET_CAP + 1), "search caps "),
+])
+def test_decompose_refuses_caps_the_schema_refuses(target, limits, message):
+    # a certificate records its resolved caps, so none may pass the schema's
+    # maxima; the refusal comes before any search
+    with pytest.raises(InputError) as err:
+        decompose(target, limits)
+    assert str(err.value).startswith(message)
+
+
+def test_default_caps_stay_within_the_schema_at_the_edges():
+    edge = degsets.TARGET_MAGNITUDE_CAP
+    assert SearchLimits().resolve(frozenset({0, -edge})).max_entry == degsets.MAX_ENTRY_CAP
+    assert SearchLimits().resolve(frozenset(range(100))).max_len == degsets.SUM_LENGTH_CAP
+    assert SearchLimits().resolve(frozenset(range(36))).max_len == 40
+    assert SearchLimits().resolve(frozenset(range(35))).max_len == 39
+
+
 def test_decompose_checks_its_result_without_assert(monkeypatch):
     # a search that returns a sequence excluding nothing must not yield a
     # certificate, also under ``python -O``

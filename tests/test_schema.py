@@ -29,7 +29,10 @@ from circledeg.abelian import FgAbelianGroup, GroupElement, IntegerMatrix, Scala
 from circledeg.bundles import BaseManifold, MapCatalogue
 from circledeg.cli import main
 from circledeg.degsets import (
+    BUDGET_CAP,
+    MAX_ENTRY_CAP,
     SUM_LENGTH_CAP,
+    TARGET_MAGNITUDE_CAP,
     DecompositionCertificate,
     DegreeSet,
     SearchLimits,
@@ -393,11 +396,18 @@ def test_search_caps_are_bounded_alike_in_every_copy():
     copies = [{key: defs[name]["properties"][key] for key in ("maxLen", "maxEntry", "budget")}
               for name in ("caps", "decomposeInput", "realizeInput")]
     assert copies[0] == copies[1] == copies[2]
-    assert all("maximum" in prop for prop in copies[0].values())
-    # the default budget stays within the bound, and no longer sequence
-    # could have its sums taken
-    assert copies[0]["budget"]["maximum"] >= SearchLimits().budget
-    assert copies[0]["maxLen"]["maximum"] == SUM_LENGTH_CAP
+    # the maxima are the ones SearchLimits.resolve keeps its caps within; the
+    # default budget stays within its bound, and no longer sequence could
+    # have its sums taken
+    assert {key: prop["maximum"] for key, prop in copies[0].items()} == {
+        "maxLen": SUM_LENGTH_CAP, "maxEntry": MAX_ENTRY_CAP, "budget": BUDGET_CAP}
+    assert BUDGET_CAP >= SearchLimits().budget
+    # a target's members are bounded so its default maxEntry stays within
+    for name in ("decomposeInput", "realizeInput"):
+        members = defs[name]["properties"]["set"]["items"]
+        assert (members["minimum"], members["maximum"]) == \
+            (-TARGET_MAGNITUDE_CAP, TARGET_MAGNITUDE_CAP)
+    assert 4 * TARGET_MAGNITUDE_CAP == MAX_ENTRY_CAP
 
 
 @pytest.mark.parametrize("definition", [
