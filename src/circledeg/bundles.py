@@ -505,7 +505,6 @@ def fiber_preserving_degree_set(catalogue: MapCatalogue, a: GroupElement,
     """
     if torsion_consistency(a, b) == "incompatible":
         return FiberPreservingResult(DegreeSet.from_finite([0]), catalogue.complete)
-    out = DegreeSet.from_finite([0])
     contributions = []
     for i, model in enumerate(catalogue.maps):
         if not lattice_compatible(model.action, b.group, a.group):
@@ -516,7 +515,13 @@ def fiber_preserving_degree_set(catalogue: MapCatalogue, a: GroupElement,
         sols = solve_scalar(a, image)
         piece = _scale_solutions_without_zero(sols, model.degree)
         contributions.append(MapContribution(i, model.degree, image, sols, piece))
-        out = out.union(piece)
+    # the union of {0} and every piece, canonicalized once
+    pieces = [c.contribution for c in contributions]
+    out = DegreeSet.from_parts(
+        [0, *(x for p in pieces for x in p.finite)],
+        [q for p in pieces for q in p.progressions],
+        any(p.excludes_zero_in_progressions for p in pieces),
+    )
     return FiberPreservingResult(out, catalogue.complete, tuple(contributions))
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable
 
@@ -468,7 +469,13 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 1
     else:
-        print(rendered)
+        try:
+            print(rendered, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe: the rest of the output has no
+            # reader, so point stdout at the null device, where the
+            # interpreter's last flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

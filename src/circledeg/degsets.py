@@ -48,6 +48,7 @@ __all__ = [
     "TARGET_MAGNITUDE_CAP",
     "ENUMERATION_CAP",
     "EQUALS_MODULUS_CAP",
+    "PROGRESSION_CAP",
 ]
 
 SUM_LENGTH_CAP = 40
@@ -70,6 +71,10 @@ SUM_SIZE_CAP = 1 << 20
 # cover the integers is coNP-hard, its complement being Simultaneous
 # Incongruences (Garey–Johnson AN2)
 EQUALS_MODULUS_CAP = 1 << 20
+# progressions a degree set may hold: every rule yields at most one per
+# piece, no golden, demo, selftest or benchmark set holds more than two, and
+# dropping nested progressions is quadratic in their number
+PROGRESSION_CAP = 1 << 10
 
 
 class DegreeSet(Frozen):
@@ -98,6 +103,7 @@ class DegreeSet(Frozen):
             object.__setattr__(self, "progressions", ())
             object.__setattr__(self, "excludes_zero_in_progressions", False)
             return
+        _check_progressions(len(progressions), "a degree set would hold")
         progs = []
         for base, mod in progressions:
             if mod < 1:
@@ -189,6 +195,8 @@ class DegreeSet(Frozen):
         )
 
     def intersect(self, other: "DegreeSet") -> "DegreeSet":
+        _check_progressions(len(self.progressions) * len(other.progressions),
+                            "intersecting would build")
         mine, theirs = set(self.finite), set(other.finite)
         finite = mine & theirs
         if other.progressions:
@@ -270,6 +278,16 @@ class DegreeSet(Frozen):
             tail = " minus {0}" if self.excludes_zero_in_progressions and base == 0 else ""
             parts.append(f"({base} mod {mod}){tail}")
         return " u ".join(parts) if parts else "{}"
+
+
+def _check_progressions(count: int, what: str) -> None:
+    """Raises :class:`ResourceCapError` when ``count`` progressions pass
+    ``PROGRESSION_CAP``; ``what`` says where they would go."""
+    if count > PROGRESSION_CAP:
+        raise ResourceCapError(
+            "progressions", PROGRESSION_CAP,
+            f"{what} {count} progressions, beyond the cap of {PROGRESSION_CAP}",
+        )
 
 
 class SequenceB(Frozen):
@@ -524,20 +542,31 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
     extended; a mask left unextended would be read at a stale offset once
     ``neg`` moves.
 
-    The last slot is tested in one pass instead of recursing.  With
-    ``missing`` the targets outside S, entry v = -u completes a hit for
-    ``bad`` outside S iff t + u lies in S for every missing t and bad + u
-    does not.  Bit k = u + need_hi - neg of S << (need_hi - t) is set iff
-    t + u is in S, so ANDing those shifts gives ``fits``, once per group,
-    and clearing from it the shift of S by need_hi - bad leaves exactly
-    the valid u for ``bad``; pending values are only tested when ``fits``
-    is nonzero.  The first valid index at or after ``start`` is then the
-    lowest set bit above the negative entries' cut-off (index 2m - 1 for
-    v = -m) or the highest set bit below the positive entries' cut-off
-    (index 2m - 2 for v = m), whichever index is smaller.
+    The last two slots are walked in one loop instead of recursing.  For
+    each penultimate entry the loop extends the prefix's mask, applies the
+    hull prune and the all-pending-held test inline, and then tests the
+    group below the extended prefix, whose sums are S.  With ``missing``
+    the targets outside S, last entry v = -u completes a hit for ``bad``
+    outside S iff t + u lies in S for every missing t and bad + u does
+    not.  Bit k = u + need_hi - neg of S << (need_hi - t) is set iff t + u
+    is in S, so ANDing those shifts gives ``fits``.  ``missing`` is one
+    mask: ``tmask``, bit t - need_lo for each target t, less S shifted to
+    need_lo.  The loop ANDs the shifts for its set bits, lowest first, and
+    stops as soon as ``fits`` is 0.  Most groups end there: they are
+    charged their end - idx leaves and the loop goes on, with no call.
+    A group with nonzero ``fits`` goes on to its pending values, where
+    clearing from ``fits`` the shift of S by need_hi - bad leaves exactly
+    the valid u for ``bad``.  The first valid index at or after the
+    group's ``start`` is then the lowest set bit above the negative
+    entries' cut-off (index 2m - 1 for v = -m) or the highest set bit
+    below the positive entries' cut-off (index 2m - 2 for v = m),
+    whichever index is smaller.  A length-1 walk has only its last slot,
+    whose one group is tested the same way.
     """
     need_hi = max(target)
     need_lo = min(target)
+    span = need_hi - need_lo
+    tmask = 0  # bit t - need_lo for each target t, built by the first find
     top = limits.max_entry
     end = 2 * top
     pending: list[int] = []
@@ -556,7 +585,35 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
         low = kept[0] if kept else 0
         wanted = sum(1 << (v - low) for v in kept)
 
+    def record_hits(start: int, fits: int, sums: int, neg: int, at: int,
+                    picked: list[int]) -> None:
+        """Records the first hit in the group below ``picked`` of each
+        pending value outside ``sums``; ``fits`` is nonzero."""
+        zero = need_hi - neg  # the bit of u = 0, never set
+        for bad in pending:
+            if bad >= neg and sums >> (bad - neg) & 1:
+                continue
+            shift = need_hi - bad
+            valid = fits & ~(sums << shift if shift >= 0 else sums >> -shift)
+            best = end
+            lo = start // 2 + 1  # least magnitude of a negative entry
+            above = valid >> (zero + lo)
+            if above:
+                best = 2 * (lo + (above & -above).bit_length() - 1) - 1
+            lo = (start + 1) // 2 + 1  # least magnitude of a positive entry
+            if zero >= lo:
+                below = valid & ((2 << (zero - lo)) - 1)
+                if below:
+                    best = min(best, 2 * (zero - below.bit_length() + 1) - 2)
+            if best < end:
+                mag = best // 2 + 1
+                hits[bad] = (at + best - start + 1,
+                             (*picked, -mag if best & 1 else mag))
+        if not hits.keys().isdisjoint(pending):
+            set_pending([v for v in pending if v not in hits])
+
     def last_slot(start: int, sums: int | None, neg: int, picked: list[int]) -> bool:
+        """The one group of a length-1 walk; true once the walk pauses."""
         nonlocal walked, following
         if following:  # the cursor's group, walked before the pause
             following = False
@@ -572,29 +629,59 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
                 if t < neg or not sums >> (t - neg) & 1:
                     fits &= sums << (need_hi - t)
             if fits:
-                zero = need_hi - neg  # the bit of u = 0, never set
-                for bad in pending:
-                    if bad >= neg and sums >> (bad - neg) & 1:
-                        continue
-                    shift = need_hi - bad
-                    valid = fits & ~(sums << shift if shift >= 0 else sums >> -shift)
-                    best = end
-                    lo = start // 2 + 1  # least magnitude of a negative entry
-                    above = valid >> (zero + lo)
-                    if above:
-                        best = 2 * (lo + (above & -above).bit_length() - 1) - 1
-                    lo = (start + 1) // 2 + 1  # least magnitude of a positive entry
-                    if zero >= lo:
-                        below = valid & ((2 << (zero - lo)) - 1)
-                        if below:
-                            best = min(best, 2 * (zero - below.bit_length() + 1) - 2)
-                    if best < end:
-                        mag = best // 2 + 1
-                        hits[bad] = (at + best - start + 1,
-                                     (*picked, -mag if best & 1 else mag))
-                if not hits.keys().isdisjoint(pending):
-                    set_pending([v for v in pending if v not in hits])
+                record_hits(start, fits, sums, neg, at, picked)
         return goal in hits or walked > limit
+
+    def last_two_slots(start: int, pos: int, neg: int, sums: int | None,
+                       picked: list[int]) -> bool:
+        """Walks the groups below a prefix two entries short of the length;
+        true once the walk pauses."""
+        nonlocal walked, following
+        if following:  # resume after the cursor's group, walked before the pause
+            following = False
+            start = cursor[-1] + 1
+        # the hull prune of the group's prefix: a negative entry needs at
+        # least magnitude ``neg_from``, a positive one ``pos_from``
+        neg_from = neg - top - need_lo if pos + top >= need_hi else end
+        pos_from = need_hi - pos - top if neg - top <= need_lo else end
+        for idx in range(start, end):
+            mag = idx // 2 + 1
+            if idx & 1:
+                if mag < neg_from:
+                    continue
+                n = neg - mag
+            else:
+                if mag < pos_from:
+                    continue
+                n = neg
+            s = None if sums is None else sums | sums << mag
+            # a group whose prefix holds every pending value is only charged
+            if s is not None and not (low >= n and s >> (low - n) & wanted == wanted):
+                # the targets outside s, bit t - need_lo for target t; never
+                # none of them, as in ``last_slot``
+                at_lo = need_lo - n
+                miss = tmask & ~(s >> at_lo if at_lo >= 0 else s << -at_lo)
+                fits = -1
+                while miss:
+                    bit = miss & -miss
+                    miss ^= bit
+                    fits &= s << (span + 1 - bit.bit_length())
+                    if not fits:
+                        break
+                if fits:
+                    at = walked
+                    walked += end - idx
+                    picked.append(-mag if idx & 1 else mag)
+                    record_hits(idx, fits, s, n, at, picked)
+                    if goal in hits or walked > limit:
+                        return True
+                    picked.pop()
+                    continue
+            walked += end - idx
+            if walked > limit:
+                picked.append(-mag if idx & 1 else mag)
+                return True
+        return False
 
     def rec(start: int, slots: int, pos: int, neg: int, sums: int | None,
             picked: list[int]) -> bool:
@@ -607,6 +694,8 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
             sums = None
         if slots == 1:
             return last_slot(start, sums, neg, picked)
+        if slots == 2:
+            return last_two_slots(start, pos, neg, sums, picked)
         for idx in range(cursor[len(picked)] if following else start, end):
             mag = idx // 2 + 1
             picked.append(-mag if idx & 1 else mag)
@@ -620,9 +709,11 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
         return False
 
     def find(bad: int, budget: _Budget) -> SequenceB | None:
-        nonlocal goal, limit, length, cursor, following
+        nonlocal goal, limit, length, cursor, following, tmask
         if bad not in hits:
             goal, limit = bad, budget.left
+            # as wide as the target hull, like the masks the walk builds
+            tmask = tmask or sum(1 << (t - need_lo) for t in target)
             while length <= limits.max_len:
                 picked: list[int] = []
                 if rec(0, length, 0, 0, 1, picked):

@@ -695,10 +695,13 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             check(f"{pid}.sum-rule", *capped(
                 lambda: _sum_rule(alpha, entries, base, label)))
 
-        check(f"{pid}.claimed-vs-enumeration", *(capped(lambda: (
-            pair.claimed.equals(subsequence_sums(seqs[i])),
-            f"claimed set {pair.claimed.render()} is not the "
-            f"subsequence-sum set of {list(entries)}")) if enumerable[0] else enumerable))
+        def claimed_matches() -> tuple[bool, str]:
+            if pair.claimed.equals(subsequence_sums(seqs[i])):
+                return True, ""
+            return False, (f"claimed set {_outline(pair.claimed)} is not the "
+                           f"subsequence-sum set of {list(entries)}")
+        check(f"{pid}.claimed-vs-enumeration",
+              *(capped(claimed_matches) if enumerable[0] else enumerable))
 
     # one cross check is expected for each (i, j, summand) with i != j and
     # summand indexing B(i); they are counted, not built one by one
@@ -784,12 +787,13 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     check("combination.dimension", dim_ok,
           f"combined pair must live in dimension {cert.dimension}")
 
-    inter = None
-    for pair in cert.pairs:
-        inter = pair.claimed if inter is None else inter.intersect(pair.claimed)
-    check("final.intersection", *capped(lambda: (
-        inter is not None and cert.final_set.equals(inter),
-        "final set must be the intersection of the pair degree sets")))
+    def final_intersection() -> tuple[bool, str]:
+        inter = None
+        for pair in cert.pairs:
+            inter = pair.claimed if inter is None else inter.intersect(pair.claimed)
+        return (inter is not None and cert.final_set.equals(inter),
+                "final set must be the intersection of the pair degree sets")
+    check("final.intersection", *capped(final_intersection))
     check("final.equals-target", *capped(lambda: (
         cert.final_set.equals(target),
         f"final set {cert.final_set.render()} differs from the target "
@@ -810,6 +814,17 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
 
     first = next((c.id for c in checks if not c.ok), None)
     return VerificationReport(first is None, tuple(checks), first)
+
+
+def _outline(s: DegreeSet, shown: int = 8) -> str:
+    """``s`` as its first few finite members and its size: a failure detail
+    stays short however large the set is."""
+    first = ", ".join(str(x) for x in s.finite[:shown])
+    more = ", ..." if len(s.finite) > shown else ""
+    size = f"{len(s.finite)} member{'s' * (len(s.finite) != 1)}"
+    if s.progressions:
+        size += f" and {len(s.progressions)} progression{'s' * (len(s.progressions) != 1)}"
+    return f"{{{first}{more}}} ({size})"
 
 
 def _strip_stabilization(expr: ManifoldExpr) -> ManifoldExpr:

@@ -41,6 +41,21 @@ def run_cli_process(*argv: str, stdin_text: str = "",
                           timeout=timeout, env=_env())
 
 
+def run_cli_closed_stdout(*argv: str, timeout: float = 10.0) -> tuple[int, str]:
+    """``python -m circledeg.cli *argv`` on empty stdin with its stdout a
+    pipe whose reader has already gone: the exit code and stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "circledeg.cli", *argv],
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=_env())
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        return proc.wait(timeout), err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 def run_cli_measured(*argv: str, timeout: float = 10.0
                      ) -> tuple[subprocess.CompletedProcess, float]:
     """``run_cli_process(*argv)`` on empty stdin, and the child's peak

@@ -35,6 +35,7 @@ from circledeg.bundles import (
     torsion_consistency,
     vertical_degree_set,
 )
+from circledeg.degsets import DegreeSet
 from circledeg.errors import HypothesisError, InputError
 
 
@@ -149,6 +150,39 @@ def test_fiber_preserving_transcript_recomposes():
     for c in res.contributions:
         for k in c.solutions.window(-20, 20):
             assert k * a == c.image
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(0, (7,)), (1, ()), (1, (4,)), (1, (6,))]),
+       st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+       st.lists(st.tuples(st.integers(-6, 6).filter(bool), st.integers(-3, 3),
+                          st.integers(-3, 3), st.integers(-3, 3)), max_size=8),
+       st.booleans())
+def test_fiber_preserving_matches_map_by_map_union(shape, coords, maps, complete):
+    """The set built once from all pieces equals the union taken map by
+    map, structure and all."""
+    rank, torsion = shape
+    g = FgAbelianGroup(rank, torsion)
+
+    def element(free, tors):
+        return g.element([free] * rank, [tors % t for t in torsion])
+
+    def action(p, q, r):
+        # free part to free part, free part into the torsion, torsion to itself
+        if not torsion:
+            return IntegerMatrix.from_rows([[p]])
+        if not rank:
+            return IntegerMatrix.from_rows([[r]])
+        return IntegerMatrix.from_rows([[p, 0], [q, r]])
+
+    cat = MapCatalogue(tuple(MapModel(d, action(p, q, r)) for d, p, q, r in maps), complete)
+    res = fiber_preserving_degree_set(cat, element(*coords[:2]), element(*coords[2:]))
+    union = DegreeSet.from_finite([0])
+    for c in res.contributions:
+        union = union.union(c.contribution)
+    assert res.degree_set == union
+    assert repr(res.degree_set) == repr(union)
+    assert res.exact == complete
 
 
 def test_fiber_preserving_torsion_mismatch_short_circuits():

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from cli_process import run_cli_measured, run_cli_process
+from cli_process import run_cli_closed_stdout, run_cli_measured, run_cli_process
 
 from circledeg.abelian import IntegerMatrix
 from circledeg.cli import main
@@ -468,12 +468,21 @@ def _many_long_sequences(cert):
     cert["decomposition"]["sequences"] = [list(range(1, 21))] * 1000
 
 
+def _many_progressions(cert):
+    # intersecting the claimed sets took 300 * 300 CRT steps and then a
+    # quadratic containment filter over the 90,000 progressions
+    for k, pair in enumerate(cert["pairs"]):
+        pair["claimed"] = {"finite": [0], "progressions": [
+            {"base": k + 1, "mod": 1000003 + 2 * j} for j in range(300)]}
+
+
 HOSTILE = {  # name -> (edit, first failing check)
     "wide-progressions": (_wide_progressions, "final.intersection"),
     "large-prime": (_large_prime, "alpha.product[0]"),
     "huge-claimed-sets": (_huge_claimed_sets, "pair[0].claimed-vs-enumeration"),
     "many-short-sequences": (_many_short_sequences, "decomposition.valid"),
     "many-long-sequences": (_many_long_sequences, "decomposition.valid"),
+    "many-progressions": (_many_progressions, "pair[0].claimed-vs-enumeration"),
 }
 
 
@@ -511,6 +520,49 @@ def test_hostile_certificate_details(cli):
     got = details(_many_short_sequences)
     assert got["cross.completeness"] == \
         "missing 998998 of 999000 expected cross checks, unexpected 2"
+    got = details(_many_progressions)
+    assert got["final.intersection"] == \
+        "intersecting would build 90000 progressions, beyond the cap of 1024"
+    assert got["pair[0].claimed-vs-enumeration"] == (
+        "claimed set {0} (1 member and 300 progressions) is not the "
+        "subsequence-sum set of [1, 3]")
+
+
+def test_huge_claimed_sets_give_a_bounded_report(cli):
+    # each failing detail once echoed its whole claimed set, 469 KB apiece
+    code, out, _ = cli("verify", stdin_text=_hostile(_huge_claimed_sets))
+    assert code == 3
+    assert len(out) < 5000
+    got = {c["id"]: c.get("detail") for c in json.loads(out)["checks"]}
+    assert got["pair[0].claimed-vs-enumeration"] == (
+        "claimed set {0, 2, 4, 6, 8, 10, 12, 14, ...} (65536 members) is not "
+        "the subsequence-sum set of [1, 3]")
+    assert got["pair[1].claimed-vs-enumeration"].startswith(
+        "claimed set {1, 3, 5, 7, 9, 11, 13, 15, ...} (65536 members) is not ")
+
+
+def test_large_dfp_catalogue_finishes_in_a_child_process():
+    # 2000 torsion maps, one progression each: unioning them map by map
+    # re-canonicalized the growing set every time, cubic in the map count
+    z = {"rank": 0, "torsion": [1000003]}
+    payload = {"domainGroup": z, "targetGroup": z,
+               "a": {"torsion": [1]}, "b": {"torsion": [1]},
+               "catalogue": {"complete": True, "maps": [
+                   {"degree": i + 1, "action": {"rows": 1, "cols": 1, "entries": [i + 2]}}
+                   for i in range(2000)]}}
+    proc = run_cli_process("dfp", stdin_text=json.dumps(payload), timeout=10)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_quietly_in_a_child_process():
+    # as `circledeg decompose ... | head -c 100`, with the reader gone
+    # before anything is written, so the pipe is sure to be closed
+    code, err = run_cli_closed_stdout("decompose", "--set=0,1,3", "--budget", "100000000")
+    assert (code, err) == (0, "")
+    code, err = run_cli_closed_stdout("decompose", "--set=0,1,3", "--max-len", "1")
+    assert code == 2
+    assert err.startswith("resource cap: ")
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -217,6 +217,45 @@ def test_intersect_and_equals_of_large_sets_take_linear_time():
     assert both.window(lo, hi) == sorted(set(x.window(lo, hi)) & set(threes.window(lo, hi)))
 
 
+def test_progression_cap():
+    cap = degsets.PROGRESSION_CAP
+    # distinct primes: no progression holds another, so all of them stay
+    moduli = [m for m in range(2, 9000) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+    start = time.perf_counter()
+    at_cap = DegreeSet.from_parts([0, 1], [(1, m) for m in moduli[:cap]])
+    assert len(at_cap.progressions) == cap
+    with pytest.raises(ResourceCapError) as exc:
+        DegreeSet.from_json({"finite": [0], "progressions": [
+            {"base": 1, "mod": m} for m in moduli[:cap + 1]]})
+    assert exc.value.cap_name == "progressions"
+    assert str(exc.value) == \
+        f"a degree set would hold {cap + 1} progressions, beyond the cap of {cap}"
+    assert time.perf_counter() - start < 2.0
+
+
+def test_intersect_checks_the_progression_count_before_any_crt(monkeypatch):
+    # odd moduli within a factor of 2 of each other: none holds another
+    side = math.isqrt(degsets.PROGRESSION_CAP)
+    many = DegreeSet.from_parts([], [(1, 2 * m + 1) for m in range(side + 1, 2 * side + 2)])
+    few = DegreeSet.from_parts([0], [(0, 2 * m + 1) for m in range(2 * side + 2, 3 * side + 2)])
+    assert len(many.progressions) * len(few.progressions) > degsets.PROGRESSION_CAP
+
+    def no_crt(*args):
+        raise AssertionError("CRT ran before the cap check")
+    monkeypatch.setattr(degsets, "_crt", no_crt)
+    for left, right in ((many, few), (few, many)):
+        with pytest.raises(ResourceCapError) as exc:
+            left.intersect(right)
+        assert exc.value.cap_name == "progressions"
+        assert str(exc.value) == (f"intersecting would build {side * (side + 1)} "
+                                  f"progressions, beyond the cap of {degsets.PROGRESSION_CAP}")
+    monkeypatch.undo()
+    # at the cap itself the intersection is built
+    square = DegreeSet.from_parts([], [(1, 2 * m + 1) for m in range(side + 1, 2 * side + 1)])
+    both = square.intersect(few)
+    assert both.window(-50, 50) == sorted(set(square.window(-50, 50)) & set(few.window(-50, 50)))
+
+
 def test_json_round_trip_compact():
     s = DegreeSet.from_parts([0], [(0, 5)], excludes_zero=False)
     js = s.to_json()

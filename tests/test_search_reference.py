@@ -228,3 +228,169 @@ def test_one_walk_matches_reference_per_value(nonzero, asks, max_len, max_entry,
         capped = limits._replace(budget=total)
         fast = searched(lambda t, v, lim, budget: find(v, budget), target, bad, capped)
         assert fast == searched(reference_search_excluding, target, bad, capped), bad
+
+
+# ---------------------------------------------------------------------------
+# the last two slots: groups rejected without testing a last entry
+
+
+def leaf_groups(target, limits, upto):
+    """The leaf groups of the walk in order, until the leaves charged pass
+    ``upto``, each as (end, rejected): ``end`` counts the leaves charged
+    from the start of the walk through the group, and ``rejected`` says
+    that no last entry of any magnitude or sign would complete the target
+    below the group's prefix, so the walk charges the group without
+    testing a value.  Length-1 groups, with an empty prefix, are never
+    rejected."""
+    need_hi, need_lo, top = max(target), min(target), limits.max_entry
+    end = 2 * top
+    groups = []
+
+    def rec(start, slots, pos, neg, prefix):
+        if pos + slots * top < need_hi or neg - slots * top > need_lo:
+            return
+        if slots == 1:
+            sums = _sums_of(prefix)
+            missing = target - sums
+            lowest = min(missing, default=0)
+            completes = any(all(t + s - lowest in sums for t in missing) for s in sums)
+            groups.append(((groups[-1][0] if groups else 0) + end - start,
+                           bool(prefix) and not completes))
+            return
+        for idx in range(start, end):
+            if groups and groups[-1][0] > upto:
+                return
+            e = _symbol(idx)
+            rec(idx, slots - 1, pos + max(e, 0), neg + min(e, 0), prefix + [e])
+
+    for length in range(1, limits.max_len + 1):
+        rec(0, length, 0, 0, [])
+    return [g for i, g in enumerate(groups) if i == 0 or groups[i - 1][0] <= upto]
+
+
+def paused_at(groups, budget):
+    """Leaves charged when a walk without a hit pauses on ``budget``: the
+    end of the first group that passes it."""
+    return next(end for end, _ in groups if end > budget)
+
+
+def spread(values, count):
+    """Up to ``count`` of ``values``, evenly spaced, first and last included."""
+    if len(values) <= count:
+        return list(values)
+    return [values[i * (len(values) - 1) // (count - 1)] for i in range(count)]
+
+
+def walk_answer(find, bad, total):
+    """``find(bad)`` on a fresh budget of ``total``: the sequence and the
+    budget left, or the cap error and how far the walk got."""
+    budget = degsets._Budget(total)
+    try:
+        return find(bad, budget), budget.left
+    except ResourceCapError as exc:
+        return ("cap", exc.cap_name, str(exc)), total - budget.left
+
+
+@pytest.mark.parametrize("target, bad", [
+    ({0, 1, 2, 4}, 5),
+    ({-4, 0, 2, 3}, 1),
+    ({-4, 0, 2, 3}, -2),
+    ({0, 1, 2, 4, 8}, 3),
+])
+def test_budgets_at_rejected_group_ends_match_reference(target, bad):
+    """Budgets one before, at and one after the end of groups charged
+    without a test: any answer equals the reference's, and a search that
+    runs out pauses at the end of the first group past its budget, or at
+    its hit when that group holds it."""
+    target = frozenset(target)
+    limits = SearchLimits().resolve(target)
+    hit = searched(reference_search_excluding, target, bad, limits)
+    assert isinstance(hit[0], SequenceB)
+    at = limits.budget - hit[1]
+    groups = leaf_groups(target, limits, at)
+    ends = [end for end, rejected in groups if rejected and end < at]
+    assert len(ends) >= 3
+    for end in spread(ends, 12):
+        for total in (end - 1, end, end + 1):
+            capped = limits._replace(budget=total)
+            fast = searched(degsets._search_excluding, target, bad, capped)
+            assert fast == searched(reference_search_excluding, target, bad, capped)
+            if total < at:
+                find = degsets._exclusion_search(target, (bad,), limits)
+                assert walk_answer(find, bad, total)[1] == \
+                    min(at, paused_at(groups, total))
+
+
+@pytest.mark.parametrize("target, first, second", [
+    ({0, 1, 2, 4}, 5, 3),
+    ({-4, 0, 2, 3}, 1, -2),
+    ({0, 1, 2, 4, 8}, 3, 5),
+])
+def test_resume_after_a_rejected_cursor_group_matches_reference(target, first, second):
+    """A walk that pauses right after a group charged without a test
+    (budget one short of its end) resumes past that group without charging
+    it again: the later answers equal the reference's for each value
+    alone."""
+    target = frozenset(target)
+    limits = SearchLimits().resolve(target)
+    ats = []
+    for bad in (first, second):
+        seq, left = searched(reference_search_excluding, target, bad, limits)
+        ats.append(limits.budget - left)
+    groups = leaf_groups(target, limits, min(ats))
+    ends = [end for end, rejected in groups if rejected and end < min(ats)]
+    for end in spread(ends, 6):
+        find = degsets._exclusion_search(target, (first, second), limits)
+        assert walk_answer(find, first, end - 1)[1] == end
+        for bad in (second, first):
+            assert walk_answer(find, bad, limits.budget) == \
+                searched(reference_search_excluding, target, bad, limits), (end, bad)
+
+
+@pytest.mark.parametrize("target", [{0, 1}, {0, -1}, {0, 3}, {0, -5}, {0, 7}])
+def test_length_one_walks_match_reference(target):
+    """A target {0, t}: its one length-1 group completes it (entry t) and
+    holds the hit of every value.  Every budget through that group and
+    into the first length-2 groups, for a value asked alone and for one
+    asked after another value's search ran out inside the group."""
+    target = frozenset(target)
+    (t,) = target - {0}
+    limits = SearchLimits(max_entry=2 * abs(t) + 2).resolve(target)
+    groups = leaf_groups(target, limits, 4 * limits.max_entry)
+    for bad, other in ((2 * t, -t), (-t, t + 1), (t + 1 if t > 0 else t - 1, 2 * t)):
+        for total in range(groups[1][0] + 2):
+            capped = limits._replace(budget=total)
+            fast = searched(degsets._search_excluding, target, bad, capped)
+            assert fast == searched(reference_search_excluding, target, bad, capped)
+            find = degsets._exclusion_search(target, (other, bad), limits)
+            for value, budget in ((other, total), (bad, limits.budget)):
+                capped = limits._replace(budget=budget)
+                walked = searched(lambda t, v, lim, b: find(v, b), target, value, capped)
+                assert walked == searched(reference_search_excluding, target, value, capped)
+
+
+HARD_TARGETS = [{0, 1, 2, 4, 8, 16}, {-16, -8, -4, -2, -1, 0},
+                {0, 1, 3, 7, 15}, {-15, -7, -3, -1, 0}]
+
+
+@pytest.mark.parametrize("target", HARD_TARGETS)
+def test_hard_targets_near_300000_match_reference(target):
+    """The targets whose search runs out of a budget of 300000: the same
+    cap error as the reference's, and the walk pauses at the end of the
+    first group past the budget, also at the ends of groups charged
+    without a test on either side of 300000."""
+    fast, slow = both_outcomes(target, SearchLimits(budget=300000))
+    assert fast == slow
+    assert fast[0] == "cap"
+    bad = int(fast[3].split("while excluding ")[1].split()[0])
+    target = frozenset(target)
+    limits = SearchLimits().resolve(target)
+    groups = leaf_groups(target, limits, 300100)
+    ends = [end for end, rejected in groups if rejected]
+    near = [e for e in ends if e <= 300000][-2:] + [e for e in ends if e > 300000][:2]
+    assert len(near) == 4
+    for total in {299999, 300000, 300001} | {e + d for e in near for d in (-1, 0, 1)}:
+        find = degsets._exclusion_search(target, (bad,), limits)
+        got, walked = walk_answer(find, bad, total)
+        assert got[0] == "cap", total
+        assert walked == paused_at(groups, total), total
