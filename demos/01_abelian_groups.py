@@ -31,14 +31,14 @@ print("presented group:", g)          # rank 1 free part, torsion 2, 6
 # Solving k*a = c.  With a free coordinate the answer is pinned to at
 # most one k; pure torsion gives a whole arithmetic progression.
 z = FgAbelianGroup(1)
-print("2k = 6 over Z:", solve_scalar(z.element([2]), z.element([6])))
-print("2k = 3 over Z:", solve_scalar(z.element([2]), z.element([3])))
+print("2k = 6 over Z:", solve_scalar(z.element([2]), z.element([6])).render())
+print("2k = 3 over Z:", solve_scalar(z.element([2]), z.element([3])).render())
 
 z6 = FgAbelianGroup(0, (6,))
 a = z6.element(torsion=[2])
 b = z6.element(torsion=[4])
 sols = solve_scalar(a, b)
-print("2k = 4 in Z/6:", sols, "-> k in", sols.window(-10, 10))
+print("2k = 4 in Z/6:", sols.render(), "-> k in", sols.window(-10, 10))
 
 # The modulus of a nonempty solution set over a torsion element equals
 # the order of that element.
@@ -47,6 +47,6 @@ print("order of a:", is_torsion(a))
 # Mixed case: the free part and the torsion part must agree.
 mixed = FgAbelianGroup(1, (6,))
 exact = solve_scalar(mixed.element([2], [2]), mixed.element([6], [0]))
-print("solution in Z x Z/6:", exact)  # k = 3 works for both parts
+print("solution in Z x Z/6:", exact.render())  # k = 3 works for both parts
 none = solve_scalar(mixed.element([2], [2]), mixed.element([6], [1]))
-print("incompatible torsion:", none)
+print("incompatible torsion:", none.render())

@@ -14,7 +14,6 @@ from .abelian import (
     FgAbelianGroup,
     GroupElement,
     IntegerMatrix,
-    ScalarSolutionSet,
     apply_matrix,
     canonicalize_group,
     in_cyclic_subgroup,
@@ -23,7 +22,6 @@ from .abelian import (
     smith_normal_form,
     solve_scalar,
     unimodular_rational_eigen_check,
-    validate_endomorphism,
 )
 from .bundles import (
     BaseManifold,
@@ -84,14 +82,12 @@ __all__ = [
     "IntegerMatrix",
     "FgAbelianGroup",
     "GroupElement",
-    "ScalarSolutionSet",
     "smith_normal_form",
     "canonicalize_group",
     "is_torsion",
     "solve_scalar",
     "in_cyclic_subgroup",
     "lattice_compatible",
-    "validate_endomorphism",
     "apply_matrix",
     "unimodular_rational_eigen_check",
     # degree sets

@@ -14,7 +14,8 @@ JSON formats (stable, used by the CLI and the certificate files):
 * group:    ``{"rank": r, "torsion": [d_1, ..., d_t]}``
 * element:  ``{"free": [...], "torsion": [...]}``
 * matrix:   ``{"rows": r, "cols": c, "entries": [...]}`` row-major
-* solution set: ``{"kind": "empty"}`` or
+* solution set (output only): the view :func:`solution_set_json` writes
+  of a :func:`solve_scalar` result, ``{"kind": "empty"}`` or
   ``{"kind": "progression", "base": b, "mod": m}`` where ``mod`` 0 means
   the singleton {b} and ``mod`` m > 0 means {b + q*m : q in Z} with
   0 <= b < m.
@@ -27,20 +28,20 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
+from .degsets import DegreeSet
 from .errors import GroupMismatchError, InputError, ResourceCapError
 
 __all__ = [
     "FgAbelianGroup",
     "GroupElement",
     "IntegerMatrix",
-    "ScalarSolutionSet",
     "smith_normal_form",
     "canonicalize_group",
     "is_torsion",
     "solve_scalar",
+    "solution_set_json",
     "in_cyclic_subgroup",
     "lattice_compatible",
-    "validate_endomorphism",
     "apply_matrix",
     "unimodular_rational_eigen_check",
     "SNF_DIGITS_CAP",
@@ -136,9 +137,6 @@ class IntegerMatrix(Frozen):
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
     def to_json(self) -> dict:
         flat = [x for row in self.entries for x in row]
@@ -456,120 +454,18 @@ def is_torsion(a: GroupElement) -> tuple[bool, int | None]:
     return (True, order)
 
 
-class ScalarSolutionSet(Frozen):
-    """Solutions k of a scalar equation, empty or an arithmetic progression.
-
-    ``kind`` is "empty" or "progression".  ``modulus`` 0 encodes the
-    singleton {base}; ``modulus`` m > 0 encodes {base + q*m : q in Z} with
-    0 <= base < m.
-    """
-
-    __slots__ = ("kind", "base", "modulus")
-
-    def __init__(self, kind: str, base: int = 0, modulus: int = 0) -> None:
-        if kind not in ("empty", "progression"):
-            raise InputError("solution set kind must be 'empty' or 'progression'")
-        if kind == "progression":
-            if modulus < 0:
-                raise InputError("modulus must be nonnegative")
-            if modulus > 0 and not (0 <= base < modulus):
-                base %= modulus
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "modulus", modulus)
-
-    @classmethod
-    def empty(cls) -> "ScalarSolutionSet":
-        return cls("empty")
-
-    @classmethod
-    def singleton(cls, k: int) -> "ScalarSolutionSet":
-        return cls("progression", k, 0)
-
-    @classmethod
-    def progression(cls, base: int, modulus: int) -> "ScalarSolutionSet":
-        if modulus <= 0:
-            raise InputError("progression modulus must be positive")
-        return cls("progression", base % modulus, modulus)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.kind == "progression" and self.modulus == 0
-
-    def contains(self, k: int) -> bool:
-        if self.is_empty:
-            return False
-        if self.modulus == 0:
-            return k == self.base
-        return (k - self.base) % self.modulus == 0
-
-    __contains__ = contains
-
-    def window(self, lo: int, hi: int) -> list[int]:
-        """All members k with lo <= k <= hi, ascending."""
-        if self.is_empty:
-            return []
-        if self.modulus == 0:
-            return [self.base] if lo <= self.base <= hi else []
-        first = lo + (self.base - lo) % self.modulus
-        return list(range(first, hi + 1, self.modulus))
-
-    def meet(self, other: "ScalarSolutionSet") -> "ScalarSolutionSet":
-        """Exact intersection (Chinese remainder on progressions)."""
-        if self.is_empty or other.is_empty:
-            return ScalarSolutionSet.empty()
-        if self.modulus == 0:
-            return self if other.contains(self.base) else ScalarSolutionSet.empty()
-        if other.modulus == 0:
-            return other if self.contains(other.base) else ScalarSolutionSet.empty()
-        combined = _crt(self.base, self.modulus, other.base, other.modulus)
-        if combined is None:
-            return ScalarSolutionSet.empty()
-        return ScalarSolutionSet.progression(*combined)
-
-    def to_json(self) -> dict:
-        if self.is_empty:
-            return {"kind": "empty"}
-        return {"kind": "progression", "base": self.base, "mod": self.modulus}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScalarSolutionSet":
-        """Solution set from a payload valid under the ``solutionSet`` schema."""
-        if obj["kind"] == "empty":
-            return cls.empty()
-        return cls("progression", int(obj["base"]), int(obj["mod"]))
-
-
-def _crt(b1: int, m1: int, b2: int, m2: int) -> tuple[int, int] | None:
-    """Intersect b1 mod m1 with b2 mod m2; None when incompatible."""
-    g = gcd(m1, m2)
-    if (b1 - b2) % g != 0:
-        return None
-    l = lcm(m1, m2)
-    t = ((b2 - b1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 // g > 1 else 0
-    return ((b1 + m1 * t) % l, l)
-
-
-def _linear_congruence(a: int, c: int, d: int) -> ScalarSolutionSet:
+def _linear_congruence(a: int, c: int, d: int) -> DegreeSet:
     """Solve k*a == c (mod d) for d >= 1."""
-    if d == 1:
-        return ScalarSolutionSet.progression(0, 1)
     g = gcd(a, d)
     if c % g != 0:
-        return ScalarSolutionSet.empty()
-    a1, c1, d1 = a // g, c // g, d // g
-    if d1 == 1:
-        return ScalarSolutionSet.progression(0, 1)
-    k0 = (c1 * pow(a1, -1, d1)) % d1
-    return ScalarSolutionSet.progression(k0, d1)
+        return DegreeSet()
+    d1 = d // g
+    return DegreeSet((), ((c // g * pow(a // g, -1, d1) % d1, d1),))
 
 
-def solve_scalar(a: GroupElement, c: GroupElement) -> ScalarSolutionSet:
-    """All integers k with k*a = c, as an exact solution set.
+def solve_scalar(a: GroupElement, c: GroupElement) -> DegreeSet:
+    """All integers k with k*a = c: no integer, one integer, or one
+    arithmetic progression.
 
     Free coordinates force exact divisions; torsion coordinates are linear
     congruences, combined by the Chinese remainder theorem.  When ``a`` is
@@ -577,29 +473,47 @@ def solve_scalar(a: GroupElement, c: GroupElement) -> ScalarSolutionSet:
     ``a``.
 
     >>> z = FgAbelianGroup(1)
-    >>> solve_scalar(z.element([2]), z.element([6]))
-    ScalarSolutionSet(kind='progression', base=3, modulus=0)
+    >>> solve_scalar(z.element([2]), z.element([6])).render()
+    '{3}'
     >>> solve_scalar(z.element([2]), z.element([3])).is_empty
     True
+    >>> z6 = FgAbelianGroup(0, (6,))
+    >>> solve_scalar(z6.element(torsion=[2]), z6.element(torsion=[4])).render()
+    '(2 mod 3)'
     """
     if a.group != c.group:
         raise GroupMismatchError("solve_scalar needs both elements in one group")
-    out = ScalarSolutionSet.progression(0, 1)  # all integers
+    out = DegreeSet((), ((0, 1),))  # all integers
     for av, cv in zip(a.free, c.free):
         if av == 0:
             if cv != 0:
-                return ScalarSolutionSet.empty()
+                return DegreeSet()
             continue
         if cv % av != 0:
-            return ScalarSolutionSet.empty()
-        out = out.meet(ScalarSolutionSet.singleton(cv // av))
+            return DegreeSet()
+        out = out & DegreeSet((cv // av,))
         if out.is_empty:
             return out
     for av, cv, d in zip(a.torsion, c.torsion, a.group.torsion):
-        out = out.meet(_linear_congruence(av, cv, d))
+        out = out & _linear_congruence(av, cv, d)
         if out.is_empty:
             return out
     return out
+
+
+def solution_set_json(s: DegreeSet) -> dict:
+    """The ``solutionSet`` view of a result of :func:`solve_scalar`.
+
+    >>> solution_set_json(DegreeSet((3,)))
+    {'kind': 'progression', 'base': 3, 'mod': 0}
+    """
+    if s.progressions:
+        (base, mod), = s.progressions
+        return {"kind": "progression", "base": base, "mod": mod}
+    if s.finite:
+        (k,) = s.finite
+        return {"kind": "progression", "base": k, "mod": 0}
+    return {"kind": "empty"}
 
 
 def in_cyclic_subgroup(b: GroupElement, a: GroupElement) -> bool:
@@ -631,16 +545,6 @@ def lattice_compatible(m: IntegerMatrix, domain: FgAbelianGroup, codomain: FgAbe
             if (dj * m[codomain.rank + it, j]) % di != 0:
                 return False
     return True
-
-
-def validate_endomorphism(g: FgAbelianGroup, m: IntegerMatrix) -> bool:
-    """Whether ``m`` is a well-defined endomorphism of ``g``.
-
-    >>> g = FgAbelianGroup(0, (2, 4))
-    >>> validate_endomorphism(g, IntegerMatrix.from_rows([[0, 1], [1, 0]]))
-    False
-    """
-    return lattice_compatible(m, g, g)
 
 
 def apply_matrix(m: IntegerMatrix, a: GroupElement, codomain: FgAbelianGroup) -> GroupElement:

@@ -54,10 +54,10 @@ from .abelian import (
     FgAbelianGroup,
     GroupElement,
     IntegerMatrix,
-    ScalarSolutionSet,
     apply_matrix,
     is_torsion,
     lattice_compatible,
+    solution_set_json,
     solve_scalar,
 )
 from .degsets import DegreeSet
@@ -66,6 +66,7 @@ from .schema import MAX_NESTING, validate_payload
 
 __all__ = [
     "KNOWN_FLAGS",
+    "STRONG_BASE_FLAGS",
     "BaseManifold",
     "CircleBundle",
     "SphereProduct",
@@ -87,6 +88,7 @@ __all__ = [
     "fiber_preserving_degree_set",
     "promote_to_full_degree_set",
     "same_base_pair_degree_set",
+    "exact_pair_rule",
     "degree_bound",
     "parse_volume",
     "VOLUME_DIGIT_CAP",
@@ -100,6 +102,9 @@ __all__ = [
 KNOWN_FLAGS = frozenset(
     {"aspherical", "scf_pi1", "hyperbolic", "d_self_is_01", "d_self_finite"}
 )
+# flags the exact same-base pair rule needs of its base, which must also
+# fix the class the Euler classes are multiples of
+STRONG_BASE_FLAGS = ("aspherical", "scf_pi1", "d_self_is_01")
 
 PRESET_ENV_VAR = "CIRCLEDEG_PRESETS"
 
@@ -175,9 +180,6 @@ class BaseManifold(Frozen):
             if name == label:
                 return elem
         raise InputError(f"base {self.name!r} has no class named {label!r}")
-
-    def class_labels(self) -> list[str]:
-        return [name for name, _ in self.named_classes]
 
     def to_json(self) -> dict:
         out: dict = {
@@ -400,6 +402,16 @@ class MapCatalogue(Frozen):
 # vertical and fiber-preserving sets
 
 
+def _nonzero_multiples(sols: DegreeSet, factor: int) -> DegreeSet:
+    """{k * factor : k in sols, k != 0} for a result ``sols`` of
+    :func:`solve_scalar` (factor != 0)."""
+    if not sols.progressions:
+        return DegreeSet(tuple(k * factor for k in sols.finite if k != 0))
+    (base, mod), = sols.progressions
+    step = mod * abs(factor)
+    return DegreeSet((), ((base * factor % step, step),), sols.contains(0))
+
+
 def vertical_degree_set(a: GroupElement, b: GroupElement) -> DegreeSet:
     """Degrees of vertical maps between the bundles with Euler classes
     ``a`` (domain) and ``b`` (target) over one base.
@@ -417,12 +429,7 @@ def vertical_degree_set(a: GroupElement, b: GroupElement) -> DegreeSet:
     """
     if a.group != b.group:
         raise GroupMismatchError("Euler classes live in different groups")
-    sols = solve_scalar(a, b)
-    if sols.is_empty:
-        return DegreeSet.empty()
-    if sols.is_singleton:
-        return DegreeSet.from_finite([sols.base]) if sols.base != 0 else DegreeSet.empty()
-    return DegreeSet.from_parts([], [(sols.base, sols.modulus)], excludes_zero=True)
+    return _nonzero_multiples(solve_scalar(a, b), 1)
 
 
 def torsion_consistency(a: GroupElement, b: GroupElement) -> str:
@@ -446,7 +453,7 @@ class MapContribution(Frozen):
     __slots__ = ("index", "degree", "image", "solutions", "contribution")
 
     def __init__(self, index: int, degree: int, image: GroupElement,
-                 solutions: ScalarSolutionSet, contribution: DegreeSet) -> None:
+                 solutions: DegreeSet, contribution: DegreeSet) -> None:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "image", image)
@@ -458,7 +465,7 @@ class MapContribution(Frozen):
             "index": self.index,
             "degree": self.degree,
             "image": self.image.to_json(),
-            "solutions": self.solutions.to_json(),
+            "solutions": solution_set_json(self.solutions),
             "contribution": self.contribution.to_json(),
         }
 
@@ -480,20 +487,6 @@ class FiberPreservingResult(Frozen):
         }
 
 
-def _scale_solutions_without_zero(sols: ScalarSolutionSet, factor: int) -> DegreeSet:
-    """{k * factor : k in sols, k != 0} as a degree set (factor != 0)."""
-    if sols.is_empty:
-        return DegreeSet.empty()
-    if sols.is_singleton:
-        k = sols.base
-        return DegreeSet.from_finite([k * factor]) if k != 0 else DegreeSet.empty()
-    step = sols.modulus * abs(factor)
-    return DegreeSet.from_parts(
-        [], [((sols.base * factor) % step, step)],
-        excludes_zero=sols.contains(0),
-    )
-
-
 def fiber_preserving_degree_set(catalogue: MapCatalogue, a: GroupElement,
                                 b: GroupElement) -> FiberPreservingResult:
     """{0} plus, for every catalogued base map f, the degrees k*deg(f)
@@ -513,7 +506,7 @@ def fiber_preserving_degree_set(catalogue: MapCatalogue, a: GroupElement,
             )
         image = apply_matrix(model.action, b, a.group)
         sols = solve_scalar(a, image)
-        piece = _scale_solutions_without_zero(sols, model.degree)
+        piece = _nonzero_multiples(sols, model.degree)
         contributions.append(MapContribution(i, model.degree, image, sols, piece))
     # the union of {0} and every piece, canonicalized once
     pieces = [c.contribution for c in contributions]
@@ -575,18 +568,23 @@ def same_base_pair_degree_set(m: int, k: int, base: BaseManifold,
         raise HypothesisError(f"base {base.name!r} has no class named {class_label!r}")
     if is_torsion(base.cls(class_label))[0]:
         raise HypothesisError(f"class {class_label!r} must be non-torsion")
-    strong = base.has("d_self_is_01") and class_label in base.fixes
+    strong = all(base.has(f) for f in STRONG_BASE_FLAGS) and class_label in base.fixes
     if not strong and not base.has("d_self_finite"):
         raise HypothesisError(
             f"base {base.name!r} is missing required flag: d_self_finite"
         )
     divides = k % m == 0
     if strong:
-        rule = "surface-euler-scaling" if base.dim == 2 else "fixed-class-scaling"
         degs = DegreeSet.from_finite([0, k // m] if divides else [0])
-        return PairResult(degs, True, rule)
+        return PairResult(degs, True, exact_pair_rule(base))
     degs = DegreeSet.from_finite([0, k // m, -(k // m)] if divides else [0])
     return PairResult(degs, False, "eigenvalue-bound")
+
+
+def exact_pair_rule(base: BaseManifold) -> str:
+    """Identifier of the rule behind the exact same-base pair degree set
+    over ``base``."""
+    return "surface-euler-scaling" if base.dim == 2 else "fixed-class-scaling"
 
 
 def parse_volume(value: str | int | float, field: str) -> Fraction:

@@ -115,12 +115,12 @@ def _render_matrix(m: abelian.IntegerMatrix) -> str:
     return "\n".join("  ".join(str(x) for x in row) for row in m.entries)
 
 
-def _render_solutions(s: abelian.ScalarSolutionSet) -> str:
-    if s.is_empty:
+def _render_solutions(view: dict) -> str:
+    """Text form of a ``solutionSet`` view."""
+    if view["kind"] == "empty":
         return "no solutions"
-    if s.is_singleton:
-        return f"k = {s.base}"
-    return f"k = {s.base} (mod {s.modulus})"
+    mod = f" (mod {view['mod']})" if view["mod"] else ""
+    return f"k = {view['base']}{mod}"
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +148,8 @@ def _cmd_solve_k(args) -> tuple[int, dict, str]:
     g = abelian.FgAbelianGroup.from_json(payload["group"])
     a = abelian.GroupElement.from_json(g, payload["a"])
     c = abelian.GroupElement.from_json(g, payload["c"])
-    sols = abelian.solve_scalar(a, c)
-    return 0, {"solutions": sols.to_json()}, _render_solutions(sols)
+    view = abelian.solution_set_json(abelian.solve_scalar(a, c))
+    return 0, {"solutions": view}, _render_solutions(view)
 
 
 def _cmd_sums(args) -> tuple[int, dict, str]:

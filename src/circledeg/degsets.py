@@ -24,11 +24,10 @@ JSON formats:
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
-from .abelian import _crt
 from .errors import InputError, ResourceCapError
 
 __all__ = [
@@ -48,6 +47,7 @@ __all__ = [
     "TARGET_MAGNITUDE_CAP",
     "ENUMERATION_CAP",
     "EQUALS_MODULUS_CAP",
+    "SEARCH_SPAN_CAP",
     "PROGRESSION_CAP",
 ]
 
@@ -71,6 +71,13 @@ SUM_SIZE_CAP = 1 << 20
 # cover the integers is coNP-hard, its complement being Simultaneous
 # Incongruences (Garey–Johnson AN2)
 EQUALS_MODULUS_CAP = 1 << 20
+# span (largest less least member) of a target the decomposition search
+# walks: its masks are bit sets over sums, a few times the span wide, so a
+# span of 2^51 would ask for 2^48 bytes, and at 2^20 a mask stays within a
+# few MB.  No test, demo or benchmark searches a span above 19, and past
+# 2^20 the default maxEntry charges a leaf group some 8 * 2^20 leaves, so
+# that even BUDGET_CAP pays for about a dozen groups
+SEARCH_SPAN_CAP = 1 << 20
 # progressions a degree set may hold: every rule yields at most one per
 # piece, no golden, demo, selftest or benchmark set holds more than two, and
 # dropping nested progressions is quadratic in their number
@@ -278,6 +285,16 @@ class DegreeSet(Frozen):
             tail = " minus {0}" if self.excludes_zero_in_progressions and base == 0 else ""
             parts.append(f"({base} mod {mod}){tail}")
         return " u ".join(parts) if parts else "{}"
+
+
+def _crt(b1: int, m1: int, b2: int, m2: int) -> tuple[int, int] | None:
+    """Intersect b1 mod m1 with b2 mod m2; None when incompatible."""
+    g = gcd(m1, m2)
+    if (b1 - b2) % g != 0:
+        return None
+    l = lcm(m1, m2)
+    t = ((b2 - b1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 // g > 1 else 0
+    return ((b1 + m1 * t) % l, l)
 
 
 def _check_progressions(count: int, what: str) -> None:
@@ -530,7 +547,9 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
     only until ``bad`` has a hit or the position passes ``budget.left``,
     and then pauses; the next ``find`` resumes after the last leaf group
     walked, whose prefix is kept as the cursor.  ``bad`` must be one of
-    ``values``; they may be asked for in any order.
+    ``values``; they may be asked for in any order.  For a target spanning
+    more than ``SEARCH_SPAN_CAP`` it raises :class:`ResourceCapError`
+    before it builds any mask.
 
     Each node carries the sums S of its prefix down the recursion as an
     integer bitmask: bit x - neg stands for the sum x, where ``neg``, the
@@ -710,6 +729,12 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
 
     def find(bad: int, budget: _Budget) -> SequenceB | None:
         nonlocal goal, limit, length, cursor, following, tmask
+        if span > SEARCH_SPAN_CAP:
+            raise ResourceCapError(
+                "search_span", SEARCH_SPAN_CAP,
+                f"decomposition search over a target span of {span}, beyond "
+                f"the cap of {SEARCH_SPAN_CAP}{budget.progress}",
+            )
         if bad not in hits:
             goal, limit = bad, budget.left
             # as wide as the target hull, like the masks the walk builds

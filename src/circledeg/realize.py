@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ._frozen import Frozen
 from .bundles import (
+    STRONG_BASE_FLAGS,
     BaseManifold,
     CircleBundle,
     ConnectedSum,
@@ -48,6 +49,7 @@ from .bundles import (
     Stabilized,
     SymbolicRepeat,
     builtin_registry,
+    exact_pair_rule,
     expr_dim,
     expr_from_json,
     expr_to_json,
@@ -357,7 +359,7 @@ class RealizationCertificate(Frozen):
 
 
 def _require_strong_base(base: BaseManifold, class_label: str) -> None:
-    for flag in ("aspherical", "scf_pi1", "d_self_is_01"):
+    for flag in STRONG_BASE_FLAGS:
         if not base.has(flag):
             raise HypothesisError(
                 f"base {base.name!r} is missing required flag: {flag}"
@@ -368,10 +370,6 @@ def _require_strong_base(base: BaseManifold, class_label: str) -> None:
         raise HypothesisError(
             f"class {class_label!r} must be fixed by degree-one self maps"
         )
-
-
-def _pair_rule(base: BaseManifold) -> str:
-    return "surface-euler-scaling" if base.dim == 2 else "fixed-class-scaling"
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -389,7 +387,7 @@ def _build_pair(index: int, seq: SequenceB, alpha: int, base: BaseManifold,
     )
     domain: ManifoldExpr = summands[0] if len(summands) == 1 else ConnectedSum(summands)
     target = CircleBundle(base, alpha * b)
-    return PairClaim(index, domain, target, subsequence_sums(seq), _pair_rule(base))
+    return PairClaim(index, domain, target, subsequence_sums(seq), exact_pair_rule(base))
 
 
 def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
@@ -633,8 +631,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
               f"{'prime times ' if r > 1 else ''}the sequence product {expect}")
 
     base = cert.base
-    missing = [f for f in ("aspherical", "scf_pi1", "d_self_is_01")
-               if not base.has(f)]
+    missing = [f for f in STRONG_BASE_FLAGS if not base.has(f)]
     check("base.flags", not missing, f"base lacks flags: {missing}")
     label = cert.class_label
     named = dict(base.named_classes)
@@ -648,7 +645,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
 
     check("pair.count", len(cert.pairs) == r,
           f"expected {r} pairs, got {len(cert.pairs)}")
-    expected_rule = _pair_rule(base)
+    expected_rule = exact_pair_rule(base)
     for i, pair in enumerate(cert.pairs):
         pid = f"pair[{i}]"
         check(f"{pid}.rule", pair.rule == expected_rule,

@@ -106,7 +106,8 @@ _TYPES: dict[str, _Check] = {
 
 _KEYWORDS = frozenset({
     "type", "properties", "required", "additionalProperties", "items", "$ref",
-    "const", "enum", "not", "oneOf", "minimum", "maximum", "minItems", "minLength",
+    "const", "enum", "not", "oneOf", "minimum", "maximum", "minItems", "maxItems",
+    "minLength",
 })
 
 
@@ -162,12 +163,14 @@ def _object_check(props: dict[str, _Check], required: tuple, extra: bool | _Chec
     return check
 
 
-def _array_check(items: _Check | None, min_items: int, strict: bool) -> _Check:
-    """``items`` and ``minItems``; with ``strict`` also ``"type": "array"``."""
+def _array_check(items: _Check | None, min_items: int, max_items: float,
+                 strict: bool) -> _Check:
+    """``items``, ``minItems`` and ``maxItems``; with ``strict`` also
+    ``"type": "array"``."""
     def check(v):
         if not isinstance(v, list):
             return not strict
-        if len(v) < min_items:
+        if not min_items <= len(v) <= max_items:
             return False
         return items is None or all(map(items, v))
     return check
@@ -237,10 +240,11 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
                 tuple(schema.get("required", ())),
                 extra if isinstance(extra, bool) else node(extra),
                 strict=types == "object"))
-        if types == "array" or schema.keys() & {"items", "minItems"}:
+        if types == "array" or schema.keys() & {"items", "minItems", "maxItems"}:
             checks.append(_array_check(
                 node(schema["items"]) if "items" in schema else None,
-                schema.get("minItems", 0), strict=types == "array"))
+                schema.get("minItems", 0), schema.get("maxItems", float("inf")),
+                strict=types == "array"))
         if "$ref" in schema:
             checks.append(ref(schema["$ref"]))
         if "const" in schema:

@@ -21,7 +21,6 @@ from circledeg.abelian import (
     FgAbelianGroup,
     GroupElement,
     IntegerMatrix,
-    ScalarSolutionSet,
     apply_matrix,
     canonicalize_group,
     in_cyclic_subgroup,
@@ -30,8 +29,8 @@ from circledeg.abelian import (
     smith_normal_form,
     solve_scalar,
     unimodular_rational_eigen_check,
-    validate_endomorphism,
 )
+from circledeg.degsets import DegreeSet
 from circledeg.errors import GroupMismatchError, InputError, ResourceCapError
 
 
@@ -239,32 +238,56 @@ def test_is_torsion_matches_repeated_addition():
 
 def test_solve_scalar_frozen_values():
     z = FgAbelianGroup(1)
-    assert solve_scalar(z.element([2]), z.element([6])) == ScalarSolutionSet.singleton(3)
+    assert solve_scalar(z.element([2]), z.element([6])) == DegreeSet((3,))
     assert solve_scalar(z.element([2]), z.element([3])).is_empty
     z6 = FgAbelianGroup(0, (6,))
     got = solve_scalar(z6.element(torsion=[2]), z6.element(torsion=[4]))
-    assert got == ScalarSolutionSet.progression(2, 3)
+    assert got == DegreeSet((), ((2, 3),))
 
 
 def test_solve_scalar_trivial_group_is_all_integers():
     triv = FgAbelianGroup(0)
     got = solve_scalar(triv.zero(), triv.zero())
-    assert got == ScalarSolutionSet.progression(0, 1)
+    assert got == DegreeSet((), ((0, 1),))
 
 
-def test_solve_scalar_modulus_is_order():
-    rng = random.Random(99)
-    for _ in range(120):
-        chain = sorted(rng.sample([2, 4, 8, 12, 24], rng.randint(1, 3)))
-        chain = [d for i, d in enumerate(chain) if all(d % e == 0 for e in chain[:i])]
-        g = FgAbelianGroup(0, tuple(chain))
-        a = g.element(torsion=[rng.randrange(d) for d in chain])
-        k = rng.randint(-30, 30)
-        c = a.scale(k)
-        got = solve_scalar(a, c)
-        assert not got.is_empty
-        assert got.modulus == is_torsion(a)[1]
-        assert got.contains(k)
+@st.composite
+def group_with_elements(draw):
+    """An element a of a group Z^r + Z/d_1 + ..., with r <= 2 and a
+    divisibility chain of at most three d_j, and an integer k."""
+    rank = draw(st.integers(0, 2))
+    chain = []
+    for d in sorted(draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 12, 24]), max_size=3))):
+        if not chain or d % chain[-1] == 0:
+            chain.append(d)
+    g = FgAbelianGroup(rank, tuple(chain))
+    a = g.element([draw(st.integers(-9, 9)) for _ in range(rank)],
+                  [draw(st.integers(0, d - 1)) for d in chain])
+    k = draw(st.integers(-30, 30))
+    return a, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_with_elements(), st.booleans())
+def test_solve_scalar_modulus_is_order(case, shifted):
+    # no integer, one integer or one progression, whose members solve the
+    # equation; for a torsion a the progression's modulus is the order of a
+    a, k = case
+    c = a.scale(k)
+    if shifted:  # c may leave the cyclic subgroup of a
+        c = c + a.group.element([1] * a.group.rank, [1] * len(a.group.torsion))
+    got = solve_scalar(a, c)
+    assert len(got.finite) + len(got.progressions) <= 1
+    assert not got.excludes_zero_in_progressions
+    assert shifted or got.contains(k)
+    if got.is_empty:
+        return
+    member = got.finite[0] if got.finite else got.progressions[0][0]
+    assert a.scale(member) == c
+    torsion, order = is_torsion(a)
+    assert bool(got.progressions) == torsion
+    if torsion:
+        assert got.progressions[0][1] == order
 
 
 @settings(max_examples=120, deadline=None)
@@ -316,15 +339,16 @@ def test_in_cyclic_subgroup():
 
 
 def test_validate_endomorphism_frozen_values():
+    # m is an endomorphism of g iff it is lattice compatible from g to g
     g = FgAbelianGroup(0, (2, 4))
     swap = IntegerMatrix.from_rows([[0, 1], [1, 0]])
-    assert not validate_endomorphism(g, swap)
+    assert not lattice_compatible(swap, g, g)
     # doubling into the bigger factor is fine: 2 * (order 2 gen) dies in Z/4
     ok = IntegerMatrix.from_rows([[0, 0], [2, 1]])
-    assert validate_endomorphism(g, ok)
+    assert lattice_compatible(ok, g, g)
     mixed = FgAbelianGroup(1, (2,))
     to_free = IntegerMatrix.from_rows([[0, 1], [0, 0]])
-    assert not validate_endomorphism(mixed, to_free)
+    assert not lattice_compatible(to_free, mixed, mixed)
 
 
 def test_valid_endomorphism_respects_addition():
@@ -338,7 +362,7 @@ def test_valid_endomorphism_respects_addition():
             if rng.random() < 0.8:
                 rows[0][j] = 0  # torsion columns usually need zero free part
         m = IntegerMatrix.from_rows(rows, n)
-        if not validate_endomorphism(g, m):
+        if not lattice_compatible(m, g, g):
             continue
         accepted += 1
         x = g.element([rng.randint(-5, 5)], [rng.randint(0, 1), rng.randint(0, 3)])

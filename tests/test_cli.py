@@ -16,7 +16,12 @@ from cli_process import run_cli_closed_stdout, run_cli_measured, run_cli_process
 
 from circledeg.abelian import IntegerMatrix
 from circledeg.cli import main
-from circledeg.degsets import MAX_ENTRY_CAP, TARGET_MAGNITUDE_CAP
+from circledeg.degsets import (
+    MAX_ENTRY_CAP,
+    PROGRESSION_CAP,
+    SEARCH_SPAN_CAP,
+    TARGET_MAGNITUDE_CAP,
+)
 from circledeg.schema import validate_payload
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -541,6 +546,20 @@ def test_huge_claimed_sets_give_a_bounded_report(cli):
         "claimed set {1, 3, 5, 7, 9, 11, 13, 15, ...} (65536 members) is not ")
 
 
+def test_progressions_past_the_cap_exit_1_at_the_schema_in_a_child_process():
+    # before the schema bounded them, building the claimed set hit the
+    # progression cap and exited 2
+    def edit(cert):
+        cert["pairs"][0]["claimed"] = {"finite": [0], "progressions": [
+            {"base": 1, "mod": m} for m in range(2, 2 + PROGRESSION_CAP + 1)]}
+    proc = run_cli_process("verify", stdin_text=_hostile(edit), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "error: invalid realizationCertificate at $.pairs[0].claimed.progressions: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_large_dfp_catalogue_finishes_in_a_child_process():
     # 2000 torsion maps, one progression each: unioning them map by map
     # re-canonicalized the growing set every time, cubic in the map count
@@ -610,6 +629,21 @@ def test_sum_size_cap_exits_2_in_a_child_process(argv):
     assert proc.stdout == ""
     # the step that crosses the cap stops near it: ~110 MB, once ~300 MB
     assert peak_mb < 160
+
+
+# without the span cap the search built a mask of 2^51 bits and the
+# MemoryError left exit 1 with "input too deeply nested or too large"
+@pytest.mark.parametrize("command", ["decompose", "realize"])
+def test_search_span_cap_exits_2_in_a_child_process(command):
+    start = time.perf_counter()
+    proc = run_cli_process(command, f"--set=0,1,{TARGET_MAGNITUDE_CAP}", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        f"resource cap: decomposition search over a target span of {TARGET_MAGNITUDE_CAP}, "
+        f"beyond the cap of {SEARCH_SPAN_CAP} while excluding {TARGET_MAGNITUDE_CAP + 1} ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert time.perf_counter() - start < 10
 
 
 def _random_matrix(seed: int, n: int = 32) -> dict:

@@ -10,19 +10,22 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledeg import degsets
-from circledeg.abelian import _crt
 from circledeg.degsets import (
     DecompositionCertificate,
     DegreeSet,
     SearchLimits,
+    _crt,
     SequenceB,
     decompose,
     subsequence_sums,
@@ -81,7 +84,8 @@ def test_intersect_progressions_crt():
 
 
 def test_crt_matches_brute_force_intersection():
-    # _crt is the one helper behind DegreeSet.intersect and ScalarSolutionSet.meet
+    # _crt is the one helper behind DegreeSet.intersect, which solve_scalar
+    # also meets its congruences with
     for m1, m2 in itertools.product(range(1, 13), repeat=2):
         span = range(2 * m1 * m2)
         for b1, b2 in itertools.product(range(m1), range(m2)):
@@ -420,6 +424,19 @@ def test_decompose_refuses_caps_the_schema_refuses(target, limits, message):
     assert str(err.value).startswith(message)
 
 
+def test_search_span_cap_comes_before_any_mask():
+    # one past the cap is refused before the search; at the cap the search
+    # runs, and a wide target that needs no search is not refused at all
+    cap = degsets.SEARCH_SPAN_CAP
+    with pytest.raises(ResourceCapError) as exc:
+        decompose({0, 1, cap + 1})
+    assert exc.value.cap_name == "search_span"
+    assert [s.entries for s in decompose({0, 1, cap}, SearchLimits(max_entry=cap)).sequences] \
+        == [(1, cap), (1, cap - 1)]
+    wide = degsets.TARGET_MAGNITUDE_CAP
+    assert [s.entries for s in decompose({-wide, 0, wide}).sequences] == [(-wide, wide)]
+
+
 def test_default_caps_stay_within_the_schema_at_the_edges():
     edge = degsets.TARGET_MAGNITUDE_CAP
     assert SearchLimits().resolve(frozenset({0, -edge})).max_entry == degsets.MAX_ENTRY_CAP
@@ -496,3 +513,21 @@ def test_certificate_json_round_trip():
     assert js["kind"] == "decomposition-certificate"
     back = DecompositionCertificate.from_json(js)
     assert back == cert
+
+
+def test_degsets_is_a_leaf_module():
+    # the package's __init__ imports every layer, so the child stands in an
+    # empty package for it and imports degsets alone
+    script = ("import sys, types\n"
+              "pkg = types.ModuleType('circledeg')\n"
+              f"pkg.__path__ = [{str(Path(degsets.__file__).parent)!r}]\n"
+              "sys.modules['circledeg'] = pkg\n"
+              "import circledeg.degsets\n"
+              "loaded = sorted(m for m in sys.modules if m.startswith('circledeg.'))\n"
+              "assert 'circledeg.abelian' not in loaded, loaded\n"
+              "assert 'circledeg.bundles' not in loaded, loaded\n"
+              "print(loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['circledeg._frozen', 'circledeg.degsets', 'circledeg.errors']\n"

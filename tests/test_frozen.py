@@ -1,4 +1,4 @@
-"""Value semantics of the 27 record classes.
+"""Value semantics of the 26 record classes.
 
 Each class is a slotted ``Frozen`` subclass.  These tests pin, per class,
 what ``@dataclass(frozen=True)`` used to give: field order, structural
@@ -34,7 +34,6 @@ CLASSES = {
     "FgAbelianGroup": (("rank", "torsion"), lambda x: {"rank": x.rank + 1}),
     "GroupElement": (("group", "free", "torsion"),
                      lambda x: {"free": tuple(v + 1 for v in x.free)}),
-    "ScalarSolutionSet": (("kind", "base", "modulus"), lambda x: {"base": x.base + 1}),
     "DegreeSet": (("finite", "progressions", "excludes_zero_in_progressions"),
                   lambda x: {"finite": x.finite + (max(x.finite) + 1,)}),
     "SequenceB": (("entries",), lambda x: {"entries": x.entries + (7,)}),

@@ -25,12 +25,13 @@ from hypothesis import strategies as st
 
 import circledeg
 from circledeg import realize, schema
-from circledeg.abelian import FgAbelianGroup, GroupElement, IntegerMatrix, ScalarSolutionSet
+from circledeg.abelian import FgAbelianGroup, GroupElement, IntegerMatrix, solution_set_json
 from circledeg.bundles import BaseManifold, MapCatalogue
 from circledeg.cli import main
 from circledeg.degsets import (
     BUDGET_CAP,
     MAX_ENTRY_CAP,
+    PROGRESSION_CAP,
     SUM_LENGTH_CAP,
     TARGET_MAGNITUDE_CAP,
     DecompositionCertificate,
@@ -173,9 +174,8 @@ def valid_seeds() -> list[tuple[str, object]]:
         ("decompositionCertificate", cert.decomposition.to_json()),
         ("finiteInput", NESTED_FINITE),
     ]
-    seeds += [("solveOutput", {"solutions": solutions.to_json()})
-              for solutions in (ScalarSolutionSet.empty(), ScalarSolutionSet.singleton(-3),
-                                ScalarSolutionSet.progression(2, 6))]
+    seeds += [("solveOutput", {"solutions": solution_set_json(solutions)})
+              for solutions in (DegreeSet(), DegreeSet((-3,)), DegreeSet((), ((2, 6),)))]
     seeds += [(f"{argv[0].removesuffix('-k')}Input", payload)
               for argv, payload in CLI_REQUESTS if payload is not None]
     for name, obj in seeds:
@@ -245,7 +245,6 @@ PARSERS = {
     "element": lambda obj: GroupElement.from_json(
         FgAbelianGroup(len(obj.get("free", ())), (6,) * len(obj.get("torsion", ()))), obj),
     "degreeSet": DegreeSet.from_json,
-    "solutionSet": ScalarSolutionSet.from_json,
     "catalogue": MapCatalogue.from_json,
     "baseManifold": BaseManifold.from_json,
     "decompositionCertificate": DecompositionCertificate.from_json,
@@ -356,6 +355,11 @@ def test_each_request_is_validated_once(monkeypatch, tmp_path):
     ({"maximum": 3}, 3.5, False),
     ({"maximum": 3}, "x", True),
     ({"maximum": 3}, True, True),
+    # so does maxItems
+    ({"maxItems": 1}, "ab", True),
+    ({"maxItems": 1}, [1], True),
+    ({"maxItems": 1}, [1, 2], False),
+    ({"type": "array", "maxItems": 0}, [], True),
 ])
 def test_edge_cases_match_jsonschema(definition, value, valid):
     check = schema._compile({"x": definition})("x")
@@ -408,6 +412,19 @@ def test_search_caps_are_bounded_alike_in_every_copy():
         assert (members["minimum"], members["maximum"]) == \
             (-TARGET_MAGNITUDE_CAP, TARGET_MAGNITUDE_CAP)
     assert 4 * TARGET_MAGNITUDE_CAP == MAX_ENTRY_CAP
+
+
+def test_progression_arrays_are_bounded_by_the_cap():
+    # every copy of a degree set's progressions holds at most as many as a
+    # DegreeSet may, so that an oversized one fails at the schema
+    defs = schema._document()["$defs"]
+    for name in ("degreeSet", "pairOutput"):
+        assert defs[name]["properties"]["progressions"]["maxItems"] == PROGRESSION_CAP
+    at_cap = {"finite": [], "progressions": [{"base": 0, "mod": 1}] * PROGRESSION_CAP}
+    validate_payload("degreeSet", at_cap)
+    at_cap["progressions"].append({"base": 0, "mod": 1})
+    with pytest.raises(InputError, match=r"degreeSet at \$\.progressions: "):
+        validate_payload("degreeSet", at_cap)
 
 
 @pytest.mark.parametrize("definition", [
