@@ -86,10 +86,6 @@ class IntegerMatrix(Frozen):
             cols = len(tup[0]) if tup else 0
         return cls(len(tup), cols, tup)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
@@ -105,8 +101,6 @@ class IntegerMatrix(Frozen):
                 for j in range(other.cols)
             ))
         return IntegerMatrix(self.rows, other.cols, tuple(rows))
-
-    __matmul__ = mul
 
     def apply(self, vector: Sequence[int]) -> list[int]:
         if len(vector) != self.cols:

@@ -33,7 +33,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
 
 from . import abelian, bundles, degsets, realize
 from .errors import InputError, ResourceCapError
@@ -268,8 +267,6 @@ def _cmd_stabilize(args) -> tuple[int, dict, str]:
 
 
 def _cmd_selftest(args) -> tuple[int, dict, str]:
-    batteries: list[tuple[str, Callable[[], bool]]] = []
-
     def snf_round() -> bool:
         m = abelian.IntegerMatrix.from_rows([[6, 4, 2], [2, 8, 4], [0, 2, 10]])
         u, d, v = abelian.smith_normal_form(m)

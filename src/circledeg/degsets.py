@@ -141,10 +141,6 @@ class DegreeSet(Frozen):
     # -- constructors
 
     @classmethod
-    def empty(cls) -> "DegreeSet":
-        return cls()
-
-    @classmethod
     def from_finite(cls, xs: Iterable[int]) -> "DegreeSet":
         return cls(tuple(xs))
 
@@ -359,7 +355,7 @@ def _sums_of(entries: Sequence[int]) -> frozenset[int]:
     return frozenset(sums)
 
 
-def subsequence_sums(b: SequenceB, max_len: int = SUM_LENGTH_CAP) -> DegreeSet:
+def subsequence_sums(b: SequenceB) -> DegreeSet:
     """S_B as a finite degree set; 0 always belongs (empty subsequence).
 
     >>> sorted(subsequence_sums(SequenceB((1, 2))).finite)
@@ -367,10 +363,10 @@ def subsequence_sums(b: SequenceB, max_len: int = SUM_LENGTH_CAP) -> DegreeSet:
     >>> subsequence_sums(SequenceB(())).finite
     (0,)
     """
-    if len(b) > max_len:
+    if len(b) > SUM_LENGTH_CAP:
         raise ResourceCapError(
-            "max_len", max_len,
-            f"sequence length {len(b)} exceeds the cap of {max_len}",
+            "max_len", SUM_LENGTH_CAP,
+            f"sequence length {len(b)} exceeds the cap of {SUM_LENGTH_CAP}",
         )
     return DegreeSet.from_finite(_sums_of(b.entries))
 
@@ -545,11 +541,11 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
     value still pending (without a hit) and that hit's leaf position
     (leaves charged from the start of the walk through the hit), advances
     only until ``bad`` has a hit or the position passes ``budget.left``,
-    and then pauses; the next ``find`` resumes after the last leaf group
-    walked, whose prefix is kept as the cursor.  ``bad`` must be one of
-    ``values``; they may be asked for in any order.  For a target spanning
-    more than ``SEARCH_SPAN_CAP`` it raises :class:`ResourceCapError`
-    before it builds any mask.
+    and then pauses: the walk is a generator suspended after the last leaf
+    group it charged, and the next ``find`` resumes it there.  ``bad`` must
+    be one of ``values``; they may be asked for in any order.  For a target
+    spanning more than ``SEARCH_SPAN_CAP`` it raises
+    :class:`ResourceCapError` before it builds any mask.
 
     Each node carries the sums S of its prefix down the recursion as an
     integer bitmask: bit x - neg stands for the sum x, where ``neg``, the
@@ -593,9 +589,6 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
     # first hit of a value: its leaf position and the sequence's entries
     hits: dict[int, tuple[int, tuple[int, ...]]] = {}
     walked = 0  # leaves charged from the start of the walk
-    length = 1  # of the sequences being walked
-    cursor: list[int] = []  # prefix indices of the last group walked
-    following = False  # while true, the walk leads down the cursor
     goal = limit = 0  # the value asked for and the budget left when asked
 
     def set_pending(kept: list[int]) -> None:
@@ -631,12 +624,10 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
         if not hits.keys().isdisjoint(pending):
             set_pending([v for v in pending if v not in hits])
 
-    def last_slot(start: int, sums: int | None, neg: int, picked: list[int]) -> bool:
-        """The one group of a length-1 walk; true once the walk pauses."""
-        nonlocal walked, following
-        if following:  # the cursor's group, walked before the pause
-            following = False
-            return False
+    def last_slot(start: int, sums: int | None, neg: int,
+                  picked: list[int]) -> Iterator[None]:
+        """The one group of a length-1 walk; yields when the walk pauses."""
+        nonlocal walked
         at = walked
         walked += end - start
         if sums is not None:
@@ -649,16 +640,14 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
                     fits &= sums << (need_hi - t)
             if fits:
                 record_hits(start, fits, sums, neg, at, picked)
-        return goal in hits or walked > limit
+        if goal in hits or walked > limit:
+            yield
 
     def last_two_slots(start: int, pos: int, neg: int, sums: int | None,
-                       picked: list[int]) -> bool:
+                       picked: list[int]) -> Iterator[None]:
         """Walks the groups below a prefix two entries short of the length;
-        true once the walk pauses."""
-        nonlocal walked, following
-        if following:  # resume after the cursor's group, walked before the pause
-            following = False
-            start = cursor[-1] + 1
+        yields when the walk pauses."""
+        nonlocal walked
         # the hull prune of the group's prefix: a negative entry needs at
         # least magnitude ``neg_from``, a positive one ``pos_from``
         neg_from = neg - top - need_lo if pos + top >= need_hi else end
@@ -692,43 +681,46 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
                     walked += end - idx
                     picked.append(-mag if idx & 1 else mag)
                     record_hits(idx, fits, s, n, at, picked)
-                    if goal in hits or walked > limit:
-                        return True
                     picked.pop()
+                    if goal in hits or walked > limit:
+                        yield
                     continue
             walked += end - idx
             if walked > limit:
-                picked.append(-mag if idx & 1 else mag)
-                return True
-        return False
+                yield
 
     def rec(start: int, slots: int, pos: int, neg: int, sums: int | None,
-            picked: list[int]) -> bool:
-        """Walks the groups below a prefix; true once the walk pauses."""
+            picked: list[int]) -> Iterator[None]:
+        """Walks the groups below a prefix; yields when the walk pauses."""
         # prune: even with the largest remaining magnitudes this branch
         # cannot reach the hull
         if pos + slots * top < need_hi or neg - slots * top > need_lo:
-            return False
+            return
         if sums is not None and low >= neg and sums >> (low - neg) & wanted == wanted:
             sums = None
         if slots == 1:
-            return last_slot(start, sums, neg, picked)
-        if slots == 2:
-            return last_two_slots(start, pos, neg, sums, picked)
-        for idx in range(cursor[len(picked)] if following else start, end):
-            mag = idx // 2 + 1
-            picked.append(-mag if idx & 1 else mag)
-            if rec(idx, slots - 1,
-                   pos if idx & 1 else pos + mag,
-                   neg - mag if idx & 1 else neg,
-                   None if sums is None else sums | sums << mag,
-                   picked):
-                return True
-            picked.pop()
-        return False
+            yield from last_slot(start, sums, neg, picked)
+        elif slots == 2:
+            yield from last_two_slots(start, pos, neg, sums, picked)
+        else:
+            for idx in range(start, end):
+                mag = idx // 2 + 1
+                picked.append(-mag if idx & 1 else mag)
+                yield from rec(idx, slots - 1,
+                               pos if idx & 1 else pos + mag,
+                               neg - mag if idx & 1 else neg,
+                               None if sums is None else sums | sums << mag,
+                               picked)
+                picked.pop()
+
+    def walk() -> Iterator[None]:
+        for length in range(1, limits.max_len + 1):
+            yield from rec(0, length, 0, 0, 1, [])
+
+    walker = walk()
 
     def find(bad: int, budget: _Budget) -> SequenceB | None:
-        nonlocal goal, limit, length, cursor, following, tmask
+        nonlocal goal, limit, tmask
         if span > SEARCH_SPAN_CAP:
             raise ResourceCapError(
                 "search_span", SEARCH_SPAN_CAP,
@@ -739,13 +731,7 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
             goal, limit = bad, budget.left
             # as wide as the target hull, like the masks the walk builds
             tmask = tmask or sum(1 << (t - need_lo) for t in target)
-            while length <= limits.max_len:
-                picked: list[int] = []
-                if rec(0, length, 0, 0, 1, picked):
-                    cursor = [2 * abs(e) - 2 + (e < 0) for e in picked]
-                    following = True
-                    break
-                length += 1
+            next(walker, None)
         if bad not in hits:
             budget.spend(walked)
             return None
@@ -839,21 +825,21 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
     )
 
 
-def verify_decomposition(cert: DecompositionCertificate,
-                         max_len: int = VERIFY_LENGTH_CAP) -> bool:
+def verify_decomposition(cert: DecompositionCertificate) -> bool:
     """Re-check a decomposition by full subset enumeration.
 
     Each S_B(i) is recomputed by walking all 2^|B| subsets (independent of
     the sparse DP used to build certificates); true iff the intersection
     equals the stored target.  Before enumerating anything it raises
-    :class:`ResourceCapError` for a sequence longer than ``max_len`` and
-    then for more than ``ENUMERATION_CAP`` subsets in all.
+    :class:`ResourceCapError` for a sequence longer than
+    ``VERIFY_LENGTH_CAP`` and then for more than ``ENUMERATION_CAP``
+    subsets in all.
     """
     for s in cert.sequences:
-        if len(s) > max_len:
+        if len(s) > VERIFY_LENGTH_CAP:
             raise ResourceCapError(
-                "max_len", max_len,
-                f"verification cap: sequence length {len(s)} exceeds {max_len}",
+                "max_len", VERIFY_LENGTH_CAP,
+                f"verification cap: sequence length {len(s)} exceeds {VERIFY_LENGTH_CAP}",
             )
     check_enumeration(cert.sequences)
     inter: frozenset[int] | None = None

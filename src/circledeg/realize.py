@@ -857,9 +857,11 @@ def render_certificate(cert: RealizationCertificate) -> str:
             f"realizes {p.claimed.render()} [{tags}]"
         )
     for c in cert.cross_checks:
+        # an unverified certificate may name a pair it does not have
+        alpha = cert.multipliers[c.j] if 0 <= c.j < len(cert.multipliers) else "?"
         lines.append(
             f"cross pair {c.i + 1}->{c.j + 1}, summand {c.summand + 1}: "
-            f"{c.multiplier} does not divide {cert.multipliers[c.j]} "
+            f"{c.multiplier} does not divide {alpha} "
             f"[cross-nondivisibility]"
         )
     combo = cert.combination

@@ -388,7 +388,7 @@ def test_eigen_check_frozen_values():
     assert unimodular_rational_eigen_check(rot) == (True, [])
     diag = IntegerMatrix.from_rows([[2, 0], [0, 1]])
     assert unimodular_rational_eigen_check(diag) == (False, [Fraction(2), Fraction(1)])
-    ident3 = IntegerMatrix.identity(3)
+    ident3 = IntegerMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert unimodular_rational_eigen_check(ident3) == (True, [Fraction(1)] * 3)
     singular = IntegerMatrix.from_rows([[0, 0], [0, 2]])
     assert unimodular_rational_eigen_check(singular) == (False, [Fraction(2), Fraction(0)])

@@ -187,7 +187,8 @@ def test_fiber_preserving_matches_map_by_map_union(shape, coords, maps, complete
 
 def test_fiber_preserving_torsion_mismatch_short_circuits():
     g = FgAbelianGroup(1, (6,))
-    cat = MapCatalogue((MapModel(7, IntegerMatrix.identity(2)),), complete=True)
+    ident = IntegerMatrix.from_rows([[1, 0], [0, 1]])
+    cat = MapCatalogue((MapModel(7, ident),), complete=True)
     res = fiber_preserving_degree_set(cat, g.element([1], [0]), g.element([0], [2]))
     assert res.degree_set.as_finite_set() == {0}
     assert res.contributions == ()
@@ -217,7 +218,7 @@ def test_vertical_contained_in_fiber_preserving_with_identity():
     # over one base, a catalogue holding the identity map makes the
     # fiber-preserving set contain the nonzero vertical set
     g = FgAbelianGroup(1, (8,))
-    cat = MapCatalogue((MapModel(1, IntegerMatrix.identity(2)),))
+    cat = MapCatalogue((MapModel(1, IntegerMatrix.from_rows([[1, 0], [0, 1]])),))
     rng = random.Random(23)
     for _ in range(120):
         a = g.element([rng.randint(-2, 2)], [rng.randint(0, 7)])

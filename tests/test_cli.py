@@ -509,6 +509,28 @@ def test_hostile_certificate_exits_3_in_a_child_process(name):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("j", [7, -1])
+def test_stabilize_cross_check_out_of_range_in_a_child_process(j, fmt):
+    # stabilize renders the text even for JSON output, and looking up the
+    # multiplier of pair 8 of 2 raised IndexError; the schema rejects j = -1
+    def edit(cert):
+        cert["crossChecks"][0]["j"] = j
+    proc = run_cli_process("stabilize", "--dim", "7", "--format", fmt,
+                           stdin_text=_hostile(edit), timeout=10)
+    assert "Traceback" not in proc.stderr
+    if j < 0:
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(
+            "error: invalid realizationCertificate at $.crossChecks[0].j: ")
+    elif fmt == "json":
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["crossChecks"][0]["j"] == j
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert "cross pair 1->8, summand 1: 15 does not divide ? " in proc.stdout
+
+
 def test_hostile_certificate_details(cli):
     def details(edit):
         code, out, _ = cli("verify", stdin_text=_hostile(edit))
@@ -560,18 +582,30 @@ def test_progressions_past_the_cap_exit_1_at_the_schema_in_a_child_process():
     assert proc.stdout == ""
 
 
-def test_large_dfp_catalogue_finishes_in_a_child_process():
-    # 2000 torsion maps, one progression each: unioning them map by map
+def _torsion_catalogue(maps: int) -> str:
+    # torsion maps, one progression each: unioning them map by map
     # re-canonicalized the growing set every time, cubic in the map count
     z = {"rank": 0, "torsion": [1000003]}
-    payload = {"domainGroup": z, "targetGroup": z,
-               "a": {"torsion": [1]}, "b": {"torsion": [1]},
-               "catalogue": {"complete": True, "maps": [
-                   {"degree": i + 1, "action": {"rows": 1, "cols": 1, "entries": [i + 2]}}
-                   for i in range(2000)]}}
-    proc = run_cli_process("dfp", stdin_text=json.dumps(payload), timeout=10)
-    assert proc.returncode in (0, 2)
+    return json.dumps({
+        "domainGroup": z, "targetGroup": z, "a": {"torsion": [1]}, "b": {"torsion": [1]},
+        "catalogue": {"complete": True, "maps": [
+            {"degree": i + 1, "action": {"rows": 1, "cols": 1, "entries": [i + 2]}}
+            for i in range(maps)]}})
+
+
+def test_large_dfp_catalogue_finishes_in_a_child_process():
+    # 2000 maps once ran the union and exited 0 or 2; the schema now holds
+    # a catalogue to as many maps as a degree set may hold progressions
+    proc = run_cli_process("dfp", stdin_text=_torsion_catalogue(2000), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: invalid dfpInput at $.catalogue.maps: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_dfp_catalogue_at_the_cap_exits_0_in_a_child_process():
+    proc = run_cli_process("dfp", stdin_text=_torsion_catalogue(PROGRESSION_CAP), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["contributions"]) == PROGRESSION_CAP
 
 
 def test_closed_stdout_exits_quietly_in_a_child_process():

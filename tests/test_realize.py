@@ -471,3 +471,13 @@ def test_render_lists_rules():
     single = render_certificate(build_construction({0, 5}, 4))
     assert "connected-sum-domain" not in single
     assert "primes" not in single
+
+
+@pytest.mark.parametrize("j", [2, -1])
+def test_render_leaves_out_a_multiplier_out_of_range(j):
+    # the text of an unverified certificate: j = -1 would name the last
+    # pair's multiplier, j = 2 raised IndexError
+    def edit(obj):
+        obj["crossChecks"][0]["j"] = j
+    text = render_certificate(mutate(build_construction({0, 1, 3}, 4), edit))
+    assert f"cross pair 1->{j + 1}, summand 1: 15 does not divide ? " in text

@@ -15,12 +15,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import lru_cache, partial
 from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import circledeg
@@ -420,6 +421,8 @@ def test_progression_arrays_are_bounded_by_the_cap():
     defs = schema._document()["$defs"]
     for name in ("degreeSet", "pairOutput"):
         assert defs[name]["properties"]["progressions"]["maxItems"] == PROGRESSION_CAP
+    # each map of a catalogue adds at most one progression to a dfp result
+    assert defs["catalogue"]["properties"]["maps"]["maxItems"] == PROGRESSION_CAP
     at_cap = {"finite": [], "progressions": [{"base": 0, "mod": 1}] * PROGRESSION_CAP}
     validate_payload("degreeSet", at_cap)
     at_cap["progressions"].append({"base": 0, "mod": 1})
@@ -507,6 +510,36 @@ def test_guided_rejection_walks_only_rejected_subtrees():
     assert not {"pairs", "crossChecks", "decomposition"} & set(guided)
     plain = descended_paths(reference("realizationCertificate"), cert)
     assert {"pairs", "crossChecks", "decomposition"} <= set(plain)
+
+
+@lru_cache(maxsize=1)
+def cli_fuzz_seeds() -> list[tuple[tuple[str, ...], object]]:
+    """The argv and payload of each request the CLI fuzz test mutates: the
+    golden certificate through ``verify`` and ``stabilize``, and each CLI
+    request with a payload through its own subcommand."""
+    cert = golden_certificate()
+    seeds = [(("verify",), cert), (("stabilize", "--dim", "7"), cert)]
+    return seeds + [(tuple(argv), payload) for argv, payload in CLI_REQUESTS
+                    if payload is not None]
+
+
+def _cross_pair_out_of_range() -> tuple[tuple[str, ...], object]:
+    cert = golden_certificate()
+    cert["crossChecks"][0]["j"] = 7
+    return ("stabilize", "--dim", "7"), cert
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated(seeds=cli_fuzz_seeds))
+@example(_cross_pair_out_of_range())
+def test_mutated_requests_exit_with_a_documented_code(case):
+    # an exception escaping main fails the test on its own
+    argv, payload = case
+    for fmt in ("json", "text"):
+        start = time.perf_counter()
+        code, _ = run_main([*argv, "--format", fmt], payload)
+        assert code in (0, 1, 2, 3), (argv, fmt)
+        assert time.perf_counter() - start < 2.0, (argv, fmt)
 
 
 def test_unknown_name_raises_key_error():
