@@ -301,12 +301,23 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
     [1, 6]
     """
     r, c = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    w = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m.entries)]
+    w += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
+    _eliminate(w, r, c)
+    return (
+        IntegerMatrix.from_rows([row[c:] for row in w[:r]], r),
+        IntegerMatrix.from_rows([row[:c] for row in w[:r]], c),
+        IntegerMatrix.from_rows([row[:c] for row in w[r:]], c),
+    )
 
+
+def _eliminate(w: list[list[int]], r: int, c: int) -> None:
+    """Bring the top-left ``r`` x ``c`` block of ``w`` to Smith normal form
+    in place, as :func:`smith_normal_form` describes.  Row operations run
+    along the whole row and column operations down the whole column, so
+    the columns right of the block become U and the rows below it V."""
     def bounded(line: list[int], name: str) -> None:
-        if max(line) >= _SNF_ENTRY_BOUND or min(line) <= -_SNF_ENTRY_BOUND:
+        if line and (max(line) >= _SNF_ENTRY_BOUND or min(line) <= -_SNF_ENTRY_BOUND):
             raise ResourceCapError(
                 "snf_digits", SNF_DIGITS_CAP,
                 f"Smith normal form of a {r}x{c} matrix: an entry of {name} "
@@ -315,48 +326,32 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
             )
 
     def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def swap_cols(i: int, j: int) -> None:
-        for row in a:
+        for row in w:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     def row_sub(i: int, j: int, q: int) -> None:
         # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        bounded(a[i], "the matrix")
-        bounded(u[i], "U")
+        w[i] = [x - q * y for x, y in zip(w[i], w[j])]
+        bounded(w[i][:c], "the matrix")
+        bounded(w[i][c:], "U")
 
     def col_sub(i: int, j: int, q: int) -> None:
         # col i -= q * col j
-        for row in a:
+        for row in w:
             row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-        bounded([row[i] for row in a], "the matrix")
-        bounded([row[i] for row in v], "V")
-
-    def row_add(i: int, j: int) -> None:
-        a[i] = [x + y for x, y in zip(a[i], a[j])]
-        u[i] = [x + y for x, y in zip(u[i], u[j])]
-        bounded(a[i], "the matrix")
-        bounded(u[i], "U")
+        bounded([row[i] for row in w[:r]], "the matrix")
+        bounded([row[i] for row in w[r:]], "V")
 
     for t in range(min(r, c)):
         # pivot: smallest |value| != 0 in the lower-right block, lowest (row, col) on ties
         best: tuple[int, int] | None = None
         for i in range(t, r):
             for j in range(t, c):
-                val = a[i][j]
-                if val != 0 and (best is None or abs(val) < abs(a[best[0]][best[1]])):
+                val = w[i][j]
+                if val != 0 and (best is None or abs(val) < abs(w[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
             break
@@ -366,16 +361,16 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
             swap_cols(t, best[1])
 
         while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            pivot = a[t][t]
+            if w[t][t] < 0:
+                w[t] = [-x for x in w[t]]
+            pivot = w[t][t]
             # clear the column under the pivot
             restart = False
             for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    q = a[i][t] // pivot
+                if w[i][t] != 0:
+                    q = w[i][t] // pivot
                     row_sub(i, t, q)
-                    if a[i][t] != 0:
+                    if w[i][t] != 0:
                         swap_rows(t, i)
                         restart = True
                         break
@@ -383,10 +378,10 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
                 continue
             # clear the row right of the pivot
             for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // pivot
+                if w[t][j] != 0:
+                    q = w[t][j] // pivot
                     col_sub(j, t, q)
-                    if a[t][j] != 0:
+                    if w[t][j] != 0:
                         swap_cols(t, j)
                         restart = True
                         break
@@ -396,35 +391,32 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
             offender = None
             for i in range(t + 1, r):
                 for j in range(t + 1, c):
-                    if a[i][j] % pivot != 0:
+                    if w[i][j] % pivot != 0:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            row_add(t, offender)
-
-    return (
-        IntegerMatrix.from_rows(u, r),
-        IntegerMatrix.from_rows(a, c),
-        IntegerMatrix.from_rows(v, c),
-    )
+            row_sub(t, offender, -1)
 
 
 def canonicalize_group(relations: IntegerMatrix) -> FgAbelianGroup:
     """Group presented as Z^cols modulo the row space of ``relations``.
+
+    The elimination runs on the relation matrix alone: no U or V grows.
 
     >>> canonicalize_group(IntegerMatrix.from_rows([[2, 0], [0, 3]]))
     FgAbelianGroup(rank=0, torsion=(6,))
     >>> canonicalize_group(IntegerMatrix(1, 2, ((2, 0),)))
     FgAbelianGroup(rank=1, torsion=(2,))
     """
-    _, d, _ = smith_normal_form(relations)
-    diag = [d[i, i] for i in range(min(d.rows, d.cols))]
-    nonzero = [x for x in diag if x != 0]
+    r, c = relations.rows, relations.cols
+    w = [list(row) for row in relations.entries]
+    _eliminate(w, r, c)
+    nonzero = [w[i][i] for i in range(min(r, c)) if w[i][i] != 0]
     torsion = tuple(x for x in nonzero if x >= 2)
-    return FgAbelianGroup(relations.cols - len(nonzero), torsion)
+    return FgAbelianGroup(c - len(nonzero), torsion)
 
 
 # ---------------------------------------------------------------------------

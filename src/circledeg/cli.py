@@ -33,6 +33,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from . import abelian, bundles, degsets, realize
 from .errors import InputError, ResourceCapError
@@ -123,52 +124,45 @@ def _render_solutions(view: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, json_object, text)
+# command handlers: each takes the payload, valid under its subparser's schema
+# (None without one), and returns (exit_code, json_object, render); main calls
+# render() only for --format text
 
 
-def _cmd_snf(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "snfInput")
+def _cmd_snf(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     m = abelian.IntegerMatrix.from_json(payload["matrix"])
     u, d, v = abelian.smith_normal_form(m)
     out = {"u": u.to_json(), "d": d.to_json(), "v": v.to_json()}
-    text = "U =\n{}\nD =\n{}\nV =\n{}".format(
+    return 0, out, lambda: "U =\n{}\nD =\n{}\nV =\n{}".format(
         _render_matrix(u), _render_matrix(d), _render_matrix(v))
-    return 0, out, text
 
 
-def _cmd_group(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "groupInput")
+def _cmd_group(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     g = abelian.canonicalize_group(abelian.IntegerMatrix.from_json(payload["relations"]))
-    return 0, {"group": g.to_json()}, _render_group(g)
+    return 0, {"group": g.to_json()}, lambda: _render_group(g)
 
 
-def _cmd_solve_k(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "solveInput")
+def _cmd_solve_k(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     g = abelian.FgAbelianGroup.from_json(payload["group"])
     a = abelian.GroupElement.from_json(g, payload["a"])
     c = abelian.GroupElement.from_json(g, payload["c"])
     view = abelian.solution_set_json(abelian.solve_scalar(a, c))
-    return 0, {"solutions": view}, _render_solutions(view)
+    return 0, {"solutions": view}, lambda: _render_solutions(view)
 
 
-def _cmd_sums(args) -> tuple[int, dict, str]:
-    entries = _read_payload(args, "sumsInput")["sequence"]
-    s = degsets.subsequence_sums(degsets.SequenceB(tuple(entries)))
-    return 0, {"set": s.to_json()}, s.render()
+def _cmd_sums(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
+    s = degsets.subsequence_sums(degsets.SequenceB(tuple(payload["sequence"])))
+    return 0, {"set": s.to_json()}, s.render
 
 
-def _cmd_decompose(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "decomposeInput")
+def _cmd_decompose(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     cert = degsets.decompose(payload["set"], degsets.SearchLimits.from_json(payload))
-    text = "\n".join(
+    return 0, cert.to_json(), lambda: "\n".join(
         f"B{i + 1} = ({', '.join(str(x) for x in s.entries)})"
-        for i, s in enumerate(cert.sequences)
-    )
-    return 0, cert.to_json(), text
+        for i, s in enumerate(cert.sequences))
 
 
-def _cmd_dv(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "dvInput")
+def _cmd_dv(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     g = abelian.FgAbelianGroup.from_json(payload["group"])
     a = abelian.GroupElement.from_json(g, payload["a"])
     b = abelian.GroupElement.from_json(g, payload["b"])
@@ -176,47 +170,39 @@ def _cmd_dv(args) -> tuple[int, dict, str]:
     # whether degree 0 belongs is an open classification question; the
     # set reports nonzero degrees only and this marker says so
     out = {"set": s.to_json(), "zeroDegreeUnresolved": True}
-    return 0, out, f"{s.render()} (degree 0 unresolved)"
+    return 0, out, lambda: f"{s.render()} (degree 0 unresolved)"
 
 
-def _cmd_dfp(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "dfpInput")
+def _cmd_dfp(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     dom = abelian.FgAbelianGroup.from_json(payload["domainGroup"])
     tgt = abelian.FgAbelianGroup.from_json(payload["targetGroup"])
     a = abelian.GroupElement.from_json(dom, payload["a"])
     b = abelian.GroupElement.from_json(tgt, payload["b"])
     cat = bundles.MapCatalogue.from_json(payload["catalogue"])
     res = bundles.fiber_preserving_degree_set(cat, a, b)
-    text = "{} ({})".format(
+    return 0, res.to_json(), lambda: "{} ({})".format(
         res.degree_set.render(),
         "exact: catalogue declared complete" if res.exact
         else "lower approximation: catalogue incomplete")
-    return 0, res.to_json(), text
 
 
-def _cmd_pair(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "pairInput")
+def _cmd_pair(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     base = _base_from(payload.get("preset") or "knot-glue-3")
     res = bundles.same_base_pair_degree_set(
         int(payload["m"]), int(payload["k"]), base,
         payload.get("classLabel") or "b")
-    text = res.degree_set.render()
-    if not res.exact:
-        text += " (upper bound)"
-    text += f" [{res.rule}]"
-    return 0, res.to_json(), text
+    return 0, res.to_json(), lambda: "{}{} [{}]".format(
+        res.degree_set.render(), "" if res.exact else " (upper bound)", res.rule)
 
 
-def _cmd_bound(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "boundInput")
+def _cmd_bound(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     n = bundles.degree_bound(
         bundles.parse_volume(payload["domainVolume"], "domainVolume"),
         bundles.parse_volume(payload["targetVolume"], "targetVolume"))
-    return 0, {"bound": n}, f"|deg| <= {n}"
+    return 0, {"bound": n}, lambda: f"|deg| <= {n}"
 
 
-def _cmd_finite(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "finiteInput")
+def _cmd_finite(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     registry = bundles.registry_from_env()
     dom = bundles.expr_from_json(payload["domain"], registry)
     tgt = bundles.expr_from_json(payload["target"], registry)
@@ -225,11 +211,10 @@ def _cmd_finite(args) -> tuple[int, dict, str]:
         bool(payload.get("dBaseFinite", False)),
         bool(payload.get("pullbackClassSetFinite", False)),
     )
-    return 0, {"verdict": verdict}, verdict
+    return 0, {"verdict": verdict}, lambda: verdict
 
 
-def _cmd_realize(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "realizeInput")
+def _cmd_realize(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     base = None
     if payload.get("preset"):
         base = _base_from(payload["preset"])
@@ -240,17 +225,16 @@ def _cmd_realize(args) -> tuple[int, dict, str]:
         class_label=payload.get("classLabel") or "b",
         limits=degsets.SearchLimits.from_json(payload),
     )
-    return 0, cert.to_json(), realize.render_certificate(cert)
+    return 0, cert.to_json(), lambda: realize.render_certificate(cert)
 
 
-def _cmd_verify(args) -> tuple[int, dict, str]:
-    payload = _read_payload(args, "realizationCertificate")
+def _cmd_verify(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     cert = realize.RealizationCertificate.from_json(payload)
     report = realize.verify_certificate(cert)
-    return (0 if report.valid else 3), report.to_json(), report.render()
+    return (0 if report.valid else 3), report.to_json(), report.render
 
 
-def _cmd_stabilize(args) -> tuple[int, dict, str]:
+def _cmd_stabilize(payload: None, args) -> tuple[int, dict, Callable[[], str]]:
     obj = _read_json(args)
     if isinstance(obj, dict) and obj.get("kind") == "realization-certificate":
         validate_payload("realizationCertificate", obj)
@@ -263,10 +247,10 @@ def _cmd_stabilize(args) -> tuple[int, dict, str]:
         dim = args.dim if args.dim is not None else int(obj["dim"])
     cert = realize.RealizationCertificate.from_json(cert_obj)
     up = realize.stabilize(cert, dim)
-    return 0, up.to_json(), realize.render_certificate(up)
+    return 0, up.to_json(), lambda: realize.render_certificate(up)
 
 
-def _cmd_selftest(args) -> tuple[int, dict, str]:
+def _cmd_selftest(payload: None, args) -> tuple[int, dict, Callable[[], str]]:
     def snf_round() -> bool:
         m = abelian.IntegerMatrix.from_rows([[6, 4, 2], [2, 8, 4], [0, 2, 10]])
         u, d, v = abelian.smith_normal_form(m)
@@ -313,10 +297,10 @@ def _cmd_selftest(args) -> tuple[int, dict, str]:
             ok = False
         results.append({"name": name, "ok": ok})
     passed = all(r["ok"] for r in results)
-    text = "\n".join(
-        ("ok  " if r["ok"] else "FAIL") + " " + r["name"] for r in results)
-    text += "\n" + ("all batteries passed" if passed else "selftest failed")
-    return (0 if passed else 3), {"passed": passed, "batteries": results}, text
+    out = {"passed": passed, "batteries": results}
+    return (0 if passed else 3), out, lambda: "\n".join(
+        [("ok  " if r["ok"] else "FAIL") + " " + r["name"] for r in results]
+        + ["all batteries passed" if passed else "selftest failed"])
 
 
 # ---------------------------------------------------------------------------
@@ -360,35 +344,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_snf)
+    p.set_defaults(fn=_cmd_snf, schema="snfInput")
 
     p = sub.add_parser("group", help="invariant factors of a presented group")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_group)
+    p.set_defaults(fn=_cmd_group, schema="groupInput")
 
     p = sub.add_parser("solve-k", help="solve k*a = c in an abelian group")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_solve_k)
+    p.set_defaults(fn=_cmd_solve_k, schema="solveInput")
 
     p = sub.add_parser("sums", help="subsequence-sum set of a sequence")
     p.add_argument("--seq", metavar="B", help="comma-separated nonzero entries")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_sums)
+    p.set_defaults(fn=_cmd_sums, schema="sumsInput")
 
     p = sub.add_parser("decompose",
                        help="write a finite set as an intersection of sum sets")
     p.add_argument("--set", metavar="A", help="comma-separated members, must include 0")
     _add_cap_flags(p)
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_decompose)
+    p.set_defaults(fn=_cmd_decompose, schema="decomposeInput")
 
     p = sub.add_parser("dv", help="vertical-map degree set")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_dv)
+    p.set_defaults(fn=_cmd_dv, schema="dvInput")
 
     p = sub.add_parser("dfp", help="fiber-preserving degree set from a catalogue")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_dfp)
+    p.set_defaults(fn=_cmd_dfp, schema="dfpInput")
 
     p = sub.add_parser("pair", help="degree set between bundles m*b and k*b")
     p.add_argument("-m", type=int, metavar="M", help="domain Euler multiplier")
@@ -398,17 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_label", metavar="LABEL",
                    help="distinguished class (default: b)")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_pair)
+    p.set_defaults(fn=_cmd_pair, schema="pairInput")
 
     p = sub.add_parser("bound", help="simplicial-volume degree bound")
     p.add_argument("--domain-volume", metavar="Q", help="rational, e.g. 10 or 7/2")
     p.add_argument("--target-volume", metavar="Q", help="rational, positive")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_bound)
+    p.set_defaults(fn=_cmd_bound, schema="boundInput")
 
     p = sub.add_parser("finite", help="finiteness verdict for a bundle pair")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_finite)
+    p.set_defaults(fn=_cmd_finite, schema="finiteInput")
 
     p = sub.add_parser("realize", help="build a realization certificate")
     p.add_argument("--set", metavar="A", help="comma-separated members, must include 0")
@@ -420,20 +404,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="distinguished class (default: b)")
     _add_cap_flags(p)
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_realize)
+    p.set_defaults(fn=_cmd_realize, schema="realizeInput")
 
     p = sub.add_parser("verify", help="re-derive a certificate's claims")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_verify)
+    p.set_defaults(fn=_cmd_verify, schema="realizationCertificate")
 
     p = sub.add_parser("stabilize", help="carry a certificate up in dimension")
     p.add_argument("--dim", type=int, metavar="N", help="target dimension")
     _add_io_flags(p)
-    p.set_defaults(fn=_cmd_stabilize)
+    p.set_defaults(fn=_cmd_stabilize, schema=None)
 
     p = sub.add_parser("selftest", help="quick end-to-end battery")
     _add_io_flags(p, payload=False)
-    p.set_defaults(fn=_cmd_selftest)
+    p.set_defaults(fn=_cmd_selftest, schema=None)
 
     return parser
 
@@ -441,7 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, obj, text = args.fn(args)
+        payload = _read_payload(args, args.schema) if args.schema else None
+        code, obj, render = args.fn(payload, args)
+        rendered = render() if args.format == "text" else json.dumps(
+            obj, indent=2, sort_keys=True)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -454,9 +441,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: input too deeply nested or too large "
               f"({type(exc).__name__})", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # an integer of the output or of a detail past Python's int-to-str limit
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+        print(f"resource cap: an integer to print has more than "
+              f"{sys.get_int_max_str_digits()} decimal digits", file=sys.stderr)
+        return 2
 
-    rendered = text if args.format == "text" else json.dumps(
-        obj, indent=2, sort_keys=True)
     if args.outfile:
         try:
             with open(args.outfile, "w", encoding="utf-8") as fh:

@@ -335,10 +335,15 @@ class SequenceB(Frozen):
 def _sums_of(entries: Sequence[int]) -> frozenset[int]:
     """Sparse DP over the offset range [sum of negatives, sum of positives].
 
-    Raises :class:`ResourceCapError` as soon as the set holds more than
-    ``SUM_SIZE_CAP`` sums.  A step that could cross the cap adds its sums
-    one at a time, so the set never grows far past the cap.
+    Raises :class:`ResourceCapError` past ``SUM_LENGTH_CAP`` entries or
+    ``SUM_SIZE_CAP`` sums; a step that could cross the size cap adds its
+    sums one at a time, so the set never grows far past it.
     """
+    if len(entries) > SUM_LENGTH_CAP:
+        raise ResourceCapError(
+            "max_len", SUM_LENGTH_CAP,
+            f"sequence length {len(entries)} exceeds the cap of {SUM_LENGTH_CAP}",
+        )
     sums = {0}
     for done, e in enumerate(entries, 1):
         if 2 * len(sums) <= SUM_SIZE_CAP:
@@ -363,11 +368,6 @@ def subsequence_sums(b: SequenceB) -> DegreeSet:
     >>> subsequence_sums(SequenceB(())).finite
     (0,)
     """
-    if len(b) > SUM_LENGTH_CAP:
-        raise ResourceCapError(
-            "max_len", SUM_LENGTH_CAP,
-            f"sequence length {len(b)} exceeds the cap of {SUM_LENGTH_CAP}",
-        )
     return DegreeSet.from_finite(_sums_of(b.entries))
 
 
@@ -595,7 +595,10 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
         nonlocal pending, low, wanted
         pending = kept
         low = kept[0] if kept else 0
-        wanted = sum(1 << (v - low) for v in kept)
+        bits = bytearray((kept[-1] - low) // 8 + 1 if kept else 0)
+        for v in kept:  # one bit per value: summing shifted ints is quadratic
+            bits[(v - low) >> 3] |= 1 << ((v - low) & 7)
+        wanted = int.from_bytes(bits, "little")
 
     def record_hits(start: int, fits: int, sums: int, neg: int, at: int,
                     picked: list[int]) -> None:

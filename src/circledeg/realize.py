@@ -791,10 +791,13 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         return (inter is not None and cert.final_set.equals(inter),
                 "final set must be the intersection of the pair degree sets")
     check("final.intersection", *capped(final_intersection))
-    check("final.equals-target", *capped(lambda: (
-        cert.final_set.equals(target),
-        f"final set {cert.final_set.render()} differs from the target "
-        f"{target.render()}")))
+
+    def final_equals_target() -> tuple[bool, str]:
+        if cert.final_set.equals(target):
+            return True, ""
+        return False, (f"final set {cert.final_set.render()} differs from the target "
+                       f"{target.render()}")
+    check("final.equals-target", *capped(final_equals_target))
 
     dim = n0
     chain_ok = True

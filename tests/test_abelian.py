@@ -112,13 +112,46 @@ def test_snf_diagonal_matches_sympy():
             coeffs = [rng.randint(-2, 2) for _ in entries[:-1]]
             entries[-1] = [sum(c * row[j] for c, row in zip(coeffs, entries))
                            for j in range(cols)]
-        d = smith_normal_form(IntegerMatrix.from_rows(entries, cols))[1]
+        m = IntegerMatrix.from_rows(entries, cols)
+        d = smith_normal_form(m)[1]
         diag = [d[i, i] for i in range(min(rows, cols))]
-        expected = invariant_factors(sympy.Matrix(entries), domain=sympy.ZZ)
-        assert diag == [int(x) for x in expected], entries
+        expected = [int(x) for x in invariant_factors(sympy.Matrix(entries), domain=sympy.ZZ)]
+        assert diag == expected, entries
+        # the group's elimination builds no U or V and must agree
+        nonzero = [x for x in expected if x != 0]
+        assert canonicalize_group(m) == FgAbelianGroup(
+            cols - len(nonzero), tuple(x for x in nonzero if x != 1)), entries
         shapes.add(rows == cols)
         deficient += 0 in diag
     assert shapes == {True, False} and deficient > 20
+
+
+def test_snf_cap_names_u_and_spares_the_group():
+    # U's entry becomes -q, with q the second row's entry; the group's
+    # elimination builds no U
+    u = smith_normal_form(IntegerMatrix.from_rows([[1], [10**SNF_DIGITS_CAP - 1]]))[0]
+    assert u[1, 0] == 1 - 10**SNF_DIGITS_CAP
+    m = IntegerMatrix.from_rows([[1], [10**SNF_DIGITS_CAP]])
+    with pytest.raises(ResourceCapError) as err:
+        smith_normal_form(m)
+    assert str(err.value) == ("Smith normal form of a 2x1 matrix: an entry of U passed "
+                              "4300 decimal digits while placing pivot 1 of 1")
+    assert canonicalize_group(m) == FgAbelianGroup(0)
+
+
+# the seeded 32x32 matrices with entries in [-9, 9] whose group stays under
+# the digit cap; through the full Smith normal form 5 and 10 hit it on V
+@pytest.mark.parametrize("seed", [3, 5, 10, 14])
+def test_group_of_large_matrices_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(seed)
+    entries = [[rng.randint(-9, 9) for _ in range(32)] for _ in range(32)]
+    expected = [int(x) for x in invariant_factors(sympy.Matrix(entries), domain=sympy.ZZ)]
+    nonzero = [x for x in expected if x != 0]
+    assert canonicalize_group(IntegerMatrix.from_rows(entries)) == FgAbelianGroup(
+        32 - len(nonzero), tuple(x for x in nonzero if x != 1))
 
 
 def test_snf_entry_growth_is_capped_at_the_printable_bound():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 import re
 import subprocess
@@ -13,14 +14,18 @@ from pathlib import Path
 
 import pytest
 from cli_process import run_cli_closed_stdout, run_cli_measured, run_cli_process
+from test_schema import CLI_REQUESTS, digit_limit_requests
 
+from circledeg import realize
 from circledeg.abelian import IntegerMatrix
 from circledeg.cli import main
 from circledeg.degsets import (
     MAX_ENTRY_CAP,
     PROGRESSION_CAP,
     SEARCH_SPAN_CAP,
+    SUM_LENGTH_CAP,
     TARGET_MAGNITUDE_CAP,
+    DegreeSet,
 )
 from circledeg.schema import validate_payload
 
@@ -309,6 +314,57 @@ def test_help_snapshots_cover_every_command():
     snapshots = GOLDEN / "help"
     assert sorted(p.stem for p in snapshots.glob("*.txt")) == sorted(["circledeg", *COMMANDS])
     assert "{" + ",".join(COMMANDS) + "}" in (snapshots / "circledeg.txt").read_text()
+
+
+def text_requests() -> dict[str, tuple[list[str], object, int]]:
+    """Snapshot name -> (argv, stdin payload, exit code) of each request
+    whose ``--format text`` output is pinned under ``golden/text``: every
+    CLI request of the schema tests, and ``verify`` and ``stabilize`` on
+    the golden certificates."""
+    requests: dict[str, tuple[list[str], object, int]] = {}
+    for argv, payload in CLI_REQUESTS:
+        n = sum(name.startswith(f"{argv[0]}-") for name in requests) + 1
+        requests[f"{argv[0]}-{n}"] = (argv, payload, 0)
+    cert = json.loads((GOLDEN / "realize-013-dim4.json").read_text())
+    tampered = json.loads((GOLDEN / "tampered-cert.json").read_text())
+    requests["verify-realize-013-dim4"] = (["verify"], cert, 0)
+    requests["verify-tampered-cert"] = (["verify"], tampered, 3)
+    requests["stabilize-realize-013-dim4-dim7"] = (["stabilize", "--dim", "7"], cert, 0)
+    return requests
+
+
+@pytest.mark.parametrize("name", sorted(text_requests()))
+def test_text_output_matches_snapshot(cli, name):
+    argv, payload, expected = text_requests()[name]
+    stdin_text = json.dumps(payload) if payload is not None else ""
+    code, out, err = cli(*argv, "--format", "text", stdin_text=stdin_text)
+    assert (code, err) == (expected, "")
+    assert out == (GOLDEN / "text" / f"{name}.txt").read_text()
+
+
+def test_text_snapshots_cover_every_request():
+    snapshots = GOLDEN / "text"
+    assert sorted(p.stem for p in snapshots.glob("*.txt")) == sorted(text_requests())
+
+
+def _no_text(*args, **kwargs):
+    raise AssertionError("a JSON request rendered text")
+
+
+@pytest.mark.parametrize("name", [
+    "realize-1", "verify-realize-013-dim4", "verify-tampered-cert",
+    "stabilize-realize-013-dim4-dim7", "sums-1", "sums-2", "dfp-1",
+    "pair-1", "pair-2", "pair-3",
+])
+def test_json_request_renders_no_text(cli, monkeypatch, name):
+    argv, payload, expected = text_requests()[name]
+    stdin_text = json.dumps(payload) if payload is not None else ""
+    want = cli(*argv, stdin_text=stdin_text)
+    monkeypatch.setattr(realize, "render_certificate", _no_text)
+    monkeypatch.setattr(realize.VerificationReport, "render", _no_text)
+    monkeypatch.setattr(DegreeSet, "render", _no_text)
+    assert cli(*argv, stdin_text=stdin_text) == want
+    assert want[0] == expected
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -680,6 +736,45 @@ def test_search_span_cap_exits_2_in_a_child_process(command):
     assert time.perf_counter() - start < 10
 
 
+# without the length check on the seed, decompose summed the whole seed:
+# 1400 members then searched for 89 s before the budget ran out, and 3000
+# reached the sum-size cap after 66 s; 41 nonzero members are the least
+# past the cap
+@pytest.mark.parametrize("command", ["decompose", "realize"])
+@pytest.mark.parametrize("top", [41, 1400, 3000])
+def test_long_seed_hits_the_length_cap_in_a_child_process(command, top):
+    proc = run_cli_process(command, "--set=" + ",".join(map(str, range(top + 1))), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"resource cap: sequence length {top} exceeds the cap "
+                           f"of {SUM_LENGTH_CAP}\n")
+    assert proc.stdout == ""
+
+
+# 2^20 - 21 extraneous values: a bit mask of them built by summing shifted
+# integers took 24 of the parent's 25 s, quadratic in their number
+@pytest.mark.parametrize("command", ["decompose", "realize"])
+def test_many_extraneous_values_reach_the_budget_in_a_child_process(command):
+    members = [0] + [1 << i for i in range(20)]
+    proc = run_cli_process(command, "--set=" + ",".join(map(str, members)), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "resource cap: decomposition search budget exhausted while excluding 3 ")
+    assert proc.stdout == ""
+
+
+# each died with a ValueError traceback: an integer of the output, or of a
+# verification detail, past Python's 4300-digit int-to-str limit
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", ["sums", "dfp", "verify"])
+def test_integers_past_the_digit_limit_exit_2_in_a_child_process(name, fmt):
+    argv, payload = digit_limit_requests()[name]
+    proc = run_cli_process(*argv, "--format", fmt, stdin_text=json.dumps(payload), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == ("resource cap: an integer to print has more than "
+                           "4300 decimal digits\n")
+    assert proc.stdout == ""
+
+
 def _random_matrix(seed: int, n: int = 32) -> dict:
     rng = random.Random(seed)
     return {"rows": n, "cols": n, "entries": [rng.randint(-9, 9) for _ in range(n * n)]}
@@ -698,6 +793,19 @@ def test_snf_digit_cap_exits_2_in_a_child_process(seed, command, key):
     assert proc.stderr.startswith("resource cap: Smith normal form of a 32x32 matrix: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# through the full Smith normal form both hit the digit cap on an entry of
+# V, which the group's invariant factors do not need
+@pytest.mark.parametrize("seed", [5, 10])
+def test_group_needs_no_u_or_v_in_a_child_process(seed):
+    relations = _random_matrix(seed)
+    proc = run_cli_process("group", stdin_text=json.dumps({"relations": relations}),
+                           timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    group = json.loads(proc.stdout)["group"]
+    assert group["rank"] == 0
+    assert math.prod(group["torsion"]) == abs(IntegerMatrix.from_json(relations).det())
 
 
 def _volume(text):

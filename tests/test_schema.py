@@ -47,7 +47,8 @@ NAMES = schema_names()
 # what a mutation puts in place of a node or under a new key
 VALUES = [0, 0.0, 1.0, 2.5, True, False, None, "", [], {}]
 # what a type-keeping mutation puts in place of a string or an integer
-SAME_TYPE = {str: ["", "zz", "1/0", "-3/4", "hyp-odd-4"], int: [0, 1, -1, 7, -(10**30), 10**30]}
+SAME_TYPE = {str: ["", "zz", "1/0", "-3/4", "hyp-odd-4"],
+             int: [0, 1, -1, 7, -(10**30), 10**30, 10**3999]}
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +76,11 @@ def assert_agrees(name: str, obj: object) -> None:
         assert verdict
 
 
-def run_main(argv: list[str], payload: object = None) -> tuple[int, str]:
-    stdin = json.dumps(payload) if payload is not None else ""
+def run_main(argv: list[str], payload: object = None, stdin: str | None = None
+             ) -> tuple[int, str]:
+    """``main(argv)`` on ``payload`` as JSON, or on the text ``stdin``."""
+    if stdin is None:
+        stdin = json.dumps(payload) if payload is not None else ""
     out = io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(stdin)
     try:
@@ -523,21 +527,72 @@ def cli_fuzz_seeds() -> list[tuple[tuple[str, ...], object]]:
                     if payload is not None]
 
 
+def shifted(obj, by: int):
+    """``obj`` with ``by`` added to each integer leaf."""
+    if isinstance(obj, dict):
+        return {key: shifted(item, by) for key, item in obj.items()}
+    if isinstance(obj, list):
+        return [shifted(item, by) for item in obj]
+    return obj + by if type(obj) is int else obj
+
+
+@st.composite
+def grown(draw, seeds):
+    """A mutation of ``seeds()``; half the time one nonempty array in it
+    is then grown to 64, 1100 or 3000 items by repeating its items, and
+    half of those times the integer leaves of the item at index i are
+    shifted by i, so the copies of an item stay distinct."""
+    name, obj = draw(mutated(seeds=seeds))
+    arrays = [p for p in paths(obj) if p and isinstance(at(obj, p), list) and at(obj, p)]
+    if arrays and draw(st.booleans()):
+        path = draw(st.sampled_from(arrays))
+        items = at(obj, path)
+        size = draw(st.sampled_from([64, 1100, 3000]))
+        by = draw(st.sampled_from([0, 1]))
+        at(obj, path[:-1])[path[-1]] = [shifted(items[i % len(items)], by * i)
+                                        for i in range(size)]
+    return name, obj
+
+
 def _cross_pair_out_of_range() -> tuple[tuple[str, ...], object]:
     cert = golden_certificate()
     cert["crossChecks"][0]["j"] = 7
     return ("stabilize", "--dim", "7"), cert
 
 
+def digit_limit_requests() -> dict[str, tuple[tuple[str, ...], object]]:
+    """Requests whose output, or a verification detail, holds an integer
+    past Python's 4300-digit int-to-str limit."""
+    cert = golden_certificate()
+    cert["decomposition"]["sequences"][0] = [10**4000 + 1, 10**4000 + 1]
+    group = {"rank": 0, "torsion": [10**4000]}
+    dfp = {"domainGroup": group, "targetGroup": group,
+           "a": {"torsion": [1]}, "b": {"torsion": [1]},
+           "catalogue": {"complete": True, "maps": [
+               {"degree": 10**4000, "action": {"rows": 1, "cols": 1, "entries": [1]}}]}}
+    return {"sums": (("sums",), {"sequence": [9 * 10**4299, 9 * 10**4299]}),
+            "dfp": (("dfp",), dfp),
+            "verify": (("verify",), cert)}
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(mutated(seeds=cli_fuzz_seeds))
+@given(grown(seeds=cli_fuzz_seeds))
 @example(_cross_pair_out_of_range())
+# seeds past the length cap, which decompose once summed and searched on
+@example((("decompose",), {"set": list(range(1401))}))
+@example((("realize",), {"set": list(range(3001))}))
+@example(digit_limit_requests()["sums"])
+@example(digit_limit_requests()["dfp"])
+@example(digit_limit_requests()["verify"])
 def test_mutated_requests_exit_with_a_documented_code(case):
-    # an exception escaping main fails the test on its own
+    # an exception escaping main fails the test on its own; the payload is
+    # written outside the timed region, as 3000 integers of 4000 digits
+    # take the encoder most of a second
     argv, payload = case
+    stdin = json.dumps(payload)
     for fmt in ("json", "text"):
         start = time.perf_counter()
-        code, _ = run_main([*argv, "--format", fmt], payload)
+        code, _ = run_main([*argv, "--format", fmt], stdin=stdin)
         assert code in (0, 1, 2, 3), (argv, fmt)
         assert time.perf_counter() - start < 2.0, (argv, fmt)
 
