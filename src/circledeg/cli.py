@@ -17,10 +17,15 @@ Subcommands, grouped by module:
   stabilize   carry a certificate to a higher dimension
   selftest    quick end-to-end battery
 
-Structured inputs arrive as JSON (``--in FILE``, ``-`` or nothing for
-stdin) and are checked against the shipped schemas before any
-computation; small inputs can be given as flags (``--set``, ``-m/-k``,
-``--seq``, volumes).  Output is JSON on stdout by default,
+One table, ``_COMMANDS``, declares every subcommand: its handler, its
+payload schema, its help and its payload flags.  A payload is the JSON
+document (``--in FILE``, ``-`` or nothing for stdin) overlaid with every
+payload flag given, a flag winning over the same key; a flag that builds
+the payload alone (``--set``, ``--seq``, ``-m``, ``-k``, a volume) leaves
+the document unread.  ``stabilize`` reads its own document, a bare
+certificate or one wrapped with a ``dim``, and its ``--dim`` wins the same
+way.  The payload is checked against the shipped schema before any
+computation.  Output is JSON on stdout by default,
 ``--format text`` switches to a human rendering, ``--out FILE`` writes
 to a file.  Exit codes: 0 success, 1 invalid input (usage errors
 included) or unmet hypothesis, 2 resource cap hit, 3 verification or
@@ -33,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Callable
 
 from . import abelian, bundles, degsets, realize
@@ -47,17 +53,6 @@ def _parse_ints(text: str, what: str) -> list[int]:
         return [int(piece) for piece in text.replace(" ", "").split(",") if piece]
     except ValueError as exc:
         raise InputError(f"{what} must be a comma-separated list of integers") from exc
-
-
-# argparse dest -> payload key of every flag that is part of a payload
-_PAYLOAD_FLAGS = {
-    "seq": "sequence", "set": "set", "m": "m", "k": "k",
-    "domain_volume": "domainVolume", "target_volume": "targetVolume",
-    "dim": "dim", "preset": "preset", "class_label": "classLabel",
-    "max_len": "maxLen", "max_entry": "maxEntry", "budget": "budget",
-}
-# any of these builds the payload from the flags instead of reading it
-_FLAG_MODE = frozenset({"seq", "set", "m", "k", "domain_volume", "target_volume"})
 
 
 def _read_json(args: argparse.Namespace) -> object:
@@ -78,17 +73,19 @@ def _read_json(args: argparse.Namespace) -> object:
         raise InputError(f"{source} is not valid JSON: {exc}") from exc
 
 
-def _read_payload(args: argparse.Namespace, schema: str) -> dict:
-    """The request's payload, valid under ``schema``: built from the
-    payload flags when a flag-mode flag is given, read as JSON otherwise."""
-    flags = {dest: value for dest, value in vars(args).items()
-             if dest in _PAYLOAD_FLAGS and value is not None}
-    if flags.keys() & _FLAG_MODE:
-        obj = {_PAYLOAD_FLAGS[dest]: _parse_ints(value, f"--{dest}")
-               if dest in ("seq", "set") else value for dest, value in flags.items()}
-    else:
-        obj = _read_json(args)
-    validate_payload(schema, obj)
+def _read_payload(args: argparse.Namespace) -> dict:
+    """The request's payload, valid under its command's schema: the JSON
+    document overlaid with every payload flag given, a flag winning over
+    the same key.  The document is not read when a flag that builds the
+    payload alone is given."""
+    given = {flag.key: _parse_ints(value, flag.name) if flag.type is list else value
+             for flag in args.spec.flags
+             if (value := getattr(args, flag.key)) is not None}
+    alone = any(flag.alone for flag in args.spec.flags if flag.key in given)
+    obj = {} if alone else _read_json(args)
+    if isinstance(obj, dict):  # the schema words what else it is
+        obj.update(given)
+    validate_payload(args.spec.schema, obj)
     return obj
 
 
@@ -124,7 +121,7 @@ def _render_solutions(view: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each takes the payload, valid under its subparser's schema
+# command handlers: each takes the payload, valid under its command's schema
 # (None without one), and returns (exit_code, json_object, render); main calls
 # render() only for --format text
 
@@ -304,26 +301,76 @@ def _cmd_selftest(payload: None, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table declares every subcommand and its payload flags; its rows
+# are plain slotted classes, as a NamedTuple class costs a cold start ~0.3 ms
 
 
-def _add_io_flags(p: argparse.ArgumentParser, payload: bool = True) -> None:
-    if payload:
-        p.add_argument("--in", dest="infile", metavar="FILE",
-                       help="JSON payload file, - for stdin (default: stdin)")
-    p.add_argument("--out", dest="outfile", metavar="FILE",
-                   help="write the result here instead of stdout")
-    p.add_argument("--format", choices=("json", "text"), default="json",
-                   help="output rendering (default: json)")
+class _Flag:
+    """A payload flag.  Its payload key is also its argparse dest.  An
+    ``int`` is converted by argparse, so a malformed one is a usage error;
+    a ``list`` is a comma-separated list of integers, parsed with the
+    payload, so a malformed one is bad input.  A flag that builds the
+    payload ``alone`` leaves the JSON document unread."""
+
+    __slots__ = ("name", "key", "metavar", "help", "type", "alone")
+
+    def __init__(self, name: str, key: str, metavar: str, help: str,
+                 type: type = str, alone: bool = False) -> None:
+        self.name, self.key, self.metavar, self.help = name, key, metavar, help
+        self.type, self.alone = type, alone
 
 
-def _add_cap_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-len", type=int, metavar="N",
-                   help="longest sequence the search may try")
-    p.add_argument("--max-entry", type=int, metavar="N",
-                   help="largest entry magnitude the search may try")
-    p.add_argument("--budget", type=int, metavar="N",
-                   help="total candidate budget for the search")
+class _Command:
+    """A subcommand: its handler, the schema of its payload (``None`` for
+    one it reads itself or has none of), its help text, its payload flags,
+    and whether it reads a JSON document at all."""
+
+    __slots__ = ("name", "fn", "schema", "help", "flags", "reads")
+
+    def __init__(self, name: str, fn: Callable, schema: str | None, help: str,
+                 flags: tuple[_Flag, ...] = (), reads: bool = True) -> None:
+        self.name, self.fn, self.schema, self.help = name, fn, schema, help
+        self.flags, self.reads = flags, reads
+
+
+_SET = _Flag("--set", "set", "A", "comma-separated members, must include 0", list, True)
+_CLASS = _Flag("--class", "classLabel", "LABEL", "distinguished class (default: b)")
+_CAPS = (
+    _Flag("--max-len", "maxLen", "N", "longest sequence the search may try", int),
+    _Flag("--max-entry", "maxEntry", "N", "largest entry magnitude the search may try", int),
+    _Flag("--budget", "budget", "N", "total candidate budget for the search", int),
+)
+
+_COMMANDS = (
+    _Command("snf", _cmd_snf, "snfInput", "Smith normal form of an integer matrix"),
+    _Command("group", _cmd_group, "groupInput", "invariant factors of a presented group"),
+    _Command("solve-k", _cmd_solve_k, "solveInput", "solve k*a = c in an abelian group"),
+    _Command("sums", _cmd_sums, "sumsInput", "subsequence-sum set of a sequence", (
+        _Flag("--seq", "sequence", "B", "comma-separated nonzero entries", list, True),)),
+    _Command("decompose", _cmd_decompose, "decomposeInput",
+             "write a finite set as an intersection of sum sets", (_SET, *_CAPS)),
+    _Command("dv", _cmd_dv, "dvInput", "vertical-map degree set"),
+    _Command("dfp", _cmd_dfp, "dfpInput", "fiber-preserving degree set from a catalogue"),
+    _Command("pair", _cmd_pair, "pairInput", "degree set between bundles m*b and k*b", (
+        _Flag("-m", "m", "M", "domain Euler multiplier", int, True),
+        _Flag("-k", "k", "K", "target Euler multiplier", int, True),
+        _Flag("--preset", "preset", "NAME", "base preset (default: knot-glue-3)"),
+        _CLASS)),
+    _Command("bound", _cmd_bound, "boundInput", "simplicial-volume degree bound", (
+        _Flag("--domain-volume", "domainVolume", "Q", "rational, e.g. 10 or 7/2", str, True),
+        _Flag("--target-volume", "targetVolume", "Q", "rational, positive", str, True))),
+    _Command("finite", _cmd_finite, "finiteInput", "finiteness verdict for a bundle pair"),
+    _Command("realize", _cmd_realize, "realizeInput", "build a realization certificate", (
+        _SET,
+        _Flag("--dim", "dim", "N", "ambient dimension (default: 4)", int),
+        _Flag("--preset", "preset", "NAME", "base preset (default chosen by dimension)"),
+        _CLASS, *_CAPS)),
+    _Command("verify", _cmd_verify, "realizationCertificate",
+             "re-derive a certificate's claims"),
+    _Command("stabilize", _cmd_stabilize, None, "carry a certificate up in dimension", (
+        _Flag("--dim", "dim", "N", "target dimension", int),)),
+    _Command("selftest", _cmd_selftest, None, "quick end-to-end battery", reads=False),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,92 +388,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact degree-set arithmetic for oriented circle bundles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_snf, schema="snfInput")
-
-    p = sub.add_parser("group", help="invariant factors of a presented group")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_group, schema="groupInput")
-
-    p = sub.add_parser("solve-k", help="solve k*a = c in an abelian group")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_solve_k, schema="solveInput")
-
-    p = sub.add_parser("sums", help="subsequence-sum set of a sequence")
-    p.add_argument("--seq", metavar="B", help="comma-separated nonzero entries")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_sums, schema="sumsInput")
-
-    p = sub.add_parser("decompose",
-                       help="write a finite set as an intersection of sum sets")
-    p.add_argument("--set", metavar="A", help="comma-separated members, must include 0")
-    _add_cap_flags(p)
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_decompose, schema="decomposeInput")
-
-    p = sub.add_parser("dv", help="vertical-map degree set")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_dv, schema="dvInput")
-
-    p = sub.add_parser("dfp", help="fiber-preserving degree set from a catalogue")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_dfp, schema="dfpInput")
-
-    p = sub.add_parser("pair", help="degree set between bundles m*b and k*b")
-    p.add_argument("-m", type=int, metavar="M", help="domain Euler multiplier")
-    p.add_argument("-k", type=int, metavar="K", help="target Euler multiplier")
-    p.add_argument("--preset", metavar="NAME",
-                   help="base preset (default: knot-glue-3)")
-    p.add_argument("--class", dest="class_label", metavar="LABEL",
-                   help="distinguished class (default: b)")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_pair, schema="pairInput")
-
-    p = sub.add_parser("bound", help="simplicial-volume degree bound")
-    p.add_argument("--domain-volume", metavar="Q", help="rational, e.g. 10 or 7/2")
-    p.add_argument("--target-volume", metavar="Q", help="rational, positive")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_bound, schema="boundInput")
-
-    p = sub.add_parser("finite", help="finiteness verdict for a bundle pair")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_finite, schema="finiteInput")
-
-    p = sub.add_parser("realize", help="build a realization certificate")
-    p.add_argument("--set", metavar="A", help="comma-separated members, must include 0")
-    p.add_argument("--dim", type=int, metavar="N",
-                   help="ambient dimension (default: 4)")
-    p.add_argument("--preset", metavar="NAME",
-                   help="base preset (default chosen by dimension)")
-    p.add_argument("--class", dest="class_label", metavar="LABEL",
-                   help="distinguished class (default: b)")
-    _add_cap_flags(p)
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_realize, schema="realizeInput")
-
-    p = sub.add_parser("verify", help="re-derive a certificate's claims")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_verify, schema="realizationCertificate")
-
-    p = sub.add_parser("stabilize", help="carry a certificate up in dimension")
-    p.add_argument("--dim", type=int, metavar="N", help="target dimension")
-    _add_io_flags(p)
-    p.set_defaults(fn=_cmd_stabilize, schema=None)
-
-    p = sub.add_parser("selftest", help="quick end-to-end battery")
-    _add_io_flags(p, payload=False)
-    p.set_defaults(fn=_cmd_selftest, schema=None)
-
+    for spec in _COMMANDS:
+        p = sub.add_parser(spec.name, help=spec.help)
+        for flag in spec.flags:
+            p.add_argument(flag.name, dest=flag.key, metavar=flag.metavar, help=flag.help,
+                           type=None if flag.type is list else flag.type)
+        if spec.reads:
+            p.add_argument("--in", dest="infile", metavar="FILE",
+                           help="JSON payload file, - for stdin (default: stdin)")
+        p.add_argument("--out", dest="outfile", metavar="FILE",
+                       help="write the result here instead of stdout")
+        p.add_argument("--format", choices=("json", "text"), default="json",
+                       help="output rendering (default: json)")
+        p.set_defaults(spec=spec)
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call of this process shares; argparse
+    reads the terminal width when it formats help, not when it builds."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        payload = _read_payload(args, args.schema) if args.schema else None
-        code, obj, render = args.fn(payload, args)
+        payload = _read_payload(args) if args.spec.schema else None
+        code, obj, render = args.spec.fn(payload, args)
         rendered = render() if args.format == "text" else json.dumps(
             obj, indent=2, sort_keys=True)
     except InputError as exc:

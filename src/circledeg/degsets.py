@@ -80,7 +80,7 @@ EQUALS_MODULUS_CAP = 1 << 20
 SEARCH_SPAN_CAP = 1 << 20
 # progressions a degree set may hold: every rule yields at most one per
 # piece, no golden, demo, selftest or benchmark set holds more than two, and
-# dropping nested progressions is quadratic in their number
+# dropping nested progressions tests each against every smaller modulus kept
 PROGRESSION_CAP = 1 << 10
 
 
@@ -116,24 +116,23 @@ class DegreeSet(Frozen):
             if mod < 1:
                 raise InputError("progression modulus must be >= 1")
             progs.append((base % mod, mod))
-        progs = sorted(set(progs), key=lambda p: (p[1], p[0]))
-        # drop progressions contained in another one
-        kept: list[tuple[int, int]] = []
-        for p in progs:
-            if not any(q != p and p[1] % q[1] == 0 and (p[0] - q[0]) % q[1] == 0
-                       for q in progs):
-                kept.append(p)
-        # the containment test above treats equal pairs as distinct objects;
-        # dedupe handled by set() already, and mutual containment of distinct
-        # pairs cannot happen after base reduction.
+        # drop progressions contained in another one: a container has a
+        # smaller modulus and containment is transitive, so in (mod, base)
+        # order each progression is tested against the kept ones only,
+        # indexed as modulus -> bases and probed at the moduli dividing its own
+        bases_by_mod: dict[int, set[int]] = {}
+        for base, mod in sorted(set(progs), key=lambda p: (p[1], p[0])):
+            if not any(mod % m == 0 and base % m in bases
+                       for m, bases in bases_by_mod.items()):
+                bases_by_mod.setdefault(mod, set()).add(base)
+        kept = [(base, mod) for mod, bases in bases_by_mod.items() for base in sorted(bases)]
         flag = excludes_zero_in_progressions
         finite = sorted(set(int(x) for x in finite))
         if flag and (0 in finite or not any(base == 0 for base, _ in kept)):
             flag = False
-        def in_progs(x: int) -> bool:
-            return any((x - base) % mod == 0 for base, mod in kept)
+        # a finite 0 clears the flag above, so no covered member stays
         finite = [x for x in finite
-                  if not in_progs(x) or (x == 0 and flag)]
+                  if not any(x % m in bases for m, bases in bases_by_mod.items())]
         object.__setattr__(self, "finite", tuple(finite))
         object.__setattr__(self, "progressions", tuple(kept))
         object.__setattr__(self, "excludes_zero_in_progressions", flag)

@@ -19,9 +19,11 @@ to word a rejection: its best match names the offending field.  Its
 a child that the check for its subschema accepts yields no error, so
 jsonschema walks only the subtrees the compiled checks reject, and the
 errors, their order and the best match stay what a plain validator
-gives.  A payload nested more than ``MAX_NESTING`` containers deep is
-refused before either runs, so neither can exhaust the interpreter's
-stack.
+gives.  Their wording is jsonschema's too, but for ``maxItems``, which
+names the array's length and the maximum where jsonschema echoes the
+whole array, megabytes of it for a long array of large items.  A payload
+nested more than ``MAX_NESTING`` containers deep is refused before either
+runs, so neither can exhaust the interpreter's stack.
 
 >>> validate_payload("pairInput", {"m": 2, "k": 6})
 >>> validate_payload("pairInput", {"m": 0, "k": 6})
@@ -299,7 +301,9 @@ def _guided():
     the children their compiled subschema check rejects; the arguments
     passed to ``descend`` are those of jsonschema's own keywords.  The
     ``items`` here assumes what compiling enforces: no ``prefixItems``,
-    and a subschema rather than a boolean."""
+    and a subschema rather than a boolean.  ``maxItems`` rejects what
+    jsonschema's does, worded by length rather than by the array's repr."""
+    from jsonschema.exceptions import ValidationError
     from jsonschema.validators import Draft202012Validator, extend
 
     def accepts(instance, subschema) -> bool:
@@ -321,7 +325,13 @@ def _guided():
             if not accepts(item, items):
                 yield from validator.descend(instance=item, schema=items, path=index)
 
-    return extend(Draft202012Validator, {"properties": properties, "items": items})
+    def max_items(validator, maximum, instance, schema):
+        if validator.is_type(instance, "array") and len(instance) > maximum:
+            yield ValidationError(f"array of {len(instance)} items is longer "
+                                  f"than the maximum of {maximum}")
+
+    return extend(Draft202012Validator, {
+        "properties": properties, "items": items, "maxItems": max_items})
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -10,15 +11,19 @@ import re
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from cli_process import run_cli_closed_stdout, run_cli_measured, run_cli_process
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_schema import CLI_REQUESTS, digit_limit_requests
 
+from circledeg import cli as cli_module
 from circledeg import realize
 from circledeg.abelian import IntegerMatrix
-from circledeg.cli import main
+from circledeg.cli import build_parser, main
 from circledeg.degsets import (
     MAX_ENTRY_CAP,
     PROGRESSION_CAP,
@@ -380,6 +385,146 @@ def test_partial_flags_name_the_missing_field(cli, argv, field):
     assert re.search(field, err, re.IGNORECASE), err
 
 
+# every payload flag given reaches the payload: with a JSON document each
+# one overlays the same key, where reading the document once dropped them
+
+
+def test_dim_flag_reaches_a_json_payload(cli):
+    # was a dimension-4 certificate
+    code, out, err = cli("realize", "--dim", "8", stdin_text='{"set": [0, 1, 3]}')
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dimension"] == 8
+
+
+def test_flag_wins_over_the_same_json_key(cli):
+    code, out, err = cli("realize", "--dim", "7",
+                         stdin_text='{"set": [0, 1, 3], "dim": 5}')
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dimension"] == 7
+
+
+def test_preset_flag_reaches_a_json_payload(cli):
+    # was [fixed-class-scaling], the rule of the default knot-glue-3
+    code, out, err = cli("pair", "--preset", "surface", "--format", "text",
+                         stdin_text='{"m": 2, "k": 6}')
+    assert (code, err) == (0, "")
+    assert out.endswith(" [surface-euler-scaling]\n")
+    assert (code, out, err) == cli("pair", "-m", "2", "-k", "6", "--preset", "surface",
+                                   "--format", "text")
+
+
+def test_budget_flag_reaches_a_json_payload(cli):
+    # searched for 0.44 s under the default budget 10^7, and the cap message
+    # named 24 of 26 values excluded
+    code, out, err = cli("decompose", "--budget", "1000",
+                         stdin_text='{"set": [0, 1, 2, 4, 8, 16]}')
+    assert (code, out) == (2, "")
+    assert err.startswith("resource cap: decomposition search budget exhausted while "
+                          "excluding 3 (0 of 26 extraneous values excluded, budget 1000)")
+    assert (code, out, err) == cli("decompose", "--set=0,1,2,4,8,16", "--budget", "1000")
+
+
+def test_oversized_budget_flag_with_a_json_payload_exits_1(cli):
+    # was exit 0: the flag never reached the schema
+    code, out, err = cli("realize", "--budget", str(10**9), stdin_text='{"set": [0, 1, 3]}')
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid realizeInput at $.budget: ")
+
+
+def test_flag_with_a_non_object_payload_keeps_the_schema_message(cli):
+    code, out, err = cli("realize", "--dim", "7", stdin_text="[1, 2]")
+    assert (code, out) == (1, "")
+    assert err == "error: invalid realizeInput at payload: [1, 2] is not of type 'object'\n"
+
+
+def test_a_flag_that_builds_the_payload_alone_leaves_the_json_unread(cli):
+    code, out, err = cli("realize", "--set", "0,1,3", "--dim", "5", stdin_text="{nope")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dimension"] == 5
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sums", "--seq", "1,x"], "--seq"),
+    (["decompose", "--set", "0,,3.5"], "--set"),
+    (["realize", "--set", "0;1"], "--set"),
+])
+def test_malformed_list_flag_names_the_flag(cli, argv, flag):
+    # the flag's dest is its payload key; the message still names the flag
+    code, out, err = cli(*argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be a comma-separated list of integers\n"
+
+
+def test_main_builds_its_parser_once(cli, monkeypatch):
+    # argparse reads the terminal width when it formats help, not when it
+    # builds, so one parser serves every call of a process
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+    monkeypatch.setattr(cli_module, "build_parser", counting)
+    cli_module._parser.cache_clear()
+    try:
+        assert cli("pair", "-m", "2", "-k", "6")[0] == 0
+        assert cli("sums", "--seq", "1,3")[0] == 0
+    finally:
+        cli_module._parser.cache_clear()
+    assert len(built) == 1
+
+
+# what the CLI fuzz test gives a drawn flag
+FLAG_VALUES = ["0", "-1", "7", str(10**30), str(10**3999 + 1), "1,3", ",", "x", ""]
+
+
+@lru_cache(maxsize=1)
+def payloads_by_command() -> dict[str, list]:
+    """The stdin payloads of the CLI requests, by subcommand, and the
+    golden certificate for ``verify`` and ``stabilize``."""
+    cert = json.loads((GOLDEN / "realize-013-dim4.json").read_text())
+    by_command: dict[str, list] = {"verify": [cert], "stabilize": [cert]}
+    for argv, payload in CLI_REQUESTS:
+        if payload is not None:
+            by_command.setdefault(argv[0], []).append(payload)
+    return by_command
+
+
+@st.composite
+def flag_requests(draw):
+    """A subcommand of the parser's table with a subset of its payload
+    flags, each given a value of ``FLAG_VALUES``, and either no stdin or a
+    CLI request's payload, most often one of the subcommand's own."""
+    spec = draw(st.sampled_from(cli_module._COMMANDS))
+    flags = draw(st.lists(st.sampled_from(spec.flags), unique=True)) if spec.flags else []
+    argv = [spec.name, "--format", draw(st.sampled_from(["json", "text"]))]
+    argv += [f"{flag.name}={draw(st.sampled_from(FLAG_VALUES))}" for flag in flags]
+    everyone = [p for payloads in payloads_by_command().values() for p in payloads]
+    own = payloads_by_command().get(spec.name, everyone)
+    payload = draw(st.one_of(st.none(), st.sampled_from(own), st.sampled_from(everyone)))
+    return argv, payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(flag_requests())
+def test_flag_requests_exit_with_a_documented_code(case):
+    # an exception escaping main fails the test on its own
+    argv, payload = case
+    stdin = json.dumps(payload) if payload is not None else ""
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3), argv
+    assert time.perf_counter() - start < 2.0, argv
+
+
 def test_budget_cap_exit_code(cli):
     code, _, err = cli("decompose", "--set", "0,1,3", "--budget", "1")
     assert code == 2
@@ -656,6 +801,25 @@ def test_large_dfp_catalogue_finishes_in_a_child_process():
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: invalid dfpInput at $.catalogue.maps: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_long_catalogue_of_large_items_gets_a_short_rejection_in_a_child_process():
+    # jsonschema words maxItems as the repr of the whole array: 12,192,058
+    # bytes on stderr after 1.5 s for these 12 MB of JSON
+    action = {"rows": 10**3999 + 7, "cols": 1, "entries": [1]}
+    payload = json.dumps({
+        "domainGroup": {"rank": 1}, "targetGroup": {"rank": 1},
+        "a": {"free": [1]}, "b": {"free": [1]},
+        "catalogue": {"complete": True,
+                      "maps": [{"degree": 1, "action": action}] * 3000}})
+    start = time.perf_counter()
+    proc = run_cli_process("dfp", stdin_text=payload, timeout=10)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: invalid dfpInput at $.catalogue.maps: array of "
+                           "3000 items is longer than the maximum of 1024\n")
+    assert len(proc.stderr) < 1000
+    assert proc.stdout == ""
 
 
 def test_dfp_catalogue_at_the_cap_exits_0_in_a_child_process():

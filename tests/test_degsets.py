@@ -237,6 +237,48 @@ def test_progression_cap():
     assert time.perf_counter() - start < 2.0
 
 
+def _contains(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Whether progression ``q`` holds every member of ``p``."""
+    return p[1] % q[1] == 0 and (p[0] - q[0]) % q[1] == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(-40, 40), max_size=6),
+    st.lists(st.tuples(st.integers(-30, 30),
+                       st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36])),
+             min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_canonical_form_matches_brute_force(finite, progressions, excludes_zero):
+    s = DegreeSet.from_parts(finite, progressions, excludes_zero)
+    # members: a window past the finite part and a full period of every modulus
+    reach = 40 + math.lcm(*(m for _, m in progressions))
+
+    def member(x: int) -> bool:
+        if x in finite:
+            return True
+        if x == 0 and excludes_zero:
+            return False
+        return any((x - b) % m == 0 for b, m in progressions)
+    assert s.window(-reach, reach) == [x for x in range(-reach, reach + 1) if member(x)]
+    # form: exactly the progressions no other one given contains, in
+    # (mod, base) order, and the finite members none of them covers
+    reduced = {(b % m, m) for b, m in progressions}
+    kept = [p for p in reduced if not any(q != p and _contains(p, q) for q in reduced)]
+    assert s.progressions == tuple(sorted(kept, key=lambda p: (p[1], p[0])))
+    covered = {x for x in finite if any((x - b) % m == 0 for b, m in kept)}
+    assert s.finite == tuple(sorted(set(finite) - covered))
+
+
+def test_nested_progression_filter_is_subquadratic():
+    # 1024 progressions of one modulus were ~5 * 10^5 pair tests, ~0.25 s
+    start = time.perf_counter()
+    s = DegreeSet.from_parts([0], [(b, 1024) for b in range(1024)])
+    assert time.perf_counter() - start < 0.1
+    assert len(s.progressions) == 1024 and s.finite == ()
+
+
 def test_intersect_checks_the_progression_count_before_any_crt(monkeypatch):
     # odd moduli within a factor of 2 of each other: none holds another
     side = math.isqrt(degsets.PROGRESSION_CAP)

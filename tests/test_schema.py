@@ -489,6 +489,26 @@ def test_guided_rejection_text_is_the_plain_validators(edit):
         type(reference("realizationCertificate"))
 
 
+def test_max_items_rejection_names_the_length_not_the_array():
+    # jsonschema's own text is the repr of the whole array; the best match
+    # keeps its path and keyword
+    cert = golden_certificate()
+    cert["pairs"][0]["claimed"] = {"finite": [0], "progressions": [
+        {"base": 1, "mod": m} for m in range(2, 2 + PROGRESSION_CAP + 1)]}
+    errors = schema._validator("realizationCertificate").iter_errors(cert)
+    guided = jsonschema.exceptions.best_match(errors)
+    plain = jsonschema.exceptions.best_match(
+        reference("realizationCertificate").iter_errors(cert))
+    assert (guided.json_path, guided.validator) == (plain.json_path, plain.validator) \
+        == ("$.pairs[0].claimed.progressions", "maxItems")
+    assert plain.message.endswith("}] is too long")
+    with pytest.raises(InputError) as err:
+        validate_payload("realizationCertificate", cert)
+    assert str(err.value) == (
+        "invalid realizationCertificate at $.pairs[0].claimed.progressions: "
+        f"array of {PROGRESSION_CAP + 1} items is longer than the maximum of {PROGRESSION_CAP}")
+
+
 def descended_paths(validator, obj) -> list:
     """The ``path`` of every ``descend`` call while ``validator`` lists the
     errors of ``obj``."""
