@@ -18,6 +18,7 @@ import pytest
 from cli_process import run_cli_closed_stdout, run_cli_measured, run_cli_process
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_realize import mutate, tamper_cases
 from test_schema import CLI_REQUESTS, digit_limit_requests
 
 from circledeg import cli as cli_module
@@ -767,6 +768,35 @@ def test_huge_claimed_sets_give_a_bounded_report(cli):
         "the subsequence-sum set of [1, 3]")
     assert got["pair[1].claimed-vs-enumeration"].startswith(
         "claimed set {1, 3, 5, 7, 9, 11, 13, 15, ...} (65536 members) is not ")
+
+
+@lru_cache(maxsize=1)
+def verify_report_cases() -> dict[str, realize.RealizationCertificate]:
+    """Name -> certificate: both golden certificates, every tamper case of
+    ``test_realize`` and every hostile certificate."""
+    def load(text):
+        return realize.RealizationCertificate.from_json(json.loads(text))
+    cases = {f"golden/{name}": load((GOLDEN / name).read_text())
+             for name in ("realize-013-dim4.json", "tampered-cert.json")}
+    cert = realize.build_construction({0, 1, 3}, 4)
+    for editor, _ in tamper_cases():
+        cases[f"tamper/{editor.__name__}"] = mutate(cert, editor)
+    for name, (edit, _) in HOSTILE.items():
+        cases[f"hostile/{name}"] = load(_hostile(edit))
+    return cases
+
+
+REPORT_SNAPSHOTS = GOLDEN / "verify-reports.json"
+
+
+@pytest.mark.parametrize("name", sorted(verify_report_cases()))
+def test_verify_report_matches_its_snapshot(name):
+    # every check id, verdict and detail, in JSON and as text
+    want = json.loads(REPORT_SNAPSHOTS.read_text())[name]
+    report = realize.verify_certificate(verify_report_cases()[name])
+    assert json.dumps(report.to_json(), sort_keys=True) == \
+        json.dumps(want["json"], sort_keys=True)
+    assert report.render() == want["text"]
 
 
 def test_progressions_past_the_cap_exit_1_at_the_schema_in_a_child_process():
