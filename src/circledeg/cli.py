@@ -50,7 +50,7 @@ __all__ = ["main", "build_parser"]
 
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
-        return [int(piece) for piece in text.replace(" ", "").split(",") if piece]
+        return [int(piece) for piece in text.split(",") if piece.strip()]
     except ValueError as exc:
         raise InputError(f"{what} must be a comma-separated list of integers") from exc
 

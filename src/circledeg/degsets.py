@@ -38,7 +38,7 @@ __all__ = [
     "subsequence_sums",
     "decompose",
     "verify_decomposition",
-    "check_enumeration",
+    "enumerated_sums",
     "SUM_LENGTH_CAP",
     "SUM_SIZE_CAP",
     "VERIFY_LENGTH_CAP",
@@ -827,41 +827,23 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
     )
 
 
-def verify_decomposition(cert: DecompositionCertificate) -> bool:
-    """Re-check a decomposition by full subset enumeration.
+def enumerated_sums(sequences: Sequence[SequenceB]) -> Iterator[frozenset[int]]:
+    """S_B of each of ``sequences`` in turn, each recomputed by walking all
+    2^|B| subsets (independent of the sparse DP that builds certificates).
 
-    Each S_B(i) is recomputed by walking all 2^|B| subsets (independent of
-    the sparse DP used to build certificates); true iff the intersection
-    equals the stored target.  Before enumerating anything it raises
-    :class:`ResourceCapError` for a sequence longer than
-    ``VERIFY_LENGTH_CAP`` and then for more than ``ENUMERATION_CAP``
-    subsets in all.
+    Before yielding any it raises :class:`ResourceCapError` for a sequence
+    longer than ``VERIFY_LENGTH_CAP`` and then for more than
+    ``ENUMERATION_CAP`` subsets in all.
+
+    >>> [sorted(s) for s in enumerated_sums([SequenceB((1, 3)), SequenceB((-2,))])]
+    [[0, 1, 3, 4], [-2, 0]]
     """
-    for s in cert.sequences:
+    for s in sequences:
         if len(s) > VERIFY_LENGTH_CAP:
             raise ResourceCapError(
                 "max_len", VERIFY_LENGTH_CAP,
                 f"verification cap: sequence length {len(s)} exceeds {VERIFY_LENGTH_CAP}",
             )
-    check_enumeration(cert.sequences)
-    inter: frozenset[int] | None = None
-    for s in cert.sequences:
-        n = len(s)
-        entries = s.entries
-        sums = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + entries[low.bit_length() - 1]
-        got = frozenset(sums)
-        inter = got if inter is None else inter & got
-    if inter is None:
-        return False
-    return inter == frozenset(cert.target)
-
-
-def check_enumeration(sequences: Sequence[SequenceB]) -> None:
-    """Raises :class:`ResourceCapError` when ``sequences`` have more than
-    ``ENUMERATION_CAP`` subsets in all."""
     total = sum(1 << len(s) for s in sequences)
     if total > ENUMERATION_CAP:
         raise ResourceCapError(
@@ -869,3 +851,19 @@ def check_enumeration(sequences: Sequence[SequenceB]) -> None:
             f"verification cap: the sequences have {total} subsets in all, "
             f"beyond the cap of {ENUMERATION_CAP}",
         )
+    for s in sequences:
+        entries = s.entries
+        sums = [0] * (1 << len(entries))
+        for mask in range(1, len(sums)):
+            low = mask & -mask
+            sums[mask] = sums[mask ^ low] + entries[low.bit_length() - 1]
+        yield frozenset(sums)
+
+
+def verify_decomposition(cert: DecompositionCertificate) -> bool:
+    """Whether the S_B(i) that :func:`enumerated_sums` recomputes intersect
+    to the stored target; raises its caps."""
+    inter: frozenset[int] | None = None
+    for sums in enumerated_sums(cert.sequences):
+        inter = sums if inter is None else inter & sums
+    return inter == frozenset(cert.target)

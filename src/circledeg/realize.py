@@ -30,7 +30,8 @@ as a certificate listing every claim with the rule that justifies it:
 
 ``verify_certificate`` re-derives every claim from scratch and reports
 one named check per claim, in a fixed order, with the first failing
-check singled out.
+check singled out.  Each claimed set S_B(i) is re-derived by enumerating
+all subsets of B(i), never by the sum DP the builder uses.
 """
 
 from __future__ import annotations
@@ -61,10 +62,9 @@ from .degsets import (
     DegreeSet,
     SearchLimits,
     SequenceB,
-    check_enumeration,
     decompose,
+    enumerated_sums,
     subsequence_sums,
-    verify_decomposition,
 )
 from .errors import HypothesisError, InputError, ResourceCapError
 
@@ -541,137 +541,136 @@ class VerificationReport(Frozen):
         return "\n".join(lines)
 
 
-def _claimed_pair_set(m: int, k: int, base: BaseManifold, label: str) -> DegreeSet | str:
-    """Exact degree set of the (m*b, k*b) pair, or a failure reason."""
-    try:
-        res = same_base_pair_degree_set(m, k, base, label)
-    except (HypothesisError, InputError) as exc:
-        return str(exc)
-    if not res.exact:
-        return "pair rule only gave an upper bound"
-    return res.degree_set
-
-
 def _sum_rule(alpha: int, entries: Sequence[int], base: BaseManifold,
-              label: str) -> tuple[bool, str]:
-    """Whether the summand with multiplier ``alpha // beta`` realizes
+              label: str) -> bool | str:
+    """True when the summand with multiplier ``alpha // beta`` realizes
     exactly ``{0, beta}`` for every ``beta`` in ``entries``, each of which
-    divides ``alpha``; with the first mismatch as detail."""
+    divides ``alpha``; otherwise the first mismatch.  Raises the pair
+    rule's :class:`InputError` for a pair it does not cover."""
     for beta in entries:
-        got = _claimed_pair_set(alpha // beta, alpha, base, label)
-        if isinstance(got, str):
-            return False, got
+        res = same_base_pair_degree_set(alpha // beta, alpha, base, label)
+        if not res.exact:
+            return "pair rule only gave an upper bound"
         want = DegreeSet.from_finite([0, beta])
-        if not got.equals(want):
-            return False, (f"summand with multiplier {alpha // beta} realizes "
-                           f"{got.render()}, not {want.render()}")
-    return True, ""
+        if not res.degree_set.equals(want):
+            return (f"summand with multiplier {alpha // beta} realizes "
+                    f"{res.degree_set.render()}, not {want.render()}")
+    return True
 
 
 def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     """Re-derive every claim of a realization certificate.
 
     Emits one named check per claim in a fixed order; ``first_failure``
-    is the id of the earliest failed check.  The decomposition is
-    re-verified by full subset enumeration, pair degree sets are re-won
-    from the same-base rule, cross non-divisibility and the combination
-    shape are recomputed from the stored multipliers.
+    is the id of the earliest failed check.  Each S_B(i) is re-derived
+    once, by full subset enumeration, and serves both the decomposition
+    check and pair i's claimed set; pair degree sets are re-won from the
+    same-base rule, cross non-divisibility and the combination shape are
+    recomputed from the stored multipliers.
     """
     checks: list[Check] = []
 
-    def check(cid: str, ok: bool, detail: str = "") -> None:
-        checks.append(Check(cid, bool(ok), detail if not ok else ""))
-
-    def capped(test: Callable[[], tuple[bool, str]]) -> tuple[bool, str]:
-        """``test()``'s verdict and detail, or a failure that names the cap
-        ``test`` hit."""
+    def check(cid: str, verdict: Callable[[], bool | str]) -> bool | str:
+        """Records check ``cid`` and returns its verdict: ``verdict()`` is
+        True when it passes and otherwise the failure detail, so a detail
+        is formatted only for a failure.  An :class:`InputError` or a cap
+        ``verdict`` raises fails the check with the error's text."""
         try:
-            return test()
-        except ResourceCapError as exc:
-            return False, str(exc)
+            got = verdict()
+        except (InputError, ResourceCapError) as exc:
+            got = str(exc)
+        checks.append(Check(cid, got is True, "" if got is True else got))
+        return got
 
     target = cert.target
-    check("target.form", target.is_finite_set and target.contains(0),
-          "target must be a finite set containing 0")
+    check("target.form", lambda: target.is_finite_set and target.contains(0)
+          or "target must be a finite set containing 0")
 
     decomp = cert.decomposition
     tgt_sorted = tuple(sorted(target.finite)) if target.is_finite_set else ()
-    check("decomposition.matches-target", decomp.target == tgt_sorted,
-          f"decomposition target {list(decomp.target)} differs from "
-          f"certificate target {list(tgt_sorted)}")
-    check("decomposition.valid", *capped(lambda: (
-        verify_decomposition(decomp),
-        "stored sequences do not intersect to the target")))
+    check("decomposition.matches-target", lambda: decomp.target == tgt_sorted or (
+        f"decomposition target {list(decomp.target)} differs from "
+        f"certificate target {list(tgt_sorted)}"))
 
     seqs = decomp.sequences
     r = len(seqs)
-    expected_primes = 0 if r == 1 else r
-    check("primes.count", len(cert.primes) == expected_primes,
-          f"expected {expected_primes} primes for {r} sequences, "
-          f"got {len(cert.primes)}")
-    check("primes.distinct", len(set(cert.primes)) == len(cert.primes),
-          "primes repeat")
-    def primality() -> tuple[bool, str]:
-        composite = [p for p in cert.primes if not _is_prime(p)]
-        return not composite, f"not prime: {composite}"
-    check("primes.primality", *capped(primality))
-    hull = max((abs(x) for s in seqs for x in s.entries), default=0)
-    small = [p for p in cert.primes if p <= hull]
-    check("primes.size", not small,
-          f"primes {small} are not larger than the largest entry magnitude {hull}")
+    # each S_B(i) is compared with pair i's claim as soon as it is
+    # enumerated and then dropped, so only the intersection is kept
+    claims: list[bool | str] = []
 
-    check("alpha.count", len(cert.multipliers) == r,
-          f"expected {r} multipliers, got {len(cert.multipliers)}")
+    def intersection() -> bool | str:
+        inter: frozenset[int] | None = None
+        for i, sums in enumerate(enumerated_sums(seqs)):
+            inter = sums if inter is None else inter & sums
+            if i < len(cert.pairs):
+                claim = cert.pairs[i].claimed
+                claims.append(
+                    not claim.progressions and len(claim.finite) == len(sums)
+                    and sums.issuperset(claim.finite)
+                    or f"claimed set {_outline(claim)} is not the subsequence-sum "
+                       f"set of {list(seqs[i].entries)}")
+        return inter == frozenset(decomp.target) or \
+            "stored sequences do not intersect to the target"
+    valid = check("decomposition.valid", intersection)
+    # a cap is raised before the first S_B is enumerated and fails every claim
+    claims = claims or [valid] * len(cert.pairs)
+
+    expected_primes = 0 if r == 1 else r
+    check("primes.count", lambda: len(cert.primes) == expected_primes or (
+        f"expected {expected_primes} primes for {r} sequences, got {len(cert.primes)}"))
+    check("primes.distinct",
+          lambda: len(set(cert.primes)) == len(cert.primes) or "primes repeat")
+    check("primes.primality", lambda: all(map(_is_prime, cert.primes)) or (
+        f"not prime: {[p for p in cert.primes if not _is_prime(p)]}"))
+    hull = max((abs(x) for s in seqs for x in s.entries), default=0)
+    check("primes.size", lambda: all(p > hull for p in cert.primes) or (
+        f"primes {[p for p in cert.primes if p <= hull]} are not larger than "
+        f"the largest entry magnitude {hull}"))
+
+    check("alpha.count", lambda: len(cert.multipliers) == r or (
+        f"expected {r} multipliers, got {len(cert.multipliers)}"))
     for i in range(min(r, len(cert.multipliers))):
         expect = math.prod(seqs[i].entries)
         if r > 1 and i < len(cert.primes):
             expect *= cert.primes[i]
-        check(f"alpha.product[{i}]", cert.multipliers[i] == expect,
-              f"multiplier {cert.multipliers[i]} is not "
-              f"{'prime times ' if r > 1 else ''}the sequence product {expect}")
+        check(f"alpha.product[{i}]", lambda: cert.multipliers[i] == expect or (
+            f"multiplier {cert.multipliers[i]} is not "
+            f"{'prime times ' if r > 1 else ''}the sequence product {expect}"))
 
     base = cert.base
-    missing = [f for f in STRONG_BASE_FLAGS if not base.has(f)]
-    check("base.flags", not missing, f"base lacks flags: {missing}")
+    check("base.flags", lambda: all(map(base.has, STRONG_BASE_FLAGS)) or (
+        f"base lacks flags: {[f for f in STRONG_BASE_FLAGS if not base.has(f)]}"))
     label = cert.class_label
     named = dict(base.named_classes)
-    class_ok = label in named and label in base.fixes
-    check("base.class", class_ok,
-          f"class {label!r} must be a named class fixed by degree-one self maps")
+    check("base.class", lambda: label in named and label in base.fixes or (
+        f"class {label!r} must be a named class fixed by degree-one self maps"))
     b = named.get(label)
 
-    # the sum DP of each claimed-vs-enumeration runs under this cap too
-    enumerable = capped(lambda: (check_enumeration(seqs) is None, ""))
-
-    check("pair.count", len(cert.pairs) == r,
-          f"expected {r} pairs, got {len(cert.pairs)}")
+    check("pair.count", lambda: len(cert.pairs) == r or (
+        f"expected {r} pairs, got {len(cert.pairs)}"))
     expected_rule = exact_pair_rule(base)
     for i, pair in enumerate(cert.pairs):
         pid = f"pair[{i}]"
-        check(f"{pid}.rule", pair.rule == expected_rule,
-              f"rule {pair.rule!r} does not match the base (expected {expected_rule!r})")
+        check(f"{pid}.rule", lambda: pair.rule == expected_rule or (
+            f"rule {pair.rule!r} does not match the base (expected {expected_rule!r})"))
         if i >= r or i >= len(cert.multipliers):
-            check(f"{pid}.target-euler", False, "pair has no matching sequence")
+            check(f"{pid}.target-euler", lambda: "pair has no matching sequence")
             continue
         alpha = cert.multipliers[i]
         entries = seqs[i].entries
-        tgt_ok = (
+        check(f"{pid}.target-euler", lambda: (
             b is not None
             and isinstance(pair.target, CircleBundle)
             and pair.target.base == base
             and pair.target.euler == alpha * b
-        )
-        check(f"{pid}.target-euler", tgt_ok,
-              f"target must be the bundle with Euler class {alpha}*{label}")
+        ) or f"target must be the bundle with Euler class {alpha}*{label}")
 
-        if isinstance(pair.domain, ConnectedSum):
-            summands = pair.domain.summands
-        else:
-            summands = (pair.domain,)
+        summands = pair.domain.summands if isinstance(pair.domain, ConnectedSum) \
+            else (pair.domain,)
         div_bad = [beta for beta in entries if alpha % beta != 0]
-        check(f"{pid}.summand-divisibility", not div_bad,
-              f"entries {div_bad} do not divide the multiplier {alpha}")
-        sum_ok = (
+        check(f"{pid}.summand-divisibility", lambda: not div_bad or (
+            f"entries {div_bad} do not divide the multiplier {alpha}"))
+        check(f"{pid}.summand-euler", lambda: (
             b is not None
             and not div_bad
             and len(summands) == len(entries)
@@ -681,24 +680,11 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
                 and s.euler == (alpha // beta) * b
                 for s, beta in zip(summands, entries)
             )
-        )
-        check(f"{pid}.summand-euler", sum_ok,
-              "domain summands must be the bundles with Euler classes "
-              f"({alpha}/beta)*{label} for beta in {list(entries)}")
-
-        if div_bad:
-            check(f"{pid}.sum-rule", False, "multiplier ratios are not integers")
-        else:
-            check(f"{pid}.sum-rule", *capped(
-                lambda: _sum_rule(alpha, entries, base, label)))
-
-        def claimed_matches() -> tuple[bool, str]:
-            if pair.claimed.equals(subsequence_sums(seqs[i])):
-                return True, ""
-            return False, (f"claimed set {_outline(pair.claimed)} is not the "
-                           f"subsequence-sum set of {list(entries)}")
-        check(f"{pid}.claimed-vs-enumeration",
-              *(capped(claimed_matches) if enumerable[0] else enumerable))
+        ) or ("domain summands must be the bundles with Euler classes "
+              f"({alpha}/beta)*{label} for beta in {list(entries)}"))
+        check(f"{pid}.sum-rule", lambda: "multiplier ratios are not integers" if div_bad
+              else _sum_rule(alpha, entries, base, label))
+        check(f"{pid}.claimed-vs-enumeration", lambda: claims[i])
 
     # one cross check is expected for each (i, j, summand) with i != j and
     # summand indexing B(i); they are counted, not built one by one
@@ -707,110 +693,89 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     def in_range(i: int, j: int, summand: int) -> bool:
         return 0 <= i < r and 0 <= j < r and i != j and 0 <= summand < lengths[i]
 
-    expected = (r - 1) * sum(lengths)
-    got_cross = {(c.i, c.j, c.summand) for c in cert.cross_checks}
-    unexpected = {t for t in got_cross if not in_range(*t)}
-    found = len(got_cross) - len(unexpected)
-    complete = (not unexpected and found == expected
-                and len(cert.cross_checks) == len(got_cross))
-    if complete:
-        detail = ""
-    elif expected <= _CROSS_LISTING_CAP:
-        every = {(i, j, s_idx) for i in range(r) for j in range(r) if i != j
-                 for s_idx in range(lengths[i])}
-        detail = (f"missing {sorted(every - got_cross)}, "
-                  f"unexpected {sorted(unexpected)}")
-    else:
-        detail = (f"missing {expected - found} of {expected} expected cross "
-                  f"checks, unexpected {len(unexpected)}")
-    check("cross.completeness", complete, detail)
-    for c in cert.cross_checks:
-        cid = f"cross[{c.i},{c.j},{c.summand}]"
+    def completeness() -> bool | str:
+        expected = (r - 1) * sum(lengths)
+        got = {(c.i, c.j, c.summand) for c in cert.cross_checks}
+        unexpected = {t for t in got if not in_range(*t)}
+        found = len(got) - len(unexpected)
+        if not unexpected and found == expected and len(cert.cross_checks) == len(got):
+            return True
+        if expected <= _CROSS_LISTING_CAP:
+            every = {(i, j, s_idx) for i in range(r) for j in range(r) if i != j
+                     for s_idx in range(lengths[i])}
+            return f"missing {sorted(every - got)}, unexpected {sorted(unexpected)}"
+        return (f"missing {expected - found} of {expected} expected cross "
+                f"checks, unexpected {len(unexpected)}")
+    check("cross.completeness", completeness)
+
+    def nondivisible(c: CrossCheck) -> bool | str:
         if not in_range(c.i, c.j, c.summand):
-            check(f"{cid}.nondivisible", False, "cross check out of range")
-            continue
+            return "cross check out of range"
+        if max(c.i, c.j) >= len(cert.multipliers):
+            return "cross check names a pair without a multiplier"
         beta = seqs[c.i].entries[c.summand]
         alpha_i, alpha_j = cert.multipliers[c.i], cert.multipliers[c.j]
         if alpha_i % beta != 0:
-            check(f"{cid}.nondivisible", False,
-                  f"entry {beta} does not divide multiplier {alpha_i}")
-            continue
+            return f"entry {beta} does not divide multiplier {alpha_i}"
         m = alpha_i // beta
         if c.multiplier != m:
-            detail = f"stored multiplier {c.multiplier} is not {alpha_i}/{beta} = {m}"
-        elif c.verdict != "pass":
-            detail = f"verdict {c.verdict!r} is not 'pass'"
-        else:
-            detail = f"summand multiplier {m} divides {alpha_j}"
-        ok = c.multiplier == m and c.verdict == "pass" and alpha_j % m != 0
-        check(f"{cid}.nondivisible", ok, detail)
+            return f"stored multiplier {c.multiplier} is not {alpha_i}/{beta} = {m}"
+        if c.verdict != "pass":
+            return f"verdict {c.verdict!r} is not 'pass'"
+        return alpha_j % m != 0 or f"summand multiplier {m} divides {alpha_j}"
+    for c in cert.cross_checks:
+        check(f"cross[{c.i},{c.j},{c.summand}].nondivisible", lambda: nondivisible(c))
 
     combo = cert.combination
     n0 = base.dim + 1
-    if r == 1:
-        shape_ok = (
-            combo.pad_symbol is None
-            and combo.rule == "direct"
-            and len(cert.pairs) == 1
-            and _strip_stabilization(combo.result_domain) == cert.pairs[0].domain
-            and _strip_stabilization(combo.result_target) == cert.pairs[0].target
-        )
-        shape_detail = "single-pair combination must reuse the pair unchanged"
-    else:
-        want_pad = (
-            SymbolicRepeat(SphereProduct(n0), combo.pad_symbol)
-            if combo.pad_symbol is not None else None
-        )
-        want_domain = want_target = None
-        if want_pad is not None and len(cert.pairs) == r:
-            want_domain = ConnectedSum(tuple(p.domain for p in cert.pairs) + (want_pad,))
-            want_target = ConnectedSum(tuple(p.target for p in cert.pairs) + (want_pad,))
-        shape_ok = (
-            want_domain is not None
-            and combo.rule == "padded-combination"
-            and _strip_stabilization(combo.result_domain) == want_domain
-            and _strip_stabilization(combo.result_target) == want_target
-        )
-        shape_detail = (
-            "combination must connect-sum all pair domains (and targets) "
-            f"with a symbolic number of S^{n0 - 1}xS^1 copies"
-        )
-    check("combination.shape", shape_ok, shape_detail)
-    try:
-        dim_ok = (expr_dim(combo.result_domain) == cert.dimension
-                  and expr_dim(combo.result_target) == cert.dimension)
-    except InputError:
-        dim_ok = False
-    check("combination.dimension", dim_ok,
-          f"combined pair must live in dimension {cert.dimension}")
 
-    def final_intersection() -> tuple[bool, str]:
+    def shape() -> bool | str:
+        dom = _strip_stabilization(combo.result_domain)
+        cod = _strip_stabilization(combo.result_target)
+        if r == 1:
+            return (combo.pad_symbol is None
+                    and combo.rule == "direct"
+                    and len(cert.pairs) == 1
+                    and dom == cert.pairs[0].domain
+                    and cod == cert.pairs[0].target
+                    ) or "single-pair combination must reuse the pair unchanged"
+        if combo.pad_symbol is not None and len(cert.pairs) == r:
+            pad = (SymbolicRepeat(SphereProduct(n0), combo.pad_symbol),)
+            if (combo.rule == "padded-combination"
+                    and dom == ConnectedSum(tuple(p.domain for p in cert.pairs) + pad)
+                    and cod == ConnectedSum(tuple(p.target for p in cert.pairs) + pad)):
+                return True
+        return ("combination must connect-sum all pair domains (and targets) "
+                f"with a symbolic number of S^{n0 - 1}xS^1 copies")
+    check("combination.shape", shape)
+
+    check("combination.dimension", lambda: expr_dim(combo.result_domain) == cert.dimension
+          and expr_dim(combo.result_target) == cert.dimension
+          or f"combined pair must live in dimension {cert.dimension}")
+
+    def final_intersection() -> bool | str:
         inter = None
         for pair in cert.pairs:
             inter = pair.claimed if inter is None else inter.intersect(pair.claimed)
-        return (inter is not None and cert.final_set.equals(inter),
-                "final set must be the intersection of the pair degree sets")
-    check("final.intersection", *capped(final_intersection))
-
-    def final_equals_target() -> tuple[bool, str]:
-        if cert.final_set.equals(target):
-            return True, ""
-        return False, (f"final set {cert.final_set.render()} differs from the target "
-                       f"{target.render()}")
-    check("final.equals-target", *capped(final_equals_target))
+        return inter is not None and cert.final_set.equals(inter) \
+            or "final set must be the intersection of the pair degree sets"
+    check("final.intersection", final_intersection)
+    check("final.equals-target", lambda: cert.final_set.equals(target) or (
+        f"final set {cert.final_set.render()} differs from the target "
+        f"{target.render()}"))
 
     dim = n0
     chain_ok = True
     for t, st in enumerate(cert.stabilizations):
-        ok = st.shift >= 3 and st.from_dimension == dim and \
-            st.to_dimension == st.from_dimension + st.shift
-        check(f"stabilization[{t}].shift", ok,
-              f"shift {st.shift} from {st.from_dimension} to {st.to_dimension} "
-              f"does not extend dimension {dim} by at least 3")
-        chain_ok = chain_ok and ok
+        ok = check(f"stabilization[{t}].shift", lambda: (
+            st.shift >= 3 and st.from_dimension == dim
+            and st.to_dimension == st.from_dimension + st.shift
+        ) or (f"shift {st.shift} from {st.from_dimension} to {st.to_dimension} "
+              f"does not extend dimension {dim} by at least 3"))
+        chain_ok = chain_ok and ok is True
         dim = st.to_dimension
-    check("stabilization.chain", chain_ok and dim == cert.dimension,
-          f"stabilizations end at dimension {dim}, certificate says {cert.dimension}")
+    check("stabilization.chain", lambda: chain_ok and dim == cert.dimension or (
+        f"stabilizations end at dimension {dim}, certificate says {cert.dimension}"))
 
     first = next((c.id for c in checks if not c.ok), None)
     return VerificationReport(first is None, tuple(checks), first)

@@ -127,6 +127,8 @@ def test_decompose_command(cli):
     validate_payload("decompositionCertificate", got)
     assert got["sequences"] == [[1, 3], [1, 2]]
     assert got["target"] == [0, 1, 3]
+    # spaces around the commas are allowed
+    assert cli("decompose", "--set", "0, 1, 3")[1] == out
 
 
 def test_dv_command(cli):
@@ -448,6 +450,7 @@ def test_a_flag_that_builds_the_payload_alone_leaves_the_json_unread(cli):
     (["sums", "--seq", "1,x"], "--seq"),
     (["decompose", "--set", "0,,3.5"], "--set"),
     (["realize", "--set", "0;1"], "--set"),
+    (["sums", "--seq", "1 3"], "--seq"),  # once read as 13
 ])
 def test_malformed_list_flag_names_the_flag(cli, argv, flag):
     # the flag's dest is its payload key; the message still names the flag
@@ -797,6 +800,56 @@ def test_verify_report_matches_its_snapshot(name):
     assert json.dumps(report.to_json(), sort_keys=True) == \
         json.dumps(want["json"], sort_keys=True)
     assert report.render() == want["text"]
+
+
+def _short_multipliers(cert):
+    cert["multipliers"] = cert["multipliers"][:1]
+
+
+def _pair_of_another_dimension(cert):
+    cert["pairs"][1]["domain"] = {"sphereProduct": 5}
+
+
+# the first raised IndexError, the second exited 1 from the combination check
+@pytest.mark.parametrize("edit, check, detail", [
+    (_short_multipliers, "cross[0,1,0].nondivisible",
+     "cross check names a pair without a multiplier"),
+    (_pair_of_another_dimension, "combination.shape",
+     "connected sum summands must share a dimension"),
+])
+def test_inconsistent_certificate_exits_3_in_a_child_process(edit, check, detail):
+    proc = run_cli_process("verify", stdin_text=_hostile(edit), timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    got = {c["id"]: c.get("detail") for c in json.loads(proc.stdout)["checks"]}
+    assert got[check] == detail
+
+
+def test_sequence_past_the_verify_length_cap_fails_every_claim(cli):
+    # the claims were once decided by the builder's sum DP instead
+    def longer(cert):
+        cert["decomposition"]["sequences"][0] = list(range(1, 22))
+    code, out, _ = cli("verify", stdin_text=_hostile(longer))
+    assert code == 3
+    report = json.loads(out)
+    assert report["firstFailure"] == "decomposition.valid"
+    cap = "verification cap: sequence length 21 exceeds 20"
+    got = {c["id"]: c.get("detail") for c in report["checks"]}
+    assert got["decomposition.valid"] == cap
+    assert got["pair[0].claimed-vs-enumeration"] == cap
+    assert got["pair[1].claimed-vs-enumeration"] == cap
+
+
+def test_verifier_keeps_one_sum_set_at_a_time_in_a_child_process(tmp_path):
+    # sixteen 18-entry sequences with 2^18 sums each: holding every
+    # enumerated set at once would take ~280 MB
+    def doubling(cert):
+        cert["decomposition"]["sequences"] = [[1 << k for k in range(18)]] * 16
+    path = tmp_path / "cert.json"
+    path.write_text(_hostile(doubling))
+    proc, peak_mb = run_cli_measured("verify", "--in", str(path), timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["firstFailure"] == "decomposition.valid"
+    assert peak_mb < 120
 
 
 def test_progressions_past_the_cap_exit_1_at_the_schema_in_a_child_process():

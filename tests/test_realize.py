@@ -5,9 +5,11 @@ from __future__ import annotations
 import copy
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from circledeg import degsets
 from circledeg.abelian import FgAbelianGroup
 from circledeg.bundles import (
     BaseManifold,
@@ -32,6 +34,8 @@ from circledeg.realize import (
     stabilize,
     verify_certificate,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def euler_of(expr):
@@ -409,6 +413,29 @@ def test_prime_firewall_is_what_blocks_cross_maps():
     assert "primes.distinct" in failing
     # 21/3 = 7 divides 14
     assert "cross[0,1,1].nondivisible" in failing
+
+
+def test_claims_are_checked_against_enumeration_not_the_sum_dp(monkeypatch):
+    cert = build_construction({0, 1, 3}, 4)
+    real = degsets._sums_of
+    monkeypatch.setattr(degsets, "_sums_of", lambda entries: real(entries) | {99})
+    wrong = degsets.subsequence_sums(cert.decomposition.sequences[0])
+    bad = cert._replace(pairs=(cert.pairs[0]._replace(claimed=wrong),) + cert.pairs[1:])
+    report = verify_certificate(bad)
+    failing = [c.id for c in report.checks if not c.ok]
+    assert failing[0] == "pair[0].claimed-vs-enumeration"
+
+
+@pytest.mark.parametrize("name", ["realize-013-dim4.json", "tampered-cert.json"])
+def test_verifier_never_runs_the_sum_dp(monkeypatch, name):
+    cert = RealizationCertificate.from_json(json.loads((GOLDEN / name).read_text()))
+    want = verify_certificate(cert).to_json()
+
+    def refuse(entries):
+        raise AssertionError("the sum DP ran")
+    monkeypatch.setattr(degsets, "_sums_of", refuse)
+    assert verify_certificate(cert).to_json() == want
+    assert want["valid"] == (name == "realize-013-dim4.json")
 
 
 def test_is_prime_matches_sympy():
