@@ -257,9 +257,9 @@ class GroupElement(Frozen):
         # torsion residues need reducing again
         out = object.__new__(GroupElement)
         object.__setattr__(out, "group", self.group)
-        object.__setattr__(out, "free", tuple(k * a for a in self.free))
+        object.__setattr__(out, "free", tuple([k * a for a in self.free]))
         object.__setattr__(out, "torsion", tuple(
-            k * r % d for r, d in zip(self.torsion, self.group.torsion)))
+            [k * r % d for r, d in zip(self.torsion, self.group.torsion)]))
         return out
 
     __rmul__ = scale

@@ -549,16 +549,9 @@ class PairResult(Frozen):
         return out
 
 
-def same_base_pair_degree_set(m: int, k: int, base: BaseManifold,
-                              class_label: str = "b") -> PairResult:
-    """Degree set of maps between the bundles with Euler classes m*b and
-    k*b over one base N.
-
-    Exact form, needing flags aspherical, scf_pi1, d_self_is_01 and the
-    class fixed: {0, k/m} when m divides k, else {0}.  With only a finite
-    self-degree set the result is the upper bound {0, +-k/m} (or {0}),
-    marked exact=False.
-    """
+def _pair_rule_hypotheses(m: int, k: int, base: BaseManifold, class_label: str) -> bool:
+    """Checks the hypotheses of :func:`same_base_pair_degree_set`, raising
+    its errors in its order; True when its exact form applies."""
     if m == 0 or k == 0:
         raise InputError("Euler multipliers m and k must be nonzero")
     for flag in ("aspherical", "scf_pi1"):
@@ -573,6 +566,20 @@ def same_base_pair_degree_set(m: int, k: int, base: BaseManifold,
         raise HypothesisError(
             f"base {base.name!r} is missing required flag: d_self_finite"
         )
+    return strong
+
+
+def same_base_pair_degree_set(m: int, k: int, base: BaseManifold,
+                              class_label: str = "b") -> PairResult:
+    """Degree set of maps between the bundles with Euler classes m*b and
+    k*b over one base N.
+
+    Exact form, needing flags aspherical, scf_pi1, d_self_is_01 and the
+    class fixed: {0, k/m} when m divides k, else {0}.  With only a finite
+    self-degree set the result is the upper bound {0, +-k/m} (or {0}),
+    marked exact=False.
+    """
+    strong = _pair_rule_hypotheses(m, k, base, class_label)
     divides = k % m == 0
     if strong:
         degs = DegreeSet.from_finite([0, k // m] if divides else [0])

@@ -49,13 +49,13 @@ from .bundles import (
     SphereProduct,
     Stabilized,
     SymbolicRepeat,
+    _pair_rule_hypotheses,
     builtin_registry,
     exact_pair_rule,
     expr_dim,
     expr_from_json,
     expr_to_json,
     render_expr,
-    same_base_pair_degree_set,
 )
 from .degsets import (
     DecompositionCertificate,
@@ -379,12 +379,10 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _build_pair(index: int, seq: SequenceB, alpha: int, base: BaseManifold,
-                class_label: str) -> PairClaim:
+def _build_pair(index: int, seq: SequenceB, alpha: int, summand_multipliers: list[int],
+                base: BaseManifold, class_label: str) -> PairClaim:
     b = base.cls(class_label)
-    summands = tuple(
-        CircleBundle(base, _exact_div(alpha, beta) * b) for beta in seq.entries
-    )
+    summands = tuple(CircleBundle(base, b.scale(m)) for m in summand_multipliers)
     domain: ManifoldExpr = summands[0] if len(summands) == 1 else ConnectedSum(summands)
     target = CircleBundle(base, alpha * b)
     return PairClaim(index, domain, target, subsequence_sums(seq), exact_pair_rule(base))
@@ -434,9 +432,12 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
             p * math.prod(s.entries) for p, s in zip(primes, seqs)
         )
 
+    # alpha_i / beta for each entry beta of B(i)
+    summand_multipliers = [[_exact_div(alpha, beta) for beta in s.entries]
+                           for s, alpha in zip(seqs, multipliers)]
     pairs = tuple(
-        _build_pair(i, s, alpha, base, class_label)
-        for i, (s, alpha) in enumerate(zip(seqs, multipliers))
+        _build_pair(i, s, alpha, ms, base, class_label)
+        for i, (s, alpha, ms) in enumerate(zip(seqs, multipliers, summand_multipliers))
     )
 
     crosses = []
@@ -444,8 +445,7 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
         for j in range(r):
             if j == i:
                 continue
-            for s_idx, beta in enumerate(seqs[i].entries):
-                m = _exact_div(multipliers[i], beta)
+            for s_idx, m in enumerate(summand_multipliers[i]):
                 ok = multipliers[j] % m != 0
                 assert ok, "prime firewall violated"  # construction guarantees it
                 crosses.append(CrossCheck(i, j, s_idx, m, "pass"))
@@ -541,20 +541,25 @@ class VerificationReport(Frozen):
         return "\n".join(lines)
 
 
-def _sum_rule(alpha: int, entries: Sequence[int], base: BaseManifold,
-              label: str) -> bool | str:
-    """True when the summand with multiplier ``alpha // beta`` realizes
-    exactly ``{0, beta}`` for every ``beta`` in ``entries``, each of which
-    divides ``alpha``; otherwise the first mismatch.  Raises the pair
-    rule's :class:`InputError` for a pair it does not cover."""
-    for beta in entries:
-        res = same_base_pair_degree_set(alpha // beta, alpha, base, label)
-        if not res.exact:
-            return "pair rule only gave an upper bound"
-        want = DegreeSet.from_finite([0, beta])
-        if not res.degree_set.equals(want):
-            return (f"summand with multiplier {alpha // beta} realizes "
-                    f"{res.degree_set.render()}, not {want.render()}")
+def _sum_rule(alpha: int, entries: Sequence[int], summand_multipliers: Sequence[int],
+              base: BaseManifold, label: str) -> bool | str:
+    """True when, for every ``beta`` in ``entries`` and its multiplier m
+    in ``summand_multipliers``, the summand with Euler class m*b maps to
+    the bundle with class ``alpha``*b with degree set exactly ``{0, beta}``
+    (the same-base pair rule); otherwise the first mismatch.  The rule's
+    hypotheses are checked once for the whole pair, and its
+    :class:`InputError` is raised for a pair it does not cover."""
+    if not entries:
+        return True
+    if not _pair_rule_hypotheses(summand_multipliers[0], alpha, base, label):
+        return "pair rule only gave an upper bound"
+    for beta, m in zip(entries, summand_multipliers):
+        # the exact rule gives {0, alpha/m} when m divides alpha, else {0};
+        # beta is nonzero, so the sets agree when alpha/m is beta
+        if alpha % m != 0 or alpha // m != beta:
+            got = DegreeSet.from_finite([0, alpha // m] if alpha % m == 0 else [0])
+            return (f"summand with multiplier {m} realizes {got.render()}, "
+                    f"not {DegreeSet.from_finite([0, beta]).render()}")
     return True
 
 
@@ -646,6 +651,12 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         f"class {label!r} must be a named class fixed by degree-one self maps"))
     b = named.get(label)
 
+    # alpha_i / beta for each entry beta of B(i), or None where beta does
+    # not divide alpha_i; shared by the summand, sum-rule and cross checks
+    summand_multipliers = [
+        [alpha // beta if alpha % beta == 0 else None for beta in s.entries]
+        for s, alpha in zip(seqs, cert.multipliers)]
+
     check("pair.count", lambda: len(cert.pairs) == r or (
         f"expected {r} pairs, got {len(cert.pairs)}"))
     expected_rule = exact_pair_rule(base)
@@ -658,6 +669,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             continue
         alpha = cert.multipliers[i]
         entries = seqs[i].entries
+        ms = summand_multipliers[i]
         check(f"{pid}.target-euler", lambda: (
             b is not None
             and isinstance(pair.target, CircleBundle)
@@ -667,7 +679,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
 
         summands = pair.domain.summands if isinstance(pair.domain, ConnectedSum) \
             else (pair.domain,)
-        div_bad = [beta for beta in entries if alpha % beta != 0]
+        div_bad = [beta for beta, m in zip(entries, ms) if m is None]
         check(f"{pid}.summand-divisibility", lambda: not div_bad or (
             f"entries {div_bad} do not divide the multiplier {alpha}"))
         check(f"{pid}.summand-euler", lambda: (
@@ -677,13 +689,13 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             and all(
                 isinstance(s, CircleBundle)
                 and s.base == base
-                and s.euler == (alpha // beta) * b
-                for s, beta in zip(summands, entries)
+                and s.euler == b.scale(m)
+                for s, m in zip(summands, ms)
             )
         ) or ("domain summands must be the bundles with Euler classes "
               f"({alpha}/beta)*{label} for beta in {list(entries)}"))
         check(f"{pid}.sum-rule", lambda: "multiplier ratios are not integers" if div_bad
-              else _sum_rule(alpha, entries, base, label))
+              else _sum_rule(alpha, entries, ms, base, label))
         check(f"{pid}.claimed-vs-enumeration", lambda: claims[i])
 
     # one cross check is expected for each (i, j, summand) with i != j and
@@ -715,13 +727,15 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             return "cross check names a pair without a multiplier"
         beta = seqs[c.i].entries[c.summand]
         alpha_i, alpha_j = cert.multipliers[c.i], cert.multipliers[c.j]
-        if alpha_i % beta != 0:
+        m = summand_multipliers[c.i][c.summand]
+        if m is None:
             return f"entry {beta} does not divide multiplier {alpha_i}"
-        m = alpha_i // beta
         if c.multiplier != m:
             return f"stored multiplier {c.multiplier} is not {alpha_i}/{beta} = {m}"
         if c.verdict != "pass":
             return f"verdict {c.verdict!r} is not 'pass'"
+        if m == 0:
+            return f"summand multiplier {alpha_i}/{beta} is 0; the pair rule needs it nonzero"
         return alpha_j % m != 0 or f"summand multiplier {m} divides {alpha_j}"
     for c in cert.cross_checks:
         check(f"cross[{c.i},{c.j},{c.summand}].nondivisible", lambda: nondivisible(c))

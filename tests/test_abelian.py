@@ -200,16 +200,25 @@ def test_group_validation():
         FgAbelianGroup(0, (4, 2))
 
 
+def _random_group(seed: int) -> FgAbelianGroup:
+    """Rank 0..3 and a divisor chain of 1..3 torsion factors."""
+    rng = random.Random(seed)
+    chain = [rng.randint(2, 6)]
+    for _ in range(rng.randint(0, 2)):
+        chain.append(chain[-1] * rng.randint(1, 5))
+    return FgAbelianGroup(rng.randint(0, 3), tuple(chain))
+
+
 @pytest.mark.parametrize("group", [
     FgAbelianGroup(1), FgAbelianGroup(0, (4,)), FgAbelianGroup(2, (2, 6)),
     FgAbelianGroup(1, (3, 3, 9)), FgAbelianGroup(0),
-])
+] + [_random_group(seed) for seed in range(8)])
 def test_scale_matches_the_validating_constructor(group):
     rng = random.Random(group.rank * 31 + len(group.torsion))
     for _ in range(30):
         a = group.element([rng.randint(-9, 9) for _ in range(group.rank)],
                           [rng.randint(-20, 20) for _ in group.torsion])
-        for k in (0, 1, -1, 2, -3, 7, -(10**20) - 1):
+        for k in (0, 1, -1, 2, -3, 7, 10**20 + 1, -(10**20) - 1):
             want = GroupElement(group, tuple(k * x for x in a.free),
                                 tuple(k * x for x in a.torsion))
             for got in (a.scale(k), k * a):

@@ -316,6 +316,64 @@ def test_pair_torsion_class_rejected():
         same_base_pair_degree_set(1, 2, tors, "t")
 
 
+def _reference_pair_rule(m, k, base, label):
+    """The pair rule as first written: one pass, hypotheses then arithmetic;
+    returns (degree set, exact, rule) or the raised error's type and text."""
+    try:
+        if m == 0 or k == 0:
+            raise InputError("Euler multipliers m and k must be nonzero")
+        for flag in ("aspherical", "scf_pi1"):
+            if not base.has(flag):
+                raise HypothesisError(f"base {base.name!r} is missing required flag: {flag}")
+        if label not in dict(base.named_classes):
+            raise HypothesisError(f"base {base.name!r} has no class named {label!r}")
+        if not any(base.cls(label).free):
+            raise HypothesisError(f"class {label!r} must be non-torsion")
+        strong = all(base.has(f) for f in ("aspherical", "scf_pi1", "d_self_is_01")) \
+            and label in base.fixes
+        if not strong and not base.has("d_self_finite"):
+            raise HypothesisError(f"base {base.name!r} is missing required flag: d_self_finite")
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+    q = [k // m] if k % m == 0 else []
+    if strong:
+        rule = "surface-euler-scaling" if base.dim == 2 else "fixed-class-scaling"
+        return frozenset([0] + q), True, rule
+    return frozenset([0] + q + [-x for x in q]), False, "eigenvalue-bound"
+
+
+def _pair_rule_bases():
+    h2 = FgAbelianGroup(1, (4,))
+    classes = (("b", h2.element([1], [0])), ("t", h2.element([0], [2])))
+    registry = builtin_registry()
+    return [(registry[name], "b") for name in ("surface", "knot-glue-3", "hyp-odd-4")] + [
+        (BaseManifold("weak", 3, h2, classes,
+                      frozenset({"aspherical", "scf_pi1", "d_self_finite"}), {"b"}), "b"),
+        (BaseManifold("no-scf", 3, h2, classes,
+                      frozenset({"aspherical", "d_self_is_01"}), {"b"}), "b"),
+        (BaseManifold("unfixed", 3, h2, classes,
+                      frozenset({"aspherical", "scf_pi1", "d_self_is_01"})), "b"),
+        (registry["surface"], "c"),
+        (BaseManifold("torsion-class", 3, h2, classes,
+                      frozenset({"aspherical", "scf_pi1", "d_self_is_01"}), {"b"}), "t"),
+    ]
+
+
+@pytest.mark.parametrize("base, label", _pair_rule_bases(),
+                         ids=lambda x: getattr(x, "name", x))
+def test_pair_rule_matches_its_reference(base, label):
+    for m in range(-12, 13):
+        for k in range(-12, 13):
+            want = _reference_pair_rule(m, k, base, label)
+            try:
+                res = same_base_pair_degree_set(m, k, base, label)
+            except InputError as exc:
+                assert (type(exc).__name__, str(exc)) == want, (m, k)
+                continue
+            got = (res.degree_set.as_finite_set(), res.exact, res.rule)
+            assert got == want, (m, k)
+
+
 # ---------------------------------------------------------------------------
 # volume bound and finiteness
 

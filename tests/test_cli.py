@@ -773,10 +773,25 @@ def test_huge_claimed_sets_give_a_bounded_report(cli):
         "claimed set {1, 3, 5, 7, 9, 11, 13, 15, ...} (65536 members) is not ")
 
 
+def _base_flags(*flags):
+    def edit(cert):
+        cert["base"]["flags"] = list(flags)
+    return edit
+
+
+PAIR_RULE_FAILURES = {  # name -> (edit, pair[i].sum-rule detail)
+    "missing-scf-pi1": (_base_flags("aspherical", "d_self_is_01"),
+                        "base 'knot-glue-3' is missing required flag: scf_pi1"),
+    "upper-bound-only": (_base_flags("aspherical", "scf_pi1", "d_self_finite"),
+                         "pair rule only gave an upper bound"),
+}
+
+
 @lru_cache(maxsize=1)
 def verify_report_cases() -> dict[str, realize.RealizationCertificate]:
     """Name -> certificate: both golden certificates, every tamper case of
-    ``test_realize`` and every hostile certificate."""
+    ``test_realize``, every hostile certificate and the golden certificate
+    over bases the pair rule does not cover exactly."""
     def load(text):
         return realize.RealizationCertificate.from_json(json.loads(text))
     cases = {f"golden/{name}": load((GOLDEN / name).read_text())
@@ -786,6 +801,8 @@ def verify_report_cases() -> dict[str, realize.RealizationCertificate]:
         cases[f"tamper/{editor.__name__}"] = mutate(cert, editor)
     for name, (edit, _) in HOSTILE.items():
         cases[f"hostile/{name}"] = load(_hostile(edit))
+    for name, (edit, _) in PAIR_RULE_FAILURES.items():
+        cases[f"pair-rule/{name}"] = load(_hostile(edit))
     return cases
 
 
@@ -802,6 +819,15 @@ def test_verify_report_matches_its_snapshot(name):
     assert report.render() == want["text"]
 
 
+@pytest.mark.parametrize("name", sorted(PAIR_RULE_FAILURES))
+def test_pair_rule_failure_is_named_on_every_pair(name):
+    report = realize.verify_certificate(verify_report_cases()[f"pair-rule/{name}"])
+    got = {c.id: c.detail for c in report.checks if not c.ok}
+    detail = PAIR_RULE_FAILURES[name][1]
+    assert got["pair[0].sum-rule"] == got["pair[1].sum-rule"] == detail
+    assert report.first_failure == "base.flags"
+
+
 def _short_multipliers(cert):
     cert["multipliers"] = cert["multipliers"][:1]
 
@@ -810,12 +836,22 @@ def _pair_of_another_dimension(cert):
     cert["pairs"][1]["domain"] = {"sphereProduct": 5}
 
 
-# the first raised IndexError, the second exited 1 from the combination check
+def _zero_multiplier(cert):
+    cert["multipliers"][0] = 0
+    for cross in cert["crossChecks"]:
+        if cross["i"] == 0:
+            cross["multiplier"] = 0
+
+
+# the first and third raised IndexError and ZeroDivisionError, the second
+# exited 1 from the combination check
 @pytest.mark.parametrize("edit, check, detail", [
     (_short_multipliers, "cross[0,1,0].nondivisible",
      "cross check names a pair without a multiplier"),
     (_pair_of_another_dimension, "combination.shape",
      "connected sum summands must share a dimension"),
+    (_zero_multiplier, "cross[0,1,1].nondivisible",
+     "summand multiplier 0/3 is 0; the pair rule needs it nonzero"),
 ])
 def test_inconsistent_certificate_exits_3_in_a_child_process(edit, check, detail):
     proc = run_cli_process("verify", stdin_text=_hostile(edit), timeout=10)

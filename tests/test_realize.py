@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
+from test_bundles import _pair_rule_bases
 
-from circledeg import degsets
+from circledeg import bundles, degsets, realize
 from circledeg.abelian import FgAbelianGroup
 from circledeg.bundles import (
     BaseManifold,
@@ -436,6 +438,70 @@ def test_verifier_never_runs_the_sum_dp(monkeypatch, name):
     monkeypatch.setattr(degsets, "_sums_of", refuse)
     assert verify_certificate(cert).to_json() == want
     assert want["valid"] == (name == "realize-013-dim4.json")
+
+
+def test_pair_rule_hypotheses_are_checked_once_per_pair(monkeypatch):
+    cert = build_construction({0, 1, 3, 7}, 4)
+    lengths = [len(s) for s in cert.decomposition.sequences]
+    assert len(lengths) >= 3 and sum(lengths) > len(lengths)
+    want = verify_certificate(cert).to_json()
+    calls = []
+    real = realize._pair_rule_hypotheses
+
+    def counted(m, k, base, label):
+        calls.append(k)
+        return real(m, k, base, label)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier built a pair rule result")
+    monkeypatch.setattr(realize, "_pair_rule_hypotheses", counted)
+    # the verifier once called the rule through its own imported name
+    monkeypatch.setattr(realize, "same_base_pair_degree_set", refuse, raising=False)
+    monkeypatch.setattr(bundles, "same_base_pair_degree_set", refuse)
+    assert verify_certificate(cert).to_json() == want
+    assert want["valid"]
+    # once for each pair's sum-rule check, with that pair's multiplier
+    assert calls == list(cert.multipliers)
+
+
+def _sum_rule_reference(alpha, entries, base, label):
+    """The sum-rule check as first written: the pair rule once per entry."""
+    try:
+        for beta in entries:
+            res = bundles.same_base_pair_degree_set(alpha // beta, alpha, base, label)
+            if not res.exact:
+                return "pair rule only gave an upper bound"
+            want = DegreeSet.from_finite([0, beta])
+            if not res.degree_set.equals(want):
+                return (f"summand with multiplier {alpha // beta} realizes "
+                        f"{res.degree_set.render()}, not {want.render()}")
+    except InputError as exc:
+        return str(exc)
+    return True
+
+
+@pytest.mark.parametrize("base, label", _pair_rule_bases(),
+                         ids=lambda x: getattr(x, "name", x))
+def test_sum_rule_matches_the_rule_applied_per_entry(base, label):
+    rng = random.Random(base.name + label)
+    for _ in range(200):
+        entries = tuple(rng.choice([-1, 1]) * rng.randint(1, 9)
+                        for _ in range(rng.randint(0, 4)))
+        alpha = rng.choice([0, 1, rng.randint(2, 97)]) * math.prod(entries)
+        try:
+            got = realize._sum_rule(alpha, entries, [alpha // b for b in entries],
+                                    base, label)
+        except InputError as exc:
+            got = str(exc)
+        assert got == _sum_rule_reference(alpha, entries, base, label), (alpha, entries)
+
+
+def test_sum_rule_words_a_mismatched_summand():
+    base = builtin_registry()["knot-glue-3"]
+    assert realize._sum_rule(12, (3,), [6], base, "b") == \
+        "summand with multiplier 6 realizes {0, 2}, not {0, 3}"
+    assert realize._sum_rule(12, (1, 3), [12, 5], base, "b") == \
+        "summand with multiplier 5 realizes {0}, not {0, 3}"
 
 
 def test_is_prime_matches_sympy():
