@@ -142,8 +142,8 @@ class IntegerMatrix(Frozen):
         rows, cols, flat = int(obj["rows"]), int(obj["cols"]), obj["entries"]
         if len(flat) != rows * cols:
             raise InputError("matrix entries length is not rows*cols")
-        ent = tuple(tuple(int(flat[i * cols + j]) for j in range(cols)) for i in range(rows))
-        return cls(rows, cols, ent)
+        flat = tuple(map(int, flat))
+        return cls(rows, cols, tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ class FgAbelianGroup(Frozen):
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
         if rank < 0:
             raise InputError("rank must be nonnegative")
-        torsion = tuple(int(d) for d in torsion)
+        torsion = tuple(map(int, torsion))
         for d in torsion:
             if d < 2:
                 raise InputError("torsion invariant factors must be >= 2")
@@ -208,7 +208,7 @@ class FgAbelianGroup(Frozen):
     @classmethod
     def from_json(cls, obj: dict) -> "FgAbelianGroup":
         """Group from a payload valid under the ``group`` schema."""
-        return cls(int(obj["rank"]), tuple(int(d) for d in obj.get("torsion", ())))
+        return cls(int(obj["rank"]), obj.get("torsion", ()))
 
 
 class GroupElement(Frozen):
@@ -223,8 +223,8 @@ class GroupElement(Frozen):
 
     def __init__(self, group: FgAbelianGroup, free: tuple[int, ...],
                  torsion: tuple[int, ...]) -> None:
-        free = tuple(int(x) for x in free)
-        tors = tuple(int(x) for x in torsion)
+        free = tuple(map(int, free))
+        tors = tuple(map(int, torsion))
         if len(free) != group.rank:
             raise InputError("free coordinate count does not match group rank")
         if len(tors) != len(group.torsion):
@@ -275,8 +275,7 @@ class GroupElement(Frozen):
     def from_json(cls, group: FgAbelianGroup, obj: dict) -> "GroupElement":
         """Element of ``group`` from a payload valid under the ``element``
         schema."""
-        return cls(group, tuple(int(x) for x in obj.get("free", ())),
-                   tuple(int(x) for x in obj.get("torsion", ())))
+        return cls(group, obj.get("free", ()), obj.get("torsion", ()))
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,17 @@ def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold],
     """Expression from a payload valid under the ``manifoldExpr`` schema;
     ``depth`` counts the expressions around ``obj``.  Nesting deeper than
     ``MAX_NESTING`` is refused, so that callers who skip
-    ``validate_payload`` cannot exhaust the stack."""
+    ``validate_payload`` cannot exhaust the stack.  Each distinct bundle
+    is built once per call and shared wherever it recurs;
+    ``RealizationCertificate.from_json`` shares them across all the
+    expressions of one certificate the same way."""
+    return _expr_from_json(obj, registry, depth, {})
+
+
+def _expr_from_json(obj: dict, registry: Mapping[str, BaseManifold], depth: int,
+                    bundles: dict[tuple, CircleBundle]) -> ManifoldExpr:
+    """:func:`expr_from_json`, taking each bundle from ``bundles``, keyed
+    by its base name and Euler coordinates, or building and adding it."""
     if depth >= MAX_NESTING:
         raise InputError(f"manifold expression nested more than {MAX_NESTING} levels deep")
     key, val = next(iter(obj.items()))
@@ -318,16 +328,23 @@ def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold],
         name = val.get("base")
         if name not in registry:
             raise InputError(f"unknown base manifold: {name!r}")
-        base = registry[name]
-        return CircleBundle(base, GroupElement.from_json(base.h2, val["euler"]))
+        euler = val["euler"]
+        free, torsion = tuple(euler.get("free", ())), tuple(euler.get("torsion", ()))
+        bundle = bundles.get((name, free, torsion))
+        if bundle is None:
+            base = registry[name]
+            bundle = bundles[name, free, torsion] = CircleBundle(
+                base, GroupElement(base.h2, free, torsion))
+        return bundle
     if key == "sphereProduct":
         return SphereProduct(int(val))
     if key == "sum":
-        return ConnectedSum(tuple(expr_from_json(s, registry, depth) for s in val))
+        return ConnectedSum(tuple(_expr_from_json(s, registry, depth, bundles) for s in val))
     if key == "stabilized":
-        return Stabilized(expr_from_json(val["inner"], registry, depth), int(val["shift"]))
+        return Stabilized(_expr_from_json(val["inner"], registry, depth, bundles),
+                          int(val["shift"]))
     if key == "repeat":
-        return SymbolicRepeat(expr_from_json(val["factor"], registry, depth),
+        return SymbolicRepeat(_expr_from_json(val["factor"], registry, depth, bundles),
                               str(val["symbol"]))
     raise InputError(f"unknown manifold expression kind: {key!r}")
 

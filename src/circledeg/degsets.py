@@ -127,7 +127,7 @@ class DegreeSet(Frozen):
                 bases_by_mod.setdefault(mod, set()).add(base)
         kept = [(base, mod) for mod, bases in bases_by_mod.items() for base in sorted(bases)]
         flag = excludes_zero_in_progressions
-        finite = sorted(set(int(x) for x in finite))
+        finite = sorted(set(map(int, finite)))
         if flag and (0 in finite or not any(base == 0 for base, _ in kept)):
             flag = False
         # a finite 0 clears the flag above, so no covered member stays
@@ -267,9 +267,8 @@ class DegreeSet(Frozen):
     @classmethod
     def from_json(cls, obj: dict) -> "DegreeSet":
         """Degree set from a payload valid under the ``degreeSet`` schema."""
-        finite = tuple(int(x) for x in obj["finite"])
         progs = tuple((int(p["base"]), int(p["mod"])) for p in obj.get("progressions", ()))
-        return cls(finite, progs, bool(obj.get("excludesZero", False)))
+        return cls(obj["finite"], progs, bool(obj.get("excludesZero", False)))
 
     def render(self) -> str:
         """Compact human-readable form, used by the text output mode."""
@@ -312,8 +311,8 @@ class SequenceB(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]) -> None:
-        ent = tuple(int(x) for x in entries)
-        if any(x == 0 for x in ent):
+        ent = tuple(map(int, entries))
+        if 0 in ent:
             raise InputError("sequence entries must be nonzero")
         object.__setattr__(self, "entries", ent)
 
@@ -328,7 +327,7 @@ class SequenceB(Frozen):
 
     @classmethod
     def from_json(cls, obj: Sequence[int]) -> "SequenceB":
-        return cls(tuple(int(x) for x in obj))
+        return cls(obj)
 
 
 def _sums_of(entries: Sequence[int]) -> frozenset[int]:
@@ -447,8 +446,8 @@ class TranscriptStep(Frozen):
     def from_json(cls, obj: dict) -> "TranscriptStep":
         return cls(
             SequenceB.from_json(obj["sequence"]),
-            tuple(int(x) for x in obj["sums"]),
-            tuple(int(x) for x in obj["intersection"]),
+            tuple(map(int, obj["sums"])),
+            tuple(map(int, obj["intersection"])),
         )
 
 
@@ -487,8 +486,8 @@ class DecompositionCertificate(Frozen):
         """Certificate from a payload valid under the
         ``decompositionCertificate`` schema."""
         return cls(
-            tuple(int(x) for x in obj["target"]),
-            tuple(SequenceB.from_json(s) for s in obj["sequences"]),
+            tuple(map(int, obj["target"])),
+            tuple(map(SequenceB.from_json, obj["sequences"])),
             int(obj["hullBound"]),
             SearchLimits.from_json(obj.get("caps", {})),
             tuple(TranscriptStep.from_json(t) for t in obj.get("transcript", ())),

@@ -49,11 +49,11 @@ from .bundles import (
     SphereProduct,
     Stabilized,
     SymbolicRepeat,
+    _expr_from_json,
     _pair_rule_hypotheses,
     builtin_registry,
     exact_pair_rule,
     expr_dim,
-    expr_from_json,
     expr_to_json,
     render_expr,
 )
@@ -186,10 +186,17 @@ class PairClaim(Frozen):
     @classmethod
     def from_json(cls, obj: dict, registry: Mapping[str, BaseManifold]) -> "PairClaim":
         """Claim from a payload valid under the ``pairClaim`` schema."""
+        return cls._from_json(obj, registry, {})
+
+    @classmethod
+    def _from_json(cls, obj: dict, registry: Mapping[str, BaseManifold],
+                   bundles: dict) -> "PairClaim":
+        """:meth:`from_json`, taking the bundles it decodes from ``bundles``
+        or adding them there."""
         return cls(
             int(obj["index"]),
-            expr_from_json(obj["domain"], registry),
-            expr_from_json(obj["target"], registry),
+            _expr_from_json(obj["domain"], registry, 0, bundles),
+            _expr_from_json(obj["target"], registry, 0, bundles),
             DegreeSet.from_json(obj["claimed"]),
             obj["rule"],
         )
@@ -249,10 +256,17 @@ class Combination(Frozen):
     @classmethod
     def from_json(cls, obj: dict, registry: Mapping[str, BaseManifold]) -> "Combination":
         """Record from a payload valid under the ``combinationRecord`` schema."""
+        return cls._from_json(obj, registry, {})
+
+    @classmethod
+    def _from_json(cls, obj: dict, registry: Mapping[str, BaseManifold],
+                   bundles: dict) -> "Combination":
+        """:meth:`from_json`, taking the bundles it decodes from ``bundles``
+        or adding them there."""
         return cls(
             obj["l"],
-            expr_from_json(obj["resultDomain"], registry),
-            expr_from_json(obj["resultTarget"], registry),
+            _expr_from_json(obj["resultDomain"], registry, 0, bundles),
+            _expr_from_json(obj["resultTarget"], registry, 0, bundles),
             obj["rule"],
         )
 
@@ -329,7 +343,8 @@ class RealizationCertificate(Frozen):
         """Certificate from a payload valid under the
         ``realizationCertificate`` schema; call ``validate_payload`` first
         on JSON from outside.  Another kind of document or schema version
-        is refused here too."""
+        is refused here too.  Each distinct bundle of the pairs and the
+        combination is built once, and shared wherever it recurs."""
         if not isinstance(obj, dict):
             raise InputError("certificate must be a JSON object")
         if obj.get("kind") != "realization-certificate":
@@ -338,17 +353,18 @@ class RealizationCertificate(Frozen):
             raise InputError(f"unsupported schema version: {obj.get('schemaVersion')!r}")
         base = BaseManifold.from_json(obj["base"])
         registry = {base.name: base}
+        bundles: dict = {}
         return cls(
             DegreeSet.from_json(obj["targetSet"]),
             int(obj["dimension"]),
             base,
             obj["classLabel"],
             DecompositionCertificate.from_json(obj["decomposition"]),
-            tuple(int(p) for p in obj["primes"]),
-            tuple(int(a) for a in obj["multipliers"]),
-            tuple(PairClaim.from_json(p, registry) for p in obj["pairs"]),
-            tuple(CrossCheck.from_json(c) for c in obj["crossChecks"]),
-            Combination.from_json(obj["combination"], registry),
+            tuple(map(int, obj["primes"])),
+            tuple(map(int, obj["multipliers"])),
+            tuple(PairClaim._from_json(p, registry, bundles) for p in obj["pairs"]),
+            tuple(map(CrossCheck.from_json, obj["crossChecks"])),
+            Combination._from_json(obj["combination"], registry, bundles),
             DegreeSet.from_json(obj["finalSet"]),
             tuple(Stabilization.from_json(s) for s in obj.get("stabilizations", ())),
         )

@@ -22,8 +22,12 @@ errors, their order and the best match stay what a plain validator
 gives.  Their wording is jsonschema's too, but for ``maxItems``, which
 names the array's length and the maximum where jsonschema echoes the
 whole array, megabytes of it for a long array of large items.  A payload
-nested more than ``MAX_NESTING`` containers deep is refused before either
-runs, so neither can exhaust the interpreter's stack.
+nested more than ``MAX_NESTING`` containers deep is refused, so neither can
+exhaust the interpreter's stack.  The compiled checks are passed each
+value's depth and stop at a container past the bound; they descend into
+every container of a payload they accept, so an accepted payload is
+within the bound without a walk of its own.  A rejected one is walked for
+its depth before jsonschema words the rejection.
 
 >>> validate_payload("pairInput", {"m": 2, "k": 6})
 >>> validate_payload("pairInput", {"m": 0, "k": 6})
@@ -38,6 +42,7 @@ import json
 import numbers
 from functools import lru_cache
 from importlib import resources
+from itertools import repeat
 from typing import Callable
 
 from .errors import InputError
@@ -52,7 +57,8 @@ MAX_NESTING = 100
 
 _DOCUMENT = "circledeg-v1.schema.json"
 
-_Check = Callable[[object], bool]
+# a check takes a value and its depth, the number of containers around it
+_Check = Callable[[object, int], bool]
 
 
 @lru_cache(maxsize=1)
@@ -82,7 +88,12 @@ def schema_for(name: str) -> dict:
 # compiled checks
 
 
-def _is_integer(v: object) -> bool:
+class _TooDeep(Exception):
+    """Raised by a compiled check that reaches a container nested more
+    than ``MAX_NESTING`` deep."""
+
+
+def _is_integer(v: object, d: int) -> bool:
     if type(v) is int:
         return True
     if isinstance(v, bool):
@@ -90,18 +101,18 @@ def _is_integer(v: object) -> bool:
     return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
 
 
-def _is_number(v: object) -> bool:
+def _is_number(v: object, d: int) -> bool:
     if type(v) is int or type(v) is float:
         return True
     return not isinstance(v, bool) and isinstance(v, numbers.Number)
 
 
 _TYPES: dict[str, _Check] = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
+    "object": lambda v, d: isinstance(v, dict),
+    "array": lambda v, d: isinstance(v, list),
+    "string": lambda v, d: isinstance(v, str),
+    "boolean": lambda v, d: isinstance(v, bool),
+    "null": lambda v, d: v is None,
     "number": _is_number,
     "integer": _is_integer,
 }
@@ -136,30 +147,46 @@ def _all(checks: list[_Check]) -> _Check:
     if len(checks) == 1:
         return checks[0]
 
-    def check(v):
+    def check(v, d):
         for c in checks:
-            if not c(v):
+            if not c(v, d):
                 return False
         return True
     return check
+
+
+def _bounded(check: _Check, kinds: tuple[type, ...]) -> _Check:
+    """``check``, which may accept a container of ``kinds`` without
+    descending into it, with the nesting bound applied to such a
+    container."""
+    def bounded(v, d):
+        if not check(v, d):
+            return False
+        if isinstance(v, kinds) and _nested_deeper_than(v, MAX_NESTING - d):
+            raise _TooDeep
+        return True
+    return bounded
 
 
 def _object_check(props: dict[str, _Check], required: tuple, extra: bool | _Check,
                   strict: bool) -> _Check:
     """``properties``, ``required`` and ``additionalProperties``; with
     ``strict`` also ``"type": "object"``."""
-    def check(v):
+    def check(v, d):
         if not isinstance(v, dict):
             return not strict
+        if d >= MAX_NESTING:
+            raise _TooDeep
         for key in required:
             if key not in v:
                 return False
+        d += 1
         for key, item in v.items():
             sub = props.get(key)
             if sub is not None:
-                if not sub(item):
+                if not sub(item, d):
                     return False
-            elif extra is False or (extra is not True and not extra(item)):
+            elif extra is False or (extra is not True and not extra(item, d)):
                 return False
         return True
     return check
@@ -169,20 +196,22 @@ def _array_check(items: _Check | None, min_items: int, max_items: float,
                  strict: bool) -> _Check:
     """``items``, ``minItems`` and ``maxItems``; with ``strict`` also
     ``"type": "array"``."""
-    def check(v):
+    def check(v, d):
         if not isinstance(v, list):
             return not strict
+        if d >= MAX_NESTING:
+            raise _TooDeep
         if not min_items <= len(v) <= max_items:
             return False
-        return items is None or all(map(items, v))
+        return items is None or all(map(items, v, repeat(d + 1)))
     return check
 
 
 def _one_of(subs: list[_Check]) -> _Check:
-    def check(v):
+    def check(v, d):
         matched = False
         for sub in subs:
-            if sub(v):
+            if sub(v, d):
                 if matched:
                     return False
                 matched = True
@@ -193,8 +222,11 @@ def _one_of(subs: list[_Check]) -> _Check:
 def _compile(defs: dict) -> Callable[[str], _Check]:
     """Look-up of the check for a definition of a ``$defs`` table, compiled
     on its first request, that returns the verdict jsonschema's Draft
-    2020-12 validator gives.  Compiling raises ``ValueError`` on a keyword
-    or reference it does not know.  The look-up's ``checks`` maps
+    2020-12 validator gives, called with a value and its depth.  It raises
+    ``_TooDeep`` at a container nested more than ``MAX_NESTING`` deep, and
+    every container of a value it accepts is one it descended into or
+    bounded.  Compiling raises ``ValueError`` on a keyword or reference it
+    does not know.  The look-up's ``checks`` maps
     ``id(subschema)`` to the check of every subschema compiled so far;
     the look-up holds ``defs``, so no id in it can be reused."""
     table: dict[str, _Check] = {}
@@ -204,7 +236,7 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
     def definition(name: str) -> _Check:
         if name not in table:
             if name in pending:  # a cycle: look the check up when it runs
-                return lambda v: table[name](v)
+                return lambda v, d: table[name](v, d)
             pending.add(name)
             try:
                 table[name] = node(defs[name])
@@ -225,6 +257,12 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
         if unknown:
             raise ValueError(f"cannot compile keyword(s) {', '.join(sorted(unknown))}")
         checks: list[_Check] = []
+        # the kinds of container that every check below may accept without
+        # descending into it: a kind is dropped once one check descends into
+        # or rejects each container of that kind.  A compiled subschema does
+        # so for both kinds, so only ``not``, the untyped keywords, an object
+        # open to other keys and an array without ``items`` keep one
+        unseen = {dict, list}
         types = schema.get("type")
         if types is not None:
             names = types if isinstance(types, list) else [types]
@@ -233,7 +271,11 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
             if types not in ("object", "array"):
                 preds = [_TYPES[n] for n in names]
                 checks.append(preds[0] if len(preds) == 1
-                              else lambda v: any(p(v) for p in preds))
+                              else lambda v, d: any(p(v, d) for p in preds))
+                if "object" not in names:
+                    unseen.discard(dict)
+                if "array" not in names:
+                    unseen.discard(list)
         if types == "object" or schema.keys() & {
                 "properties", "required", "additionalProperties"}:
             extra = schema.get("additionalProperties", True)
@@ -242,34 +284,49 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
                 tuple(schema.get("required", ())),
                 extra if isinstance(extra, bool) else node(extra),
                 strict=types == "object"))
+            if extra is not True:
+                unseen.discard(dict)
+            if types == "object":
+                unseen.discard(list)
         if types == "array" or schema.keys() & {"items", "minItems", "maxItems"}:
             checks.append(_array_check(
                 node(schema["items"]) if "items" in schema else None,
                 schema.get("minItems", 0), schema.get("maxItems", float("inf")),
                 strict=types == "array"))
+            if "items" in schema:
+                unseen.discard(list)
+            if types == "array":
+                unseen.discard(dict)
         if "$ref" in schema:
             checks.append(ref(schema["$ref"]))
+            unseen.clear()
         if "const" in schema:
             const = _scalar(schema["const"])
-            checks.append(lambda v: _same(v, const))
+            checks.append(lambda v, d: _same(v, const))
+            unseen.clear()
         if "enum" in schema:
             values = tuple(_scalar(e) for e in schema["enum"])
-            checks.append(lambda v: any(_same(v, e) for e in values))
+            checks.append(lambda v, d: any(_same(v, e) for e in values))
+            unseen.clear()
         if "not" in schema:
             negated = node(schema["not"])
-            checks.append(lambda v: not negated(v))
+            checks.append(lambda v, d: not negated(v, d))
         if "oneOf" in schema:
             checks.append(_one_of([node(sub) for sub in schema["oneOf"]]))
+            unseen.clear()
         if "minimum" in schema:
             low = schema["minimum"]
-            checks.append(lambda v: not _is_number(v) or not v < low)
+            checks.append(lambda v, d: not _is_number(v, d) or not v < low)
         if "maximum" in schema:
             high = schema["maximum"]
-            checks.append(lambda v: not _is_number(v) or not v > high)
+            checks.append(lambda v, d: not _is_number(v, d) or not v > high)
         if "minLength" in schema:
             shortest = schema["minLength"]
-            checks.append(lambda v: not isinstance(v, str) or len(v) >= shortest)
-        compiled = by_id[id(schema)] = _all(checks)
+            checks.append(lambda v, d: not isinstance(v, str) or len(v) >= shortest)
+        compiled = _all(checks)
+        if unseen:
+            compiled = _bounded(compiled, tuple(unseen))
+        by_id[id(schema)] = compiled
         return compiled
 
     definition.checks = by_id
@@ -307,8 +364,10 @@ def _guided():
     from jsonschema.validators import Draft202012Validator, extend
 
     def accepts(instance, subschema) -> bool:
+        # called once the payload is known to nest within the bound, so
+        # depth 0 never trips it
         check = _shipped().checks.get(id(subschema))
-        return check is not None and check(instance)
+        return check is not None and check(instance, 0)
 
     def properties(validator, properties, instance, schema):
         if not validator.is_type(instance, "object"):
@@ -343,11 +402,14 @@ def validate_payload(name: str, obj: object) -> None:
     """Raise :class:`InputError` naming the failing field when ``obj``
     does not match the schema ``name``."""
     schema_for(name)  # an unknown name raises KeyError
+    try:
+        if _shipped()(name)(obj, 0):
+            return
+    except _TooDeep:
+        pass
     if _nested_deeper_than(obj, MAX_NESTING):
         raise InputError(
             f"invalid {name} at payload: nested more than {MAX_NESTING} levels deep")
-    if _shipped()(name)(obj):
-        return
     from jsonschema.exceptions import best_match
 
     best = best_match(_validator(name).iter_errors(obj))

@@ -66,7 +66,7 @@ def reference_error(name: str, obj: object) -> str | None:
 
 
 def assert_agrees(name: str, obj: object) -> None:
-    verdict = schema._shipped()(name)(obj)
+    verdict = schema._shipped()(name)(obj, 0)
     assert verdict == reference(name).is_valid(obj), (name, obj)
     try:
         validate_payload(name, obj)
@@ -239,7 +239,7 @@ def test_mutations_match_jsonschema(case):
     name, obj = case
     assert_agrees(name, obj)
     for other in NAMES:
-        assert schema._shipped()(other)(obj) == reference(other).is_valid(obj), other
+        assert schema._shipped()(other)(obj, 0) == reference(other).is_valid(obj), other
 
 
 # the converter of each definition that has a ``from_json``
@@ -368,7 +368,7 @@ def test_each_request_is_validated_once(monkeypatch, tmp_path):
 ])
 def test_edge_cases_match_jsonschema(definition, value, valid):
     check = schema._compile({"x": definition})("x")
-    assert check(value) is valid
+    assert check(value, 0) is valid
     assert jsonschema.Draft202012Validator(definition).is_valid(value) is valid
 
 
@@ -644,6 +644,139 @@ def test_nesting_bound_is_exact():
         validate_payload("finiteInput", deeper)
     assert not schema._nested_deeper_than(5, 0)
     assert schema._nested_deeper_than([], 0)
+
+
+def deep_list(levels: int) -> list:
+    """A list nested ``levels`` deep, built without recursion."""
+    value: list = []
+    for _ in range(levels - 1):
+        value = [value]
+    return value
+
+
+def gate_error(name: str, obj: object) -> str | None:
+    """The rejection text of ``validate_payload``, None if valid."""
+    try:
+        validate_payload(name, obj)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def walk_first_error(name: str, obj: object) -> str | None:
+    """The rejection text of a gate that walks the payload for its depth
+    before any check runs, None if valid."""
+    if schema._nested_deeper_than(obj, schema.MAX_NESTING):
+        return f"invalid {name} at payload: nested more than {schema.MAX_NESTING} levels deep"
+    return reference_error(name, obj)
+
+
+WRAPS = {
+    "stabilized": lambda expr: {"stabilized": {"inner": expr, "shift": 3}},
+    "sum": lambda expr: {"sum": [expr]},
+    "repeat": lambda expr: {"repeat": {"factor": expr, "symbol": "l"}},
+}
+
+
+def expr_nesting(kind: str, levels: int) -> dict:
+    """A manifold expression nesting exactly ``levels`` containers deep:
+    two-level wraps of ``kind`` around a sphere product (one level) or,
+    for an even count, a bundle (four levels)."""
+    leaf, leaf_levels = (({"sphereProduct": 2}, 1) if levels % 2 else
+                         ({"bundle": {"base": "hyp-odd-4", "euler": {"free": [1]}}}, 4))
+    for _ in range((levels - leaf_levels) // 2):
+        leaf = WRAPS[kind](leaf)
+    return leaf
+
+
+def payload_nesting(name: str, kind: str, levels: int) -> dict:
+    """A ``name`` payload nesting exactly ``levels`` deep through its
+    ``domain`` or its combination's ``resultDomain``."""
+    if name == "finiteInput":
+        return {"domain": expr_nesting(kind, levels - 1), "target": {"sphereProduct": 2}}
+    cert = golden_certificate()
+    cert["combination"]["resultDomain"] = expr_nesting(kind, levels - 2)
+    return cert
+
+
+@pytest.mark.parametrize("unknown_key", [False, True])
+@pytest.mark.parametrize("levels", range(schema.MAX_NESTING - 2, schema.MAX_NESTING + 3))
+@pytest.mark.parametrize("kind", sorted(WRAPS))
+@pytest.mark.parametrize("name", ["finiteInput", "realizationCertificate"])
+def test_folded_nesting_bound_matches_walking_first(name, kind, levels, unknown_key):
+    obj = payload_nesting(name, kind, levels)
+    if unknown_key:
+        # first in the object, so the compiled check rejects the key before
+        # it reaches the expression, and never looks at the value
+        obj = {"unknown": deep_list(levels - 1), **obj}
+    assert schema._nested_deeper_than(obj, levels - 1)
+    assert not schema._nested_deeper_than(obj, levels)
+    assert gate_error(name, obj) == walk_first_error(name, obj)
+    assert (gate_error(name, obj) is None) == (levels <= schema.MAX_NESTING
+                                               and not unknown_key)
+
+
+@pytest.mark.parametrize("name, place", [
+    ("finiteInput", lambda obj, deep: obj.update(domain=deep)),
+    ("pairInput", lambda obj, deep: obj.update(m=deep)),
+    ("realizationCertificate",
+     lambda obj, deep: obj["pairs"][0].update(domain={"sum": deep})),
+])
+def test_very_deep_value_is_refused_by_the_bound(name, place):
+    obj = ({"domain": {"sphereProduct": 2}, "target": {"sphereProduct": 2}}
+           if name == "finiteInput" else {"m": 2, "k": 6} if name == "pairInput"
+           else golden_certificate())
+    place(obj, deep_list(10**5))
+    assert gate_error(name, obj) == walk_first_error(name, obj) == (
+        f"invalid {name} at payload: nested more than {schema.MAX_NESTING} levels deep")
+
+
+def test_accepted_payloads_are_not_walked_for_their_depth(monkeypatch):
+    def walk(obj, limit):
+        raise AssertionError("an accepted payload was walked for its depth")
+    monkeypatch.setattr(schema, "_nested_deeper_than", walk)
+    validate_payload("realizationCertificate", golden_certificate())
+    validate_payload("pairInput", {"m": 2, "k": 6})
+    for name, obj in valid_seeds():
+        validate_payload(name, obj)
+
+
+@pytest.mark.parametrize("definition, wrap", [
+    # an object check that leaves additionalProperties open
+    ({"type": "object"}, lambda v: {"a": v}),
+    ({"type": "object", "additionalProperties": True}, lambda v: {"a": v}),
+    # an untyped subschema under a closed object
+    ({"type": "object", "properties": {"a": {}}, "additionalProperties": False},
+     lambda v: {"a": v}),
+    # array keywords without items
+    ({"type": "array"}, lambda v: [v]),
+    ({"type": "array", "maxItems": 2}, lambda v: [v]),
+    # untyped subschemas, and a type list that names a container
+    ({}, lambda v: [v]),
+    ({"minimum": 1}, lambda v: [v]),
+    ({"not": {"type": "string"}}, lambda v: {"a": v}),
+    ({"type": ["array", "null"]}, lambda v: [v]),
+    # an array keyword passes an object, an object keyword an array
+    ({"items": {"type": "integer"}}, lambda v: {"a": v}),
+    ({"required": ["a"]}, lambda v: [v]),
+    # a closed check descends, and stops at the bound itself
+    ({"type": "array", "items": {"$ref": "#/$defs/x"}}, lambda v: [v]),
+])
+def test_compiled_check_bounds_what_it_accepts_unseen(definition, wrap):
+    check = schema._compile({"x": definition})("x")
+    plain = jsonschema.Draft202012Validator({"$defs": {"x": definition}, "$ref": "#/$defs/x"})
+
+    def nesting(levels):
+        return wrap(deep_list(levels - 1))
+    limit = schema.MAX_NESTING
+    assert check(nesting(limit), 0) is True
+    assert plain.is_valid(nesting(limit))
+    with pytest.raises(schema._TooDeep):
+        check(nesting(limit + 1), 0)
+    # the depth passed in counts the containers around the value
+    assert check(nesting(limit - 5), 5) is True
+    with pytest.raises(schema._TooDeep):
+        check(nesting(limit - 4), 5)
 
 
 def test_valid_request_never_imports_jsonschema():
