@@ -23,13 +23,17 @@ JSON formats (stable, used by the CLI and the certificate files):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
 from .degsets import DegreeSet
 from .errors import GroupMismatchError, InputError, ResourceCapError
+
+# fractions loads decimal and numbers, ~4 ms of a cold start, so the one
+# function that makes a Fraction imports it
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "FgAbelianGroup",
@@ -626,4 +630,5 @@ def unimodular_rational_eigen_check(m: IntegerMatrix) -> tuple[bool, list[Fracti
         roots.append(found)
         coeffs = _poly_deflate(coeffs, found)
     roots.sort(reverse=True)
+    from fractions import Fraction
     return (unimodular, [Fraction(r) for r in roots])

@@ -44,10 +44,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from ._frozen import Frozen
 from .abelian import (
@@ -63,6 +62,10 @@ from .abelian import (
 from .degsets import DegreeSet
 from .errors import GroupMismatchError, HypothesisError, InputError
 from .schema import MAX_NESTING, validate_payload
+
+# as in abelian, each function that makes a Fraction imports fractions
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "KNOWN_FLAGS",
@@ -112,12 +115,13 @@ PRESET_ENV_VAR = "CIRCLEDEG_PRESETS"
 # so that a volume ratio stays far below Python's 4300-digit int-to-str limit
 VOLUME_DIGIT_CAP = 2000
 
-# ``Fraction``'s string grammar: n, n/d, or a decimal with an exponent
-_RATIONAL = re.compile(r"""
+# ``Fraction``'s string grammar: n, n/d, or a decimal with an exponent;
+# compiled on first use, through ``re``'s cache
+_RATIONAL = r"""
     \s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
     (?:/(?P<den>\d+(?:_\d+)*)
      |(?:\.(?P<frac>\d*|\d+(?:_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)
-    \s*""", re.VERBOSE)
+    \s*"""
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +165,7 @@ class BaseManifold(Frozen):
             if is_torsion(classes[label])[0]:
                 raise InputError(f"fixed class {label!r} must be non-torsion")
         if volume is not None:
+            from fractions import Fraction
             volume = Fraction(volume)
             if volume < 0:
                 raise InputError("simplicial volume must be nonnegative")
@@ -623,7 +628,7 @@ def parse_volume(value: str | int | float, field: str) -> Fraction:
     >>> parse_volume("7/2", "volume"), parse_volume(1.5, "volume")
     (Fraction(7, 2), Fraction(3, 2))
     """
-    match = _RATIONAL.fullmatch(str(value))
+    match = re.fullmatch(_RATIONAL, str(value), re.VERBOSE)
     if match is None:
         raise InputError(f"{field} must be a rational number such as 10 or 7/2")
     num, den, frac, exp = (
@@ -638,6 +643,7 @@ def parse_volume(value: str | int | float, field: str) -> Fraction:
             f"{field} has more than {VOLUME_DIGIT_CAP} digits above or below the line")
     if int(den) == 0:
         raise InputError(f"{field} has a zero denominator")
+    from fractions import Fraction
     volume = Fraction(int(num), int(den))
     return -volume if match["sign"] == "-" else volume
 
@@ -646,6 +652,7 @@ def degree_bound(vol_domain: Fraction, vol_target: Fraction) -> int:
     """Largest possible |degree| by simplicial-volume comparison:
     floor(vol_domain / vol_target).  The target volume must be a known
     positive rational."""
+    from fractions import Fraction
     vd, vt = Fraction(vol_domain), Fraction(vol_target)
     if vt <= 0:
         raise HypothesisError("target simplicial volume must be positive and known")

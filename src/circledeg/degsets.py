@@ -800,14 +800,14 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
         if bad not in current:
             continue
         done = len(extraneous) - len(current - target)
-        budget.progress = (f" while excluding {bad} ({done} of {len(extraneous)}"
-                           f" extraneous values excluded, budget {limits.budget})")
+        excluded = f"{done} of {len(extraneous)} extraneous values excluded"
+        budget.progress = f" while excluding {bad} ({excluded}, budget {limits.budget})"
         found = find(bad, budget)
         if found is None:
             raise ResourceCapError(
                 "max_len", limits.max_len,
                 f"no excluding sequence for {bad} within caps "
-                f"(max_len={limits.max_len}, max_entry={limits.max_entry})",
+                f"(max_len={limits.max_len}, max_entry={limits.max_entry}; {excluded})",
             )
         sums = _sums_of(found.entries)
         current = current & sums

@@ -39,7 +39,6 @@ circledeg.errors.InputError: invalid pairInput at $.m: 0 should not be valid und
 from __future__ import annotations
 
 import json
-import numbers
 from functools import lru_cache
 from importlib import resources
 from itertools import repeat
@@ -104,6 +103,7 @@ def _is_integer(v: object, d: int) -> bool:
 def _is_number(v: object, d: int) -> bool:
     if type(v) is int or type(v) is float:
         return True
+    import numbers  # a Fraction or a Decimal; json makes neither
     return not isinstance(v, bool) and isinstance(v, numbers.Number)
 
 

@@ -68,3 +68,12 @@ def run_cli_measured(*argv: str, timeout: float = 10.0
     got = json.loads(outer.stdout)
     proc = subprocess.CompletedProcess(cli, got["returncode"], got["stdout"], got["stderr"])
     return proc, got["peak_kib"] / 1024
+
+
+def run_python_process(source: str, *argv: str, timeout: float = 10.0
+                       ) -> subprocess.CompletedProcess:
+    """``python -c source *argv`` with the package imported from this
+    checkout's ``src``: a fresh interpreter, so ``sys.modules`` holds
+    only what the source and the start-up import."""
+    return subprocess.run([sys.executable, "-c", source, *argv], capture_output=True,
+                          text=True, timeout=timeout, env=_env())

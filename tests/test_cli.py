@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,12 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from cli_process import run_cli_closed_stdout, run_cli_measured, run_cli_process
+from cli_process import (
+    run_cli_closed_stdout,
+    run_cli_measured,
+    run_cli_process,
+    run_python_process,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_realize import mutate, tamper_cases
@@ -459,22 +465,45 @@ def test_malformed_list_flag_names_the_flag(cli, argv, flag):
     assert err == f"error: {flag} must be a comma-separated list of integers\n"
 
 
-def test_main_builds_its_parser_once(cli, monkeypatch):
-    # argparse reads the terminal width when it formats help, not when it
-    # builds, so one parser serves every call of a process
-    built = []
+# int() refuses a string of more than 4300 digits; the message said the
+# flag was not a list of integers
+@pytest.mark.parametrize("argv, flag", [
+    (["sums", "--seq=" + "7" * 5000], "--seq"),
+    (["realize", "--set=0," + "7" * 5000], "--set"),
+])
+def test_list_flag_past_the_digit_limit_names_the_limit(cli, argv, flag):
+    code, out, err = cli(*argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} has an integer of more than 4300 digits\n"
 
-    def counting():
-        built.append(1)
-        return build_parser()
+
+def test_a_request_builds_only_its_own_subcommands_parser(cli, monkeypatch):
+    # each subcommand's parser is built at most once per process, and a
+    # request naming a subcommand builds that one alone: a cold pair
+    # request constructs 2 ArgumentParsers where the full table takes 15
+    built, constructed = [], []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(only=None):
+        built.append(only)
+        return build_parser(only)
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(1)
+        init(self, *args, **kwargs)
     monkeypatch.setattr(cli_module, "build_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli_module._parser.cache_clear()
     try:
         assert cli("pair", "-m", "2", "-k", "6")[0] == 0
+        assert (built, len(constructed)) == (["pair"], 2)
+        assert cli("pair", "-m", "3", "-k", "6")[0] == 0
         assert cli("sums", "--seq", "1,3")[0] == 0
+        assert (built, len(constructed)) == (["pair", "sums"], 4)
+        build_parser()
+        assert len(constructed) == 4 + 1 + len(cli_module._COMMANDS)
     finally:
         cli_module._parser.cache_clear()
-    assert len(built) == 1
 
 
 # what the CLI fuzz test gives a drawn flag
@@ -527,6 +556,70 @@ def test_flag_requests_exit_with_a_documented_code(case):
         sys.stdin = saved
     assert code in (0, 1, 2, 3), argv
     assert time.perf_counter() - start < 2.0, argv
+
+
+def parse_outcome(parser: argparse.ArgumentParser, argv: list[str]) -> object:
+    """The Namespace ``parser`` makes of ``argv``, as a dict, or the exit
+    code, stdout and stderr of the usage error or help it ends in."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def assert_parsed_as_by_the_full_parser(argv: list[str]) -> None:
+    # main's rule: a first word naming a subcommand picks that one's parser
+    first = argv[0] if argv else None
+    own = cli_module._parser(first if first in cli_module._NAMES else None)
+    assert parse_outcome(own, argv) == parse_outcome(build_parser(), argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "-m", "2", "-k", "3", "--bogus"],  # unrecognized after a subcommand
+    ["pair", "-m", "two"],
+    ["sums", "--format", "xml"],
+    ["sums", "--in"],
+    ["-h", "pair"],
+    [],
+    ["bogus"],
+    ["pair", "snf"],
+    ["decompose", "--set", "-6,1,2"],
+    ["realize", "--set=0,1", "--dim", "5", "--format=text"],
+    ["verify", "--in", "-", "--out", "x.json"],
+    ["selftest", "--in", "x.json"],
+    ["stabilize", "--dim", "8", "-h"],
+])
+def test_a_subcommands_own_parser_parses_as_the_full_one(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert_parsed_as_by_the_full_parser(argv)
+
+
+STRAY_WORDS = ["bogus", "pair", "-h", "--in", "-", "--format", "xml", "-m", "x", "--", ""]
+
+
+@st.composite
+def parser_requests(draw):
+    """A ``flag_requests`` argv, as drawn or with its subcommand misspelled
+    or missing or with stray words put in."""
+    argv = draw(flag_requests())[0]
+    edit = draw(st.sampled_from(["none", "misspell", "drop", "stray"]))
+    if edit == "misspell":
+        name = argv[0]
+        argv[0] = draw(st.sampled_from([name[:-1], name + "s", name.upper(), "-" + name]))
+    elif edit == "drop":
+        del argv[0]
+    elif edit == "stray":
+        for word in draw(st.lists(st.sampled_from(STRAY_WORDS), min_size=1, max_size=3)):
+            argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parser_requests())
+def test_drawn_requests_parse_as_by_the_full_parser(argv):
+    assert_parsed_as_by_the_full_parser(argv)
 
 
 def test_budget_cap_exit_code(cli):
@@ -1019,6 +1112,13 @@ def test_search_span_cap_exits_2_in_a_child_process(command):
     assert time.perf_counter() - start < 10
 
 
+def test_length_cap_says_how_many_values_were_excluded(cli):
+    code, out, err = cli("decompose", "--set=0,1,2,4,8,16,32", "--max-len", "3")
+    assert (code, out) == (2, "")
+    assert err == ("resource cap: no excluding sequence for 3 within caps "
+                   "(max_len=3, max_entry=128; 0 of 57 extraneous values excluded)\n")
+
+
 # without the length check on the seed, decompose summed the whole seed:
 # 1400 members then searched for 89 s before the budget ran out, and 3000
 # reached the sum-size cap after 66 s; 41 nonzero members are the least
@@ -1125,3 +1225,41 @@ def test_demos_run():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, f"{script.name}:\n{proc.stderr}"
         assert proc.stdout.strip()
+
+
+# a cold start imports no module that only a volume or an eigenvalue needs;
+# each function that makes a Fraction imports fractions itself
+_COLD_IMPORTS = """\
+import json, sys
+from pathlib import Path
+import circledeg.cli
+loaded = [m for m in ("fractions", "decimal", "numbers") if m in sys.modules]
+from decimal import Decimal
+from fractions import Fraction
+from circledeg import abelian, bundles, schema
+entry = {"name": "vol", "dim": 3, "group": {"rank": 1, "torsion": []},
+         "classes": {"b": {"free": [1], "torsion": []}},
+         "flags": ["aspherical"], "fixes": [], "volume": "7/2"}
+Path(sys.argv[1]).write_text(json.dumps({"bases": [entry]}))
+schema.validate_payload("boundInput", {"domainVolume": Fraction(7, 2),
+                                       "targetVolume": Decimal("0.5")})
+print(json.dumps({"loaded": loaded, "reprs": [repr(x) for x in (
+    abelian.unimodular_rational_eigen_check(
+        abelian.IntegerMatrix.from_rows([[2, 0], [0, 1]])),
+    bundles.degree_bound(bundles.parse_volume("7/2", "d"),
+                         bundles.parse_volume("1/3", "t")),
+    bundles.load_registry(sys.argv[1])["vol"].volume,
+    [schema._is_number(x, 0) for x in (Fraction(1, 3), Decimal("1.5"), True)],
+)]}))
+"""
+
+
+def test_cold_import_loads_no_fractions_in_a_child_process(tmp_path):
+    proc = run_python_process(_COLD_IMPORTS, str(tmp_path / "bases.json"))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == []
+    assert got["reprs"] == ["(False, [Fraction(2, 1), Fraction(1, 1)])", "10",
+                            "Fraction(7, 2)", "[True, True, False]"]
+    proc = run_cli_process("bound", "--domain-volume", "7/2", "--target-volume", "1/3")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{\n  "bound": 10\n}\n', "")
