@@ -23,7 +23,7 @@ JSON formats (stable, used by the CLI and the certificate files):
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
@@ -49,6 +49,7 @@ __all__ = [
     "apply_matrix",
     "unimodular_rational_eigen_check",
     "SNF_DIGITS_CAP",
+    "EIGEN_DIVISOR_CAP",
 ]
 
 # decimal digits an entry of the Smith normal form's working matrices may
@@ -56,6 +57,9 @@ __all__ = [
 # result could be printed or written as JSON
 SNF_DIGITS_CAP = 4300
 _SNF_ENTRY_BOUND = 10 ** SNF_DIGITS_CAP
+# trial divisions the eigenvalue check may make per rational eigenvalue it
+# looks for: a fraction of a second each
+EIGEN_DIVISOR_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -583,17 +587,21 @@ def _poly_deflate(coeffs: Sequence[int], root: int) -> list[int]:
     return out
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int, bound: int) -> list[int]:
+    """The positive divisors of ``n`` up to ``bound``, ascending, by trial
+    division up to the lesser of ``bound`` and the square root of |n|.
+    Raises :class:`ResourceCapError` when that is more than
+    ``EIGEN_DIVISOR_CAP`` divisions."""
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    stop = min(isqrt(n), bound)
+    if stop > EIGEN_DIVISOR_CAP:
+        raise ResourceCapError(
+            "eigen_divisors", EIGEN_DIVISOR_CAP,
+            f"finding the rational eigenvalues would take more than "
+            f"{EIGEN_DIVISOR_CAP} trial divisions",
+        )
+    small = [d for d in range(1, stop + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if stop < n // d <= bound]
 
 
 def unimodular_rational_eigen_check(m: IntegerMatrix) -> tuple[bool, list[Fraction]]:
@@ -601,7 +609,9 @@ def unimodular_rational_eigen_check(m: IntegerMatrix) -> tuple[bool, list[Fracti
 
     The characteristic polynomial is monic with integer coefficients, so
     by the rational-root test every rational eigenvalue is an integer
-    dividing the constant term.
+    dividing the constant term; no eigenvalue is larger in magnitude than
+    the largest absolute row sum.  Raises :class:`ResourceCapError` when
+    the divisors to try pass ``EIGEN_DIVISOR_CAP``.
 
     >>> unimodular_rational_eigen_check(IntegerMatrix.from_rows([[0, 1], [-1, 0]]))
     (True, [])
@@ -612,13 +622,14 @@ def unimodular_rational_eigen_check(m: IntegerMatrix) -> tuple[bool, list[Fracti
         raise InputError("eigen check needs a square matrix")
     unimodular = abs(m.det()) == 1
     coeffs = _char_poly(m)
+    bound = max((sum(map(abs, row)) for row in m.entries), default=0)
     roots: list[int] = []
     while len(coeffs) > 1 and coeffs[-1] == 0:
         roots.append(0)
         coeffs = coeffs[:-1]
     while len(coeffs) > 1:
         found = None
-        for d in _divisors(coeffs[-1]):
+        for d in _divisors(coeffs[-1], bound):
             for cand in (d, -d):
                 if _poly_eval(coeffs, cand) == 0:
                     found = cand

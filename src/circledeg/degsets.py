@@ -25,7 +25,7 @@ JSON formats:
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
 from .errors import InputError, ResourceCapError
@@ -49,6 +49,7 @@ __all__ = [
     "EQUALS_MODULUS_CAP",
     "SEARCH_SPAN_CAP",
     "PROGRESSION_CAP",
+    "COVER_TEST_CAP",
 ]
 
 SUM_LENGTH_CAP = 40
@@ -82,6 +83,10 @@ SEARCH_SPAN_CAP = 1 << 20
 # piece, no golden, demo, selftest or benchmark set holds more than two, and
 # dropping nested progressions tests each against every smaller modulus kept
 PROGRESSION_CAP = 1 << 10
+# finite members times distinct progression moduli that finding which of
+# the members the progressions hold may test: a test is a remainder and a
+# set lookup, so 4096 members against 1024 moduli take ~0.4 s
+COVER_TEST_CAP = 1 << 22
 
 
 class DegreeSet(Frozen):
@@ -131,8 +136,7 @@ class DegreeSet(Frozen):
         if flag and (0 in finite or not any(base == 0 for base, _ in kept)):
             flag = False
         # a finite 0 clears the flag above, so no covered member stays
-        finite = [x for x in finite
-                  if not any(x % m in bases for m, bases in bases_by_mod.items())]
+        finite = _uncovered(finite, bases_by_mod)
         object.__setattr__(self, "finite", tuple(finite))
         object.__setattr__(self, "progressions", tuple(kept))
         object.__setattr__(self, "excludes_zero_in_progressions", flag)
@@ -164,13 +168,18 @@ class DegreeSet(Frozen):
         return frozenset(self.finite)
 
     def contains(self, d: int) -> bool:
-        return d in self.finite or self._covers(d)
+        return d in self.finite or d in self._covered((d,))
 
-    def _covers(self, d: int) -> bool:
-        """Whether the progression part holds ``d``."""
-        if d == 0 and self.excludes_zero_in_progressions:
-            return False
-        return any((d - base) % mod == 0 for base, mod in self.progressions)
+    def _covered(self, xs: Collection[int]) -> set[int]:
+        """The members of ``xs`` that the progression part holds; raises
+        :class:`ResourceCapError` as :func:`_uncovered` does."""
+        bases_by_mod: dict[int, set[int]] = {}
+        for base, mod in self.progressions:
+            bases_by_mod.setdefault(mod, set()).add(base)
+        held = set(xs).difference(_uncovered(xs, bases_by_mod))
+        if self.excludes_zero_in_progressions:
+            held.discard(0)
+        return held
 
     __contains__ = contains
 
@@ -202,9 +211,9 @@ class DegreeSet(Frozen):
         mine, theirs = set(self.finite), set(other.finite)
         finite = mine & theirs
         if other.progressions:
-            finite |= {x for x in mine if other._covers(x)}
+            finite |= other._covered(mine)
         if self.progressions:
-            finite |= {x for x in theirs if self._covers(x)}
+            finite |= self._covered(theirs)
         progs = []
         for b1, m1 in self.progressions:
             for b2, m2 in other.progressions:
@@ -224,7 +233,8 @@ class DegreeSet(Frozen):
         """Exact denotational equality (structural forms may differ).
 
         Raises :class:`ResourceCapError` when deciding it would enumerate
-        more than ``EQUALS_MODULUS_CAP`` residues.
+        more than ``EQUALS_MODULUS_CAP`` residues, or test more finite
+        members against progression moduli than ``COVER_TEST_CAP``.
 
         >>> DegreeSet.from_parts([], [(0, 2), (1, 2)]).equals(DegreeSet.from_parts([], [(0, 1)]))
         True
@@ -246,8 +256,8 @@ class DegreeSet(Frozen):
         if self._residues(big) != other._residues(big):
             return False
         mine, theirs = set(self.finite), set(other.finite)
-        return all((p in mine or self._covers(p)) == (p in theirs or other._covers(p))
-                   for p in mine | theirs | {0})
+        members = mine | theirs | {0}
+        return mine | self._covered(members) == theirs | other._covered(members)
 
     def _residues(self, big: int) -> bytearray:
         """Flags of the residues modulo ``big`` the progressions cover."""
@@ -289,6 +299,25 @@ def _crt(b1: int, m1: int, b2: int, m2: int) -> tuple[int, int] | None:
     l = lcm(m1, m2)
     t = ((b2 - b1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 // g > 1 else 0
     return ((b1 + m1 * t) % l, l)
+
+
+def _uncovered(members: Collection[int], bases_by_mod: dict[int, set[int]]) -> list[int]:
+    """The ``members`` that no progression holds, in their order; the
+    progressions are given as modulus -> bases.  Raises
+    :class:`ResourceCapError` when that would test more than
+    ``COVER_TEST_CAP`` members against moduli."""
+    tests = len(members) * len(bases_by_mod)
+    if tests > COVER_TEST_CAP:
+        raise ResourceCapError(
+            "cover_tests", COVER_TEST_CAP,
+            f"testing {len(members)} finite members against {len(bases_by_mod)} "
+            f"progression moduli would take {tests} tests, beyond the cap of "
+            f"{COVER_TEST_CAP}",
+        )
+    rest = list(members)
+    for mod, bases in bases_by_mod.items():
+        rest = [x for x in rest if x % mod not in bases]
+    return rest
 
 
 def _check_progressions(count: int, what: str) -> None:
@@ -790,9 +819,6 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
         sums = _sums_of(s.entries)
         current = sums if current is None else current & sums
         transcript.append(TranscriptStep(s, tuple(sorted(sums)), tuple(sorted(current))))
-
-    if current is None or not target <= current:
-        raise InputError("internal seed does not cover the target")  # unreachable
 
     extraneous = sorted(current - target)
     find = _exclusion_search(target, extraneous, limits)

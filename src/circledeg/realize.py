@@ -184,15 +184,10 @@ class PairClaim(Frozen):
         }
 
     @classmethod
-    def from_json(cls, obj: dict, registry: Mapping[str, BaseManifold]) -> "PairClaim":
-        """Claim from a payload valid under the ``pairClaim`` schema."""
-        return cls._from_json(obj, registry, {})
-
-    @classmethod
     def _from_json(cls, obj: dict, registry: Mapping[str, BaseManifold],
                    bundles: dict) -> "PairClaim":
-        """:meth:`from_json`, taking the bundles it decodes from ``bundles``
-        or adding them there."""
+        """Claim from a payload valid under the ``pairClaim`` schema, taking
+        the bundles it decodes from ``bundles`` or adding them there."""
         return cls(
             int(obj["index"]),
             _expr_from_json(obj["domain"], registry, 0, bundles),
@@ -254,15 +249,10 @@ class Combination(Frozen):
         }
 
     @classmethod
-    def from_json(cls, obj: dict, registry: Mapping[str, BaseManifold]) -> "Combination":
-        """Record from a payload valid under the ``combinationRecord`` schema."""
-        return cls._from_json(obj, registry, {})
-
-    @classmethod
     def _from_json(cls, obj: dict, registry: Mapping[str, BaseManifold],
                    bundles: dict) -> "Combination":
-        """:meth:`from_json`, taking the bundles it decodes from ``bundles``
-        or adding them there."""
+        """Record from a payload valid under the ``combinationRecord`` schema,
+        taking the bundles it decodes from ``bundles`` or adding them there."""
         return cls(
             obj["l"],
             _expr_from_json(obj["resultDomain"], registry, 0, bundles),
@@ -388,13 +378,6 @@ def _require_strong_base(base: BaseManifold, class_label: str) -> None:
         )
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r != 0:
-        raise InputError(f"{b} does not divide {a}")
-    return q
-
-
 def _build_pair(index: int, seq: SequenceB, alpha: int, summand_multipliers: list[int],
                 base: BaseManifold, class_label: str) -> PairClaim:
     b = base.cls(class_label)
@@ -449,7 +432,7 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
         )
 
     # alpha_i / beta for each entry beta of B(i)
-    summand_multipliers = [[_exact_div(alpha, beta) for beta in s.entries]
+    summand_multipliers = [[alpha // beta for beta in s.entries]
                            for s, alpha in zip(seqs, multipliers)]
     pairs = tuple(
         _build_pair(i, s, alpha, ms, base, class_label)
@@ -477,14 +460,11 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
             "padded-combination",
         )
 
-    final = pairs[0].claimed
-    for p in pairs[1:]:
-        final = final.intersect(p.claimed)
-    assert final.equals(DegreeSet.from_finite(values))
-
+    # ``decompose`` has checked that the pairs' claimed sets meet in the target
+    target = DegreeSet.from_finite(values)
     cert = RealizationCertificate(
-        DegreeSet.from_finite(values), n0, base, class_label, decomposition,
-        primes, multipliers, pairs, tuple(crosses), combination, final,
+        target, n0, base, class_label, decomposition,
+        primes, multipliers, pairs, tuple(crosses), combination, target,
     )
     if dimension > n0:
         cert = stabilize(cert, dimension)
@@ -559,24 +539,15 @@ class VerificationReport(Frozen):
 
 def _sum_rule(alpha: int, entries: Sequence[int], summand_multipliers: Sequence[int],
               base: BaseManifold, label: str) -> bool | str:
-    """True when, for every ``beta`` in ``entries`` and its multiplier m
-    in ``summand_multipliers``, the summand with Euler class m*b maps to
-    the bundle with class ``alpha``*b with degree set exactly ``{0, beta}``
-    (the same-base pair rule); otherwise the first mismatch.  The rule's
-    hypotheses are checked once for the whole pair, and its
-    :class:`InputError` is raised for a pair it does not cover."""
-    if not entries:
-        return True
-    if not _pair_rule_hypotheses(summand_multipliers[0], alpha, base, label):
-        return "pair rule only gave an upper bound"
-    for beta, m in zip(entries, summand_multipliers):
-        # the exact rule gives {0, alpha/m} when m divides alpha, else {0};
-        # beta is nonzero, so the sets agree when alpha/m is beta
-        if alpha % m != 0 or alpha // m != beta:
-            got = DegreeSet.from_finite([0, alpha // m] if alpha % m == 0 else [0])
-            return (f"summand with multiplier {m} realizes {got.render()}, "
-                    f"not {DegreeSet.from_finite([0, beta]).render()}")
-    return True
+    """True when, for every ``beta`` in ``entries`` and its multiplier
+    m = ``alpha``/beta in ``summand_multipliers``, the summand with Euler
+    class m*b maps to the bundle with class ``alpha``*b with degree set
+    exactly ``{0, beta}`` (the same-base pair rule); otherwise why not.
+    Each beta divides ``alpha`` (``summand-divisibility``), so the rule's
+    {0, alpha/m} is {0, beta} and only its hypotheses are checked, once
+    per pair; its :class:`InputError` is raised for a pair it does not cover."""
+    return not entries or _pair_rule_hypotheses(summand_multipliers[0], alpha, base, label) \
+        or "pair rule only gave an upper bound"
 
 
 def verify_certificate(cert: RealizationCertificate) -> VerificationReport:

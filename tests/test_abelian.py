@@ -9,6 +9,7 @@ against repeated addition.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledeg.abelian import (
+    EIGEN_DIVISOR_CAP,
     SNF_DIGITS_CAP,
     FgAbelianGroup,
     GroupElement,
@@ -441,6 +443,42 @@ def test_eigen_multiplicity_and_negatives():
     uni, eigs = unimodular_rational_eigen_check(m)
     assert not uni
     assert eigs == [Fraction(3), Fraction(-1), Fraction(-1)]
+
+
+def test_eigen_check_bounds_its_trial_division():
+    # trial division up to the root of the constant term 10^14 + 7 took 2.1 s
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError) as err:
+        unimodular_rational_eigen_check(IntegerMatrix.from_rows([[10**14 + 7, 1], [0, 1]]))
+    assert time.perf_counter() - start < 0.1
+    assert (err.value.cap_name, err.value.cap_value) == ("eigen_divisors", EIGEN_DIVISOR_CAP)
+    # no eigenvalue passes the largest absolute row sum, 1024, while the
+    # root of the constant term 2^80 is 2^40
+    start = time.perf_counter()
+    scaled = IntegerMatrix.from_rows([[1024 * (i == j) for j in range(8)] for i in range(8)])
+    assert unimodular_rational_eigen_check(scaled) == (False, [Fraction(1024)] * 8)
+    assert time.perf_counter() - start < 0.1
+    # the root of the constant term at the cap, then one past it
+    c = EIGEN_DIVISOR_CAP ** 2
+    assert unimodular_rational_eigen_check(IntegerMatrix.from_rows([[c, 0], [0, 1]])) == \
+        (False, [Fraction(c), Fraction(1)])
+    with pytest.raises(ResourceCapError):
+        c = (EIGEN_DIVISOR_CAP + 1) ** 2
+        unimodular_rational_eigen_check(IntegerMatrix.from_rows([[c, 0], [0, 1]]))
+
+
+def test_eigen_check_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(599)
+    x = sympy.Symbol("x")
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        roots = sympy.roots(sympy.Matrix(rows).charpoly(x).as_expr(), x, filter="Q")
+        want = sorted((Fraction(int(r)) for r, k in roots.items() for _ in range(k)),
+                      reverse=True)
+        assert unimodular_rational_eigen_check(IntegerMatrix.from_rows(rows)) == \
+            (abs(sympy.Matrix(rows).det()) == 1, want), rows
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 10) -> IntegerMatrix:

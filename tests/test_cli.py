@@ -32,6 +32,7 @@ from circledeg import realize
 from circledeg.abelian import IntegerMatrix
 from circledeg.cli import build_parser, main
 from circledeg.degsets import (
+    COVER_TEST_CAP,
     MAX_ENTRY_CAP,
     PROGRESSION_CAP,
     SEARCH_SPAN_CAP,
@@ -992,6 +993,26 @@ def test_progressions_past_the_cap_exit_1_at_the_schema_in_a_child_process():
     assert proc.stderr.startswith(
         "error: invalid realizationCertificate at $.pairs[0].claimed.progressions: ")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_members_against_many_moduli_exit_2_in_a_child_process():
+    # no prime modulus past 2^17 holds an even member below 2^17, so each of
+    # the 2^16 members was tested against all 1024 progressions, and then
+    # again by the final intersection: 4-6 s, exit 3
+    primes = [p for p in range(1 << 17, 1 << 18) if realize._is_prime(p)][:PROGRESSION_CAP]
+
+    def edit(cert):
+        cert["pairs"][0]["claimed"] = {"finite": list(range(0, 1 << 17, 2)),
+                                       "progressions": [{"base": 1, "mod": p} for p in primes]}
+    text = _hostile(edit)
+    start = time.perf_counter()
+    proc = run_cli_process("verify", stdin_text=text, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "resource cap: testing 65536 finite members against 1024 progression moduli "
+        f"would take 67108864 tests, beyond the cap of {COVER_TEST_CAP}\n")
     assert proc.stdout == ""
 
 

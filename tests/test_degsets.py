@@ -237,6 +237,35 @@ def test_progression_cap():
     assert time.perf_counter() - start < 2.0
 
 
+def test_cover_tests_go_by_distinct_modulus_and_are_capped():
+    cap = degsets.COVER_TEST_CAP
+    n = 1 << 16
+    # 1024 progressions of one modulus: the intersection tested each member
+    # against every progression, 2^26 tests
+    odd = DegreeSet.from_parts(range(0, 2 * n, 2), [(b, 2048) for b in range(1, 2048, 2)])
+    start = time.perf_counter()
+    both = odd.intersect(DegreeSet.from_finite(range(n)))
+    assert time.perf_counter() - start < 1.0
+    assert both == DegreeSet.from_finite(range(n))
+    assert odd.equals(DegreeSet.from_parts(range(0, 2 * n, 2), [(1, 2)]))
+    # moduli within a factor of 2 of each other and past every member: no
+    # progression holds another, and none holds a member
+    moduli = range(1 << 17, (1 << 17) + degsets.PROGRESSION_CAP)
+    members = cap // len(moduli)
+    wide = [(0, m) for m in moduli]
+    assert len(DegreeSet.from_parts(range(1, members + 1), wide).finite) == members
+    many = DegreeSet.from_finite(range(1, members + 2))
+    for build in (lambda: DegreeSet.from_parts(many.finite, wide),
+                  lambda: many.intersect(DegreeSet.from_parts([], wide)),
+                  lambda: DegreeSet.from_parts([], wide).intersect(many)):
+        with pytest.raises(ResourceCapError) as exc:
+            build()
+        assert exc.value.cap_name == "cover_tests"
+        assert str(exc.value) == (
+            f"testing {members + 1} finite members against {len(moduli)} progression "
+            f"moduli would take {(members + 1) * len(moduli)} tests, beyond the cap of {cap}")
+
+
 def _contains(p: tuple[int, int], q: tuple[int, int]) -> bool:
     """Whether progression ``q`` holds every member of ``p``."""
     return p[1] % q[1] == 0 and (p[0] - q[0]) % q[1] == 0

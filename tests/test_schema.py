@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import circledeg
+from circledeg import cli as cli_module
 from circledeg import realize, schema
 from circledeg.abelian import FgAbelianGroup, GroupElement, IntegerMatrix, solution_set_json
 from circledeg.bundles import BaseManifold, MapCatalogue
@@ -574,6 +575,66 @@ def grown(draw, seeds):
     return name, obj
 
 
+# the arrays ``grown_valid`` grows, and the sizes it grows them to: the
+# schema bounds progressions and catalogue maps to 1024 items, and a matrix
+# grows less, as ``snf`` builds and prints square transforms as wide as
+# the matrix (a 1 x 3000 matrix takes ~12 s)
+GROWN_SIZES = dict.fromkeys(("finite", "target", "sums", "intersection", "primes",
+                             "multipliers", "crossChecks", "sequence", "sequences",
+                             "set", "free", "torsion"), (64, 1100, 3000))
+GROWN_SIZES |= {"progressions": (64, 1024), "maps": (64, 1024), "entries": (16, 64, 256)}
+
+
+@st.composite
+def grown_valid(draw, seeds):
+    """A request of ``seeds()`` with one nonempty array of ``GROWN_SIZES``
+    grown by repeating its items, the copy at index i shifted by i so that
+    items stay distinct, and the rest of the payload made to agree, so
+    that the request passes the schema and reaches the algebra: a grown
+    matrix gets rows * cols equal to its entry count, a grown group or
+    element gives the group's elements as many coordinates, and a
+    catalogue map keeps its action; a group's torsion stays a divisibility
+    chain, a sequence's zero entries become 1, and a target set keeps 0."""
+    def growable(obj) -> list:
+        # coordinates must fit a group the payload gives, and an action
+        # the catalogue's groups
+        return [p for p in paths(obj) if p and p[-1] in GROWN_SIZES
+                and isinstance(at(obj, p), list) and at(obj, p)
+                and (p[-1] not in ("free", "torsion") or "group" in obj)
+                and "action" not in p]
+    argv, obj = draw(st.sampled_from([seed for seed in seeds() if growable(seed[1])]))
+    obj = copy.deepcopy(obj)
+    path = draw(st.sampled_from(growable(obj)))
+    parent, key = at(obj, path[:-1]), path[-1]
+    items = parent[key]
+    group = obj.get("group")
+    chain = group and group.get("torsion") or [2]
+    size = draw(st.sampled_from(GROWN_SIZES[key]))
+    grown = [shifted(items[i % len(items)], i) for i in range(size)]
+    if key == "maps":
+        grown = [{**items[i % len(items)], "degree": m["degree"]} for i, m in enumerate(grown)]
+    elif key == "entries":
+        parent["rows"] = draw(st.sampled_from([d for d in range(1, size + 1) if size % d == 0]))
+        parent["cols"] = size // parent["rows"]
+    elif key == "set" and 0 not in grown:
+        grown.append(0)
+    parent[key] = grown
+    if group is not None and path[0] in ("group", "a", "b", "c"):
+        if key == "free":
+            group["rank"] = size
+        elif key == "torsion":
+            group["torsion"] = sorted(chain * size)[:size]
+        for name in {"a", "b", "c"} & obj.keys():
+            element = obj[name]
+            for part, n in (("free", group["rank"]), ("torsion", len(group.get("torsion", [])))):
+                coords = element.get(part) or [0]
+                element[part] = [coords[i % len(coords)] + i for i in range(n)]
+    for p in paths(obj):
+        if p and (p[-1] == "sequence" or len(p) > 1 and p[-2] == "sequences"):
+            at(obj, p[:-1])[p[-1]] = [x or 1 for x in at(obj, p)]
+    return argv, obj
+
+
 def _cross_pair_out_of_range() -> tuple[tuple[str, ...], object]:
     cert = golden_certificate()
     cert["crossChecks"][0]["j"] = 7
@@ -615,6 +676,27 @@ def test_mutated_requests_exit_with_a_documented_code(case):
         code, _ = run_main([*argv, "--format", fmt], stdin=stdin)
         assert code in (0, 1, 2, 3), (argv, fmt)
         assert time.perf_counter() - start < 2.0, (argv, fmt)
+
+
+def request_schema(argv: tuple[str, ...]) -> str:
+    """The schema a request's payload must match; ``stabilize`` reads a
+    certificate here."""
+    spec = next(spec for spec in cli_module._COMMANDS if spec.name == argv[0])
+    return spec.schema or "realizationCertificate"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grown_valid(seeds=cli_fuzz_seeds))
+def test_grown_valid_requests_reach_the_algebra(case):
+    # every payload passes the schema, so that an exit 1 comes from the
+    # parse or the algebra; an exception escaping main fails the test
+    argv, payload = case
+    validate_payload(request_schema(argv), payload)
+    stdin = json.dumps(payload)
+    start = time.perf_counter()
+    code, _ = run_main([*argv, "--format", "json"], stdin=stdin)
+    assert code in (0, 1, 2, 3), argv
+    assert time.perf_counter() - start < 2.0, argv
 
 
 def test_unknown_name_raises_key_error():
