@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
-from .degsets import DegreeSet
+from .degsets import DegreeSet, _congruence
 from .errors import GroupMismatchError, InputError, ResourceCapError
 
 # fractions loads decimal and numbers, ~4 ms of a cold start, so the one
@@ -49,6 +49,7 @@ __all__ = [
     "apply_matrix",
     "unimodular_rational_eigen_check",
     "SNF_DIGITS_CAP",
+    "SNF_SIZE_CAP",
     "EIGEN_DIVISOR_CAP",
 ]
 
@@ -57,6 +58,10 @@ __all__ = [
 # result could be printed or written as JSON
 SNF_DIGITS_CAP = 4300
 _SNF_ENTRY_BOUND = 10 ** SNF_DIGITS_CAP
+# entries of U and V (rows^2 + cols^2) the Smith normal form may build:
+# they are square and as wide as the input, so a 1 x 1023 matrix, within
+# the cap, takes ~0.3 s, where a 1 x 3000 one took ~12 s through ``snf``
+SNF_SIZE_CAP = 1 << 20
 # trial divisions the eigenvalue check may make per rational eigenvalue it
 # looks for: a fraction of a second each
 EIGEN_DIVISOR_CAP = 1 << 20
@@ -301,13 +306,20 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
     Entries of the working matrix, U and V can grow without bound during
     elimination; each row or column written is checked, and
     :class:`ResourceCapError` is raised once an entry has more than
-    ``SNF_DIGITS_CAP`` decimal digits.
+    ``SNF_DIGITS_CAP`` decimal digits.  It is raised before any work when
+    U and V would hold more than ``SNF_SIZE_CAP`` entries.
 
     >>> d = smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]]))[1]
     >>> [d[i, i] for i in range(2)]
     [1, 6]
     """
     r, c = m.rows, m.cols
+    if r * r + c * c > SNF_SIZE_CAP:
+        raise ResourceCapError(
+            "snf_size", SNF_SIZE_CAP,
+            f"Smith normal form of a {r}x{c} matrix: U and V would hold "
+            f"{r * r + c * c} entries, beyond the cap of {SNF_SIZE_CAP}",
+        )
     w = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m.entries)]
     w += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
     _eliminate(w, r, c)
@@ -447,15 +459,6 @@ def is_torsion(a: GroupElement) -> tuple[bool, int | None]:
     return (True, order)
 
 
-def _linear_congruence(a: int, c: int, d: int) -> DegreeSet:
-    """Solve k*a == c (mod d) for d >= 1."""
-    g = gcd(a, d)
-    if c % g != 0:
-        return DegreeSet()
-    d1 = d // g
-    return DegreeSet((), ((c // g * pow(a // g, -1, d1) % d1, d1),))
-
-
 def solve_scalar(a: GroupElement, c: GroupElement) -> DegreeSet:
     """All integers k with k*a = c: no integer, one integer, or one
     arithmetic progression.
@@ -488,7 +491,8 @@ def solve_scalar(a: GroupElement, c: GroupElement) -> DegreeSet:
         if out.is_empty:
             return out
     for av, cv, d in zip(a.torsion, c.torsion, a.group.torsion):
-        out = out & _linear_congruence(av, cv, d)
+        hit = _congruence(av, cv, d)
+        out = (out & DegreeSet((), (hit,))) if hit else DegreeSet()
         if out.is_empty:
             return out
     return out

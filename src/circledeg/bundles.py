@@ -309,22 +309,21 @@ def expr_to_json(expr: ManifoldExpr) -> dict:
     raise InputError(f"not a manifold expression: {expr!r}")
 
 
-def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold],
-                   depth: int = 0) -> ManifoldExpr:
-    """Expression from a payload valid under the ``manifoldExpr`` schema;
-    ``depth`` counts the expressions around ``obj``.  Nesting deeper than
-    ``MAX_NESTING`` is refused, so that callers who skip
-    ``validate_payload`` cannot exhaust the stack.  Each distinct bundle
-    is built once per call and shared wherever it recurs;
+def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold]) -> ManifoldExpr:
+    """Expression from a payload valid under the ``manifoldExpr`` schema.
+    Nesting deeper than ``MAX_NESTING`` is refused, so that callers who
+    skip ``validate_payload`` cannot exhaust the stack.  Each distinct
+    bundle is built once per call and shared wherever it recurs;
     ``RealizationCertificate.from_json`` shares them across all the
     expressions of one certificate the same way."""
-    return _expr_from_json(obj, registry, depth, {})
+    return _expr_from_json(obj, registry, 0, {})
 
 
 def _expr_from_json(obj: dict, registry: Mapping[str, BaseManifold], depth: int,
                     bundles: dict[tuple, CircleBundle]) -> ManifoldExpr:
-    """:func:`expr_from_json`, taking each bundle from ``bundles``, keyed
-    by its base name and Euler coordinates, or building and adding it."""
+    """:func:`expr_from_json` for an ``obj`` inside ``depth`` expressions,
+    taking each bundle from ``bundles``, keyed by its base name and Euler
+    coordinates, or building and adding it."""
     if depth >= MAX_NESTING:
         raise InputError(f"manifold expression nested more than {MAX_NESTING} levels deep")
     key, val = next(iter(obj.items()))
@@ -665,18 +664,15 @@ def finiteness_verdict(domain: ManifoldExpr, target: ManifoldExpr,
                        d_base_finite: bool = False,
                        pullback_class_set_finite: bool = False) -> str:
     """"finite" iff the hypotheses for a finite full degree set hold:
-    both bases aspherical, target base scf_pi1, target Euler class
+    those of :func:`promote_to_full_degree_set`, target Euler class
     non-torsion, the base degree set finite, and finitely many candidate
-    pullback classes.  A hyperbolic target base supplies the last two
-    (and its own asphericity and scf) by itself; otherwise they are
-    caller-declared facts."""
+    pullback classes.  A hyperbolic target base supplies the last two by
+    itself; otherwise they are caller-declared facts."""
     if not isinstance(domain, CircleBundle) or not isinstance(target, CircleBundle):
         raise InputError("finiteness verdict applies to circle bundles")
     hyp = target.base.has("hyperbolic")
     ok = (
-        domain.base.has("aspherical")
-        and target.base.has("aspherical")
-        and target.base.has("scf_pi1")
+        promote_to_full_degree_set(domain.base, target.base)
         and not is_torsion(target.euler)[0]
         and (d_base_finite or hyp)
         and (pullback_class_set_finite or hyp)

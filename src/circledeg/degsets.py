@@ -291,14 +291,21 @@ class DegreeSet(Frozen):
         return " u ".join(parts) if parts else "{}"
 
 
-def _crt(b1: int, m1: int, b2: int, m2: int) -> tuple[int, int] | None:
-    """Intersect b1 mod m1 with b2 mod m2; None when incompatible."""
-    g = gcd(m1, m2)
-    if (b1 - b2) % g != 0:
+def _congruence(a: int, c: int, d: int) -> tuple[int, int] | None:
+    """The t with a*t == c (mod d), d >= 1, as (base, mod); None when
+    there is none."""
+    g = gcd(a, d)
+    if c % g != 0:
         return None
-    l = lcm(m1, m2)
-    t = ((b2 - b1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 // g > 1 else 0
-    return ((b1 + m1 * t) % l, l)
+    d1 = d // g
+    return (c // g * pow(a // g, -1, d1) % d1, d1)
+
+
+def _crt(b1: int, m1: int, b2: int, m2: int) -> tuple[int, int] | None:
+    """Intersect b1 mod m1 with b2 mod m2, solving m1*t == b2 - b1
+    (mod m2) by :func:`_congruence`; None when incompatible."""
+    hit = _congruence(m1, b2 - b1, m2)
+    return None if hit is None else ((b1 + m1 * hit[0]) % (m1 * hit[1]), m1 * hit[1])
 
 
 def _uncovered(members: Collection[int], bases_by_mod: dict[int, set[int]]) -> list[int]:
@@ -485,14 +492,16 @@ class DecompositionCertificate(Frozen):
 
     ``hull_bound`` is the entry-magnitude cap that was in effect; ``caps``
     records all resolved search limits, since they are an engineering
-    choice and not part of the mathematical statement.
+    choice and not part of the mathematical statement.  ``caps`` and
+    ``transcript`` are None for a certificate read without them, and are
+    then written without them.
     """
 
     __slots__ = ("target", "sequences", "hull_bound", "caps", "transcript")
 
     def __init__(self, target: tuple[int, ...], sequences: tuple[SequenceB, ...],
-                 hull_bound: int, caps: SearchLimits,
-                 transcript: tuple[TranscriptStep, ...]) -> None:
+                 hull_bound: int, caps: SearchLimits | None,
+                 transcript: tuple[TranscriptStep, ...] | None) -> None:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "sequences", sequences)
         object.__setattr__(self, "hull_bound", hull_bound)
@@ -500,15 +509,18 @@ class DecompositionCertificate(Frozen):
         object.__setattr__(self, "transcript", transcript)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "schemaVersion": 1,
             "kind": "decomposition-certificate",
             "target": list(self.target),
             "sequences": [s.to_json() for s in self.sequences],
             "hullBound": self.hull_bound,
-            "caps": self.caps.to_json(),
-            "transcript": [t.to_json() for t in self.transcript],
         }
+        if self.caps is not None:
+            out["caps"] = self.caps.to_json()
+        if self.transcript is not None:
+            out["transcript"] = [t.to_json() for t in self.transcript]
+        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecompositionCertificate":
@@ -518,8 +530,9 @@ class DecompositionCertificate(Frozen):
             tuple(map(int, obj["target"])),
             tuple(map(SequenceB.from_json, obj["sequences"])),
             int(obj["hullBound"]),
-            SearchLimits.from_json(obj.get("caps", {})),
-            tuple(TranscriptStep.from_json(t) for t in obj.get("transcript", ())),
+            SearchLimits.from_json(obj["caps"]) if "caps" in obj else None,
+            tuple(map(TranscriptStep.from_json, obj["transcript"]))
+            if "transcript" in obj else None,
         )
 
 
@@ -572,7 +585,9 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
     group it charged, and the next ``find`` resumes it there.  ``bad`` must
     be one of ``values``; they may be asked for in any order.  For a target
     spanning more than ``SEARCH_SPAN_CAP`` it raises
-    :class:`ResourceCapError` before it builds any mask.
+    :class:`ResourceCapError` before it builds any mask: the first ``find``
+    builds them, the mask of ``values`` as wide as their span, which
+    subset sums of the target can make many times the target's.
 
     Each node carries the sums S of its prefix down the recursion as an
     integer bitmask: bit x - neg stands for the sum x, where ``neg``, the
@@ -759,8 +774,10 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
             )
         if bad not in hits:
             goal, limit = bad, budget.left
-            # as wide as the target hull, like the masks the walk builds
-            tmask = tmask or sum(1 << (t - need_lo) for t in target)
+            if not tmask:  # the first find: build the masks, past the span cap
+                # as wide as the target hull, like the masks the walk builds
+                tmask = sum(1 << (t - need_lo) for t in target)
+                set_pending(sorted(set(values)))
             next(walker, None)
         if bad not in hits:
             budget.spend(walked)
@@ -769,16 +786,7 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
         budget.spend(at)
         return SequenceB(entries)
 
-    set_pending(sorted(set(values)))
     return find
-
-
-def _search_excluding(target: frozenset[int], bad: int, limits: SearchLimits,
-                      budget: _Budget) -> SequenceB | None:
-    """First sequence B in graded lexicographic order with target within S_B
-    and ``bad`` outside it: the single walk of :func:`_exclusion_search`
-    with ``bad`` as its only pending value."""
-    return _exclusion_search(target, (bad,), limits)(bad, budget)
 
 
 def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> DecompositionCertificate:

@@ -782,11 +782,11 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     return VerificationReport(first is None, tuple(checks), first)
 
 
-def _outline(s: DegreeSet, shown: int = 8) -> str:
-    """``s`` as its first few finite members and its size: a failure detail
-    stays short however large the set is."""
-    first = ", ".join(str(x) for x in s.finite[:shown])
-    more = ", ..." if len(s.finite) > shown else ""
+def _outline(s: DegreeSet) -> str:
+    """``s`` as its first eight finite members and its size: a failure
+    detail stays short however large the set is."""
+    first = ", ".join(str(x) for x in s.finite[:8])
+    more = ", ..." if len(s.finite) > 8 else ""
     size = f"{len(s.finite)} member{'s' * (len(s.finite) != 1)}"
     if s.progressions:
         size += f" and {len(s.progressions)} progression{'s' * (len(s.progressions) != 1)}"

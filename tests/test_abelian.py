@@ -9,17 +9,19 @@ against repeated addition.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from work_count import line_events
 
+from circledeg import abelian
 from circledeg.abelian import (
     EIGEN_DIVISOR_CAP,
     SNF_DIGITS_CAP,
+    SNF_SIZE_CAP,
     FgAbelianGroup,
     GroupElement,
     IntegerMatrix,
@@ -166,6 +168,22 @@ def test_snf_entry_growth_is_capped_at_the_printable_bound():
     assert (err.value.cap_name, err.value.cap_value) == ("snf_digits", SNF_DIGITS_CAP)
     assert str(err.value) == ("Smith normal form of a 1x2 matrix: an entry of V passed "
                               "4300 decimal digits while placing pivot 1 of 1")
+
+
+def test_snf_size_cap_comes_before_any_elimination():
+    # U and V of a 1 x 1024 matrix would hold 1 + 2^20 entries; at 1 x 1023
+    # they hold 1 + 1023^2, within the cap
+    for rows in ([[1] * 1024], [[1]] * 1024):
+        m = IntegerMatrix.from_rows(rows)
+        with pytest.raises(ResourceCapError) as err:
+            smith_normal_form(m)
+        assert (err.value.cap_name, err.value.cap_value) == ("snf_size", SNF_SIZE_CAP)
+        assert str(err.value) == (f"Smith normal form of a {m.rows}x{m.cols} matrix: U and V "
+                                  f"would hold {1 + 1024 ** 2} entries, beyond the cap of "
+                                  f"{SNF_SIZE_CAP}")
+        assert canonicalize_group(m) == FgAbelianGroup(m.cols - 1)
+    d = smith_normal_form(IntegerMatrix.from_rows([[0] * 1023]))[1]
+    assert d.rows * d.cols == 1023 and not any(d.entries[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -446,18 +464,18 @@ def test_eigen_multiplicity_and_negatives():
 
 
 def test_eigen_check_bounds_its_trial_division():
-    # trial division up to the root of the constant term 10^14 + 7 took 2.1 s
-    start = time.perf_counter()
-    with pytest.raises(ResourceCapError) as err:
+    # trial division up to the root of the constant term 10^14 + 7 took 2.1 s,
+    # 10^7 divisions, each a line event; the cap fires after ~300 events
+    with pytest.raises(ResourceCapError) as err, line_events(abelian, 5_000):
         unimodular_rational_eigen_check(IntegerMatrix.from_rows([[10**14 + 7, 1], [0, 1]]))
-    assert time.perf_counter() - start < 0.1
     assert (err.value.cap_name, err.value.cap_value) == ("eigen_divisors", EIGEN_DIVISOR_CAP)
     # no eigenvalue passes the largest absolute row sum, 1024, while the
-    # root of the constant term 2^80 is 2^40
-    start = time.perf_counter()
+    # root of the constant term 2^80 is 2^40: the eight searches up to 1024
+    # take ~21,000 events
     scaled = IntegerMatrix.from_rows([[1024 * (i == j) for j in range(8)] for i in range(8)])
-    assert unimodular_rational_eigen_check(scaled) == (False, [Fraction(1024)] * 8)
-    assert time.perf_counter() - start < 0.1
+    with line_events(abelian, 50_000):
+        eigen = unimodular_rational_eigen_check(scaled)
+    assert eigen == (False, [Fraction(1024)] * 8)
     # the root of the constant term at the cap, then one past it
     c = EIGEN_DIVISOR_CAP ** 2
     assert unimodular_rational_eigen_check(IntegerMatrix.from_rows([[c, 0], [0, 1]])) == \

@@ -20,6 +20,7 @@ from circledeg.bundles import (
     SphereProduct,
     Stabilized,
     SymbolicRepeat,
+    _pair_rule_hypotheses,
     builtin_registry,
     degree_bound,
     expr_dim,
@@ -372,6 +373,60 @@ def test_pair_rule_matches_its_reference(base, label):
                 continue
             got = (res.degree_set.as_finite_set(), res.exact, res.rule)
             assert got == want, (m, k)
+
+
+def _identity_catalogue(base, degrees=(1,), signs=(1,)):
+    """Self-maps of ``base`` acting on H2 as sign times the identity, one of
+    each degree for each sign."""
+    n = base.h2.rank + len(base.h2.torsion)
+    return MapCatalogue(tuple(
+        MapModel(d, IntegerMatrix.from_rows([[sign * (i == j) for j in range(n)]
+                                             for i in range(n)]))
+        for d in degrees for sign in signs), complete=True)
+
+
+@pytest.mark.parametrize("name", ["surface", "knot-glue-3", "hyp-odd-4"])
+def test_formula_ii_reproduces_the_pair_rule(name):
+    # over a base whose only nonzero self-degree is 1 and which fixes b,
+    # the fiber-preserving degree set over the complete catalogue {identity}
+    # is the exact pair rule: t*(m*b) = k*b has the one solution t = k/m
+    # when m divides k, and none otherwise
+    base = builtin_registry()[name]
+    catalogue = _identity_catalogue(base)
+    b = base.cls("b")
+    for m in [*range(-12, 0), *range(1, 13)]:
+        for k in [*range(-12, 0), *range(1, 13)]:
+            rule = same_base_pair_degree_set(m, k, base)
+            assert rule.exact
+            formula = fiber_preserving_degree_set(catalogue, b.scale(m), b.scale(k))
+            assert formula.degree_set.equals(rule.degree_set), (m, k)
+
+
+def test_formula_ii_stays_within_the_weak_pair_rule():
+    # with only a finite self-degree set the rule gives the upper bound
+    # {0, +-k/m}; self-maps of degree +-1 acting as +-1 on H2 stay in it
+    base = next(base for base, _ in _pair_rule_bases() if base.name == "weak")
+    assert base.has("d_self_finite") and not base.has("d_self_is_01")
+    catalogue = _identity_catalogue(base, degrees=(1, -1), signs=(1, -1))
+    b = base.cls("b")
+    for m in [*range(-12, 0), *range(1, 13)]:
+        for k in [*range(-12, 0), *range(1, 13)]:
+            bound = same_base_pair_degree_set(m, k, base)
+            assert not bound.exact
+            formula = fiber_preserving_degree_set(catalogue, b.scale(m), b.scale(k))
+            assert formula.degree_set.as_finite_set() <= bound.degree_set.as_finite_set()
+
+
+@pytest.mark.parametrize("base, label", _pair_rule_bases(),
+                         ids=lambda x: getattr(x, "name", x))
+def test_pair_rule_hypotheses_imply_promotion(base, label):
+    # the pair rule is formula (ii) promoted by item (i): every base it
+    # accepts, as domain and target base, meets (i)'s hypotheses
+    try:
+        _pair_rule_hypotheses(1, 1, base, label)
+    except InputError:
+        return
+    assert promote_to_full_degree_set(base, base)
 
 
 # ---------------------------------------------------------------------------

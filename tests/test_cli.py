@@ -1133,6 +1133,27 @@ def test_search_span_cap_exits_2_in_a_child_process(command):
     assert time.perf_counter() - start < 10
 
 
+# the search's mask of extraneous values spans their subset sums, many
+# times the target's span: built before the span cap fired, it took 629 MB
+# for the draw, and for the powers of 7 its MemoryError left exit 1 with
+# "input too deeply nested or too large"
+@pytest.mark.parametrize("members", [
+    [7 ** i for i in range(19)],
+    random.Random(1).sample(range(1, 2 * 10 ** 8), 18),
+], ids=["powers-of-7", "draw-below-2e8"])
+def test_search_span_cap_comes_before_the_pending_mask(members):
+    target = ",".join(map(str, [0, *members]))
+    proc, peak_mb = run_cli_measured("decompose", f"--set={target}", "--budget", "100000000",
+                                     timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        f"resource cap: decomposition search over a target span of {max(members)}, "
+        f"beyond the cap of {SEARCH_SPAN_CAP} while excluding ")
+    assert proc.stdout == ""
+    # the seed's ~2^19 subset sums take ~120 MB
+    assert peak_mb < 200
+
+
 def test_length_cap_says_how_many_values_were_excluded(cli):
     code, out, err = cli("decompose", "--set=0,1,2,4,8,16,32", "--max-len", "3")
     assert (code, out) == (2, "")
@@ -1197,6 +1218,22 @@ def test_snf_digit_cap_exits_2_in_a_child_process(seed, command, key):
     assert proc.stderr.startswith("resource cap: Smith normal form of a 32x32 matrix: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# U and V are square and as wide as the matrix: ~12 s and 9 million
+# entries of V for the 1 x 3000 matrix, with exit 0
+@pytest.mark.parametrize("rows, cols", [(1, 3000), (3000, 1)])
+def test_snf_size_cap_exits_2_in_a_child_process(rows, cols):
+    matrix = {"rows": rows, "cols": cols, "entries": list(range(1, 3001))}
+    start = time.perf_counter()
+    proc = run_cli_process("snf", stdin_text=json.dumps({"matrix": matrix}), timeout=10)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"resource cap: Smith normal form of a {rows}x{cols} matrix: "
+                           f"U and V would hold 9000001 entries, beyond the cap of 1048576\n")
+    proc = run_cli_process("group", stdin_text=json.dumps({"relations": matrix}), timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["group"] == {"rank": cols - 1, "torsion": []}
 
 
 # through the full Smith normal form both hit the digit cap on an entry of

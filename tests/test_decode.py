@@ -110,11 +110,11 @@ def former_decomposition(obj):
         tuple(int(x) for x in obj["target"]),
         tuple(former_sequence(s) for s in obj["sequences"]),
         int(obj["hullBound"]),
-        SearchLimits.from_json(obj.get("caps", {})),
+        SearchLimits.from_json(obj["caps"]) if "caps" in obj else None,
         tuple(TranscriptStep(former_sequence(t["sequence"]),
                              tuple(int(x) for x in t["sums"]),
                              tuple(int(x) for x in t["intersection"]))
-              for t in obj.get("transcript", ())))
+              for t in obj["transcript"]) if "transcript" in obj else None)
 
 
 def former_from_json(obj):

@@ -19,12 +19,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from work_count import line_events
 
 from circledeg import degsets
 from circledeg.degsets import (
     DecompositionCertificate,
     DegreeSet,
     SearchLimits,
+    _congruence,
     _crt,
     SequenceB,
     decompose,
@@ -83,9 +85,23 @@ def test_intersect_progressions_crt():
     assert none.is_empty
 
 
+def test_congruence_matches_brute_force():
+    # the one congruence solver, behind _crt and solve_scalar's torsion
+    # coordinates
+    for a, c, d in itertools.product(range(-12, 13), range(-12, 13), range(1, 13)):
+        want = [t for t in range(2 * d) if (a * t - c) % d == 0]
+        hit = _congruence(a, c, d)
+        if hit is None:
+            assert want == []
+        else:
+            base, mod = hit
+            assert 0 <= base < mod
+            assert want == [t for t in range(2 * d) if t % mod == base]
+
+
 def test_crt_matches_brute_force_intersection():
     # _crt is the one helper behind DegreeSet.intersect, which solve_scalar
-    # also meets its congruences with
+    # also meets its congruences with; it solves through _congruence
     for m1, m2 in itertools.product(range(1, 13), repeat=2):
         span = range(2 * m1 * m2)
         for b1, b2 in itertools.product(range(m1), range(m2)):
@@ -301,10 +317,10 @@ def test_canonical_form_matches_brute_force(finite, progressions, excludes_zero)
 
 
 def test_nested_progression_filter_is_subquadratic():
-    # 1024 progressions of one modulus were ~5 * 10^5 pair tests, ~0.25 s
-    start = time.perf_counter()
-    s = DegreeSet.from_parts([0], [(b, 1024) for b in range(1024)])
-    assert time.perf_counter() - start < 0.1
+    # 1024 progressions of one modulus were ~10^6 pair tests, each a line
+    # event of the containment test; the filter takes ~14,000 events
+    with line_events(degsets, 50_000):
+        s = DegreeSet.from_parts([0], [(b, 1024) for b in range(1024)])
     assert len(s.progressions) == 1024 and s.finite == ()
 
 
@@ -506,6 +522,13 @@ def test_search_span_cap_comes_before_any_mask():
         == [(1, cap), (1, cap - 1)]
     wide = degsets.TARGET_MAGNITUDE_CAP
     assert [s.entries for s in decompose({-wide, 0, wide}).sequences] == [(-wide, wide)]
+    # the mask of the pending values, here 2^62 bits wide, was built with
+    # the walk and raised MemoryError before the first find reached the cap
+    target = frozenset({0, 1, cap + 1})
+    find = degsets._exclusion_search(target, [2, 1 << 62], SearchLimits().resolve(target))
+    with pytest.raises(ResourceCapError) as exc:
+        find(2, degsets._Budget(10))
+    assert exc.value.cap_name == "search_span"
 
 
 def test_default_caps_stay_within_the_schema_at_the_edges():

@@ -25,7 +25,7 @@ from circledeg.bundles import (
 )
 from circledeg.degsets import DegreeSet, SequenceB
 from circledeg.errors import HypothesisError, InputError, ResourceCapError
-from circledeg.schema import MAX_NESTING
+from circledeg.schema import MAX_NESTING, validate_payload
 from circledeg.realize import (
     PRIMALITY_BOUND,
     RealizationCertificate,
@@ -263,6 +263,22 @@ def test_stabilize_changes_only_dimension_combination_and_records():
     want["stabilizations"].append({"shift": 3, "fromDimension": 4, "toDimension": 7,
                                    "rule": "dimension-stabilization"})
     assert stabilize(cert, 7).to_json() == want
+
+
+@pytest.mark.parametrize("dropped", [("caps",), ("transcript",), ("caps", "transcript")])
+def test_absent_decomposition_records_stay_absent(dropped):
+    # they were written back as the default caps, a budget the search never
+    # ran under, and as an empty transcript
+    obj = build_construction({0, 1, 3}, 4).to_json()
+    for key in dropped:
+        del obj["decomposition"][key]
+    validate_payload("realizationCertificate", obj)
+    cert = RealizationCertificate.from_json(obj)
+    assert reverify(cert)
+    assert cert.to_json() == obj
+    assert stabilize(cert, 7).to_json()["decomposition"] == obj["decomposition"]
+    decomposition = degsets.DecompositionCertificate.from_json(obj["decomposition"])
+    assert decomposition.to_json() == obj["decomposition"]
 
 
 def stabilized_sphere(levels: int) -> dict:

@@ -578,7 +578,8 @@ def grown(draw, seeds):
 # the arrays ``grown_valid`` grows, and the sizes it grows them to: the
 # schema bounds progressions and catalogue maps to 1024 items, and a matrix
 # grows less, as ``snf`` builds and prints square transforms as wide as
-# the matrix (a 1 x 3000 matrix takes ~12 s)
+# the matrix (a 1 x 3000 matrix took ~12 s before ``SNF_SIZE_CAP``; a
+# squarer one of 3000 entries is still eliminated in full)
 GROWN_SIZES = dict.fromkeys(("finite", "target", "sums", "intersection", "primes",
                              "multipliers", "crossChecks", "sequence", "sequences",
                              "set", "free", "torsion"), (64, 1100, 3000))

@@ -1,13 +1,13 @@
 """Differential tests: the decomposition search against a leaf-rebuild reference.
 
-``reference_search_excluding`` is the straightforward search that
-``degsets._search_excluding`` replaced: it enumerates the same sequences
-in the same order, but rebuilds S_B from scratch at every leaf, charges
-the budget one leaf at a time and starts afresh for every excluded value.
-Plugged into ``decompose`` in place of the one walk per call
-(``degsets._exclusion_search``), one search per value, it must give
-byte-identical certificates and identical cap errors; called directly,
-the same sequence and the same budget left.
+``reference_search_excluding`` is the straightforward search that the
+one walk per call (``degsets._exclusion_search``) replaced: it enumerates
+the same sequences in the same order, but rebuilds S_B from scratch at
+every leaf, charges the budget one leaf at a time and starts afresh for
+every excluded value.  Plugged into ``decompose`` in place of the walk,
+one search per value, it must give byte-identical certificates and
+identical cap errors; called directly, the same sequence and the same
+budget left as the walk asked for that value alone.
 """
 
 from __future__ import annotations
@@ -163,6 +163,11 @@ def test_random_limits_match_reference(target, max_len, max_entry, budget):
     assert fast == slow
 
 
+def search_alone(target, bad, limits, budget):
+    """The one walk with ``bad`` as its only pending value."""
+    return degsets._exclusion_search(target, (bad,), limits)(bad, budget)
+
+
 def searched(search, target, bad, limits):
     """The sequence found and the budget left, or the cap error."""
     budget = degsets._Budget(limits.budget)
@@ -187,7 +192,7 @@ def test_search_matches_reference_directly(nonzero, beyond, max_len, max_entry, 
     target = frozenset(nonzero | {0})
     bad = max(target) + beyond if beyond > 0 else min(target) + beyond
     limits = SearchLimits(max_len, max_entry, budget).resolve(target)
-    fast = searched(degsets._search_excluding, target, bad, limits)
+    fast = searched(search_alone, target, bad, limits)
     assert fast == searched(reference_search_excluding, target, bad, limits)
 
 
@@ -313,7 +318,7 @@ def test_budgets_at_rejected_group_ends_match_reference(target, bad):
     for end in spread(ends, 12):
         for total in (end - 1, end, end + 1):
             capped = limits._replace(budget=total)
-            fast = searched(degsets._search_excluding, target, bad, capped)
+            fast = searched(search_alone, target, bad, capped)
             assert fast == searched(reference_search_excluding, target, bad, capped)
             if total < at:
                 find = degsets._exclusion_search(target, (bad,), limits)
@@ -360,7 +365,7 @@ def test_length_one_walks_match_reference(target):
     for bad, other in ((2 * t, -t), (-t, t + 1), (t + 1 if t > 0 else t - 1, 2 * t)):
         for total in range(groups[1][0] + 2):
             capped = limits._replace(budget=total)
-            fast = searched(degsets._search_excluding, target, bad, capped)
+            fast = searched(search_alone, target, bad, capped)
             assert fast == searched(reference_search_excluding, target, bad, capped)
             find = degsets._exclusion_search(target, (other, bad), limits)
             for value, budget in ((other, total), (bad, limits.budget)):
