@@ -558,6 +558,49 @@ class _Budget:
             )
 
 
+def _group_candidates(sums: int, diffs: int, pos: int, neg: int,
+                      target: Iterable[int]) -> tuple[int, int] | None:
+    """The penultimate entries v below a prefix that can start a hit.
+
+    ``sums`` is the prefix's sums mask S (bit x - neg for the sum x, which
+    runs from ``neg`` to ``pos``), ``diffs`` its difference mask D = S - S
+    (bit d + pos - neg for the difference d) and ``target`` the targets in
+    ascending order.  Returns (mask, base): bit v + base of ``mask`` is set
+    for every v such that some last entry u completes the target below the
+    prefix extended by v.  Returns None when fewer than two targets lie
+    outside S, or when no pair of them constrains v.
+
+    Take a, the least target outside S, and any other target b outside S.
+    If u completes the target below s = S | (S + v), then a + u and b + u
+    lie in s, unless a or b lies in S + v.  So b - a lies in
+    s - s = D | (D + v) | (D - v), which is to say that v lies in
+    (a - S) | (b - S) | (D + (b - a)) | (D - (b - a)).  When b - a is in D,
+    every v meets this.  The mask is the AND of these unions over each b.
+    Each term is one shift, because a subset-sum set is a palindrome:
+    t - S = S + (t - pos - neg).  Every shift is at least 0, and the mask
+    spans only the v that its terms reach, about twice the prefix's span
+    plus the target's.
+    """
+    missing = [t for t in target if not (t >= neg and sums >> (t - neg) & 1)]
+    if len(missing) < 2:
+        return None
+    width = pos - neg
+    a = missing[0]
+    base = max(pos - a, width + missing[-1] - a)
+    at_a = sums << (base - pos + a)
+    mask = None
+    for b in missing[1:]:
+        gap = b - a
+        if gap <= width and diffs >> (gap + width) & 1:
+            continue
+        term = (at_a | sums << (base - pos + b)
+                | diffs << (base - width + gap) | diffs << (base - width - gap))
+        mask = term if mask is None else mask & term
+        if not mask:
+            break
+    return None if mask is None else (mask, base)
+
+
 def _exclusion_search(target: frozenset[int], values: Iterable[int],
                       limits: SearchLimits) -> Callable[[int, _Budget], SequenceB | None]:
     """One lazy search walk that excludes each of ``values`` from ``target``.
@@ -594,34 +637,47 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
     sum of the prefix's negative entries, is the least element of S.  An
     entry of magnitude m, of either sign, extends the sums to
     S | S << m (a negative entry lowers ``neg`` by m, which shifts the old
-    sums up by m).  Below a prefix whose S already holds every pending
-    value no leaf can hit, so the mask is replaced by None and no longer
-    extended; a mask left unextended would be read at a stale offset once
-    ``neg`` moves.
+    sums up by m).  Beside S goes the prefix's difference mask D = S - S,
+    bit d + pos - neg for the difference d, where ``pos`` is the sum of the
+    positive entries; the entry extends it to D | D << m | D << 2m.  Below
+    a prefix whose S already holds every pending value no leaf can hit, so
+    the mask is replaced by None and no longer extended; a mask left
+    unextended would be read at a stale offset once ``neg`` moves.
 
-    The last two slots are walked in one loop instead of recursing.  For
-    each penultimate entry the loop extends the prefix's mask, applies the
-    hull prune and the all-pending-held test inline, and then tests the
-    group below the extended prefix, whose sums are S.  With ``missing``
-    the targets outside S, last entry v = -u completes a hit for ``bad``
-    outside S iff t + u lies in S for every missing t and bad + u does
-    not.  Bit k = u + need_hi - neg of S << (need_hi - t) is set iff t + u
-    is in S, so ANDing those shifts gives ``fits``.  ``missing`` is one
-    mask: ``tmask``, bit t - need_lo for each target t, less S shifted to
-    need_lo.  The loop ANDs the shifts for its set bits, lowest first, and
-    stops as soon as ``fits`` is 0.  Most groups end there: they are
-    charged their end - idx leaves and the loop goes on, with no call.
-    A group with nonzero ``fits`` goes on to its pending values, where
-    clearing from ``fits`` the shift of S by need_hi - bad leaves exactly
-    the valid u for ``bad``.  The first valid index at or after the
-    group's ``start`` is then the lowest set bit above the negative
-    entries' cut-off (index 2m - 1 for v = -m) or the highest set bit
-    below the positive entries' cut-off (index 2m - 2 for v = m),
-    whichever index is smaller.  A length-1 walk has only its last slot,
-    whose one group is tested the same way.
+    The last two slots are walked in one loop instead of recursing.  Each
+    call first asks :func:`_group_candidates` for the penultimate entries
+    v that can start a hit, one AND of shifts of S and D; no last entry
+    completes the target in a group outside that mask.  The kept groups
+    between two candidates, and every kept group below a prefix whose S
+    holds every pending value, are charged as one run in closed form: the
+    group with penultimate index idx costs end - idx leaves, and each
+    sign's kept indexes step by 2, so a run costs two arithmetic series.
+    Only a run whose cost would pass the budget left is charged one group
+    at a time, so the walk pauses after the same group as one that tests
+    each.  For each candidate the loop extends the prefix's mask, applies
+    the hull prune and the all-pending-held test inline, and then tests
+    the group below the extended prefix, whose sums are S.  With
+    ``missing`` the targets outside S, last entry w = -u completes a hit
+    for ``bad`` outside S iff t + u lies in S for every missing t and
+    bad + u does not.  Bit k = u + need_hi - neg of S << (need_hi - t) is
+    set iff t + u is in S, so ANDing those shifts gives ``fits``.
+    ``missing`` is one mask: ``tmask``, bit t - need_lo for each target t,
+    less S shifted to need_lo.  The loop ANDs the shifts for its set bits,
+    lowest first, and stops as soon as ``fits`` is 0; such a group is
+    charged its end - idx leaves.  A group with nonzero ``fits`` goes on
+    to its pending values, where clearing from ``fits`` the shift of S by
+    need_hi - bad leaves exactly the valid u for ``bad``.  The first valid
+    index at or after the group's ``start`` is then the lowest set bit
+    above the negative entries' cut-off (index 2m - 1 for w = -m) or the
+    highest set bit below the positive entries' cut-off (index 2m - 2 for
+    w = m), whichever index is smaller.  Below a prefix whose S misses
+    fewer than two targets there is no mask, and every group is tested.
+    A length-1 walk has only its last slot, whose one group is tested the
+    same way.
     """
-    need_hi = max(target)
-    need_lo = min(target)
+    ordered = sorted(target)
+    need_hi = ordered[-1]
+    need_lo = ordered[0]
     span = need_hi - need_lo
     tmask = 0  # bit t - need_lo for each target t, built by the first find
     top = limits.max_entry
@@ -688,28 +744,78 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
         if goal in hits or walked > limit:
             yield
 
+    def run_leaves(start: int, stop: int, first_neg: int, first_pos: int) -> int:
+        """Leaves of the kept groups with index in [start, stop), as
+        ``last_two_slots`` keeps them: each sign's indexes step by 2, so
+        their leaves, end - idx each, sum as an arithmetic series."""
+        total = 0
+        for first in (first_neg, first_pos):
+            lo = first if first >= start else start + ((start ^ first) & 1)
+            if lo < stop:
+                count = (stop - lo + 1) // 2
+                total += count * (end - lo - count + 1)
+        return total
+
     def last_two_slots(start: int, pos: int, neg: int, sums: int | None,
-                       picked: list[int]) -> Iterator[None]:
+                       diffs: int, picked: list[int]) -> Iterator[None]:
         """Walks the groups below a prefix two entries short of the length;
         yields when the walk pauses."""
         nonlocal walked
         # the hull prune of the group's prefix: a negative entry needs at
-        # least magnitude ``neg_from``, a positive one ``pos_from``
+        # least magnitude ``neg_from``, a positive one ``pos_from``; the
+        # groups kept are those with an odd index from ``first_neg`` on and
+        # an even one from ``first_pos`` on
         neg_from = neg - top - need_lo if pos + top >= need_hi else end
         pos_from = need_hi - pos - top if neg - top <= need_lo else end
-        for idx in range(start, end):
+        first_neg = max(start, 2 * neg_from - 1) | 1
+        first_pos = max(start, 2 * pos_from - 2)
+        first_pos += first_pos & 1
+        # the candidate groups' indexes, ascending, then ``end``
+        found = None if sums is None else _group_candidates(sums, diffs, pos, neg, ordered)
+        if found is None:
+            # no group below a doomed prefix is a candidate, and without a
+            # mask every group is
+            groups: Iterable[int] = (end,) if sums is None else range(start, end + 1)
+        else:
+            mask, base = found
+            if base > top:  # no entry is below -top
+                mask >>= base - top
+                base = top
+            groups = []
+            while mask:
+                bit = mask & -mask
+                v = bit.bit_length() - 1 - base
+                if v > top:
+                    break
+                mask ^= bit
+                idx = 2 * v - 2 if v > 0 else -2 * v - 1  # -1 for v = 0
+                if idx >= start:
+                    groups.append(idx)
+            groups.sort()
+            groups.append(end)
+        uncharged = start  # the first group not yet charged
+        for idx in groups:
+            if idx > uncharged:
+                # the groups in between hold no hit
+                leaves = run_leaves(uncharged, idx, first_neg, first_pos)
+                if walked + leaves <= limit:
+                    walked += leaves
+                else:  # the walk pauses among them, after the first past the limit
+                    for skipped in range(uncharged, idx):
+                        if skipped >= (first_neg if skipped & 1 else first_pos):
+                            walked += end - skipped
+                            if walked > limit:
+                                yield
+            if idx == end:
+                return
+            uncharged = idx + 1
+            if idx < (first_neg if idx & 1 else first_pos):
+                continue
             mag = idx // 2 + 1
-            if idx & 1:
-                if mag < neg_from:
-                    continue
-                n = neg - mag
-            else:
-                if mag < pos_from:
-                    continue
-                n = neg
-            s = None if sums is None else sums | sums << mag
+            n = neg - mag if idx & 1 else neg
+            s = sums | sums << mag
             # a group whose prefix holds every pending value is only charged
-            if s is not None and not (low >= n and s >> (low - n) & wanted == wanted):
+            if not (low >= n and s >> (low - n) & wanted == wanted):
                 # the targets outside s, bit t - need_lo for target t; never
                 # none of them, as in ``last_slot``
                 at_lo = need_lo - n
@@ -735,7 +841,7 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
                 yield
 
     def rec(start: int, slots: int, pos: int, neg: int, sums: int | None,
-            picked: list[int]) -> Iterator[None]:
+            diffs: int, picked: list[int]) -> Iterator[None]:
         """Walks the groups below a prefix; yields when the walk pauses."""
         # prune: even with the largest remaining magnitudes this branch
         # cannot reach the hull
@@ -746,7 +852,7 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
         if slots == 1:
             yield from last_slot(start, sums, neg, picked)
         elif slots == 2:
-            yield from last_two_slots(start, pos, neg, sums, picked)
+            yield from last_two_slots(start, pos, neg, sums, diffs, picked)
         else:
             for idx in range(start, end):
                 mag = idx // 2 + 1
@@ -755,12 +861,14 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
                                pos if idx & 1 else pos + mag,
                                neg - mag if idx & 1 else neg,
                                None if sums is None else sums | sums << mag,
+                               diffs | diffs << mag | diffs << 2 * mag
+                               if sums is not None else 0,
                                picked)
                 picked.pop()
 
     def walk() -> Iterator[None]:
         for length in range(1, limits.max_len + 1):
-            yield from rec(0, length, 0, 0, 1, [])
+            yield from rec(0, length, 0, 0, 1, 1, [])
 
     walker = walk()
 

@@ -1154,6 +1154,20 @@ def test_search_span_cap_comes_before_the_pending_mask(members):
     assert peak_mb < 200
 
 
+# a leaf group below a wide maxEntry spans 8 * 10^7 last entries: a mask
+# over the candidate penultimate entries as wide as that takes 10 MB a copy
+# and some 30 MB in all, where one spanning what its terms reach takes bytes
+def test_wide_max_entry_masks_stay_within_their_window():
+    _, plain_mb = run_cli_measured("decompose", "--set=0,5,11", timeout=30)
+    proc, peak_mb = run_cli_measured("decompose", "--set=0,5,11", "--max-entry", "40000000",
+                                     "--budget", "100000000", timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("resource cap: decomposition search budget exhausted while "
+                           "excluding 16 (0 of 1 extraneous values excluded, "
+                           "budget 100000000)\n")
+    assert peak_mb < plain_mb + 5
+
+
 def test_length_cap_says_how_many_values_were_excluded(cli):
     code, out, err = cli("decompose", "--set=0,1,2,4,8,16,32", "--max-len", "3")
     assert (code, out) == (2, "")

@@ -18,6 +18,7 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from work_count import line_events
 
 from circledeg import degsets
 from circledeg.degsets import SearchLimits, SequenceB, decompose
@@ -399,3 +400,209 @@ def test_hard_targets_near_300000_match_reference(target):
         got, walked = walk_answer(find, bad, total)
         assert got[0] == "cap", total
         assert walked == paused_at(groups, total), total
+
+
+def test_hard_targets_reject_their_groups_in_bulk():
+    """Decomposing the four hard targets at budget 300000 takes ~46,000
+    line events in degsets, where testing their leaf groups one at a time
+    took ~627,000."""
+    with line_events(degsets, 100_000):
+        for target in HARD_TARGETS:
+            with pytest.raises(ResourceCapError):
+                decompose(target, SearchLimits(budget=300000))
+
+
+# ---------------------------------------------------------------------------
+# the candidate mask: groups charged in bulk, without a test
+
+
+def masks(prefix):
+    """The sums mask, difference mask, pos and neg of ``prefix``, encoded
+    as the walk encodes them."""
+    sums = _sums_of(prefix)
+    pos = sum(e for e in prefix if e > 0)
+    neg = sum(e for e in prefix if e < 0)
+    diffs = {x - y for x in sums for y in sums}
+    return (sum(1 << (x - neg) for x in sums),
+            sum(1 << (d + pos - neg) for d in diffs), pos, neg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-6, 6).filter(bool), max_size=4),
+       st.sets(st.integers(-9, 9).filter(bool), max_size=5))
+@example([], {1, 3})
+@example([2], {-3, 2, 5})
+def test_group_candidates_keep_every_group_that_fits(prefix, nonzero):
+    """Every penultimate entry v whose group holds a last entry that
+    completes the target (``fits`` nonzero) is in the mask, which spans at
+    most twice the prefix's span plus the target's; no mask means fewer
+    than two targets outside the prefix's sums or no pair constraining v."""
+    target = sorted(nonzero | {0})
+    sums = _sums_of(prefix)
+    smask, dmask, pos, neg = masks(prefix)
+    for t in target:  # a subset-sum set is a palindrome
+        assert {t - x for x in sums} == {x + t - pos - neg for x in sums}
+    found = degsets._group_candidates(smask, dmask, pos, neg, target)
+    outside = [t for t in target if t not in sums]
+    diffs = {x - y for x in sums for y in sums}
+    reach = pos - neg + target[-1] - target[0]
+    if found is None:
+        assert len(outside) < 2 or all(b - outside[0] in diffs for b in outside)
+    else:
+        assert found[0].bit_length() <= 2 * reach + 1
+    for v in range(-2 * reach - 2, 2 * reach + 3):
+        s = sums | {x + v for x in sums}
+        missing = [t for t in target if t not in s]
+        fits = not missing or any(all(t + u in s for t in missing)
+                                  for u in {x - missing[0] for x in s})
+        if v and fits and found is not None:
+            mask, base = found
+            assert v + base >= 0 and mask >> (v + base) & 1, v
+
+
+def walk_groups(target, bad, limits, upto):
+    """The leaf groups of a search for ``bad`` alone in order, until the
+    leaves charged pass ``upto``, each as [end, kind, run]: ``end`` as in
+    ``leaf_groups``; ``kind`` "doomed" below a prefix whose sums hold
+    ``bad``, "masked" outside its prefix's candidate mask, "unfiltered"
+    below a prefix with no mask and "tested" otherwise, length-1 groups
+    included; ``run`` numbers the runs of consecutive doomed or masked
+    groups below one prefix, which the walk charges in bulk."""
+    need_hi, need_lo, top = max(target), min(target), limits.max_entry
+    end = 2 * top
+    ordered = sorted(target)
+    groups = []
+    runs = [0]
+
+    def rec(start, slots, pos, neg, prefix):
+        if pos + slots * top < need_hi or neg - slots * top > need_lo:
+            return
+        if slots == 1:
+            groups.append([(groups[-1][0] if groups else 0) + end - start, "tested", None])
+            return
+        if slots == 2:
+            doomed = bad in _sums_of(prefix)
+            found = None if doomed else degsets._group_candidates(*masks(prefix), ordered)
+            run = None
+        for idx in range(start, end):
+            if groups and groups[-1][0] > upto:
+                return
+            e = _symbol(idx)
+            count = len(groups)
+            rec(idx, slots - 1, pos + max(e, 0), neg + min(e, 0), prefix + [e])
+            if slots != 2 or len(groups) == count:
+                continue
+            if doomed or found is not None and not (
+                    e + found[1] >= 0 and found[0] >> (e + found[1]) & 1):
+                if run is None:
+                    runs[0] += 1
+                    run = runs[0]
+                groups[-1][1:] = ["doomed" if doomed else "masked", run]
+            else:
+                run = None
+                if found is None:
+                    groups[-1][1] = "unfiltered"
+
+    for length in range(1, limits.max_len + 1):
+        rec(0, length, 0, 0, [])
+    return [g for i, g in enumerate(groups) if i == 0 or groups[i - 1][0] <= upto]
+
+
+def bulk_runs(groups, kinds=("doomed", "masked")):
+    """The runs among ``groups`` of ``kinds``, each as the list of its
+    groups' ends, after the leaves charged before it."""
+    runs = {}
+    for i, (end, kind, run) in enumerate(groups):
+        if kind in kinds:
+            runs.setdefault(run, [groups[i - 1][0]]).append(end)
+    return list(runs.values())
+
+
+def hit_position(target, bad, limits):
+    """Leaves charged through ``bad``'s hit in a search for it alone."""
+    hit = searched(reference_search_excluding, target, bad, limits)
+    assert isinstance(hit[0], SequenceB)
+    return limits.budget - hit[1]
+
+
+def check_budgets(target, bad, limits, groups, at, totals):
+    """Each budget of ``totals`` gives the reference's answer, and a walk
+    that runs out pauses at the end of the first group past its budget, or
+    at its hit when that group holds it."""
+    for total in totals:
+        capped = limits._replace(budget=total)
+        fast = searched(search_alone, target, bad, capped)
+        assert fast == searched(reference_search_excluding, target, bad, capped), total
+        if total < at:
+            find = degsets._exclusion_search(target, (bad,), limits)
+            paused = next(end for end, _, _ in groups if end > total)
+            assert walk_answer(find, bad, total)[1] == min(at, paused), total
+
+
+@pytest.mark.parametrize("target, bad", [
+    ({0, 1, 2, 4}, 5),
+    ({-4, 0, 2, 3}, 1),
+    ({-4, 0, 2, 3}, -2),
+    ({0, 1, 2, 4, 8}, 3),
+])
+def test_budgets_around_bulk_runs_match_reference(target, bad):
+    """Budgets one before, at and one after the end of a run charged in
+    bulk, at the end of a group inside one and between two of its groups
+    (the walk then pauses inside the run); the groups the mask leaves out
+    are ones no last entry completes."""
+    target = frozenset(target)
+    limits = SearchLimits().resolve(target)
+    at = hit_position(target, bad, limits)
+    groups = walk_groups(target, bad, limits, at)
+    assert [g[0] for g in groups] == [end for end, _ in leaf_groups(target, limits, at)]
+    assert all(rejected for (_, rejected), g in zip(leaf_groups(target, limits, at), groups)
+               if g[1] == "masked")
+    runs = [r for r in bulk_runs(groups) if r[-1] < at]
+    long = [r for r in runs if len(r) > 3]
+    assert long
+    totals = set()
+    for run in spread(runs, 8):
+        totals |= {run[-1] - 1, run[-1], run[-1] + 1}
+    for run in spread(long, 4):
+        for i in (1, len(run) // 2):
+            totals |= {run[i], (run[i] + run[i + 1]) // 2}
+    check_budgets(target, bad, limits, groups, at, sorted(totals))
+
+
+@pytest.mark.parametrize("target, first, second", [
+    ({0, 1, 2, 4}, 5, 3),
+    ({-4, 0, 2, 3}, 1, -2),
+    ({0, 1, 2, 4, 8}, 3, 5),
+])
+def test_resume_inside_a_bulk_run_matches_reference(target, first, second):
+    """A walk that pauses between two groups of a run the mask leaves out
+    resumes there without charging either again: the later answers equal
+    the reference's for each value alone."""
+    target = frozenset(target)
+    limits = SearchLimits().resolve(target)
+    at = min(hit_position(target, bad, limits) for bad in (first, second))
+    groups = walk_groups(target, first, limits, at)
+    long = [r for r in bulk_runs(groups, ("masked",)) if len(r) > 3 and r[-1] < at]
+    assert long
+    for run in spread(long, 4):
+        find = degsets._exclusion_search(target, (first, second), limits)
+        assert walk_answer(find, first, run[2] - 1)[1] == run[2]
+        for bad in (second, first):
+            assert walk_answer(find, bad, limits.budget) == \
+                searched(reference_search_excluding, target, bad, limits), (run, bad)
+
+
+@pytest.mark.parametrize("target, bad", [({-1, 0, 5}, 3), ({-5, 0, 1}, -3), ({0, 1, 5}, 4)])
+def test_prefixes_missing_fewer_than_two_targets_match_reference(target, bad):
+    """Below a prefix whose sums miss fewer than two targets there is no
+    mask, and every group is tested: budgets at and around each such
+    group's end give the reference's answers.  A maxEntry of 4 leaves the
+    hit to length 3 or more, below such prefixes."""
+    target = frozenset(target)
+    limits = SearchLimits(max_entry=4).resolve(target)
+    at = hit_position(target, bad, limits)
+    groups = walk_groups(target, bad, limits, at)
+    ends = [end for end, kind, _ in groups if kind == "unfiltered" and end < at]
+    assert len(ends) >= 3
+    check_budgets(target, bad, limits, groups, at,
+                  sorted({end + d for end in spread(ends, 10) for d in (-1, 0, 1)}))
