@@ -16,11 +16,11 @@ from circledeg import (
     verify_decomposition,
 )
 
-evens = DegreeSet.from_parts([], [(0, 2)])
-odds = DegreeSet.from_parts([], [(1, 2)])
+evens = DegreeSet([], [(0, 2)])
+odds = DegreeSet([], [(1, 2)])
 print("evens:", evens.render())
 print("evens u odds:", (evens | odds).render())
-print("evens n (2 mod 3):", (evens & DegreeSet.from_parts([], [(2, 3)])).render())
+print("evens n (2 mod 3):", (evens & DegreeSet([], [(2, 3)])).render())
 print("window of evens in [-6, 6]:", evens.window(-6, 6))
 
 # S_B for B = (1, 3): all sums over subsequences, empty sum included.

@@ -624,8 +624,8 @@ def unimodular_rational_eigen_check(m: IntegerMatrix) -> tuple[bool, list[Fracti
     """
     if m.rows != m.cols:
         raise InputError("eigen check needs a square matrix")
-    unimodular = abs(m.det()) == 1
     coeffs = _char_poly(m)
+    unimodular = abs(coeffs[-1]) == 1  # the constant term is (-1)^n det(m)
     bound = max((sum(map(abs, row)) for row in m.entries), default=0)
     roots: list[int] = []
     while len(coeffs) > 1 and coeffs[-1] == 0:

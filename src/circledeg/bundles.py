@@ -518,7 +518,7 @@ def fiber_preserving_degree_set(catalogue: MapCatalogue, a: GroupElement,
     all and the result short-circuits to {0} for every catalogue.
     """
     if torsion_consistency(a, b) == "incompatible":
-        return FiberPreservingResult(DegreeSet.from_finite([0]), catalogue.complete)
+        return FiberPreservingResult(DegreeSet([0]), catalogue.complete)
     contributions = []
     for i, model in enumerate(catalogue.maps):
         if not lattice_compatible(model.action, b.group, a.group):
@@ -531,7 +531,7 @@ def fiber_preserving_degree_set(catalogue: MapCatalogue, a: GroupElement,
         contributions.append(MapContribution(i, model.degree, image, sols, piece))
     # the union of {0} and every piece, canonicalized once
     pieces = [c.contribution for c in contributions]
-    out = DegreeSet.from_parts(
+    out = DegreeSet(
         [0, *(x for p in pieces for x in p.finite)],
         [q for p in pieces for q in p.progressions],
         any(p.excludes_zero_in_progressions for p in pieces),
@@ -603,9 +603,9 @@ def same_base_pair_degree_set(m: int, k: int, base: BaseManifold,
     strong = _pair_rule_hypotheses(m, k, base, class_label)
     divides = k % m == 0
     if strong:
-        degs = DegreeSet.from_finite([0, k // m] if divides else [0])
+        degs = DegreeSet([0, k // m] if divides else [0])
         return PairResult(degs, True, exact_pair_rule(base))
-    degs = DegreeSet.from_finite([0, k // m, -(k // m)] if divides else [0])
+    degs = DegreeSet([0, k // m, -(k // m)] if divides else [0])
     return PairResult(degs, False, "eigenvalue-bound")
 
 

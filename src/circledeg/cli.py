@@ -151,7 +151,7 @@ def _cmd_solve_k(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_sums(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
-    s = degsets.subsequence_sums(degsets.SequenceB(tuple(payload["sequence"])))
+    s = degsets.subsequence_sums(degsets.SequenceB(payload["sequence"]))
     return 0, {"set": s.to_json()}, s.render
 
 

@@ -92,22 +92,24 @@ COVER_TEST_CAP = 1 << 22
 class DegreeSet(Frozen):
     """Finite integers plus arithmetic progressions, canonicalized.
 
-    ``excludes_zero_in_progressions`` removes 0 from the progression part
-    only; a 0 in ``finite`` always counts.  Construction canonicalizes:
-    bases reduced, nested progressions dropped, finite members covered by
-    a progression dropped, and the excludes-zero flag kept only while it
-    matters (some progression passes through 0 and no finite 0 exists).
+    ``finite`` is any iterable of integers and ``progressions`` a list or
+    tuple of (base, mod) pairs.  ``excludes_zero_in_progressions`` removes
+    0 from the progression part only; a 0 in ``finite`` always counts.
+    Construction canonicalizes: bases reduced, nested progressions
+    dropped, finite members covered by a progression dropped, and the
+    excludes-zero flag kept only while it matters (some progression passes
+    through 0 and no finite 0 exists).
 
-    >>> DegreeSet.from_finite([3, 0, 3]).finite
+    >>> DegreeSet([3, 0, 3]).finite
     (0, 3)
-    >>> 5 in DegreeSet.from_parts([], [(2, 3)])
+    >>> 5 in DegreeSet([], [(2, 3)])
     True
     """
 
     __slots__ = ("finite", "progressions", "excludes_zero_in_progressions")
 
-    def __init__(self, finite: tuple[int, ...] = (),
-                 progressions: tuple[tuple[int, int], ...] = (),
+    def __init__(self, finite: Iterable[int] = (),
+                 progressions: Sequence[tuple[int, int]] = (),
                  excludes_zero_in_progressions: bool = False) -> None:
         if not progressions:
             # a finite set: nothing to drop, and no flag that matters
@@ -140,17 +142,6 @@ class DegreeSet(Frozen):
         object.__setattr__(self, "finite", tuple(finite))
         object.__setattr__(self, "progressions", tuple(kept))
         object.__setattr__(self, "excludes_zero_in_progressions", flag)
-
-    # -- constructors
-
-    @classmethod
-    def from_finite(cls, xs: Iterable[int]) -> "DegreeSet":
-        return cls(tuple(xs))
-
-    @classmethod
-    def from_parts(cls, finite: Iterable[int], progressions: Iterable[tuple[int, int]],
-                   excludes_zero: bool = False) -> "DegreeSet":
-        return cls(tuple(finite), tuple(progressions), excludes_zero)
 
     # -- queries
 
@@ -236,7 +227,7 @@ class DegreeSet(Frozen):
         more than ``EQUALS_MODULUS_CAP`` residues, or test more finite
         members against progression moduli than ``COVER_TEST_CAP``.
 
-        >>> DegreeSet.from_parts([], [(0, 2), (1, 2)]).equals(DegreeSet.from_parts([], [(0, 1)]))
+        >>> DegreeSet([], [(0, 2), (1, 2)]).equals(DegreeSet([], [(0, 1)]))
         True
         """
         if not self.progressions or not other.progressions:
@@ -346,7 +337,7 @@ class SequenceB(Frozen):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[int, ...]) -> None:
+    def __init__(self, entries: Iterable[int]) -> None:
         ent = tuple(map(int, entries))
         if 0 in ent:
             raise InputError("sequence entries must be nonzero")
@@ -360,10 +351,6 @@ class SequenceB(Frozen):
 
     def to_json(self) -> list[int]:
         return list(self.entries)
-
-    @classmethod
-    def from_json(cls, obj: Sequence[int]) -> "SequenceB":
-        return cls(obj)
 
 
 def _sums_of(entries: Sequence[int]) -> frozenset[int]:
@@ -402,7 +389,7 @@ def subsequence_sums(b: SequenceB) -> DegreeSet:
     >>> subsequence_sums(SequenceB(())).finite
     (0,)
     """
-    return DegreeSet.from_finite(_sums_of(b.entries))
+    return DegreeSet(_sums_of(b.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +468,7 @@ class TranscriptStep(Frozen):
     @classmethod
     def from_json(cls, obj: dict) -> "TranscriptStep":
         return cls(
-            SequenceB.from_json(obj["sequence"]),
+            SequenceB(obj["sequence"]),
             tuple(map(int, obj["sums"])),
             tuple(map(int, obj["intersection"])),
         )
@@ -528,7 +515,7 @@ class DecompositionCertificate(Frozen):
         ``decompositionCertificate`` schema."""
         return cls(
             tuple(map(int, obj["target"])),
-            tuple(map(SequenceB.from_json, obj["sequences"])),
+            tuple(map(SequenceB, obj["sequences"])),
             int(obj["hullBound"]),
             SearchLimits.from_json(obj["caps"]) if "caps" in obj else None,
             tuple(map(TranscriptStep.from_json, obj["transcript"]))
@@ -654,26 +641,28 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
     sign's kept indexes step by 2, so a run costs two arithmetic series.
     Only a run whose cost would pass the budget left is charged one group
     at a time, so the walk pauses after the same group as one that tests
-    each.  For each candidate the loop extends the prefix's mask, applies
-    the hull prune and the all-pending-held test inline, and then tests
-    the group below the extended prefix, whose sums are S.  With
+    each.  Below a prefix whose S misses fewer than two targets there is no
+    mask, and every group is a candidate.  For each candidate the loop
+    extends the prefix's mask and applies the hull prune and the
+    all-pending-held test inline; ``record_hits`` tests a group that passes
+    both, and the group is then charged its end - idx leaves.  A length-1
+    walk has one group, below the empty prefix, which ``rec`` tests by the
+    same call and charges whole.
+
+    ``record_hits`` tests the group below a prefix whose sums are S.  With
     ``missing`` the targets outside S, last entry w = -u completes a hit
     for ``bad`` outside S iff t + u lies in S for every missing t and
     bad + u does not.  Bit k = u + need_hi - neg of S << (need_hi - t) is
     set iff t + u is in S, so ANDing those shifts gives ``fits``.
     ``missing`` is one mask: ``tmask``, bit t - need_lo for each target t,
-    less S shifted to need_lo.  The loop ANDs the shifts for its set bits,
-    lowest first, and stops as soon as ``fits`` is 0; such a group is
-    charged its end - idx leaves.  A group with nonzero ``fits`` goes on
-    to its pending values, where clearing from ``fits`` the shift of S by
-    need_hi - bad leaves exactly the valid u for ``bad``.  The first valid
-    index at or after the group's ``start`` is then the lowest set bit
-    above the negative entries' cut-off (index 2m - 1 for w = -m) or the
-    highest set bit below the positive entries' cut-off (index 2m - 2 for
-    w = m), whichever index is smaller.  Below a prefix whose S misses
-    fewer than two targets there is no mask, and every group is tested.
-    A length-1 walk has only its last slot, whose one group is tested the
-    same way.
+    less S shifted to need_lo.  The test ANDs the shifts for its set bits,
+    lowest first, and returns as soon as ``fits`` is 0.  Otherwise it goes
+    on to the pending values, where clearing from ``fits`` the shift of S
+    by need_hi - bad leaves exactly the valid u for ``bad``.  The first
+    valid index at or after the group's ``start`` is then the lowest set
+    bit above the negative entries' cut-off (index 2m - 1 for w = -m) or
+    the highest set bit below the positive entries' cut-off (index 2m - 2
+    for w = m), whichever index is smaller.
     """
     ordered = sorted(target)
     need_hi = ordered[-1]
@@ -698,10 +687,21 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
             bits[(v - low) >> 3] |= 1 << ((v - low) & 7)
         wanted = int.from_bytes(bits, "little")
 
-    def record_hits(start: int, fits: int, sums: int, neg: int, at: int,
-                    picked: list[int]) -> None:
-        """Records the first hit in the group below ``picked`` of each
-        pending value outside ``sums``; ``fits`` is nonzero."""
+    def record_hits(start: int, sums: int, neg: int, picked: list[int]) -> None:
+        """Tests the group below ``picked``, not yet charged, and records
+        its first hit of each pending value outside ``sums``."""
+        # the targets outside the sums, bit t - need_lo for target t; never
+        # none of them: a prefix whose sums held the target without a
+        # pending value would have been its hit one length earlier
+        at_lo = need_lo - neg
+        miss = tmask & ~(sums >> at_lo if at_lo >= 0 else sums << -at_lo)
+        fits = -1
+        while miss:
+            bit = miss & -miss
+            miss ^= bit
+            fits &= sums << (span + 1 - bit.bit_length())
+            if not fits:
+                return
         zero = need_hi - neg  # the bit of u = 0, never set
         for bad in pending:
             if bad >= neg and sums >> (bad - neg) & 1:
@@ -720,29 +720,10 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
                     best = min(best, 2 * (zero - below.bit_length() + 1) - 2)
             if best < end:
                 mag = best // 2 + 1
-                hits[bad] = (at + best - start + 1,
+                hits[bad] = (walked + best - start + 1,
                              (*picked, -mag if best & 1 else mag))
         if not hits.keys().isdisjoint(pending):
             set_pending([v for v in pending if v not in hits])
-
-    def last_slot(start: int, sums: int | None, neg: int,
-                  picked: list[int]) -> Iterator[None]:
-        """The one group of a length-1 walk; yields when the walk pauses."""
-        nonlocal walked
-        at = walked
-        walked += end - start
-        if sums is not None:
-            # ``fits`` ANDs at least one shift: a prefix whose sums held
-            # the target without a pending value would have been its hit
-            # one length earlier
-            fits = -1
-            for t in target:
-                if t < neg or not sums >> (t - neg) & 1:
-                    fits &= sums << (need_hi - t)
-            if fits:
-                record_hits(start, fits, sums, neg, at, picked)
-        if goal in hits or walked > limit:
-            yield
 
     def run_leaves(start: int, stop: int, first_neg: int, first_pos: int) -> int:
         """Leaves of the kept groups with index in [start, stop), as
@@ -816,41 +797,29 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
             s = sums | sums << mag
             # a group whose prefix holds every pending value is only charged
             if not (low >= n and s >> (low - n) & wanted == wanted):
-                # the targets outside s, bit t - need_lo for target t; never
-                # none of them, as in ``last_slot``
-                at_lo = need_lo - n
-                miss = tmask & ~(s >> at_lo if at_lo >= 0 else s << -at_lo)
-                fits = -1
-                while miss:
-                    bit = miss & -miss
-                    miss ^= bit
-                    fits &= s << (span + 1 - bit.bit_length())
-                    if not fits:
-                        break
-                if fits:
-                    at = walked
-                    walked += end - idx
-                    picked.append(-mag if idx & 1 else mag)
-                    record_hits(idx, fits, s, n, at, picked)
-                    picked.pop()
-                    if goal in hits or walked > limit:
-                        yield
-                    continue
+                picked.append(-mag if idx & 1 else mag)
+                record_hits(idx, s, n, picked)
+                picked.pop()
             walked += end - idx
-            if walked > limit:
+            if goal in hits or walked > limit:
                 yield
 
     def rec(start: int, slots: int, pos: int, neg: int, sums: int | None,
             diffs: int, picked: list[int]) -> Iterator[None]:
         """Walks the groups below a prefix; yields when the walk pauses."""
+        nonlocal walked
         # prune: even with the largest remaining magnitudes this branch
         # cannot reach the hull
         if pos + slots * top < need_hi or neg - slots * top > need_lo:
             return
         if sums is not None and low >= neg and sums >> (low - neg) & wanted == wanted:
             sums = None
-        if slots == 1:
-            yield from last_slot(start, sums, neg, picked)
+        if slots == 1:  # a length-1 walk: its one group
+            if sums is not None:
+                record_hits(start, sums, neg, picked)
+            walked += end - start
+            if goal in hits or walked > limit:
+                yield
         elif slots == 2:
             yield from last_two_slots(start, pos, neg, sums, diffs, picked)
         else:

@@ -461,7 +461,7 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
         )
 
     # ``decompose`` has checked that the pairs' claimed sets meet in the target
-    target = DegreeSet.from_finite(values)
+    target = DegreeSet(values)
     cert = RealizationCertificate(
         target, n0, base, class_label, decomposition,
         primes, multipliers, pairs, tuple(crosses), combination, target,

@@ -499,6 +499,21 @@ def test_eigen_check_matches_sympy():
             (abs(sympy.Matrix(rows).det()) == 1, want), rows
 
 
+def test_eigen_check_reads_the_determinant_off_the_characteristic_polynomial(monkeypatch):
+    """The constant term of the characteristic polynomial is (-1)^n det(m),
+    so the check computes no separate determinant."""
+    def no_det(self):
+        raise AssertionError("det called")
+
+    monkeypatch.setattr(IntegerMatrix, "det", no_det)
+    rng = random.Random(627)
+    for _ in range(20):
+        assert unimodular_rational_eigen_check(random_unimodular(rng, rng.randint(1, 5)))[0]
+    assert unimodular_rational_eigen_check(IntegerMatrix.from_rows([], 0)) == (True, [])
+    assert unimodular_rational_eigen_check(IntegerMatrix.from_rows([[2, 1], [3, 1]]))[0]
+    assert not unimodular_rational_eigen_check(IntegerMatrix.from_rows([[2, 1], [1, 3]]))[0]
+
+
 def random_unimodular(rng: random.Random, n: int, ops: int = 10) -> IntegerMatrix:
     """Product of elementary matrices, so |det| = 1 by construction."""
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -178,7 +178,7 @@ def test_fiber_preserving_matches_map_by_map_union(shape, coords, maps, complete
 
     cat = MapCatalogue(tuple(MapModel(d, action(p, q, r)) for d, p, q, r in maps), complete)
     res = fiber_preserving_degree_set(cat, element(*coords[:2]), element(*coords[2:]))
-    union = DegreeSet.from_finite([0])
+    union = DegreeSet([0])
     for c in res.contributions:
         union = union.union(c.contribution)
     assert res.degree_set == union

@@ -50,38 +50,38 @@ def enumerate_sums(entries) -> set[int]:
 
 
 def test_canonical_form_examples():
-    s = DegreeSet.from_parts([0, 3, 5], [(2, 3)])
+    s = DegreeSet([0, 3, 5], [(2, 3)])
     # 5 = 2 mod 3 is swallowed by the progression, 0 and 3 are not
     assert s.finite == (0, 3)
     assert s.progressions == ((2, 3),)
 
-    nested = DegreeSet.from_parts([], [(1, 2), (3, 4)])
+    nested = DegreeSet([], [(1, 2), (3, 4)])
     assert nested.progressions == ((1, 2),)
 
-    dup = DegreeSet.from_parts([4, 4, 1], [])
+    dup = DegreeSet([4, 4, 1], [])
     assert dup.finite == (1, 4)
 
 
 def test_excludes_zero_normalization():
     # flag only matters when a progression passes through 0
-    vac = DegreeSet.from_parts([], [(2, 3)], excludes_zero=True)
+    vac = DegreeSet([], [(2, 3)], True)
     assert not vac.excludes_zero_in_progressions
-    live = DegreeSet.from_parts([], [(0, 3)], excludes_zero=True)
+    live = DegreeSet([], [(0, 3)], True)
     assert live.excludes_zero_in_progressions
     assert not live.contains(0)
     assert live.contains(3) and live.contains(-3)
     # a finite 0 overrides the exclusion
-    patched = DegreeSet.from_parts([0], [(0, 3)], excludes_zero=True)
+    patched = DegreeSet([0], [(0, 3)], True)
     assert patched.contains(0)
     assert not patched.excludes_zero_in_progressions
 
 
 def test_intersect_progressions_crt():
-    x = DegreeSet.from_parts([], [(2, 3)])
-    y = DegreeSet.from_parts([], [(1, 2)])
+    x = DegreeSet([], [(2, 3)])
+    y = DegreeSet([], [(1, 2)])
     got = x.intersect(y)
     assert got.progressions == ((5, 6),)
-    none = x.intersect(DegreeSet.from_parts([], [(0, 3)]))
+    none = x.intersect(DegreeSet([], [(0, 3)]))
     assert none.is_empty
 
 
@@ -113,27 +113,27 @@ def test_crt_matches_brute_force_intersection():
                 base, mod = hit
                 assert 0 <= base < mod
                 assert want == [x for x in span if x % mod == base]
-            got = DegreeSet.from_parts([], [(b1, m1)]) & DegreeSet.from_parts([], [(b2, m2)])
+            got = DegreeSet([], [(b1, m1)]) & DegreeSet([], [(b2, m2)])
             assert got.window(0, span[-1]) == want
 
 
 def test_union_mixed_flags_keeps_zero_membership():
-    no_zero = DegreeSet.from_parts([], [(0, 4)], excludes_zero=True)
-    with_zero = DegreeSet.from_parts([], [(0, 6)])
+    no_zero = DegreeSet([], [(0, 4)], True)
+    with_zero = DegreeSet([], [(0, 6)])
     u = no_zero.union(with_zero)
     assert u.contains(0)
     assert u.contains(4) and u.contains(6)
-    v = no_zero.union(DegreeSet.from_finite([9]))
+    v = no_zero.union(DegreeSet([9]))
     assert not v.contains(0)
     assert v.contains(9) and v.contains(8)
 
 
 def test_equals_is_denotational():
-    evens_odds = DegreeSet.from_parts([], [(0, 2), (1, 2)])
-    everything = DegreeSet.from_parts([], [(0, 1)])
+    evens_odds = DegreeSet([], [(0, 2), (1, 2)])
+    everything = DegreeSet([], [(0, 1)])
     assert evens_odds.equals(everything)
-    assert not evens_odds.equals(DegreeSet.from_parts([], [(0, 2)]))
-    assert DegreeSet.from_finite([1, 2]).equals(DegreeSet.from_finite([2, 1]))
+    assert not evens_odds.equals(DegreeSet([], [(0, 2)]))
+    assert DegreeSet([1, 2]).equals(DegreeSet([2, 1]))
 
 
 # coprime moduli whose lcm is far beyond the cap
@@ -141,28 +141,28 @@ WIDE = [(1, 1000003), (1, 999983)]
 
 
 def test_equals_answers_without_enumerating_when_it_can():
-    wide = DegreeSet.from_parts([0], WIDE)
+    wide = DegreeSet([0], WIDE)
     start = time.perf_counter()
     # a progression is infinite, with or without excludesZero
-    assert not wide.equals(DegreeSet.from_finite([0, 1]))
-    assert not DegreeSet.from_finite([0]).equals(DegreeSet.from_parts([], [(0, 10**9)], True))
+    assert not wide.equals(DegreeSet([0, 1]))
+    assert not DegreeSet([0]).equals(DegreeSet([], [(0, 10**9)], True))
     # structurally equal canonical forms
-    assert wide.equals(DegreeSet.from_parts([0, 1000004], WIDE[::-1]))
+    assert wide.equals(DegreeSet([0, 1000004], WIDE[::-1]))
     assert time.perf_counter() - start < 1.0
 
 
 def test_equals_caps_the_residues_it_enumerates():
-    wide = DegreeSet.from_parts([0], WIDE)
+    wide = DegreeSet([0], WIDE)
     start = time.perf_counter()
     with pytest.raises(ResourceCapError, match=f"enumerate {1000003 * 999983} residues") as err:
-        wide.equals(DegreeSet.from_parts([0, 5], WIDE))
+        wide.equals(DegreeSet([0, 5], WIDE))
     assert time.perf_counter() - start < 1.0
     assert err.value.cap_name == "equals_modulus"
     assert err.value.cap_value == degsets.EQUALS_MODULUS_CAP
     # at the cap itself the residues are enumerated
-    at_cap = DegreeSet.from_parts([], [(0, 1 << 19), (1 << 19, 1 << 20)])
-    assert at_cap.equals(DegreeSet.from_parts([], [(0, 1 << 19)]))
-    assert not at_cap.equals(DegreeSet.from_parts([], [(0, 1 << 20)]))
+    at_cap = DegreeSet([], [(0, 1 << 19), (1 << 19, 1 << 20)])
+    assert at_cap.equals(DegreeSet([], [(0, 1 << 19)]))
+    assert not at_cap.equals(DegreeSet([], [(0, 1 << 20)]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,8 +175,8 @@ def test_equals_caps_the_residues_it_enumerates():
     st.booleans(),
 )
 def test_equals_matches_window_semantics(f1, p1, z1, f2, p2, z2):
-    x = DegreeSet.from_parts(f1, p1, z1)
-    y = DegreeSet.from_parts(f2, p2, z2)
+    x = DegreeSet(f1, p1, z1)
+    y = DegreeSet(f2, p2, z2)
     # beyond the finite members both sets repeat with the lcm of all moduli
     reach = 20 + math.lcm(*(m for _, m in p1 + p2))
     assert x.equals(y) == (x.window(-reach, reach) == y.window(-reach, reach))
@@ -193,8 +193,8 @@ def test_equals_matches_window_semantics(f1, p1, z1, f2, p2, z2):
     st.booleans(),
 )
 def test_algebra_matches_window_semantics(f1, p1, z1, f2, p2, z2):
-    x = DegreeSet.from_parts(f1, p1, z1)
-    y = DegreeSet.from_parts(f2, p2, z2)
+    x = DegreeSet(f1, p1, z1)
+    y = DegreeSet(f2, p2, z2)
     lo, hi = -120, 120
     wx, wy = set(x.window(lo, hi)), set(y.window(lo, hi))
     assert set(x.union(y).window(lo, hi)) == wx | wy
@@ -213,24 +213,24 @@ def test_finite_construction_matches_sorted_set(xs, excludes_zero):
     assert s.finite == tuple(sorted(set(int(x) for x in xs)))
     assert all(type(x) is int for x in s.finite)
     assert s.progressions == () and s.excludes_zero_in_progressions is False
-    assert s == DegreeSet.from_finite(reversed(xs))
+    assert s == DegreeSet(reversed(xs))
     assert repr(s) == f"DegreeSet(finite={s.finite!r}, progressions=(), " \
         "excludes_zero_in_progressions=False)"
 
 
 def test_intersect_and_equals_of_large_sets_take_linear_time():
     n = 1 << 16
-    evens = DegreeSet.from_finite(range(0, 2 * n, 2))
-    threes = DegreeSet.from_finite(range(0, 3 * n, 3))
+    evens = DegreeSet(range(0, 2 * n, 2))
+    threes = DegreeSet(range(0, 3 * n, 3))
     odd = [(1, 2)]
     start = time.perf_counter()
     assert evens.intersect(threes).finite == tuple(range(0, 2 * n, 6))
-    assert evens.equals(DegreeSet.from_finite(range(2 * n - 2, -1, -2)))
+    assert evens.equals(DegreeSet(range(2 * n - 2, -1, -2)))
     assert not evens.equals(threes)
     # with progressions, each finite member is probed against both sets
-    x = DegreeSet.from_parts(range(0, 2 * n, 2), odd)
-    assert x.equals(DegreeSet.from_parts(range(0, 2 * n, 2), [(1, 4), (3, 4)]))
-    assert not x.equals(DegreeSet.from_parts(range(2, 2 * n, 2), odd))
+    x = DegreeSet(range(0, 2 * n, 2), odd)
+    assert x.equals(DegreeSet(range(0, 2 * n, 2), [(1, 4), (3, 4)]))
+    assert not x.equals(DegreeSet(range(2, 2 * n, 2), odd))
     both = x.intersect(threes)
     assert time.perf_counter() - start < 1.0
     lo, hi = -1, 3 * n
@@ -242,7 +242,7 @@ def test_progression_cap():
     # distinct primes: no progression holds another, so all of them stay
     moduli = [m for m in range(2, 9000) if all(m % d for d in range(2, math.isqrt(m) + 1))]
     start = time.perf_counter()
-    at_cap = DegreeSet.from_parts([0, 1], [(1, m) for m in moduli[:cap]])
+    at_cap = DegreeSet([0, 1], [(1, m) for m in moduli[:cap]])
     assert len(at_cap.progressions) == cap
     with pytest.raises(ResourceCapError) as exc:
         DegreeSet.from_json({"finite": [0], "progressions": [
@@ -258,22 +258,22 @@ def test_cover_tests_go_by_distinct_modulus_and_are_capped():
     n = 1 << 16
     # 1024 progressions of one modulus: the intersection tested each member
     # against every progression, 2^26 tests
-    odd = DegreeSet.from_parts(range(0, 2 * n, 2), [(b, 2048) for b in range(1, 2048, 2)])
+    odd = DegreeSet(range(0, 2 * n, 2), [(b, 2048) for b in range(1, 2048, 2)])
     start = time.perf_counter()
-    both = odd.intersect(DegreeSet.from_finite(range(n)))
+    both = odd.intersect(DegreeSet(range(n)))
     assert time.perf_counter() - start < 1.0
-    assert both == DegreeSet.from_finite(range(n))
-    assert odd.equals(DegreeSet.from_parts(range(0, 2 * n, 2), [(1, 2)]))
+    assert both == DegreeSet(range(n))
+    assert odd.equals(DegreeSet(range(0, 2 * n, 2), [(1, 2)]))
     # moduli within a factor of 2 of each other and past every member: no
     # progression holds another, and none holds a member
     moduli = range(1 << 17, (1 << 17) + degsets.PROGRESSION_CAP)
     members = cap // len(moduli)
     wide = [(0, m) for m in moduli]
-    assert len(DegreeSet.from_parts(range(1, members + 1), wide).finite) == members
-    many = DegreeSet.from_finite(range(1, members + 2))
-    for build in (lambda: DegreeSet.from_parts(many.finite, wide),
-                  lambda: many.intersect(DegreeSet.from_parts([], wide)),
-                  lambda: DegreeSet.from_parts([], wide).intersect(many)):
+    assert len(DegreeSet(range(1, members + 1), wide).finite) == members
+    many = DegreeSet(range(1, members + 2))
+    for build in (lambda: DegreeSet(many.finite, wide),
+                  lambda: many.intersect(DegreeSet([], wide)),
+                  lambda: DegreeSet([], wide).intersect(many)):
         with pytest.raises(ResourceCapError) as exc:
             build()
         assert exc.value.cap_name == "cover_tests"
@@ -296,7 +296,7 @@ def _contains(p: tuple[int, int], q: tuple[int, int]) -> bool:
     st.booleans(),
 )
 def test_canonical_form_matches_brute_force(finite, progressions, excludes_zero):
-    s = DegreeSet.from_parts(finite, progressions, excludes_zero)
+    s = DegreeSet(finite, progressions, excludes_zero)
     # members: a window past the finite part and a full period of every modulus
     reach = 40 + math.lcm(*(m for _, m in progressions))
 
@@ -320,15 +320,15 @@ def test_nested_progression_filter_is_subquadratic():
     # 1024 progressions of one modulus were ~10^6 pair tests, each a line
     # event of the containment test; the filter takes ~14,000 events
     with line_events(degsets, 50_000):
-        s = DegreeSet.from_parts([0], [(b, 1024) for b in range(1024)])
+        s = DegreeSet([0], [(b, 1024) for b in range(1024)])
     assert len(s.progressions) == 1024 and s.finite == ()
 
 
 def test_intersect_checks_the_progression_count_before_any_crt(monkeypatch):
     # odd moduli within a factor of 2 of each other: none holds another
     side = math.isqrt(degsets.PROGRESSION_CAP)
-    many = DegreeSet.from_parts([], [(1, 2 * m + 1) for m in range(side + 1, 2 * side + 2)])
-    few = DegreeSet.from_parts([0], [(0, 2 * m + 1) for m in range(2 * side + 2, 3 * side + 2)])
+    many = DegreeSet([], [(1, 2 * m + 1) for m in range(side + 1, 2 * side + 2)])
+    few = DegreeSet([0], [(0, 2 * m + 1) for m in range(2 * side + 2, 3 * side + 2)])
     assert len(many.progressions) * len(few.progressions) > degsets.PROGRESSION_CAP
 
     def no_crt(*args):
@@ -342,16 +342,16 @@ def test_intersect_checks_the_progression_count_before_any_crt(monkeypatch):
                                   f"progressions, beyond the cap of {degsets.PROGRESSION_CAP}")
     monkeypatch.undo()
     # at the cap itself the intersection is built
-    square = DegreeSet.from_parts([], [(1, 2 * m + 1) for m in range(side + 1, 2 * side + 1)])
+    square = DegreeSet([], [(1, 2 * m + 1) for m in range(side + 1, 2 * side + 1)])
     both = square.intersect(few)
     assert both.window(-50, 50) == sorted(set(square.window(-50, 50)) & set(few.window(-50, 50)))
 
 
 def test_json_round_trip_compact():
-    s = DegreeSet.from_parts([0], [(0, 5)], excludes_zero=False)
+    s = DegreeSet([0], [(0, 5)], False)
     js = s.to_json()
     assert DegreeSet.from_json(js) == s
-    plain = DegreeSet.from_finite([0])
+    plain = DegreeSet([0])
     assert plain.to_json() == {"finite": [0]}
 
 

@@ -186,7 +186,7 @@ def test_build_rejects_bad_targets():
     with pytest.raises(InputError):
         build_construction({1, 2}, 4)  # no zero
     with pytest.raises(InputError):
-        build_construction(DegreeSet.from_parts([0], [(0, 3)], True), 4)
+        build_construction(DegreeSet([0], [(0, 3)], True), 4)
     with pytest.raises(InputError):
         build_construction(set(), 4)
 
@@ -230,6 +230,32 @@ def test_certificate_json_round_trip():
     with pytest.raises(InputError, match="schema version"):
         RealizationCertificate.from_json(
             {"kind": "realization-certificate", "schemaVersion": 99})
+
+
+def test_drawn_targets_round_trip_or_name_a_search_cap():
+    """(R) beyond the criterion-6 family: 0 plus 1-6 nonzero members drawn
+    from +-12 and from +-40, in dimensions 3, 4, 5 and 8.  Each draw
+    either caps the search or builds a certificate that verifies after a
+    JSON round trip through the schema."""
+    rng = random.Random(2311)
+    limits = degsets.SearchLimits(budget=300000)
+    outcomes = {"built": 0, "budget": 0, "max_len": 0}
+    for i in range(128):
+        pool = [x for x in range(-40, 41) if x] if i >= 64 else \
+            [x for x in range(-12, 13) if x]
+        draw = {0, *rng.sample(pool, rng.randint(1, 6))}
+        try:
+            cert = build_construction(draw, (3, 4, 5, 8)[i % 4], limits=limits)
+        except ResourceCapError as err:
+            assert err.cap_name in ("budget", "max_len"), (draw, err)
+            outcomes[err.cap_name] += 1
+            continue
+        obj = json.loads(json.dumps(cert.to_json()))
+        validate_payload("realizationCertificate", obj)
+        assert verify_certificate(RealizationCertificate.from_json(obj)).valid, draw
+        assert obj["finalSet"] == obj["targetSet"] == {"finite": sorted(draw)}
+        outcomes["built"] += 1
+    assert outcomes["built"], outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +533,7 @@ def _sum_rule_reference(alpha, entries, base, label):
             res = bundles.same_base_pair_degree_set(alpha // beta, alpha, base, label)
             if not res.exact:
                 return "pair rule only gave an upper bound"
-            want = DegreeSet.from_finite([0, beta])
+            want = DegreeSet([0, beta])
             if not res.degree_set.equals(want):
                 return (f"summand with multiplier {alpha // beta} realizes "
                         f"{res.degree_set.render()}, not {want.render()}")

@@ -412,6 +412,14 @@ def test_hard_targets_reject_their_groups_in_bulk():
                 decompose(target, SearchLimits(budget=300000))
 
 
+def test_family_and_hull_draws_stay_within_their_work():
+    """Decomposing the criterion-6 family and the hull draws at default
+    limits takes ~565,000 line events in degsets."""
+    with line_events(degsets, 600_000):
+        for target in family_targets() + hull_draws():
+            decompose(target)
+
+
 # ---------------------------------------------------------------------------
 # the candidate mask: groups charged in bulk, without a test
 
