@@ -16,7 +16,6 @@ from .abelian import (
     IntegerMatrix,
     apply_matrix,
     canonicalize_group,
-    in_cyclic_subgroup,
     is_torsion,
     lattice_compatible,
     smith_normal_form,
@@ -86,7 +85,6 @@ __all__ = [
     "canonicalize_group",
     "is_torsion",
     "solve_scalar",
-    "in_cyclic_subgroup",
     "lattice_compatible",
     "apply_matrix",
     "unimodular_rational_eigen_check",

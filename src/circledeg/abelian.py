@@ -44,7 +44,6 @@ __all__ = [
     "is_torsion",
     "solve_scalar",
     "solution_set_json",
-    "in_cyclic_subgroup",
     "lattice_compatible",
     "apply_matrix",
     "unimodular_rational_eigen_check",
@@ -511,11 +510,6 @@ def solution_set_json(s: DegreeSet) -> dict:
         (k,) = s.finite
         return {"kind": "progression", "base": k, "mod": 0}
     return {"kind": "empty"}
-
-
-def in_cyclic_subgroup(b: GroupElement, a: GroupElement) -> bool:
-    """True iff b lies in the subgroup generated by a (k = 0 included)."""
-    return not solve_scalar(a, b).is_empty
 
 
 # ---------------------------------------------------------------------------

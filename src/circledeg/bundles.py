@@ -309,48 +309,47 @@ def expr_to_json(expr: ManifoldExpr) -> dict:
     raise InputError(f"not a manifold expression: {expr!r}")
 
 
-def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold]) -> ManifoldExpr:
+def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold],
+                   bundles: dict[tuple, CircleBundle] | None = None) -> ManifoldExpr:
     """Expression from a payload valid under the ``manifoldExpr`` schema.
     Nesting deeper than ``MAX_NESTING`` is refused, so that callers who
     skip ``validate_payload`` cannot exhaust the stack.  Each distinct
-    bundle is built once per call and shared wherever it recurs;
-    ``RealizationCertificate.from_json`` shares them across all the
-    expressions of one certificate the same way."""
-    return _expr_from_json(obj, registry, 0, {})
+    bundle is taken from ``bundles``, keyed by its base name and Euler
+    coordinates, or built once and added there, so it is shared wherever
+    it recurs; ``None`` starts an empty table for this call, and
+    ``RealizationCertificate.from_json`` passes one table for all the
+    expressions of one certificate."""
+    if bundles is None:
+        bundles = {}
 
+    def decode(obj: dict, depth: int) -> ManifoldExpr:
+        if depth >= MAX_NESTING:
+            raise InputError(f"manifold expression nested more than {MAX_NESTING} levels deep")
+        key, val = next(iter(obj.items()))
+        depth += 1
+        if key == "bundle":
+            name = val.get("base")
+            if name not in registry:
+                raise InputError(f"unknown base manifold: {name!r}")
+            euler = val["euler"]
+            free, torsion = tuple(euler.get("free", ())), tuple(euler.get("torsion", ()))
+            bundle = bundles.get((name, free, torsion))
+            if bundle is None:
+                base = registry[name]
+                bundle = bundles[name, free, torsion] = CircleBundle(
+                    base, GroupElement(base.h2, free, torsion))
+            return bundle
+        if key == "sphereProduct":
+            return SphereProduct(int(val))
+        if key == "sum":
+            return ConnectedSum(tuple(decode(s, depth) for s in val))
+        if key == "stabilized":
+            return Stabilized(decode(val["inner"], depth), int(val["shift"]))
+        if key == "repeat":
+            return SymbolicRepeat(decode(val["factor"], depth), str(val["symbol"]))
+        raise InputError(f"unknown manifold expression kind: {key!r}")
 
-def _expr_from_json(obj: dict, registry: Mapping[str, BaseManifold], depth: int,
-                    bundles: dict[tuple, CircleBundle]) -> ManifoldExpr:
-    """:func:`expr_from_json` for an ``obj`` inside ``depth`` expressions,
-    taking each bundle from ``bundles``, keyed by its base name and Euler
-    coordinates, or building and adding it."""
-    if depth >= MAX_NESTING:
-        raise InputError(f"manifold expression nested more than {MAX_NESTING} levels deep")
-    key, val = next(iter(obj.items()))
-    depth += 1
-    if key == "bundle":
-        name = val.get("base")
-        if name not in registry:
-            raise InputError(f"unknown base manifold: {name!r}")
-        euler = val["euler"]
-        free, torsion = tuple(euler.get("free", ())), tuple(euler.get("torsion", ()))
-        bundle = bundles.get((name, free, torsion))
-        if bundle is None:
-            base = registry[name]
-            bundle = bundles[name, free, torsion] = CircleBundle(
-                base, GroupElement(base.h2, free, torsion))
-        return bundle
-    if key == "sphereProduct":
-        return SphereProduct(int(val))
-    if key == "sum":
-        return ConnectedSum(tuple(_expr_from_json(s, registry, depth, bundles) for s in val))
-    if key == "stabilized":
-        return Stabilized(_expr_from_json(val["inner"], registry, depth, bundles),
-                          int(val["shift"]))
-    if key == "repeat":
-        return SymbolicRepeat(_expr_from_json(val["factor"], registry, depth, bundles),
-                              str(val["symbol"]))
-    raise InputError(f"unknown manifold expression kind: {key!r}")
+    return decode(obj, 0)
 
 
 def _render_element(e: GroupElement) -> str:

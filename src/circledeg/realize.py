@@ -49,11 +49,11 @@ from .bundles import (
     SphereProduct,
     Stabilized,
     SymbolicRepeat,
-    _expr_from_json,
     _pair_rule_hypotheses,
     builtin_registry,
     exact_pair_rule,
     expr_dim,
+    expr_from_json,
     expr_to_json,
     render_expr,
 )
@@ -190,8 +190,8 @@ class PairClaim(Frozen):
         the bundles it decodes from ``bundles`` or adding them there."""
         return cls(
             int(obj["index"]),
-            _expr_from_json(obj["domain"], registry, 0, bundles),
-            _expr_from_json(obj["target"], registry, 0, bundles),
+            expr_from_json(obj["domain"], registry, bundles),
+            expr_from_json(obj["target"], registry, bundles),
             DegreeSet.from_json(obj["claimed"]),
             obj["rule"],
         )
@@ -255,8 +255,8 @@ class Combination(Frozen):
         taking the bundles it decodes from ``bundles`` or adding them there."""
         return cls(
             obj["l"],
-            _expr_from_json(obj["resultDomain"], registry, 0, bundles),
-            _expr_from_json(obj["resultTarget"], registry, 0, bundles),
+            expr_from_json(obj["resultDomain"], registry, bundles),
+            expr_from_json(obj["resultTarget"], registry, bundles),
             obj["rule"],
         )
 

@@ -10,10 +10,14 @@ offending field instead of a stack trace from deep inside the math;
 library callers holding unvalidated JSON call it first in the same way.
 
 Plain Python checks compiled from the document on first use decide
-whether a payload is valid.  They know exactly the keywords the document
-uses, with jsonschema's Draft 2020-12 meaning, and compiling refuses any
-other keyword and any ``$ref`` outside the document, so an edit to the
-schema cannot silently weaken validation.  jsonschema is imported only
+whether a payload is valid.  They know exactly the part of Draft 2020-12
+the document uses, with jsonschema's meaning: every subschema has a
+``type``, ``$ref``, ``const``, ``enum`` or ``oneOf``; an object is a
+``"type": "object"`` whose ``additionalProperties`` is ``false`` or a
+subschema; an array is a ``"type": "array"`` with ``items``; and a type
+list names only scalar types.  Compiling refuses anything else, any other
+keyword and any ``$ref`` outside the document, so an edit to the schema
+cannot silently weaken validation.  jsonschema is imported only
 to word a rejection: its best match names the offending field.  Its
 ``properties`` and ``items`` keywords are guided by the compiled checks:
 a child that the check for its subschema accepts yields no error, so
@@ -24,10 +28,11 @@ names the array's length and the maximum where jsonschema echoes the
 whole array, megabytes of it for a long array of large items.  A payload
 nested more than ``MAX_NESTING`` containers deep is refused, so neither can
 exhaust the interpreter's stack.  The compiled checks are passed each
-value's depth and stop at a container past the bound; they descend into
-every container of a payload they accept, so an accepted payload is
-within the bound without a walk of its own.  A rejected one is walked for
-its depth before jsonschema words the rejection.
+value's depth and stop at a container past the bound; as every object is
+closed and every array has ``items``, they descend into every container of
+a payload they accept, so an accepted payload is within the bound without
+a walk of its own.  A rejected one is walked for its depth before
+jsonschema words the rejection.
 
 >>> validate_payload("pairInput", {"m": 2, "k": 6})
 >>> validate_payload("pairInput", {"m": 0, "k": 6})
@@ -107,9 +112,9 @@ def _is_number(v: object, d: int) -> bool:
     return not isinstance(v, bool) and isinstance(v, numbers.Number)
 
 
+# the scalar types a type list may name; an object or an array is a
+# ``"type"`` string of its own, compiled with its keywords
 _TYPES: dict[str, _Check] = {
-    "object": lambda v, d: isinstance(v, dict),
-    "array": lambda v, d: isinstance(v, list),
     "string": lambda v, d: isinstance(v, str),
     "boolean": lambda v, d: isinstance(v, bool),
     "null": lambda v, d: v is None,
@@ -155,26 +160,13 @@ def _all(checks: list[_Check]) -> _Check:
     return check
 
 
-def _bounded(check: _Check, kinds: tuple[type, ...]) -> _Check:
-    """``check``, which may accept a container of ``kinds`` without
-    descending into it, with the nesting bound applied to such a
-    container."""
-    def bounded(v, d):
-        if not check(v, d):
-            return False
-        if isinstance(v, kinds) and _nested_deeper_than(v, MAX_NESTING - d):
-            raise _TooDeep
-        return True
-    return bounded
-
-
-def _object_check(props: dict[str, _Check], required: tuple, extra: bool | _Check,
-                  strict: bool) -> _Check:
-    """``properties``, ``required`` and ``additionalProperties``; with
-    ``strict`` also ``"type": "object"``."""
+def _object_check(props: dict[str, _Check], required: tuple,
+                  extra: _Check | None) -> _Check:
+    """``"type": "object"`` with its ``properties``, ``required`` and
+    ``additionalProperties``, ``None`` for ``false``."""
     def check(v, d):
         if not isinstance(v, dict):
-            return not strict
+            return False
         if d >= MAX_NESTING:
             raise _TooDeep
         for key in required:
@@ -182,28 +174,21 @@ def _object_check(props: dict[str, _Check], required: tuple, extra: bool | _Chec
                 return False
         d += 1
         for key, item in v.items():
-            sub = props.get(key)
-            if sub is not None:
-                if not sub(item, d):
-                    return False
-            elif extra is False or (extra is not True and not extra(item, d)):
+            sub = props.get(key, extra)
+            if sub is None or not sub(item, d):
                 return False
         return True
     return check
 
 
-def _array_check(items: _Check | None, min_items: int, max_items: float,
-                 strict: bool) -> _Check:
-    """``items``, ``minItems`` and ``maxItems``; with ``strict`` also
-    ``"type": "array"``."""
+def _array_check(items: _Check, min_items: int, max_items: float) -> _Check:
+    """``"type": "array"`` with its ``items``, ``minItems`` and ``maxItems``."""
     def check(v, d):
         if not isinstance(v, list):
-            return not strict
+            return False
         if d >= MAX_NESTING:
             raise _TooDeep
-        if not min_items <= len(v) <= max_items:
-            return False
-        return items is None or all(map(items, v, repeat(d + 1)))
+        return min_items <= len(v) <= max_items and all(map(items, v, repeat(d + 1)))
     return check
 
 
@@ -224,9 +209,10 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
     on its first request, that returns the verdict jsonschema's Draft
     2020-12 validator gives, called with a value and its depth.  It raises
     ``_TooDeep`` at a container nested more than ``MAX_NESTING`` deep, and
-    every container of a value it accepts is one it descended into or
-    bounded.  Compiling raises ``ValueError`` on a keyword or reference it
-    does not know.  The look-up's ``checks`` maps
+    every container of a value it accepts is one it descended into.
+    Compiling raises ``ValueError`` on a keyword or reference it does not
+    know, and on a subschema outside the closed, typed part of the draft
+    that the module docstring describes.  The look-up's ``checks`` maps
     ``id(subschema)`` to the check of every subschema compiled so far;
     the look-up holds ``defs``, so no id in it can be reused."""
     table: dict[str, _Check] = {}
@@ -256,64 +242,49 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
         unknown = schema.keys() - _KEYWORDS
         if unknown:
             raise ValueError(f"cannot compile keyword(s) {', '.join(sorted(unknown))}")
+        if not schema.keys() & {"type", "$ref", "const", "enum", "oneOf"}:
+            raise ValueError(f"cannot compile untyped subschema {schema!r}")
         checks: list[_Check] = []
-        # the kinds of container that every check below may accept without
-        # descending into it: a kind is dropped once one check descends into
-        # or rejects each container of that kind.  A compiled subschema does
-        # so for both kinds, so only ``not``, the untyped keywords, an object
-        # open to other keys and an array without ``items`` keep one
-        unseen = {dict, list}
         types = schema.get("type")
-        if types is not None:
-            names = types if isinstance(types, list) else [types]
-            if not names or any(n not in _TYPES for n in names):
-                raise ValueError(f"cannot compile type {types!r}")
-            if types not in ("object", "array"):
-                preds = [_TYPES[n] for n in names]
-                checks.append(preds[0] if len(preds) == 1
-                              else lambda v, d: any(p(v, d) for p in preds))
-                if "object" not in names:
-                    unseen.discard(dict)
-                if "array" not in names:
-                    unseen.discard(list)
-        if types == "object" or schema.keys() & {
-                "properties", "required", "additionalProperties"}:
+        if types == "object":
             extra = schema.get("additionalProperties", True)
+            if extra is True:
+                raise ValueError("cannot compile an object open to other keys")
             checks.append(_object_check(
                 {key: node(sub) for key, sub in schema.get("properties", {}).items()},
                 tuple(schema.get("required", ())),
-                extra if isinstance(extra, bool) else node(extra),
-                strict=types == "object"))
-            if extra is not True:
-                unseen.discard(dict)
-            if types == "object":
-                unseen.discard(list)
-        if types == "array" or schema.keys() & {"items", "minItems", "maxItems"}:
+                None if extra is False else node(extra)))
+        elif types == "array":
+            if "items" not in schema:
+                raise ValueError("cannot compile an array without items")
             checks.append(_array_check(
-                node(schema["items"]) if "items" in schema else None,
-                schema.get("minItems", 0), schema.get("maxItems", float("inf")),
-                strict=types == "array"))
-            if "items" in schema:
-                unseen.discard(list)
-            if types == "array":
-                unseen.discard(dict)
+                node(schema["items"]),
+                schema.get("minItems", 0), schema.get("maxItems", float("inf"))))
+        elif types is not None:
+            names = types if isinstance(types, list) else [types]
+            if not names or any(n not in _TYPES for n in names):
+                raise ValueError(f"cannot compile type {types!r}")
+            preds = [_TYPES[n] for n in names]
+            checks.append(preds[0] if len(preds) == 1
+                          else lambda v, d: any(p(v, d) for p in preds))
+        if types != "object" and schema.keys() & {
+                "properties", "required", "additionalProperties"}:
+            raise ValueError('cannot compile object keywords without "type": "object"')
+        if types != "array" and schema.keys() & {"items", "minItems", "maxItems"}:
+            raise ValueError('cannot compile array keywords without "type": "array"')
         if "$ref" in schema:
             checks.append(ref(schema["$ref"]))
-            unseen.clear()
         if "const" in schema:
             const = _scalar(schema["const"])
             checks.append(lambda v, d: _same(v, const))
-            unseen.clear()
         if "enum" in schema:
             values = tuple(_scalar(e) for e in schema["enum"])
             checks.append(lambda v, d: any(_same(v, e) for e in values))
-            unseen.clear()
         if "not" in schema:
             negated = node(schema["not"])
             checks.append(lambda v, d: not negated(v, d))
         if "oneOf" in schema:
             checks.append(_one_of([node(sub) for sub in schema["oneOf"]]))
-            unseen.clear()
         if "minimum" in schema:
             low = schema["minimum"]
             checks.append(lambda v, d: not _is_number(v, d) or not v < low)
@@ -324,8 +295,6 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
             shortest = schema["minLength"]
             checks.append(lambda v, d: not isinstance(v, str) or len(v) >= shortest)
         compiled = _all(checks)
-        if unseen:
-            compiled = _bounded(compiled, tuple(unseen))
         by_id[id(schema)] = compiled
         return compiled
 

@@ -314,12 +314,23 @@ def test_each_request_is_validated_once(monkeypatch, tmp_path):
     assert validated == ["pairInput", "presetRegistry"]
 
 
+# every subschema is typed, so a keyword meets a value of another type only
+# through a type list or another branch of a oneOf
+NOT_ZERO = {"type": ["integer", "boolean", "string"], "not": {"const": 0}}
+INTEGERS = {"type": "array", "items": {"type": "integer"}}
+MIN_ONE = {"type": ["string", "number"], "minimum": 1}
+SHORT = {"type": ["string", "integer"], "minLength": 1}
+MAX_THREE = {"type": ["number", "string", "boolean"], "maximum": 3}
+INT_OR_NONNEGATIVE = {"oneOf": [{"type": "integer"},
+                                {"type": ["number", "string"], "minimum": 0}]}
+
+
 @pytest.mark.parametrize("definition, value, valid", [
     # not: {const: 0} flips the const verdict, so 0 == 0.0 matters
-    ({"not": {"const": 0}}, 0, False),
-    ({"not": {"const": 0}}, 0.0, False),
-    ({"not": {"const": 0}}, False, True),
-    ({"not": {"const": 0}}, "0", True),
+    (NOT_ZERO, 0, False),
+    (NOT_ZERO, 0.0, False),
+    (NOT_ZERO, False, True),
+    (NOT_ZERO, "0", True),
     ({"type": "integer", "not": {"const": 0}}, False, False),
     ({"type": "integer"}, 3.0, True),
     ({"type": "integer"}, 3.5, False),
@@ -336,36 +347,45 @@ def test_each_request_is_validated_once(monkeypatch, tmp_path):
     ({"enum": ["finite", "unknown"]}, "finite", True),
     ({"enum": [0, "x"]}, False, False),
     ({"enum": [0, "x"]}, 0.0, True),
-    # minimum, minLength and minItems ignore values of other types
-    ({"minimum": 1}, "x", True),
-    ({"minimum": 1}, 0.5, False),
-    ({"minimum": 1}, True, True),
-    ({"minLength": 1}, 5, True),
-    ({"minLength": 1}, "", False),
-    ({"minItems": 1}, {}, True),
-    ({"minItems": 1}, [], False),
-    ({"items": {"type": "integer"}}, "abc", True),
-    ({"items": {"type": "integer"}}, [1, 2.0, "3"], False),
-    ({"required": ["a"]}, [], True),
-    ({"properties": {"a": {"type": "string"}}}, {"a": 1}, False),
-    ({"additionalProperties": {"type": "integer"}}, {"a": 1, "b": 2.0}, True),
-    ({"additionalProperties": {"type": "integer"}}, {"a": "1"}, False),
-    ({"properties": {"a": {}}, "additionalProperties": False}, {"a": 1, "b": 2}, False),
+    # minimum and minLength ignore the values of other types a type list
+    # lets through
+    (MIN_ONE, "x", True),
+    (MIN_ONE, 0.5, False),
+    ({"type": ["boolean", "number"], "minimum": 1}, True, True),
+    (SHORT, 5, True),
+    (SHORT, "", False),
+    ({**INTEGERS, "minItems": 1}, [0], True),
+    ({**INTEGERS, "minItems": 1}, [], False),
+    # an array keyword, in its branch of a oneOf, lets a string through the other
+    ({"oneOf": [INTEGERS, {"type": "string"}]}, "abc", True),
+    (INTEGERS, [1, 2.0, "3"], False),
+    # so does an object keyword with an array
+    ({"oneOf": [{"type": "object", "properties": {"a": {"type": "string"}},
+                 "required": ["a"], "additionalProperties": False},
+                {"type": "array", "items": {"type": "string"}}]}, [], True),
+    ({"type": "object", "properties": {"a": {"type": "string"}},
+      "additionalProperties": False}, {"a": 1}, False),
+    ({"type": "object", "additionalProperties": {"type": "integer"}},
+     {"a": 1, "b": 2.0}, True),
+    ({"type": "object", "additionalProperties": {"type": "integer"}}, {"a": "1"}, False),
+    ({"type": "object", "properties": {"a": {"type": "integer"}},
+      "additionalProperties": False}, {"a": 1, "b": 2}, False),
     # oneOf: two matching branches fail like none
-    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, 5, False),
-    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1.5, False),
-    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, "a", True),
-    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1, True),
+    (INT_OR_NONNEGATIVE, 5, False),
+    (INT_OR_NONNEGATIVE, -1.5, False),
+    (INT_OR_NONNEGATIVE, "a", True),
+    (INT_OR_NONNEGATIVE, -1, True),
     # maximum, like minimum, ignores values of other types
-    ({"maximum": 3}, 3, True),
-    ({"maximum": 3}, 3.5, False),
-    ({"maximum": 3}, "x", True),
-    ({"maximum": 3}, True, True),
-    # so does maxItems
-    ({"maxItems": 1}, "ab", True),
-    ({"maxItems": 1}, [1], True),
-    ({"maxItems": 1}, [1, 2], False),
-    ({"type": "array", "maxItems": 0}, [], True),
+    (MAX_THREE, 3, True),
+    (MAX_THREE, 3.5, False),
+    (MAX_THREE, "x", True),
+    (MAX_THREE, True, True),
+    # maxItems bounds an array, and its branch of a oneOf lets a string through
+    ({"oneOf": [{**INTEGERS, "maxItems": 1}, {"type": "string", "minLength": 2}]},
+     "ab", True),
+    ({**INTEGERS, "maxItems": 1}, [1], True),
+    ({**INTEGERS, "maxItems": 1}, [1, 2], False),
+    ({**INTEGERS, "maxItems": 0}, [], True),
 ])
 def test_edge_cases_match_jsonschema(definition, value, valid):
     check = schema._compile({"x": definition})("x")
@@ -438,18 +458,73 @@ def test_progression_arrays_are_bounded_by_the_cap():
 @pytest.mark.parametrize("definition", [
     {"type": "string", "pattern": "^a"},
     {"type": "integer", "exclusiveMaximum": 3},
-    {"properties": {"a": {"title": "nested"}}},
+    {"type": "object", "properties": {"a": {"title": "nested"}},
+     "additionalProperties": False},
     {"$ref": "https://example.invalid/other.schema.json"},
     {"$ref": "other.schema.json#/$defs/x"},
     {"$ref": "#/$defs/missing"},
     {"$ref": "#/definitions/x"},
     {"type": "decimal"},
     {"const": [0]},
-    {"items": True},
+    {"type": "array", "items": True},
+    # a type list that is empty or names a container
+    {"type": []},
+    {"type": ["array", "null"]},
+    {"type": ["object"]},
+    # a subschema with none of type, $ref, const, enum and oneOf
+    {},
+    {"minimum": 1},
+    {"not": {"type": "string"}},
+    {"type": "integer", "not": {}},
+    # object keywords without "type": "object", or an object open to other keys
+    {"required": ["a"]},
+    {"properties": {"a": {"type": "string"}}, "type": "string"},
+    {"type": "object"},
+    {"type": "object", "additionalProperties": True},
+    {"type": "object", "properties": {"a": {}}, "additionalProperties": False},
+    # array keywords without "type": "array", or an array without items
+    {"items": {"type": "integer"}},
+    {"maxItems": 1, "type": ["string", "null"]},
+    {"type": "array"},
+    {"type": "array", "maxItems": 2},
 ])
 def test_compile_refuses_what_it_does_not_know(definition):
     with pytest.raises(ValueError):
         schema._compile({"x": definition})("x")
+
+
+def subschemas(schema: dict):
+    """``schema`` and every subschema below it."""
+    yield schema
+    below = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    below += [schema[key] for key in ("additionalProperties", "items", "not")
+              if isinstance(schema.get(key), dict)]
+    for sub in below:
+        yield from subschemas(sub)
+
+
+def test_every_shipped_subschema_compiles_to_a_check():
+    # the guided validator skips a subtree only through its check
+    lookup = schema._shipped()
+    for name in NAMES:
+        lookup(name)
+    everything = [sub for definition in schema._document()["$defs"].values()
+                  for sub in subschemas(definition)]
+    assert lookup.checks.keys() == {id(sub) for sub in everything}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda defs: defs["pairInput"].pop("additionalProperties"),
+    lambda defs: defs["pairInput"]["properties"]["m"].pop("type"),
+    lambda defs: defs["sequence"].pop("items"),
+], ids=["open-object", "untyped-property", "array-without-items"])
+def test_compile_refuses_an_edit_that_would_weaken_the_document(edit):
+    defs = copy.deepcopy(schema._document()["$defs"])
+    edit(defs)
+    lookup = schema._compile(defs)
+    with pytest.raises(ValueError):
+        for name in defs:
+            lookup(name)
 
 
 def golden_certificate() -> dict:
@@ -824,30 +899,38 @@ def test_accepted_payloads_are_not_walked_for_their_depth(monkeypatch):
         validate_payload(name, obj)
 
 
+# lists of lists, to any depth
+LISTS = {"type": "array", "items": {"$ref": "#/$defs/lists"}}
+
+
 @pytest.mark.parametrize("definition, wrap", [
-    # an object check that leaves additionalProperties open
-    ({"type": "object"}, lambda v: {"a": v}),
-    ({"type": "object", "additionalProperties": True}, lambda v: {"a": v}),
-    # an untyped subschema under a closed object
-    ({"type": "object", "properties": {"a": {}}, "additionalProperties": False},
+    # each keyword that descends, reaching the lists below it
+    ({"type": "object", "additionalProperties": {"$ref": "#/$defs/lists"}},
      lambda v: {"a": v}),
-    # array keywords without items
-    ({"type": "array"}, lambda v: [v]),
-    ({"type": "array", "maxItems": 2}, lambda v: [v]),
-    # untyped subschemas, and a type list that names a container
-    ({}, lambda v: [v]),
-    ({"minimum": 1}, lambda v: [v]),
-    ({"not": {"type": "string"}}, lambda v: {"a": v}),
-    ({"type": ["array", "null"]}, lambda v: [v]),
-    # an array keyword passes an object, an object keyword an array
-    ({"items": {"type": "integer"}}, lambda v: {"a": v}),
-    ({"required": ["a"]}, lambda v: [v]),
-    # a closed check descends, and stops at the bound itself
+    ({"type": "object", "properties": {"b": {"type": "null"}},
+      "additionalProperties": {"$ref": "#/$defs/lists"}}, lambda v: {"a": v}),
+    ({"type": "object", "properties": {"a": {"$ref": "#/$defs/lists"}},
+      "additionalProperties": False}, lambda v: {"a": v}),
+    ({"type": "object", "properties": {"a": {"$ref": "#/$defs/lists"}},
+      "required": ["a"], "additionalProperties": False}, lambda v: {"a": v}),
+    ({"type": "array", "items": {"$ref": "#/$defs/lists"}}, lambda v: [v]),
+    ({"type": "array", "items": {"$ref": "#/$defs/lists"}, "maxItems": 2}, lambda v: [v]),
+    ({"type": "array", "items": {"$ref": "#/$defs/lists"}, "minItems": 1}, lambda v: [v]),
+    ({"$ref": "#/$defs/lists"}, lambda v: [v]),
+    ({"oneOf": [{"type": "null"}, {"$ref": "#/$defs/lists"}]}, lambda v: [v]),
+    ({"type": "array", "items": {"$ref": "#/$defs/lists"},
+      "not": {"type": "array", "items": {"type": "null"}}}, lambda v: [v]),
+    ({"oneOf": [{"type": "array", "items": {"type": "integer"}},
+                {"type": "array", "items": {"$ref": "#/$defs/lists"}}]}, lambda v: [v]),
+    # a definition that descends into itself
     ({"type": "array", "items": {"$ref": "#/$defs/x"}}, lambda v: [v]),
 ])
 def test_compiled_check_bounds_what_it_accepts_unseen(definition, wrap):
-    check = schema._compile({"x": definition})("x")
-    plain = jsonschema.Draft202012Validator({"$defs": {"x": definition}, "$ref": "#/$defs/x"})
+    # every container of an accepted value is one the check descended into,
+    # so the check stops at a container past the bound itself
+    defs = {"x": definition, "lists": LISTS}
+    check = schema._compile(defs)("x")
+    plain = jsonschema.Draft202012Validator({"$defs": defs, "$ref": "#/$defs/x"})
 
     def nesting(levels):
         return wrap(deep_list(levels - 1))
