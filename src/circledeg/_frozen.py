@@ -1,20 +1,24 @@
 """Value semantics for the package's immutable records.
 
-Each record class declares its fields as ``__slots__``, in constructor
-order, and writes out its own ``__init__``, which validates and then sets
-every field once with ``object.__setattr__``.  :class:`Frozen` supplies
-the rest: equality and hashing over the tuple of fields, the
-``Name(field=value, ...)`` repr, refusal of assignment and deletion, copy
-and pickle support through the constructor, and ``_replace``.
+Each record class declares its fields once, as ``__slots__``, in
+constructor order.  A record that only stores its arguments declares no
+``__init__``: :meth:`Frozen.__init__` takes one positional argument per
+field.  A record that validates or canonicalizes its arguments writes its
+own ``__init__``, which sets every field once with ``object.__setattr__``.
+:class:`Frozen` supplies the rest: equality and hashing over the tuple of
+fields, the ``Name(field=value, ...)`` repr, refusal of assignment and
+deletion, copy and pickle support through the constructor, and
+``_replace``.
 
 >>> class Point(Frozen):
 ...     __slots__ = ("x", "y")
-...     def __init__(self, x, y=0):
-...         object.__setattr__(self, "x", x)
-...         object.__setattr__(self, "y", y)
->>> p = Point(1)
+>>> p = Point(1, 0)
 >>> p, p == Point(1, 0), hash(p) == hash((1, 0)), p._replace(y=2)
 (Point(x=1, y=0), True, True, Point(x=1, y=2))
+>>> Point(1)
+Traceback (most recent call last):
+    ...
+TypeError: Point takes 2 fields, got 1
 """
 
 from __future__ import annotations
@@ -31,6 +35,19 @@ class Frozen:
         # attrgetter of a single name returns the value, not a 1-tuple
         cls._astuple = staticmethod(get if len(cls.__slots__) > 1
                                     else lambda obj: (get(obj),))
+        # getattr, not cls.__dict__: a subclass without slots of its own
+        # inherits its parent's fields
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *fields: object) -> None:
+        setters = self._setters
+        if len(fields) != len(setters):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(setters)} "
+                            f"fields, got {len(fields)}")
+        # next() per field costs less than a zip pair per field
+        values = iter(fields)
+        for store in setters:
+            store(self, next(values))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -58,6 +75,8 @@ class Frozen:
 
     def _replace(self, **changes: object):
         """A copy with ``changes`` applied, validated by the constructor."""
-        fields = dict(zip(self.__slots__, self._astuple(self)))
-        fields.update(changes)
-        return self.__class__(**fields)
+        for name in changes:
+            if name not in self.__slots__:
+                raise TypeError(f"{self.__class__.__qualname__} has no field {name!r}")
+        return self.__class__(*(changes.get(name, value) for name, value
+                                in zip(self.__slots__, self._astuple(self))))

@@ -273,10 +273,6 @@ class SymbolicRepeat(Frozen):
 
     __slots__ = ("factor", "symbol")
 
-    def __init__(self, factor: ManifoldExpr, symbol: str) -> None:
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "symbol", symbol)
-
 
 ManifoldExpr = Union[CircleBundle, SphereProduct, ConnectedSum, Stabilized, SymbolicRepeat]
 
@@ -472,14 +468,6 @@ class MapContribution(Frozen):
 
     __slots__ = ("index", "degree", "image", "solutions", "contribution")
 
-    def __init__(self, index: int, degree: int, image: GroupElement,
-                 solutions: DegreeSet, contribution: DegreeSet) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "solutions", solutions)
-        object.__setattr__(self, "contribution", contribution)
-
     def to_json(self) -> dict:
         return {
             "index": self.index,
@@ -492,12 +480,6 @@ class MapContribution(Frozen):
 
 class FiberPreservingResult(Frozen):
     __slots__ = ("degree_set", "exact", "contributions")
-
-    def __init__(self, degree_set: DegreeSet, exact: bool,
-                 contributions: tuple[MapContribution, ...] = ()) -> None:
-        object.__setattr__(self, "degree_set", degree_set)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "contributions", contributions)
 
     def to_json(self) -> dict:
         return {
@@ -517,7 +499,7 @@ def fiber_preserving_degree_set(catalogue: MapCatalogue, a: GroupElement,
     all and the result short-circuits to {0} for every catalogue.
     """
     if torsion_consistency(a, b) == "incompatible":
-        return FiberPreservingResult(DegreeSet([0]), catalogue.complete)
+        return FiberPreservingResult(DegreeSet([0]), catalogue.complete, ())
     contributions = []
     for i, model in enumerate(catalogue.maps):
         if not lattice_compatible(model.action, b.group, a.group):
@@ -556,11 +538,6 @@ def promote_to_full_degree_set(domain_base: BaseManifold, target_base: BaseManif
 
 class PairResult(Frozen):
     __slots__ = ("degree_set", "exact", "rule")
-
-    def __init__(self, degree_set: DegreeSet, exact: bool, rule: str) -> None:
-        object.__setattr__(self, "degree_set", degree_set)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "rule", rule)
 
     def to_json(self) -> dict:
         out = self.degree_set.to_json()

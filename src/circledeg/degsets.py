@@ -452,12 +452,6 @@ class SearchLimits(Frozen):
 class TranscriptStep(Frozen):
     __slots__ = ("sequence", "sums", "intersection")
 
-    def __init__(self, sequence: SequenceB, sums: tuple[int, ...],
-                 intersection: tuple[int, ...]) -> None:
-        object.__setattr__(self, "sequence", sequence)
-        object.__setattr__(self, "sums", sums)
-        object.__setattr__(self, "intersection", intersection)
-
     def to_json(self) -> dict:
         return {
             "sequence": self.sequence.to_json(),
@@ -485,15 +479,6 @@ class DecompositionCertificate(Frozen):
     """
 
     __slots__ = ("target", "sequences", "hull_bound", "caps", "transcript")
-
-    def __init__(self, target: tuple[int, ...], sequences: tuple[SequenceB, ...],
-                 hull_bound: int, caps: SearchLimits | None,
-                 transcript: tuple[TranscriptStep, ...] | None) -> None:
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "sequences", sequences)
-        object.__setattr__(self, "hull_bound", hull_bound)
-        object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "transcript", transcript)
 
     def to_json(self) -> dict:
         out = {

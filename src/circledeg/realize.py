@@ -166,14 +166,6 @@ class PairClaim(Frozen):
 
     __slots__ = ("index", "domain", "target", "claimed", "rule")
 
-    def __init__(self, index: int, domain: ManifoldExpr, target: ManifoldExpr,
-                 claimed: DegreeSet, rule: str) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "claimed", claimed)
-        object.__setattr__(self, "rule", rule)
-
     def to_json(self) -> dict:
         return {
             "index": self.index,
@@ -203,13 +195,6 @@ class CrossCheck(Frozen):
 
     __slots__ = ("i", "j", "summand", "multiplier", "verdict")
 
-    def __init__(self, i: int, j: int, summand: int, multiplier: int, verdict: str) -> None:
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "summand", summand)
-        object.__setattr__(self, "multiplier", multiplier)
-        object.__setattr__(self, "verdict", verdict)
-
     def to_json(self) -> dict:
         return {
             "i": self.i,
@@ -232,13 +217,6 @@ class Combination(Frozen):
     used as-is."""
 
     __slots__ = ("pad_symbol", "result_domain", "result_target", "rule")
-
-    def __init__(self, pad_symbol: str | None, result_domain: ManifoldExpr,
-                 result_target: ManifoldExpr, rule: str) -> None:
-        object.__setattr__(self, "pad_symbol", pad_symbol)
-        object.__setattr__(self, "result_domain", result_domain)
-        object.__setattr__(self, "result_target", result_target)
-        object.__setattr__(self, "rule", rule)
 
     def to_json(self) -> dict:
         return {
@@ -264,13 +242,6 @@ class Combination(Frozen):
 class Stabilization(Frozen):
     __slots__ = ("shift", "from_dimension", "to_dimension", "rule")
 
-    def __init__(self, shift: int, from_dimension: int, to_dimension: int,
-                 rule: str = "dimension-stabilization") -> None:
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "from_dimension", from_dimension)
-        object.__setattr__(self, "to_dimension", to_dimension)
-        object.__setattr__(self, "rule", rule)
-
     def to_json(self) -> dict:
         return {
             "shift": self.shift,
@@ -290,25 +261,6 @@ class RealizationCertificate(Frozen):
     __slots__ = ("target", "dimension", "base", "class_label", "decomposition", "primes",
                  "multipliers", "pairs", "cross_checks", "combination", "final_set",
                  "stabilizations")
-
-    def __init__(self, target: DegreeSet, dimension: int, base: BaseManifold,
-                 class_label: str, decomposition: DecompositionCertificate,
-                 primes: tuple[int, ...], multipliers: tuple[int, ...],
-                 pairs: tuple[PairClaim, ...], cross_checks: tuple[CrossCheck, ...],
-                 combination: Combination, final_set: DegreeSet,
-                 stabilizations: tuple[Stabilization, ...] = ()) -> None:
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "class_label", class_label)
-        object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "multipliers", multipliers)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "cross_checks", cross_checks)
-        object.__setattr__(self, "combination", combination)
-        object.__setattr__(self, "final_set", final_set)
-        object.__setattr__(self, "stabilizations", stabilizations)
 
     def to_json(self) -> dict:
         return {
@@ -464,7 +416,7 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
     target = DegreeSet(values)
     cert = RealizationCertificate(
         target, n0, base, class_label, decomposition,
-        primes, multipliers, pairs, tuple(crosses), combination, target,
+        primes, multipliers, pairs, tuple(crosses), combination, target, (),
     )
     if dimension > n0:
         cert = stabilize(cert, dimension)
@@ -484,7 +436,7 @@ def stabilize(cert: RealizationCertificate, dimension: int) -> RealizationCertif
         result_domain=Stabilized(cert.combination.result_domain, shift),
         result_target=Stabilized(cert.combination.result_target, shift),
     )
-    record = Stabilization(shift, cert.dimension, dimension)
+    record = Stabilization(shift, cert.dimension, dimension, "dimension-stabilization")
     return cert._replace(
         dimension=dimension,
         combination=combo,
@@ -499,11 +451,6 @@ def stabilize(cert: RealizationCertificate, dimension: int) -> RealizationCertif
 class Check(Frozen):
     __slots__ = ("id", "ok", "detail")
 
-    def __init__(self, id: str, ok: bool, detail: str = "") -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
-
     def to_json(self) -> dict:
         out: dict = {"id": self.id, "ok": self.ok}
         if self.detail:
@@ -513,11 +460,6 @@ class Check(Frozen):
 
 class VerificationReport(Frozen):
     __slots__ = ("valid", "checks", "first_failure")
-
-    def __init__(self, valid: bool, checks: tuple[Check, ...], first_failure: str | None) -> None:
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "first_failure", first_failure)
 
     def to_json(self) -> dict:
         return {
@@ -644,8 +586,10 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         [alpha // beta if alpha % beta == 0 else None for beta in s.entries]
         for s, alpha in zip(seqs, cert.multipliers)]
 
-    check("pair.count", lambda: len(cert.pairs) == r or (
-        f"expected {r} pairs, got {len(cert.pairs)}"))
+    indexes = [p.index for p in cert.pairs]
+    check("pair.count", lambda: indexes == list(range(r)) or (
+        f"expected {r} pairs, got {len(indexes)}" if len(indexes) != r
+        else f"pairs are indexed {indexes}, expected {list(range(r))}"))
     expected_rule = exact_pair_rule(base)
     for i, pair in enumerate(cert.pairs):
         pid = f"pair[{i}]"
@@ -773,6 +717,8 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             and st.to_dimension == st.from_dimension + st.shift
         ) or (f"shift {st.shift} from {st.from_dimension} to {st.to_dimension} "
               f"does not extend dimension {dim} by at least 3"))
+        check(f"stabilization[{t}].rule", lambda: st.rule == "dimension-stabilization"
+              or f"rule {st.rule!r} is not 'dimension-stabilization'")
         chain_ok = chain_ok and ok is True
         dim = st.to_dimension
     check("stabilization.chain", lambda: chain_ok and dim == cert.dimension or (

@@ -3,7 +3,9 @@
 Each class is a slotted ``Frozen`` subclass.  These tests pin, per class,
 what ``@dataclass(frozen=True)`` used to give: field order, structural
 ``==``, ``hash`` of the field tuple, the ``Name(field=value, ...)`` repr,
-refused assignment and deletion, and copy and pickle round trips.
+refused assignment and deletion, and copy and pickle round trips.  They
+also pin the constructor: it takes exactly the fields, positionally, and
+the records that only store their arguments are built by ``Frozen``'s own.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from circledeg._frozen import Frozen
 from circledeg.abelian import FgAbelianGroup, IntegerMatrix
 from circledeg.bundles import (
     MapCatalogue,
@@ -73,6 +76,12 @@ CLASSES = {
     "VerificationReport": (("valid", "checks", "first_failure"),
                            lambda x: {"valid": not x.valid}),
 }
+
+# the records that only store their arguments, built by Frozen.__init__
+STORES_ONLY = {"SymbolicRepeat", "MapContribution", "FiberPreservingResult", "PairResult",
+               "TranscriptStep", "DecompositionCertificate", "PairClaim", "CrossCheck",
+               "Combination", "Stabilization", "RealizationCertificate", "Check",
+               "VerificationReport"}
 
 
 def samples() -> dict:
@@ -134,6 +143,23 @@ def test_value_semantics(name):
 
     for back in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(back) is type(x) and back == x and hash(back) == hash(x)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_constructor_takes_exactly_the_fields(name):
+    fields = CLASSES[name][0]
+    x = SAMPLES[name]
+    values = tuple(getattr(x, f) for f in fields)
+    assert type(x)(*values) == x
+    with pytest.raises(TypeError):
+        type(x)(*values, None)
+    with pytest.raises(TypeError, match="unknown"):
+        x._replace(unknown=1)
+    assert (type(x).__init__ is Frozen.__init__) == (name in STORES_ONLY)
+    if name in STORES_ONLY:
+        n = len(fields)
+        with pytest.raises(TypeError, match=f"^{name} takes {n} fields, got {n - 1}$"):
+            type(x)(*values[:-1])
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))

@@ -461,6 +461,27 @@ def test_tampered_stabilization_shift():
     assert "stabilization.chain" in failing
 
 
+def test_misnumbered_pair_fails_the_count():
+    obj = build_construction({0, 1, 3}, 8).to_json()
+    obj["pairs"][0]["index"] = 7
+    validate_payload("realizationCertificate", obj)  # the schema admits it
+    report = verify_certificate(RealizationCertificate.from_json(obj))
+    assert not report.valid
+    assert report.first_failure == "pair.count"
+    detail = next(c.detail for c in report.checks if c.id == "pair.count")
+    assert detail == "pairs are indexed [7, 1], expected [0, 1]"
+
+
+def test_unknown_stabilization_rule_fails():
+    obj = build_construction({0, 1, 3}, 8).to_json()
+    obj["stabilizations"][0]["rule"] = "made-up"
+    validate_payload("realizationCertificate", obj)  # the schema admits it
+    report = verify_certificate(RealizationCertificate.from_json(obj))
+    assert not report.valid
+    assert report.first_failure == "stabilization[0].rule"
+    assert [c.id for c in report.checks if not c.ok] == ["stabilization[0].rule"]
+
+
 def test_prime_firewall_is_what_blocks_cross_maps():
     # replacing a prime with one that divides the other multiplier must
     # trip the cross checks, not just the prime checks
