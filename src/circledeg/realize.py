@@ -449,30 +449,38 @@ def stabilize(cert: RealizationCertificate, dimension: int) -> RealizationCertif
 
 
 class Check(Frozen):
+    """One check of a report: its id, whether it passed, and the failure
+    detail ("" when it passed).  Built only when
+    :attr:`VerificationReport.checks` is read."""
     __slots__ = ("id", "ok", "detail")
-
-    def to_json(self) -> dict:
-        out: dict = {"id": self.id, "ok": self.ok}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
 
 
 class VerificationReport(Frozen):
-    __slots__ = ("valid", "checks", "first_failure")
+    """The verifier's verdict.  ``rows`` holds one ``(id, verdict)`` pair
+    per check, in the order the checks ran: the verdict is ``True`` when
+    the check passed and otherwise its failure detail, a non-empty
+    string.  ``first_failure`` is the id of the first failed check, or
+    ``None`` when ``valid``."""
+    __slots__ = ("valid", "rows", "first_failure")
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        """The rows as :class:`Check` records, built on each read."""
+        return tuple(Check(cid, verdict is True, "" if verdict is True else verdict)
+                     for cid, verdict in self.rows)
 
     def to_json(self) -> dict:
         return {
             "valid": self.valid,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [{"id": cid, "ok": True} if verdict is True
+                       else {"id": cid, "ok": False, "detail": verdict}
+                       for cid, verdict in self.rows],
             "firstFailure": self.first_failure,
         }
 
     def render(self) -> str:
-        lines = []
-        for c in self.checks:
-            mark = "ok  " if c.ok else "FAIL"
-            lines.append(f"{mark} {c.id}" + (f": {c.detail}" if c.detail else ""))
+        lines = [f"ok   {cid}" if verdict is True else f"FAIL {cid}: {verdict}"
+                 for cid, verdict in self.rows]
         lines.append(
             "valid" if self.valid else f"invalid (first failure: {self.first_failure})"
         )
@@ -495,36 +503,44 @@ def _sum_rule(alpha: int, entries: Sequence[int], summand_multipliers: Sequence[
 def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     """Re-derive every claim of a realization certificate.
 
-    Emits one named check per claim in a fixed order; ``first_failure``
-    is the id of the earliest failed check.  Each S_B(i) is re-derived
-    once, by full subset enumeration, and serves both the decomposition
-    check and pair i's claimed set; pair degree sets are re-won from the
-    same-base rule, cross non-divisibility and the combination shape are
-    recomputed from the stored multipliers.
+    Records one ``(id, verdict)`` row per claim, in a fixed order, in the
+    report's ``rows``; the verdict is True or the failure detail, and
+    ``first_failure`` is the id of the earliest failed check.  No
+    :class:`Check` record is built unless ``report.checks`` is read.  A
+    verdict that can raise :class:`InputError` or a cap goes through a
+    runner that turns the error's text into the detail; the rest are
+    recorded directly.  Each S_B(i) is re-derived once, by full subset
+    enumeration, and serves both the decomposition check and pair i's
+    claimed set; pair degree sets are re-won from the same-base rule,
+    cross non-divisibility and the combination shape are recomputed from
+    the stored multipliers.
     """
-    checks: list[Check] = []
+    rows: list[tuple[str, bool | str]] = []
+    add = rows.append
 
     def check(cid: str, verdict: Callable[[], bool | str]) -> bool | str:
-        """Records check ``cid`` and returns its verdict: ``verdict()`` is
-        True when it passes and otherwise the failure detail, so a detail
-        is formatted only for a failure.  An :class:`InputError` or a cap
-        ``verdict`` raises fails the check with the error's text."""
+        """Records check ``cid`` for a verdict that can raise and returns
+        the verdict: ``verdict()`` is True when it passes and otherwise the
+        failure detail.  An :class:`InputError` or a cap ``verdict`` raises
+        fails the check with the error's text."""
         try:
             got = verdict()
         except (InputError, ResourceCapError) as exc:
             got = str(exc)
-        checks.append(Check(cid, got is True, "" if got is True else got))
+        add((cid, got))
         return got
 
+    # A verdict that cannot raise is recorded directly as ``cond or
+    # detail``, so a detail is formatted only for a failure.
     target = cert.target
-    check("target.form", lambda: target.is_finite_set and target.contains(0)
-          or "target must be a finite set containing 0")
+    add(("target.form", target.is_finite_set and target.contains(0)
+         or "target must be a finite set containing 0"))
 
     decomp = cert.decomposition
     tgt_sorted = tuple(sorted(target.finite)) if target.is_finite_set else ()
-    check("decomposition.matches-target", lambda: decomp.target == tgt_sorted or (
+    add(("decomposition.matches-target", decomp.target == tgt_sorted or (
         f"decomposition target {list(decomp.target)} differs from "
-        f"certificate target {list(tgt_sorted)}"))
+        f"certificate target {list(tgt_sorted)}")))
 
     seqs = decomp.sequences
     r = len(seqs)
@@ -550,34 +566,33 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     claims = claims or [valid] * len(cert.pairs)
 
     expected_primes = 0 if r == 1 else r
-    check("primes.count", lambda: len(cert.primes) == expected_primes or (
-        f"expected {expected_primes} primes for {r} sequences, got {len(cert.primes)}"))
-    check("primes.distinct",
-          lambda: len(set(cert.primes)) == len(cert.primes) or "primes repeat")
+    add(("primes.count", len(cert.primes) == expected_primes or (
+        f"expected {expected_primes} primes for {r} sequences, got {len(cert.primes)}")))
+    add(("primes.distinct", len(set(cert.primes)) == len(cert.primes) or "primes repeat"))
     check("primes.primality", lambda: all(map(_is_prime, cert.primes)) or (
         f"not prime: {[p for p in cert.primes if not _is_prime(p)]}"))
     hull = max((abs(x) for s in seqs for x in s.entries), default=0)
-    check("primes.size", lambda: all(p > hull for p in cert.primes) or (
+    add(("primes.size", all(p > hull for p in cert.primes) or (
         f"primes {[p for p in cert.primes if p <= hull]} are not larger than "
-        f"the largest entry magnitude {hull}"))
+        f"the largest entry magnitude {hull}")))
 
-    check("alpha.count", lambda: len(cert.multipliers) == r or (
-        f"expected {r} multipliers, got {len(cert.multipliers)}"))
+    add(("alpha.count", len(cert.multipliers) == r or (
+        f"expected {r} multipliers, got {len(cert.multipliers)}")))
     for i in range(min(r, len(cert.multipliers))):
         expect = math.prod(seqs[i].entries)
         if r > 1 and i < len(cert.primes):
             expect *= cert.primes[i]
-        check(f"alpha.product[{i}]", lambda: cert.multipliers[i] == expect or (
+        add((f"alpha.product[{i}]", cert.multipliers[i] == expect or (
             f"multiplier {cert.multipliers[i]} is not "
-            f"{'prime times ' if r > 1 else ''}the sequence product {expect}"))
+            f"{'prime times ' if r > 1 else ''}the sequence product {expect}")))
 
     base = cert.base
-    check("base.flags", lambda: all(map(base.has, STRONG_BASE_FLAGS)) or (
-        f"base lacks flags: {[f for f in STRONG_BASE_FLAGS if not base.has(f)]}"))
+    add(("base.flags", all(map(base.has, STRONG_BASE_FLAGS)) or (
+        f"base lacks flags: {[f for f in STRONG_BASE_FLAGS if not base.has(f)]}")))
     label = cert.class_label
     named = dict(base.named_classes)
-    check("base.class", lambda: label in named and label in base.fixes or (
-        f"class {label!r} must be a named class fixed by degree-one self maps"))
+    add(("base.class", label in named and label in base.fixes or (
+        f"class {label!r} must be a named class fixed by degree-one self maps")))
     b = named.get(label)
 
     # alpha_i / beta for each entry beta of B(i), or None where beta does
@@ -587,33 +602,33 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         for s, alpha in zip(seqs, cert.multipliers)]
 
     indexes = [p.index for p in cert.pairs]
-    check("pair.count", lambda: indexes == list(range(r)) or (
+    add(("pair.count", indexes == list(range(r)) or (
         f"expected {r} pairs, got {len(indexes)}" if len(indexes) != r
-        else f"pairs are indexed {indexes}, expected {list(range(r))}"))
+        else f"pairs are indexed {indexes}, expected {list(range(r))}")))
     expected_rule = exact_pair_rule(base)
     for i, pair in enumerate(cert.pairs):
         pid = f"pair[{i}]"
-        check(f"{pid}.rule", lambda: pair.rule == expected_rule or (
-            f"rule {pair.rule!r} does not match the base (expected {expected_rule!r})"))
+        add((f"{pid}.rule", pair.rule == expected_rule or (
+            f"rule {pair.rule!r} does not match the base (expected {expected_rule!r})")))
         if i >= r or i >= len(cert.multipliers):
-            check(f"{pid}.target-euler", lambda: "pair has no matching sequence")
+            add((f"{pid}.target-euler", "pair has no matching sequence"))
             continue
         alpha = cert.multipliers[i]
         entries = seqs[i].entries
         ms = summand_multipliers[i]
-        check(f"{pid}.target-euler", lambda: (
+        add((f"{pid}.target-euler", (
             b is not None
             and isinstance(pair.target, CircleBundle)
             and pair.target.base == base
             and pair.target.euler == alpha * b
-        ) or f"target must be the bundle with Euler class {alpha}*{label}")
+        ) or f"target must be the bundle with Euler class {alpha}*{label}"))
 
         summands = pair.domain.summands if isinstance(pair.domain, ConnectedSum) \
             else (pair.domain,)
         div_bad = [beta for beta, m in zip(entries, ms) if m is None]
-        check(f"{pid}.summand-divisibility", lambda: not div_bad or (
-            f"entries {div_bad} do not divide the multiplier {alpha}"))
-        check(f"{pid}.summand-euler", lambda: (
+        add((f"{pid}.summand-divisibility", not div_bad or (
+            f"entries {div_bad} do not divide the multiplier {alpha}")))
+        add((f"{pid}.summand-euler", (
             b is not None
             and not div_bad
             and len(summands) == len(entries)
@@ -624,10 +639,10 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
                 for s, m in zip(summands, ms)
             )
         ) or ("domain summands must be the bundles with Euler classes "
-              f"({alpha}/beta)*{label} for beta in {list(entries)}"))
+              f"({alpha}/beta)*{label} for beta in {list(entries)}")))
         check(f"{pid}.sum-rule", lambda: "multiplier ratios are not integers" if div_bad
               else _sum_rule(alpha, entries, ms, base, label))
-        check(f"{pid}.claimed-vs-enumeration", lambda: claims[i])
+        add((f"{pid}.claimed-vs-enumeration", claims[i]))
 
     # one cross check is expected for each (i, j, summand) with i != j and
     # summand indexing B(i); they are counted, not built one by one
@@ -649,7 +664,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             return f"missing {sorted(every - got)}, unexpected {sorted(unexpected)}"
         return (f"missing {expected - found} of {expected} expected cross "
                 f"checks, unexpected {len(unexpected)}")
-    check("cross.completeness", completeness)
+    add(("cross.completeness", completeness()))
 
     def nondivisible(c: CrossCheck) -> bool | str:
         if not in_range(c.i, c.j, c.summand):
@@ -669,7 +684,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             return f"summand multiplier {alpha_i}/{beta} is 0; the pair rule needs it nonzero"
         return alpha_j % m != 0 or f"summand multiplier {m} divides {alpha_j}"
     for c in cert.cross_checks:
-        check(f"cross[{c.i},{c.j},{c.summand}].nondivisible", lambda: nondivisible(c))
+        add((f"cross[{c.i},{c.j},{c.summand}].nondivisible", nondivisible(c)))
 
     combo = cert.combination
     n0 = base.dim + 1
@@ -712,20 +727,20 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     dim = n0
     chain_ok = True
     for t, st in enumerate(cert.stabilizations):
-        ok = check(f"stabilization[{t}].shift", lambda: (
-            st.shift >= 3 and st.from_dimension == dim
-            and st.to_dimension == st.from_dimension + st.shift
-        ) or (f"shift {st.shift} from {st.from_dimension} to {st.to_dimension} "
-              f"does not extend dimension {dim} by at least 3"))
-        check(f"stabilization[{t}].rule", lambda: st.rule == "dimension-stabilization"
-              or f"rule {st.rule!r} is not 'dimension-stabilization'")
-        chain_ok = chain_ok and ok is True
+        shifted = (st.shift >= 3 and st.from_dimension == dim
+                   and st.to_dimension == st.from_dimension + st.shift)
+        add((f"stabilization[{t}].shift", shifted or (
+            f"shift {st.shift} from {st.from_dimension} to {st.to_dimension} "
+            f"does not extend dimension {dim} by at least 3")))
+        add((f"stabilization[{t}].rule", st.rule == "dimension-stabilization"
+             or f"rule {st.rule!r} is not 'dimension-stabilization'"))
+        chain_ok = chain_ok and shifted
         dim = st.to_dimension
-    check("stabilization.chain", lambda: chain_ok and dim == cert.dimension or (
-        f"stabilizations end at dimension {dim}, certificate says {cert.dimension}"))
+    add(("stabilization.chain", chain_ok and dim == cert.dimension or (
+        f"stabilizations end at dimension {dim}, certificate says {cert.dimension}")))
 
-    first = next((c.id for c in checks if not c.ok), None)
-    return VerificationReport(first is None, tuple(checks), first)
+    first = next((cid for cid, verdict in rows if verdict is not True), None)
+    return VerificationReport(first is None, tuple(rows), first)
 
 
 def _outline(s: DegreeSet) -> str:

@@ -913,6 +913,14 @@ def test_verify_report_matches_its_snapshot(name):
     assert report.render() == want["text"]
 
 
+def test_every_verdict_is_true_or_a_detail():
+    # the tamper cases among them; a False or an empty detail would be lost
+    # from the report's JSON and text
+    for name, cert in verify_report_cases().items():
+        for cid, verdict in realize.verify_certificate(cert).rows:
+            assert verdict is True or (type(verdict) is str and verdict), (name, cid)
+
+
 @pytest.mark.parametrize("name", sorted(PAIR_RULE_FAILURES))
 def test_pair_rule_failure_is_named_on_every_pair(name):
     report = realize.verify_certificate(verify_report_cases()[f"pair-rule/{name}"])

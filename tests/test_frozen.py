@@ -73,7 +73,7 @@ CLASSES = {
                                 "stabilizations"),
                                lambda x: {"dimension": x.dimension + 1}),
     "Check": (("id", "ok", "detail"), lambda x: {"ok": not x.ok}),
-    "VerificationReport": (("valid", "checks", "first_failure"),
+    "VerificationReport": (("valid", "rows", "first_failure"),
                            lambda x: {"valid": not x.valid}),
 }
 
@@ -89,7 +89,9 @@ def samples() -> dict:
     cert = RealizationCertificate.from_json(json.loads(GOLDEN.read_text()))
     g = FgAbelianGroup(1)
     catalogue = MapCatalogue((MapModel(3, IntegerMatrix.from_rows([[4]])),), complete=True)
-    roots = [cert, stabilize(cert, 7), verify_certificate(cert), catalogue,
+    report = verify_certificate(cert)
+    # a report keeps (id, verdict) rows and builds its Check records on read
+    roots = [cert, stabilize(cert, 7), report, report.checks, catalogue,
              fiber_preserving_degree_set(catalogue, g.element([2]), g.element([1])),
              same_base_pair_degree_set(2, 6, cert.base)]
     found: dict = {}

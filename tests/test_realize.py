@@ -624,6 +624,48 @@ def test_caps_inside_the_verifier_become_failed_checks():
     assert detail["primes.primality"] == (
         f"primality of {PRIMALITY_BOUND} is decided only below {PRIMALITY_BOUND}")
 
+    def wide_target(obj):
+        widen(obj)
+        obj["targetSet"] = copy.deepcopy(wide)
+
+    report = verify_certificate(mutate(cert, wide_target))
+    detail = {c.id: c.detail for c in report.checks if not c.ok}
+    assert detail["final.equals-target"].startswith("comparing degree sets would enumerate ")
+
+
+def test_a_combination_that_is_no_manifold_fails_its_dimension_check():
+    # only a certificate built in Python can hold one: the decoder builds
+    # manifold expressions, and expr_dim raises InputError on anything else
+    cert = build_construction({0, 1, 3}, 4)
+    bad = cert._replace(combination=cert.combination._replace(result_domain="M"))
+    detail = {c.id: c.detail for c in verify_certificate(bad).checks if not c.ok}
+    assert detail["combination.dimension"] == "not a manifold expression: 'M'"
+
+
+def test_a_report_builds_no_check_until_its_checks_are_read(monkeypatch):
+    built = []
+
+    class Counting(realize.Check):
+        def __init__(self, *fields):
+            built.append(fields)
+            super().__init__(*fields)
+
+    monkeypatch.setattr(realize, "Check", Counting)
+    cert = build_construction({0, 1, 3}, 4)
+    prime_too_small = tamper_cases()[0][0]
+    for c in (cert, mutate(cert, prime_too_small)):
+        report = verify_certificate(c)
+        assert report.valid == (c is cert)
+        assert report.first_failure == (None if c is cert else "primes.size")
+        shown = report.to_json()["checks"]
+        report.render()
+        assert not built
+        checks = report.checks
+        assert len(built) == len(checks) == len(shown)
+        assert [(k.id, k.ok, k.detail) for k in checks] == \
+            [(k["id"], k["ok"], k.get("detail", "")) for k in shown]
+        built.clear()
+
 
 def test_render_lists_rules():
     cert = build_construction({0, 1, 3}, 4)
