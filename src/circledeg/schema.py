@@ -17,22 +17,21 @@ the document uses, with jsonschema's meaning: every subschema has a
 subschema; an array is a ``"type": "array"`` with ``items``; and a type
 list names only scalar types.  Compiling refuses anything else, any other
 keyword and any ``$ref`` outside the document, so an edit to the schema
-cannot silently weaken validation.  jsonschema is imported only
-to word a rejection: its best match names the offending field.  Its
-``properties`` and ``items`` keywords are guided by the compiled checks:
-a child that the check for its subschema accepts yields no error, so
-jsonschema walks only the subtrees the compiled checks reject, and the
-errors, their order and the best match stay what a plain validator
-gives.  Their wording is jsonschema's too, but for ``maxItems``, which
+cannot silently weaken validation.  A rejection is worded by one walk
+over the payload that lists the errors jsonschema's validator would,
+with its messages, and picks jsonschema's best match, which names the
+offending field.  The walk descends only into the subtrees the compiled
+checks reject.  The wording is jsonschema's but for ``maxItems``, which
 names the array's length and the maximum where jsonschema echoes the
-whole array, megabytes of it for a long array of large items.  A payload
-nested more than ``MAX_NESTING`` containers deep is refused, so neither can
-exhaust the interpreter's stack.  The compiled checks are passed each
-value's depth and stop at a container past the bound; as every object is
-closed and every array has ``items``, they descend into every container of
-a payload they accept, so an accepted payload is within the bound without
-a walk of its own.  A rejected one is walked for its depth before
-jsonschema words the rejection.
+whole array, megabytes of it for a long array of large items; jsonschema
+itself is not needed at run time.  A payload nested more than
+``MAX_NESTING`` containers deep is refused, so neither the checks nor the
+walk can exhaust the interpreter's stack.  The compiled checks are passed
+each value's depth and stop at a container past the bound; as every
+object is closed and every array has ``items``, they descend into every
+container of a payload they accept, so an accepted payload is within the
+bound without a walk of its own.  A rejected one is walked for its depth
+before its errors are listed.
 
 >>> validate_payload("pairInput", {"m": 2, "k": 6})
 >>> validate_payload("pairInput", {"m": 0, "k": 6})
@@ -44,11 +43,13 @@ circledeg.errors.InputError: invalid pairInput at $.m: 0 should not be valid und
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from importlib import resources
 from itertools import repeat
 from typing import Callable
 
+from ._frozen import Frozen
 from .errors import InputError
 
 __all__ = ["SCHEMA_VERSION", "schema_names", "schema_for", "validate_payload"]
@@ -56,7 +57,8 @@ __all__ = ["SCHEMA_VERSION", "schema_names", "schema_for", "validate_payload"]
 SCHEMA_VERSION = 1
 
 # Certificates from ``realize`` nest 10 containers deep and every
-# ``stabilize`` adds 2; jsonschema still words a rejection at ~200 levels.
+# ``stabilize`` adds 2; the walk that words a rejection still does so at
+# ~280 levels.
 MAX_NESTING = 100
 
 _DOCUMENT = "circledeg-v1.schema.json"
@@ -321,50 +323,130 @@ def _nested_deeper_than(obj: object, limit: int) -> bool:
     return bool(layer)
 
 
-@lru_cache(maxsize=1)
-def _guided():
-    """Draft 2020-12 with ``properties`` and ``items`` descending only into
-    the children their compiled subschema check rejects; the arguments
-    passed to ``descend`` are those of jsonschema's own keywords.  The
-    ``items`` here assumes what compiling enforces: no ``prefixItems``,
-    and a subschema rather than a boolean.  ``maxItems`` rejects what
-    jsonschema's does, worded by length rather than by the array's repr."""
-    from jsonschema.exceptions import ValidationError
-    from jsonschema.validators import Draft202012Validator, extend
-
-    def accepts(instance, subschema) -> bool:
-        # called once the payload is known to nest within the bound, so
-        # depth 0 never trips it
-        check = _shipped().checks.get(id(subschema))
-        return check is not None and check(instance, 0)
-
-    def properties(validator, properties, instance, schema):
-        if not validator.is_type(instance, "object"):
-            return
-        for name, subschema in properties.items():
-            if name in instance and not accepts(instance[name], subschema):
-                yield from validator.descend(
-                    instance[name], subschema, path=name, schema_path=name)
-
-    def items(validator, items, instance, schema):
-        if not validator.is_type(instance, "array"):
-            return
-        for index, item in enumerate(instance):
-            if not accepts(item, items):
-                yield from validator.descend(instance=item, schema=items, path=index)
-
-    def max_items(validator, maximum, instance, schema):
-        if validator.is_type(instance, "array") and len(instance) > maximum:
-            yield ValidationError(f"array of {len(instance)} items is longer "
-                                  f"than the maximum of {maximum}")
-
-    return extend(Draft202012Validator, {
-        "properties": properties, "items": items, "maxItems": max_items})
+class _Error(Frozen):
+    """A rejection as jsonschema reports it: the path from the value the
+    walk started at, the message, the failing keyword, the subschema that
+    holds it, the value it failed on and, for ``oneOf``, the errors of
+    every branch."""
+    __slots__ = ("path", "message", "keyword", "schema", "value", "context")
 
 
-@lru_cache(maxsize=None)
-def _validator(name: str):
-    return _guided()(schema_for(name))
+# the type of value each keyword applies to; it passes any other
+_APPLIES_TO = {
+    "properties": "object", "required": "object", "additionalProperties": "object",
+    "items": "array", "minItems": "array", "maxItems": "array",
+    "minLength": "string", "minimum": "number", "maximum": "number",
+}
+
+
+def _has_type(v: object, types: str | list) -> bool:
+    """Whether ``v`` is of a ``type`` string or of a type in a list."""
+    return any(isinstance(v, dict) if t == "object" else isinstance(v, list)
+               if t == "array" else _TYPES[t](v, 0)
+               for t in ([types] if isinstance(types, str) else types))
+
+
+def _errors(schema: dict, v: object, path: tuple) -> list[_Error]:
+    """The errors jsonschema's Draft 2020-12 validator gives ``v`` under a
+    shipped ``schema``, in its order and with its messages but for
+    ``maxItems``, which names the array's length and the maximum where
+    jsonschema echoes the whole array.  It descends only into the children
+    whose compiled check rejects them, as an accepted child has no errors.
+    Called once the payload is known to nest within the bound, so a check
+    at depth 0 never raises ``_TooDeep``."""
+    checks = _shipped().checks
+    found: list[_Error] = []
+
+    def fail(keyword: str, message: str, context: list = ()) -> None:
+        found.append(_Error(path, message, keyword, schema, v, context))
+
+    def descend(sub: dict, key: object) -> None:
+        if not checks[id(sub)](v[key], 0):
+            found.extend(_errors(sub, v[key], path + (key,)))
+    for keyword, arg in schema.items():
+        if keyword in _APPLIES_TO and not _has_type(v, _APPLIES_TO[keyword]):
+            continue
+        if keyword == "$ref":
+            found += _errors(_document()["$defs"][arg.removeprefix("#/$defs/")], v, path)
+        elif keyword == "type" and not _has_type(v, arg):
+            names = [arg] if isinstance(arg, str) else arg
+            fail(keyword, f"{v!r} is not of type {', '.join(map(repr, names))}")
+        elif keyword == "const" and not _same(v, arg):
+            fail(keyword, f"{arg!r} was expected")
+        elif keyword == "enum" and not any(_same(v, e) for e in arg):
+            fail(keyword, f"{v!r} is not one of {arg!r}")
+        elif keyword == "not" and checks[id(arg)](v, 0):
+            fail(keyword, f"{v!r} should not be valid under {arg!r}")
+        elif keyword == "oneOf":
+            valid = [sub for sub in arg if checks[id(sub)](v, 0)]
+            if not valid:
+                fail(keyword, f"{v!r} is not valid under any of the given schemas",
+                     [e for sub in arg for e in _errors(sub, v, ())])
+            elif len(valid) > 1:
+                fail(keyword, f"{v!r} is valid under each of "
+                              f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
+        elif keyword == "properties":
+            for key, sub in arg.items():
+                if key in v:
+                    descend(sub, key)
+        elif keyword == "required":
+            for key in arg:
+                if key not in v:
+                    fail(keyword, f"{key!r} is a required property")
+        elif keyword == "additionalProperties":
+            extras = [key for key in v if key not in schema.get("properties", {})]
+            if arg is not False:
+                for key in extras:
+                    descend(arg, key)
+            elif extras:
+                fail(keyword, "Additional properties are not allowed ({} {} unexpected)".format(
+                    ", ".join(map(repr, sorted(extras, key=str))),
+                    "was" if len(extras) == 1 else "were"))
+        elif keyword == "items":
+            for index in range(len(v)):
+                descend(arg, index)
+        elif keyword in ("minItems", "minLength") and len(v) < arg:
+            fail(keyword, f"{v!r} {'should be non-empty' if arg == 1 else 'is too short'}")
+        elif keyword == "maxItems" and len(v) > arg:
+            fail(keyword, f"array of {len(v)} items is longer than the maximum of {arg}")
+        elif keyword == "minimum" and v < arg:
+            fail(keyword, f"{v!r} is less than the minimum of {arg!r}")
+        elif keyword == "maximum" and v > arg:
+            fail(keyword, f"{v!r} is greater than the maximum of {arg!r}")
+    return found
+
+
+def _relevance(error: _Error) -> tuple:
+    """jsonschema's ``relevance``: a shallower error first, then the later
+    of two siblings, then one not from ``oneOf``, then one whose subschema
+    does not name the value's type."""
+    typed = "type" in error.schema and _has_type(error.value, error.schema["type"])
+    return -len(error.path), error.path, error.keyword != "oneOf", not typed
+
+
+def _best_match(errors: list[_Error]) -> _Error:
+    """jsonschema's ``best_match`` among ``errors``, a non-empty list, with
+    the path from the payload: the most relevant error, then down a
+    ``oneOf``'s context to its least relevant error until two tie."""
+    best = max(errors, key=_relevance)
+    path = best.path
+    while best.context:
+        least = sorted(best.context, key=_relevance)[:2]
+        if len(least) == 2 and _relevance(least[0]) == _relevance(least[1]):
+            break
+        best = least[0]
+        path += best.path
+    return best._replace(path=path)
+
+
+def _json_path(path: tuple) -> str:
+    """jsonschema's ``json_path``: ``.key`` for a key like an identifier,
+    ``['key']`` with ``\\`` and ``'`` escaped for any other, ``[i]`` for an
+    index."""
+    return "$" + "".join(
+        f"[{key}]" if isinstance(key, int) else "." + key
+        if re.match("^[a-zA-Z][a-zA-Z0-9_]*$", key)
+        else "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']" for key in path)
 
 
 def validate_payload(name: str, obj: object) -> None:
@@ -379,10 +461,6 @@ def validate_payload(name: str, obj: object) -> None:
     if _nested_deeper_than(obj, MAX_NESTING):
         raise InputError(
             f"invalid {name} at payload: nested more than {MAX_NESTING} levels deep")
-    from jsonschema.exceptions import best_match
-
-    best = best_match(_validator(name).iter_errors(obj))
-    if best is None:
-        return
-    where = best.json_path if best.json_path != "$" else "payload"
+    best = _best_match(_errors(_document()["$defs"][name], obj, ()))
+    where = _json_path(best.path) if best.path else "payload"
     raise InputError(f"invalid {name} at {where}: {best.message}")

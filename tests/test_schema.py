@@ -1,9 +1,11 @@
-"""Compiled schema checks against jsonschema, the reference they replace.
+"""Compiled schema checks and the walk that words their rejections,
+against jsonschema as the oracle.
 
 Every verdict of a compiled check must equal jsonschema's Draft 2020-12
 verdict, and every rejection must carry the text jsonschema's best match
 gives, on the golden files, the payloads the CLI reads and writes, and
-random mutations of valid ones.
+random mutations of valid ones.  jsonschema is a test dependency only:
+the package never imports it.
 """
 
 from __future__ import annotations
@@ -421,6 +423,15 @@ def test_manifold_expr_one_of_edges():
     assert_agrees("manifoldExpr", {"sum": [{"bundle": bundle}]})
 
 
+@pytest.mark.parametrize("key", ["b c", "it's", "1x", "a\\b", "x-y", "_u", "ü"])
+def test_path_quotes_a_key_that_is_not_an_identifier(key):
+    # mutations only add identifier keys, so none reaches the quoted form
+    base = {"name": "b", "dim": 3, "group": {"rank": 1},
+            "classes": {"ok": {"free": [1]}, key: {"free": ["1"]}}}
+    assert_agrees("baseManifold", base)
+    assert "['" in reference_error("baseManifold", base)
+
+
 def test_search_caps_are_bounded_alike_in_every_copy():
     defs = schema._document()["$defs"]
     copies = [{key: defs[name]["properties"][key] for key in ("maxLen", "maxEntry", "budget")}
@@ -504,7 +515,7 @@ def subschemas(schema: dict):
 
 
 def test_every_shipped_subschema_compiles_to_a_check():
-    # the guided validator skips a subtree only through its check
+    # the rejection walk skips a subtree only through its check
     lookup = schema._shipped()
     for name in NAMES:
         lookup(name)
@@ -561,8 +572,6 @@ def test_guided_rejection_text_is_the_plain_validators(edit):
     with pytest.raises(InputError) as err:
         validate_payload("realizationCertificate", cert)
     assert str(err.value) == reference_error("realizationCertificate", cert)
-    assert type(schema._validator("realizationCertificate")) is not \
-        type(reference("realizationCertificate"))
 
 
 def test_max_items_rejection_names_the_length_not_the_array():
@@ -571,12 +580,12 @@ def test_max_items_rejection_names_the_length_not_the_array():
     cert = golden_certificate()
     cert["pairs"][0]["claimed"] = {"finite": [0], "progressions": [
         {"base": 1, "mod": m} for m in range(2, 2 + PROGRESSION_CAP + 1)]}
-    errors = schema._validator("realizationCertificate").iter_errors(cert)
-    guided = jsonschema.exceptions.best_match(errors)
+    best = schema._best_match(schema._errors(
+        schema._document()["$defs"]["realizationCertificate"], cert, ()))
     plain = jsonschema.exceptions.best_match(
         reference("realizationCertificate").iter_errors(cert))
-    assert (guided.json_path, guided.validator) == (plain.json_path, plain.validator) \
-        == ("$.pairs[0].claimed.progressions", "maxItems")
+    assert (schema._json_path(best.path), best.keyword) == \
+        (plain.json_path, plain.validator) == ("$.pairs[0].claimed.progressions", "maxItems")
     assert plain.message.endswith("}] is too long")
     with pytest.raises(InputError) as err:
         validate_payload("realizationCertificate", cert)
@@ -600,14 +609,20 @@ def descended_paths(validator, obj) -> list:
     return seen
 
 
-def test_guided_rejection_walks_only_rejected_subtrees():
+def test_guided_rejection_walks_only_rejected_subtrees(monkeypatch):
     cert = golden_certificate()
     cert["dimension"] = "4"
+    walked: list = []
+    errors = schema._errors
+
+    def counting(sub, value, path):
+        walked.append(path)
+        return errors(sub, value, path)
+    monkeypatch.setattr(schema, "_errors", counting)
     with pytest.raises(InputError, match=r"at \$\.dimension: '4' is not of type"):
         validate_payload("realizationCertificate", cert)
-    guided = descended_paths(schema._validator("realizationCertificate"), cert)
-    assert "dimension" in guided
-    assert not {"pairs", "crossChecks", "decomposition"} & set(guided)
+    assert ("dimension",) in walked
+    assert not {"pairs", "crossChecks", "decomposition"} & {p[0] for p in walked if p}
     plain = descended_paths(reference("realizationCertificate"), cert)
     assert {"pairs", "crossChecks", "decomposition"} <= set(plain)
 
@@ -794,7 +809,7 @@ def test_nesting_bound_is_exact():
     assert not schema._nested_deeper_than(deepest, schema.MAX_NESTING)
     assert schema._nested_deeper_than(deepest, schema.MAX_NESTING - 1)
     validate_payload("finiteInput", deepest)
-    # a rejection at the bound is still worded by jsonschema
+    # a rejection at the bound is still worded as jsonschema words it
     bad = {"domain": nested_expr(levels, shift=2), "target": {"sphereProduct": 2}}
     assert_agrees("finiteInput", bad)
     deeper = {"domain": {"sum": [nested_expr(levels)]}, "target": {"sphereProduct": 2}}
@@ -945,16 +960,42 @@ def test_compiled_check_bounds_what_it_accepts_unseen(definition, wrap):
         check(nesting(limit - 4), 5)
 
 
+# one payload rejected by each kind of keyword, and that keyword
+REJECTED = [
+    ("pairInput", {"k": 6}, "required"),
+    ("pairInput", {"m": "2", "k": 6}, "type"),
+    ("pairInput", {"m": 2, "k": 6, "x": 1}, "additionalProperties"),
+    ("pairInput", {"m": 0, "k": 6}, "not"),
+    ("manifoldExpr", {}, "oneOf"),
+    ("baseManifold", {"name": "b", "dim": 1, "group": {"rank": 1}}, "minimum"),
+    ("degreeSet", {"finite": [], "progressions": [{"base": 0, "mod": 1}]
+                   * (PROGRESSION_CAP + 1)}, "maxItems"),
+]
+
+
 def test_valid_request_never_imports_jsonschema():
+    # nor does a rejection, whichever keyword rejects it
+    for name, obj, keyword in REJECTED:
+        assert jsonschema.exceptions.best_match(
+            reference(name).iter_errors(obj)).validator == keyword
     env = dict(os.environ)
     src = str(Path(circledeg.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    script = ("import sys\n"
+    script = ("import json, sys\n"
               "from circledeg.cli import main\n"
+              "from circledeg.errors import InputError\n"
+              "from circledeg.schema import validate_payload\n"
               "assert main(['pair', '-m', '2', '-k', '6']) == 0\n"
+              "for name, obj in json.loads(sys.argv[1]):\n"
+              "    try:\n"
+              "        validate_payload(name, obj)\n"
+              "    except InputError:\n"
+              "        continue\n"
+              "    raise AssertionError(f'{name} was accepted')\n"
               "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
               "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    rejected = json.dumps([[name, obj] for name, obj, _ in REJECTED])
+    proc = subprocess.run([sys.executable, "-c", script, rejected], capture_output=True,
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"finite": [0, 3]}
