@@ -881,11 +881,53 @@ PAIR_RULE_FAILURES = {  # name -> (edit, pair[i].sum-rule detail)
 }
 
 
+def _short_multipliers(cert):
+    cert["multipliers"] = cert["multipliers"][:1]
+
+
+def _pair_of_another_dimension(cert):
+    cert["pairs"][1]["domain"] = {"sphereProduct": 5}
+
+
+def _zero_multiplier(cert):
+    cert["multipliers"][0] = 0
+    for cross in cert["crossChecks"]:
+        if cross["i"] == 0:
+            cross["multiplier"] = 0
+
+
+INCONSISTENT = {  # name -> edit
+    "short-multipliers": _short_multipliers,
+    "pair-of-another-dimension": _pair_of_another_dimension,
+    "zero-multiplier": _zero_multiplier,
+}
+
+
+def _duplicated_cross(cert):
+    cert["crossChecks"].append(dict(cert["crossChecks"][0]))
+
+
+def _cross_out_of_range(cert):
+    cert["crossChecks"][0]["j"] = 7
+
+
+def _skipped_cross(cert):
+    cert["crossChecks"][0]["verdict"] = "skip"
+
+
+CROSS_RECORDS = {  # name -> edit of one cross-check record
+    "duplicated": _duplicated_cross,
+    "out-of-range": _cross_out_of_range,
+    "skipped": _skipped_cross,
+}
+
+
 @lru_cache(maxsize=1)
 def verify_report_cases() -> dict[str, realize.RealizationCertificate]:
     """Name -> certificate: both golden certificates, every tamper case of
-    ``test_realize``, every hostile certificate and the golden certificate
-    over bases the pair rule does not cover exactly."""
+    ``test_realize``, every hostile certificate, the golden certificate
+    over bases the pair rule does not cover exactly, every inconsistent
+    certificate and every edited cross-check record."""
     def load(text):
         return realize.RealizationCertificate.from_json(json.loads(text))
     cases = {f"golden/{name}": load((GOLDEN / name).read_text())
@@ -897,6 +939,10 @@ def verify_report_cases() -> dict[str, realize.RealizationCertificate]:
         cases[f"hostile/{name}"] = load(_hostile(edit))
     for name, (edit, _) in PAIR_RULE_FAILURES.items():
         cases[f"pair-rule/{name}"] = load(_hostile(edit))
+    for name, edit in INCONSISTENT.items():
+        cases[f"inconsistent/{name}"] = load(_hostile(edit))
+    for name, edit in CROSS_RECORDS.items():
+        cases[f"cross/{name}"] = load(_hostile(edit))
     return cases
 
 
@@ -928,21 +974,6 @@ def test_pair_rule_failure_is_named_on_every_pair(name):
     detail = PAIR_RULE_FAILURES[name][1]
     assert got["pair[0].sum-rule"] == got["pair[1].sum-rule"] == detail
     assert report.first_failure == "base.flags"
-
-
-def _short_multipliers(cert):
-    cert["multipliers"] = cert["multipliers"][:1]
-
-
-def _pair_of_another_dimension(cert):
-    cert["pairs"][1]["domain"] = {"sphereProduct": 5}
-
-
-def _zero_multiplier(cert):
-    cert["multipliers"][0] = 0
-    for cross in cert["crossChecks"]:
-        if cross["i"] == 0:
-            cross["multiplier"] = 0
 
 
 # the first and third raised IndexError and ZeroDivisionError, the second
