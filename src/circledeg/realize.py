@@ -31,7 +31,8 @@ as a certificate listing every claim with the rule that justifies it:
 ``verify_certificate`` re-derives every claim from scratch and reports
 one named check per claim, in a fixed order, with the first failing
 check singled out.  Each claimed set S_B(i) is re-derived by enumerating
-all subsets of B(i), never by the sum DP the builder uses.
+all subsets of B(i), never by the sum DP of ``decompose``, whose
+transcript the builder reads its claimed sets from.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .degsets import (
     SequenceB,
     decompose,
     enumerated_sums,
-    subsequence_sums,
 )
 from .errors import HypothesisError, InputError, ResourceCapError
 
@@ -330,13 +330,13 @@ def _require_strong_base(base: BaseManifold, class_label: str) -> None:
         )
 
 
-def _build_pair(index: int, seq: SequenceB, alpha: int, summand_multipliers: list[int],
+def _build_pair(index: int, sums: Sequence[int], alpha: int, summand_multipliers: list[int],
                 base: BaseManifold, class_label: str) -> PairClaim:
     b = base.cls(class_label)
     summands = tuple(CircleBundle(base, b.scale(m)) for m in summand_multipliers)
     domain: ManifoldExpr = summands[0] if len(summands) == 1 else ConnectedSum(summands)
     target = CircleBundle(base, alpha * b)
-    return PairClaim(index, domain, target, subsequence_sums(seq), exact_pair_rule(base))
+    return PairClaim(index, domain, target, DegreeSet(sums), exact_pair_rule(base))
 
 
 def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
@@ -349,6 +349,10 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
     surface, knot-glue-3 and hyp-odd-4; higher dimensions build over the
     surface and stabilize up.  With an explicit base the construction
     dimension is base.dim + 1 and any remaining gap must be at least 3.
+
+    Pair i claims the set S_B(i) that ``decompose`` recorded in its
+    transcript, so no sum set is computed twice; the verifier never reads
+    the transcript and re-derives each S_B(i) by enumeration.
     """
     if isinstance(a, DegreeSet):
         if not a.is_finite_set:
@@ -386,9 +390,11 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
     # alpha_i / beta for each entry beta of B(i)
     summand_multipliers = [[alpha // beta for beta in s.entries]
                            for s, alpha in zip(seqs, multipliers)]
+    # pair i claims S_B(i), which ``decompose`` recorded in its transcript
     pairs = tuple(
-        _build_pair(i, s, alpha, ms, base, class_label)
-        for i, (s, alpha, ms) in enumerate(zip(seqs, multipliers, summand_multipliers))
+        _build_pair(i, step.sums, alpha, ms, base, class_label)
+        for i, (step, alpha, ms) in enumerate(
+            zip(decomposition.transcript, multipliers, summand_multipliers))
     )
 
     crosses = []
@@ -511,9 +517,15 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     runner that turns the error's text into the detail; the rest are
     recorded directly.  Each S_B(i) is re-derived once, by full subset
     enumeration, and serves both the decomposition check and pair i's
-    claimed set; pair degree sets are re-won from the same-base rule,
-    cross non-divisibility and the combination shape are recomputed from
-    the stored multipliers.
+    claimed set; the decomposition's transcript is not read.  Pair degree
+    sets are re-won from the same-base rule, and cross non-divisibility
+    and the combination shape are recomputed from the stored multipliers.
+    A summand's Euler class is compared with m*b by its coordinates, and
+    the combined pair by its summands, so neither m*b nor a connected sum
+    is built unless a failure is worded.  One pass over the cross-check
+    records decides each record and gathers the completeness data; the
+    ``cross.completeness`` row, which names missing, out-of-range and
+    repeated records, still comes before the records' rows.
     """
     rows: list[tuple[str, bool | str]] = []
     add = rows.append
@@ -632,10 +644,14 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             b is not None
             and not div_bad
             and len(summands) == len(entries)
+            # a summand over ``base`` has its Euler class in b's group, so
+            # it is m*b when its coordinates are those of m*b
             and all(
                 isinstance(s, CircleBundle)
                 and s.base == base
-                and s.euler == b.scale(m)
+                and s.euler.free == tuple([m * x for x in b.free])
+                and (not b.torsion or s.euler.torsion == tuple(
+                    [m * x % d for x, d in zip(b.torsion, b.group.torsion)]))
                 for s, m in zip(summands, ms)
             )
         ) or ("domain summands must be the bundles with Euler classes "
@@ -645,46 +661,58 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         add((f"{pid}.claimed-vs-enumeration", claims[i]))
 
     # one cross check is expected for each (i, j, summand) with i != j and
-    # summand indexing B(i); they are counted, not built one by one
+    # summand indexing B(i).  One pass decides each record and gathers
+    # what completeness needs; its row still comes before the records'.
     lengths = [len(s) for s in seqs]
-
-    def in_range(i: int, j: int, summand: int) -> bool:
-        return 0 <= i < r and 0 <= j < r and i != j and 0 <= summand < lengths[i]
-
-    def completeness() -> bool | str:
-        expected = (r - 1) * sum(lengths)
-        got = {(c.i, c.j, c.summand) for c in cert.cross_checks}
-        unexpected = {t for t in got if not in_range(*t)}
-        found = len(got) - len(unexpected)
-        if not unexpected and found == expected and len(cert.cross_checks) == len(got):
-            return True
-        if expected <= _CROSS_LISTING_CAP:
-            every = {(i, j, s_idx) for i in range(r) for j in range(r) if i != j
-                     for s_idx in range(lengths[i])}
-            return f"missing {sorted(every - got)}, unexpected {sorted(unexpected)}"
-        return (f"missing {expected - found} of {expected} expected cross "
-                f"checks, unexpected {len(unexpected)}")
-    add(("cross.completeness", completeness()))
-
-    def nondivisible(c: CrossCheck) -> bool | str:
-        if not in_range(c.i, c.j, c.summand):
-            return "cross check out of range"
-        if max(c.i, c.j) >= len(cert.multipliers):
-            return "cross check names a pair without a multiplier"
-        beta = seqs[c.i].entries[c.summand]
-        alpha_i, alpha_j = cert.multipliers[c.i], cert.multipliers[c.j]
-        m = summand_multipliers[c.i][c.summand]
-        if m is None:
-            return f"entry {beta} does not divide multiplier {alpha_i}"
-        if c.multiplier != m:
-            return f"stored multiplier {c.multiplier} is not {alpha_i}/{beta} = {m}"
-        if c.verdict != "pass":
-            return f"verdict {c.verdict!r} is not 'pass'"
-        if m == 0:
-            return f"summand multiplier {alpha_i}/{beta} is 0; the pair rule needs it nonzero"
-        return alpha_j % m != 0 or f"summand multiplier {m} divides {alpha_j}"
+    multipliers = cert.multipliers
+    keys: set[tuple[int, int, int]] = set()
+    unexpected: set[tuple[int, int, int]] = set()
+    duplicated: set[tuple[int, int, int]] = set()
+    cross_rows = []
     for c in cert.cross_checks:
-        add((f"cross[{c.i},{c.j},{c.summand}].nondivisible", nondivisible(c)))
+        i, j, s_idx = key = (c.i, c.j, c.summand)
+        if key in keys:
+            duplicated.add(key)
+        keys.add(key)
+        if not (0 <= i < r and 0 <= j < r and i != j and 0 <= s_idx < lengths[i]):
+            unexpected.add(key)
+            verdict: bool | str = "cross check out of range"
+        elif i >= len(multipliers) or j >= len(multipliers):
+            verdict = "cross check names a pair without a multiplier"
+        else:
+            alpha_i, alpha_j = multipliers[i], multipliers[j]
+            m = summand_multipliers[i][s_idx]
+            beta = seqs[i].entries[s_idx]
+            if m is None:
+                verdict = f"entry {beta} does not divide multiplier {alpha_i}"
+            elif c.multiplier != m:
+                verdict = f"stored multiplier {c.multiplier} is not {alpha_i}/{beta} = {m}"
+            elif c.verdict != "pass":
+                verdict = f"verdict {c.verdict!r} is not 'pass'"
+            elif m == 0:
+                verdict = (f"summand multiplier {alpha_i}/{beta} is 0; "
+                           "the pair rule needs it nonzero")
+            else:
+                verdict = alpha_j % m != 0 or f"summand multiplier {m} divides {alpha_j}"
+        cross_rows.append((f"cross[{i},{j},{s_idx}].nondivisible", verdict))
+
+    expected = (r - 1) * sum(lengths)
+    found = len(keys) - len(unexpected)
+    if not unexpected and not duplicated and found == expected:
+        complete: bool | str = True
+    elif expected <= _CROSS_LISTING_CAP:
+        every = {(i, j, s_idx) for i in range(r) for j in range(r) if i != j
+                 for s_idx in range(lengths[i])}
+        complete = f"missing {sorted(every - keys)}, unexpected {sorted(unexpected)}"
+        if duplicated:
+            complete += f", duplicated {sorted(duplicated)}"
+    else:
+        complete = (f"missing {expected - found} of {expected} expected cross "
+                    f"checks, unexpected {len(unexpected)}")
+        if duplicated:
+            complete += f", duplicated {len(duplicated)}"
+    add(("cross.completeness", complete))
+    rows.extend(cross_rows)
 
     combo = cert.combination
     n0 = base.dim + 1
@@ -699,12 +727,19 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
                     and dom == cert.pairs[0].domain
                     and cod == cert.pairs[0].target
                     ) or "single-pair combination must reuse the pair unchanged"
-        if combo.pad_symbol is not None and len(cert.pairs) == r:
+        if (combo.pad_symbol is not None and len(cert.pairs) == r
+                and combo.rule == "padded-combination"):
             pad = (SymbolicRepeat(SphereProduct(n0), combo.pad_symbol),)
-            if (combo.rule == "padded-combination"
-                    and dom == ConnectedSum(tuple(p.domain for p in cert.pairs) + pad)
-                    and cod == ConnectedSum(tuple(p.target for p in cert.pairs) + pad)):
+            domains = tuple(p.domain for p in cert.pairs) + pad
+            targets = tuple(p.target for p in cert.pairs) + pad
+            dom_ok = isinstance(dom, ConnectedSum) and dom.summands == domains
+            if dom_ok and isinstance(cod, ConnectedSum) and cod.summands == targets:
                 return True
+            # summands that cannot form a connected sum fail with the reason
+            # the constructor gives, domains first
+            ConnectedSum(domains)
+            if dom_ok:
+                ConnectedSum(targets)
         return ("combination must connect-sum all pair domains (and targets) "
                 f"with a symbolic number of S^{n0 - 1}xS^1 copies")
     check("combination.shape", shape)

@@ -846,6 +846,14 @@ def test_hostile_certificate_details(cli):
     got = details(_many_short_sequences)
     assert got["cross.completeness"] == \
         "missing 998998 of 999000 expected cross checks, unexpected 2"
+
+    def repeated(cert):  # a record given three times is one duplicate
+        _many_short_sequences(cert)
+        _duplicated_cross(cert)
+        _duplicated_cross(cert)
+    assert details(repeated)["cross.completeness"] == ("missing 998998 of 999000 "
+                                                       "expected cross checks, "
+                                                       "unexpected 2, duplicated 1")
     got = details(_many_progressions)
     assert got["final.intersection"] == \
         "intersecting would build 90000 progressions, beyond the cap of 1024"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 import random
@@ -182,6 +183,30 @@ def test_build_rejects_weak_base():
         build_construction({0, 1}, 4, base=unfixed)
 
 
+def test_summand_euler_check_agrees_with_group_equality():
+    # the check compares each summand's Euler coordinates with those of
+    # m*b instead of building m*b; over free rank 2 plus Z/6 its verdict
+    # is the group's equality, torsion residues included
+    h2 = FgAbelianGroup(2, (6,))
+    b = h2.element([1, 2], [5])
+    base = BaseManifold("torsion", 3, h2, (("b", b),),
+                        frozenset({"aspherical", "scf_pi1", "d_self_is_01"}), frozenset({"b"}))
+    cert = build_construction({0, 1, 3}, 4, base=base)
+    assert reverify(cert)
+    for i, pair in enumerate(cert.pairs):
+        summands = pair.domain.summands
+        for k, summand in enumerate(summands):
+            for free, torsion in (((0, 0), (6,)), ((0, 0), (1,)), ((1, 0), (0,)),
+                                  ((0, -1), (0,)), ((0, 0), (-12,))):
+                euler = summand.euler + h2.element(free, torsion)
+                edited = summands[:k] + (CircleBundle(base, euler),) + summands[k + 1:]
+                pairs = list(cert.pairs)
+                pairs[i] = pair._replace(domain=ConnectedSum(edited))
+                rows = dict(verify_certificate(cert._replace(pairs=tuple(pairs))).rows)
+                assert (rows[f"pair[{i}].summand-euler"] is True) == \
+                    (euler == summand.euler), (i, k, free, torsion)
+
+
 def test_build_rejects_bad_targets():
     with pytest.raises(InputError):
         build_construction({1, 2}, 4)  # no zero
@@ -217,6 +242,27 @@ def test_builder_takes_the_final_set_from_the_decomposition(monkeypatch):
     for cert in certs:
         assert cert.final_set.to_json() == cert.target.to_json()
         assert reverify(cert), cert.target.render()
+
+
+# SHA-256 over the canonical JSON of the 256 certificates of
+# ``test_builder_reads_each_claim_from_the_decomposition``, one line each
+CRITERION6_CERTIFICATES_SHA256 = \
+    "a14c95fb41c502534f246a8b4009587010d23a3c95195b5f89bec23c7a1580b0"
+
+
+def test_builder_reads_each_claim_from_the_decomposition():
+    # a pair's claimed set is the sums decompose recorded for its sequence,
+    # and reading it there changes no byte of any certificate
+    universe = [x for x in range(-4, 5) if x]
+    digest = hashlib.sha256()
+    for mask in range(1 << len(universe)):
+        target = {0} | {x for i, x in enumerate(universe) if mask >> i & 1}
+        cert = build_construction(target, (3, 4, 5, 8)[mask % 4])
+        for pair, seq in zip(cert.pairs, cert.decomposition.sequences, strict=True):
+            assert pair.claimed == degsets.subsequence_sums(seq), (target, pair.index)
+        digest.update(json.dumps(cert.to_json(), sort_keys=True,
+                                 separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == CRITERION6_CERTIFICATES_SHA256
 
 
 def test_certificate_json_round_trip():
