@@ -10,121 +10,93 @@ degrees containing 0, together with an independent verifier for those
 certificates.
 """
 
-from .abelian import (
-    FgAbelianGroup,
-    GroupElement,
-    IntegerMatrix,
-    apply_matrix,
-    canonicalize_group,
-    is_torsion,
-    lattice_compatible,
-    smith_normal_form,
-    solve_scalar,
-    unimodular_rational_eigen_check,
-)
-from .bundles import (
-    BaseManifold,
-    CircleBundle,
-    ConnectedSum,
-    MapCatalogue,
-    MapModel,
-    SphereProduct,
-    Stabilized,
-    SymbolicRepeat,
-    builtin_registry,
-    degree_bound,
-    fiber_preserving_degree_set,
-    finiteness_verdict,
-    load_registry,
-    promote_to_full_degree_set,
-    registry_from_env,
-    same_base_pair_degree_set,
-    torsion_consistency,
-    vertical_degree_set,
-)
-from .degsets import (
-    DecompositionCertificate,
-    DegreeSet,
-    SearchLimits,
-    SequenceB,
-    decompose,
-    subsequence_sums,
-    verify_decomposition,
-)
-from .errors import (
-    GroupMismatchError,
-    HypothesisError,
-    InputError,
-    ResourceCapError,
-)
-from .realize import (
-    RealizationCertificate,
-    VerificationReport,
-    build_construction,
-    choose_primes,
-    render_certificate,
-    stabilize,
-    verify_certificate,
-)
-from .schema import schema_for, schema_names, validate_payload
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "InputError",
-    "GroupMismatchError",
-    "HypothesisError",
-    "ResourceCapError",
-    # abelian groups
-    "IntegerMatrix",
-    "FgAbelianGroup",
-    "GroupElement",
-    "smith_normal_form",
-    "canonicalize_group",
-    "is_torsion",
-    "solve_scalar",
-    "lattice_compatible",
-    "apply_matrix",
-    "unimodular_rational_eigen_check",
-    # degree sets
-    "DegreeSet",
-    "SequenceB",
-    "subsequence_sums",
-    "SearchLimits",
-    "DecompositionCertificate",
-    "decompose",
-    "verify_decomposition",
-    # bundles
-    "BaseManifold",
-    "CircleBundle",
-    "SphereProduct",
-    "ConnectedSum",
-    "Stabilized",
-    "SymbolicRepeat",
-    "MapModel",
-    "MapCatalogue",
-    "vertical_degree_set",
-    "torsion_consistency",
-    "fiber_preserving_degree_set",
-    "promote_to_full_degree_set",
-    "same_base_pair_degree_set",
-    "degree_bound",
-    "finiteness_verdict",
-    "builtin_registry",
-    "load_registry",
-    "registry_from_env",
-    # realization
-    "RealizationCertificate",
-    "VerificationReport",
-    "build_construction",
-    "choose_primes",
-    "stabilize",
-    "verify_certificate",
-    "render_certificate",
-    # schemas
-    "schema_for",
-    "schema_names",
-    "validate_payload",
-]
+# each public name, by the module that defines it; a module is imported on
+# the first use of one of its names (PEP 562), so that a request that needs
+# only ``abelian`` does not pay for ``bundles`` and ``realize``
+_EXPORTS = {
+    "errors": (
+        "InputError",
+        "GroupMismatchError",
+        "HypothesisError",
+        "ResourceCapError",
+    ),
+    "abelian": (
+        "IntegerMatrix",
+        "FgAbelianGroup",
+        "GroupElement",
+        "smith_normal_form",
+        "canonicalize_group",
+        "is_torsion",
+        "solve_scalar",
+        "lattice_compatible",
+        "apply_matrix",
+        "unimodular_rational_eigen_check",
+    ),
+    "degsets": (
+        "DegreeSet",
+        "SequenceB",
+        "subsequence_sums",
+        "SearchLimits",
+        "DecompositionCertificate",
+        "decompose",
+        "verify_decomposition",
+    ),
+    "bundles": (
+        "BaseManifold",
+        "CircleBundle",
+        "SphereProduct",
+        "ConnectedSum",
+        "Stabilized",
+        "SymbolicRepeat",
+        "MapModel",
+        "MapCatalogue",
+        "vertical_degree_set",
+        "torsion_consistency",
+        "fiber_preserving_degree_set",
+        "promote_to_full_degree_set",
+        "same_base_pair_degree_set",
+        "degree_bound",
+        "finiteness_verdict",
+        "builtin_registry",
+        "load_registry",
+        "registry_from_env",
+    ),
+    "realize": (
+        "RealizationCertificate",
+        "VerificationReport",
+        "build_construction",
+        "choose_primes",
+        "stabilize",
+        "verify_certificate",
+        "render_certificate",
+    ),
+    "schema": (
+        "schema_for",
+        "schema_names",
+        "validate_payload",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("_frozen", "abelian", "bundles", "cli", "degsets", "errors", "realize", "schema")
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str) -> object:
+    """A public name or a submodule, imported on first use and kept.  The
+    import goes through ``__import__``, as an import statement does, so
+    that ``python -X importtime`` still lists the module."""
+    if name in _MODULE_OF:
+        value = getattr(__import__(f"{__name__}.{_MODULE_OF[name]}", fromlist=(name,)), name)
+    elif name in _SUBMODULES:
+        value = __import__(f"{__name__}.{name}", fromlist=("__name__",))
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -181,10 +181,17 @@ class BaseManifold(Frozen):
         return flag in self.flags
 
     def cls(self, label: str) -> GroupElement:
+        elem = self.named_class(label)
+        if elem is None:
+            raise InputError(f"base {self.name!r} has no class named {label!r}")
+        return elem
+
+    def named_class(self, label: str) -> GroupElement | None:
+        """The class named ``label``, or None when the base names none."""
         for name, elem in self.named_classes:
             if name == label:
                 return elem
-        raise InputError(f"base {self.name!r} has no class named {label!r}")
+        return None
 
     def to_json(self) -> dict:
         out: dict = {
@@ -546,19 +553,26 @@ class PairResult(Frozen):
         return out
 
 
-def _pair_rule_hypotheses(m: int, k: int, base: BaseManifold, class_label: str) -> bool:
-    """Checks the hypotheses of :func:`same_base_pair_degree_set`, raising
-    its errors in its order; True when its exact form applies."""
+def _require_nonzero_multipliers(m: int, k: int) -> None:
+    """The first hypothesis of :func:`same_base_pair_degree_set`: raises
+    its :class:`InputError` when ``m`` or ``k`` is 0."""
     if m == 0 or k == 0:
         raise InputError("Euler multipliers m and k must be nonzero")
+
+
+def _base_rule_hypotheses(base: BaseManifold, class_label: str) -> bool:
+    """Checks the hypotheses of :func:`same_base_pair_degree_set` on the
+    base and the class, which do not depend on the multipliers, raising
+    its errors in its order; True when its exact form applies."""
     for flag in ("aspherical", "scf_pi1"):
         if not base.has(flag):
             raise HypothesisError(f"base {base.name!r} is missing required flag: {flag}")
-    if class_label not in dict(base.named_classes):
+    b = base.named_class(class_label)
+    if b is None:
         raise HypothesisError(f"base {base.name!r} has no class named {class_label!r}")
-    if is_torsion(base.cls(class_label))[0]:
+    if is_torsion(b)[0]:
         raise HypothesisError(f"class {class_label!r} must be non-torsion")
-    strong = all(base.has(f) for f in STRONG_BASE_FLAGS) and class_label in base.fixes
+    strong = base.flags.issuperset(STRONG_BASE_FLAGS) and class_label in base.fixes
     if not strong and not base.has("d_self_finite"):
         raise HypothesisError(
             f"base {base.name!r} is missing required flag: d_self_finite"
@@ -576,7 +590,8 @@ def same_base_pair_degree_set(m: int, k: int, base: BaseManifold,
     self-degree set the result is the upper bound {0, +-k/m} (or {0}),
     marked exact=False.
     """
-    strong = _pair_rule_hypotheses(m, k, base, class_label)
+    _require_nonzero_multipliers(m, k)
+    strong = _base_rule_hypotheses(base, class_label)
     divides = k % m == 0
     if strong:
         degs = DegreeSet([0, k // m] if divides else [0])

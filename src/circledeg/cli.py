@@ -39,11 +39,18 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import abelian, bundles, degsets, realize
+from . import abelian, degsets
 from .errors import InputError, ResourceCapError
 from .schema import validate_payload
+
+if TYPE_CHECKING:
+    from . import bundles
+
+# ``bundles`` and ``realize`` are imported by the handlers that use them, so
+# that a request for ``snf``, ``group``, ``solve-k``, ``sums`` or
+# ``decompose`` does not load them
 
 __all__ = ["main", "build_parser"]
 
@@ -93,6 +100,8 @@ def _read_payload(args: argparse.Namespace) -> dict:
 
 
 def _base_from(name: str) -> bundles.BaseManifold:
+    from . import bundles
+
     registry = bundles.registry_from_env()
     if name not in registry:
         raise InputError(
@@ -163,6 +172,8 @@ def _cmd_decompose(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_dv(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
+    from . import bundles
+
     g = abelian.FgAbelianGroup.from_json(payload["group"])
     a = abelian.GroupElement.from_json(g, payload["a"])
     b = abelian.GroupElement.from_json(g, payload["b"])
@@ -174,6 +185,8 @@ def _cmd_dv(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_dfp(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
+    from . import bundles
+
     dom = abelian.FgAbelianGroup.from_json(payload["domainGroup"])
     tgt = abelian.FgAbelianGroup.from_json(payload["targetGroup"])
     a = abelian.GroupElement.from_json(dom, payload["a"])
@@ -187,6 +200,8 @@ def _cmd_dfp(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_pair(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
+    from . import bundles
+
     base = _base_from(payload.get("preset") or "knot-glue-3")
     res = bundles.same_base_pair_degree_set(
         int(payload["m"]), int(payload["k"]), base,
@@ -196,6 +211,8 @@ def _cmd_pair(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_bound(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
+    from . import bundles
+
     n = bundles.degree_bound(
         bundles.parse_volume(payload["domainVolume"], "domainVolume"),
         bundles.parse_volume(payload["targetVolume"], "targetVolume"))
@@ -203,6 +220,8 @@ def _cmd_bound(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_finite(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
+    from . import bundles
+
     registry = bundles.registry_from_env()
     dom = bundles.expr_from_json(payload["domain"], registry)
     tgt = bundles.expr_from_json(payload["target"], registry)
@@ -215,6 +234,8 @@ def _cmd_finite(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_realize(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
+    from . import realize
+
     base = None
     if payload.get("preset"):
         base = _base_from(payload["preset"])
@@ -229,12 +250,16 @@ def _cmd_realize(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_verify(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
+    from . import realize
+
     cert = realize.RealizationCertificate.from_json(payload)
     report = realize.verify_certificate(cert)
     return (0 if report.valid else 3), report.to_json(), report.render
 
 
 def _cmd_stabilize(payload: None, args) -> tuple[int, dict, Callable[[], str]]:
+    from . import realize
+
     obj = _read_json(args)
     if isinstance(obj, dict) and obj.get("kind") == "realization-certificate":
         validate_payload("realizationCertificate", obj)
@@ -251,6 +276,8 @@ def _cmd_stabilize(payload: None, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_selftest(payload: None, args) -> tuple[int, dict, Callable[[], str]]:
+    from . import realize
+
     def snf_round() -> bool:
         m = abelian.IntegerMatrix.from_rows([[6, 4, 2], [2, 8, 4], [0, 2, 10]])
         u, d, v = abelian.smith_normal_form(m)

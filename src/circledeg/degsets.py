@@ -512,13 +512,22 @@ class _Budget:
     """Leaves the decomposition search may still test.
 
     ``progress`` ends the cap message, so that a cap hit says how far the
-    search got.
+    search got.  ``decompose`` keeps its parts in ``excluding``: the value
+    it is excluding, how many extraneous values are excluded and how many
+    there are; the text is formatted only when a cap fires.
     """
 
     def __init__(self, total: int) -> None:
         self.total = total
         self.left = total
-        self.progress = ""
+        self.excluding: tuple[int, int, int] | None = None
+
+    @property
+    def progress(self) -> str:
+        if self.excluding is None:
+            return ""
+        bad, done, count = self.excluding
+        return f" while excluding {bad} ({_excluded(done, count)}, budget {self.total})"
 
     def spend(self, n: int = 1) -> None:
         """Charge ``n`` leaves; raises once the total is overdrawn."""
@@ -528,6 +537,10 @@ class _Budget:
                 "budget", self.total,
                 f"decomposition search budget exhausted{self.progress}",
             )
+
+
+def _excluded(done: int, count: int) -> str:
+    return f"{done} of {count} extraneous values excluded"
 
 
 def _group_candidates(sums: int, diffs: int, pos: int, neg: int,
@@ -892,18 +905,20 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
 
     extraneous = sorted(current - target)
     find = _exclusion_search(target, extraneous, limits)
+    count = len(extraneous)
     for bad in extraneous:
         if bad not in current:
             continue
-        done = len(extraneous) - len(current - target)
-        excluded = f"{done} of {len(extraneous)} extraneous values excluded"
-        budget.progress = f" while excluding {bad} ({excluded}, budget {limits.budget})"
+        # ``current`` holds the target, so it holds this many extraneous values
+        done = count - (len(current) - len(target))
+        budget.excluding = (bad, done, count)
         found = find(bad, budget)
         if found is None:
             raise ResourceCapError(
                 "max_len", limits.max_len,
                 f"no excluding sequence for {bad} within caps "
-                f"(max_len={limits.max_len}, max_entry={limits.max_entry}; {excluded})",
+                f"(max_len={limits.max_len}, max_entry={limits.max_entry}; "
+                f"{_excluded(done, count)})",
             )
         sums = _sums_of(found.entries)
         current = current & sums

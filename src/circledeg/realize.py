@@ -41,6 +41,7 @@ import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._frozen import Frozen
+from .abelian import GroupElement
 from .bundles import (
     STRONG_BASE_FLAGS,
     BaseManifold,
@@ -50,7 +51,8 @@ from .bundles import (
     SphereProduct,
     Stabilized,
     SymbolicRepeat,
-    _pair_rule_hypotheses,
+    _base_rule_hypotheses,
+    _require_nonzero_multipliers,
     builtin_registry,
     exact_pair_rule,
     expr_dim,
@@ -316,27 +318,23 @@ class RealizationCertificate(Frozen):
 # building
 
 
-def _require_strong_base(base: BaseManifold, class_label: str) -> None:
+def _strong_class(base: BaseManifold, class_label: str) -> GroupElement:
+    """The class of ``base`` named ``class_label``, whose multiples the
+    construction takes as Euler classes; raises :class:`HypothesisError`
+    unless the base has every strong flag and fixes the class."""
     for flag in STRONG_BASE_FLAGS:
         if not base.has(flag):
             raise HypothesisError(
                 f"base {base.name!r} is missing required flag: {flag}"
             )
-    if class_label not in dict(base.named_classes):
+    b = base.named_class(class_label)
+    if b is None:
         raise HypothesisError(f"base {base.name!r} has no class named {class_label!r}")
     if class_label not in base.fixes:
         raise HypothesisError(
             f"class {class_label!r} must be fixed by degree-one self maps"
         )
-
-
-def _build_pair(index: int, sums: Sequence[int], alpha: int, summand_multipliers: list[int],
-                base: BaseManifold, class_label: str) -> PairClaim:
-    b = base.cls(class_label)
-    summands = tuple(CircleBundle(base, b.scale(m)) for m in summand_multipliers)
-    domain: ManifoldExpr = summands[0] if len(summands) == 1 else ConnectedSum(summands)
-    target = CircleBundle(base, alpha * b)
-    return PairClaim(index, domain, target, DegreeSet(sums), exact_pair_rule(base))
+    return b
 
 
 def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
@@ -367,7 +365,7 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
         registry = builtin_registry()
         direct = dimension if dimension in DEFAULT_BASE_BY_DIMENSION else 3
         base = registry[DEFAULT_BASE_BY_DIMENSION[direct]]
-    _require_strong_base(base, class_label)
+    b = _strong_class(base, class_label)
     n0 = base.dim + 1
     if dimension != n0 and dimension - n0 < 3:
         raise InputError(
@@ -391,20 +389,22 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
     summand_multipliers = [[alpha // beta for beta in s.entries]
                            for s, alpha in zip(seqs, multipliers)]
     # pair i claims S_B(i), which ``decompose`` recorded in its transcript
-    pairs = tuple(
-        _build_pair(i, step.sums, alpha, ms, base, class_label)
-        for i, (step, alpha, ms) in enumerate(
-            zip(decomposition.transcript, multipliers, summand_multipliers))
-    )
+    rule = exact_pair_rule(base)
+    pairs = []
+    for i, (step, alpha, ms) in enumerate(
+            zip(decomposition.transcript, multipliers, summand_multipliers)):
+        summands = tuple(CircleBundle(base, b.scale(m)) for m in ms)
+        domain: ManifoldExpr = summands[0] if len(summands) == 1 else ConnectedSum(summands)
+        pairs.append(PairClaim(i, domain, CircleBundle(base, b.scale(alpha)),
+                               DegreeSet(step.sums), rule))
 
     crosses = []
-    for i in range(r):
-        for j in range(r):
-            if j == i:
-                continue
-            for s_idx, m in enumerate(summand_multipliers[i]):
-                ok = multipliers[j] % m != 0
-                assert ok, "prime firewall violated"  # construction guarantees it
+    for i, ms in enumerate(summand_multipliers):
+        others = [(j, alpha_j) for j, alpha_j in enumerate(multipliers) if j != i]
+        for j, alpha_j in others:
+            for s_idx, m in enumerate(ms):
+                # the construction guarantees it
+                assert alpha_j % m != 0, "prime firewall violated"
                 crosses.append(CrossCheck(i, j, s_idx, m, "pass"))
 
     if r == 1:
@@ -422,7 +422,7 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
     target = DegreeSet(values)
     cert = RealizationCertificate(
         target, n0, base, class_label, decomposition,
-        primes, multipliers, pairs, tuple(crosses), combination, target, (),
+        primes, multipliers, tuple(pairs), tuple(crosses), combination, target, (),
     )
     if dimension > n0:
         cert = stabilize(cert, dimension)
@@ -493,17 +493,15 @@ class VerificationReport(Frozen):
         return "\n".join(lines)
 
 
-def _sum_rule(alpha: int, entries: Sequence[int], summand_multipliers: Sequence[int],
-              base: BaseManifold, label: str) -> bool | str:
-    """True when, for every ``beta`` in ``entries`` and its multiplier
-    m = ``alpha``/beta in ``summand_multipliers``, the summand with Euler
-    class m*b maps to the bundle with class ``alpha``*b with degree set
-    exactly ``{0, beta}`` (the same-base pair rule); otherwise why not.
-    Each beta divides ``alpha`` (``summand-divisibility``), so the rule's
-    {0, alpha/m} is {0, beta} and only its hypotheses are checked, once
-    per pair; its :class:`InputError` is raised for a pair it does not cover."""
-    return not entries or _pair_rule_hypotheses(summand_multipliers[0], alpha, base, label) \
-        or "pair rule only gave an upper bound"
+def _base_rule(base: BaseManifold, label: str) -> bool | str:
+    """True when the same-base pair rule's hypotheses on ``base`` and the
+    class ``label`` give its exact form; otherwise why not, in the rule's
+    words.  They do not depend on the multipliers, so the verifier decides
+    them once per certificate and shares the verdict among the pairs."""
+    try:
+        return _base_rule_hypotheses(base, label) or "pair rule only gave an upper bound"
+    except InputError as exc:
+        return str(exc)
 
 
 def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
@@ -518,11 +516,15 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     recorded directly.  Each S_B(i) is re-derived once, by full subset
     enumeration, and serves both the decomposition check and pair i's
     claimed set; the decomposition's transcript is not read.  Pair degree
-    sets are re-won from the same-base rule, and cross non-divisibility
-    and the combination shape are recomputed from the stored multipliers.
-    A summand's Euler class is compared with m*b by its coordinates, and
-    the combined pair by its summands, so neither m*b nor a connected sum
-    is built unless a failure is worded.  One pass over the cross-check
+    sets are re-won from the same-base rule: each pair's multipliers are
+    tested for zero, and the rule's hypotheses on the base and the class,
+    which no pair changes, are decided once per certificate and their
+    verdict shared by every pair's ``sum-rule`` row.  Cross
+    non-divisibility and the combination shape are recomputed from the
+    stored multipliers.  The Euler class of a target or a summand is
+    compared with alpha*b or m*b by its coordinates, and the combined pair
+    by its summands, so no multiple of b and no connected sum is built
+    unless a failure is worded.  One pass over the cross-check
     records decides each record and gathers the completeness data; the
     ``cross.completeness`` row, which names missing, out-of-range and
     repeated records, still comes before the records' rows.
@@ -602,10 +604,22 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     add(("base.flags", all(map(base.has, STRONG_BASE_FLAGS)) or (
         f"base lacks flags: {[f for f in STRONG_BASE_FLAGS if not base.has(f)]}")))
     label = cert.class_label
-    named = dict(base.named_classes)
-    add(("base.class", label in named and label in base.fixes or (
+    b = dict(base.named_classes).get(label)
+    add(("base.class", b is not None and label in base.fixes or (
         f"class {label!r} must be a named class fixed by degree-one self maps")))
-    b = named.get(label)
+    # b's free coordinates and its (residue, modulus) pairs: a bundle over
+    # ``base`` has its Euler class in b's group, so the class is m*b when
+    # its coordinates are those of m*b, and m*b is never built
+    b_free = b.free if b is not None else ()
+    b_torsion = tuple(zip(b.torsion, b.group.torsion)) if b is not None else ()
+
+    def is_multiple(bundle: ManifoldExpr, m: int) -> bool:
+        """Whether ``bundle`` is the bundle over ``base`` with Euler class m*b."""
+        return (isinstance(bundle, CircleBundle)
+                and bundle.base == base
+                and bundle.euler.free == tuple([m * x for x in b_free])
+                and (not b_torsion
+                     or bundle.euler.torsion == tuple([m * x % d for x, d in b_torsion])))
 
     # alpha_i / beta for each entry beta of B(i), or None where beta does
     # not divide alpha_i; shared by the summand, sum-rule and cross checks
@@ -618,6 +632,9 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         f"expected {r} pairs, got {len(indexes)}" if len(indexes) != r
         else f"pairs are indexed {indexes}, expected {list(range(r))}")))
     expected_rule = exact_pair_rule(base)
+    # the pair rule's hypotheses on the base and the class, decided by the
+    # first pair that needs them
+    base_rule: bool | str | None = None
     for i, pair in enumerate(cert.pairs):
         pid = f"pair[{i}]"
         add((f"{pid}.rule", pair.rule == expected_rule or (
@@ -628,12 +645,8 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         alpha = cert.multipliers[i]
         entries = seqs[i].entries
         ms = summand_multipliers[i]
-        add((f"{pid}.target-euler", (
-            b is not None
-            and isinstance(pair.target, CircleBundle)
-            and pair.target.base == base
-            and pair.target.euler == alpha * b
-        ) or f"target must be the bundle with Euler class {alpha}*{label}"))
+        add((f"{pid}.target-euler", b is not None and is_multiple(pair.target, alpha)
+             or f"target must be the bundle with Euler class {alpha}*{label}"))
 
         summands = pair.domain.summands if isinstance(pair.domain, ConnectedSum) \
             else (pair.domain,)
@@ -644,20 +657,26 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             b is not None
             and not div_bad
             and len(summands) == len(entries)
-            # a summand over ``base`` has its Euler class in b's group, so
-            # it is m*b when its coordinates are those of m*b
-            and all(
-                isinstance(s, CircleBundle)
-                and s.base == base
-                and s.euler.free == tuple([m * x for x in b.free])
-                and (not b.torsion or s.euler.torsion == tuple(
-                    [m * x % d for x, d in zip(b.torsion, b.group.torsion)]))
-                for s, m in zip(summands, ms)
-            )
+            and all(map(is_multiple, summands, ms))
         ) or ("domain summands must be the bundles with Euler classes "
               f"({alpha}/beta)*{label} for beta in {list(entries)}")))
-        check(f"{pid}.sum-rule", lambda: "multiplier ratios are not integers" if div_bad
-              else _sum_rule(alpha, entries, ms, base, label))
+        # every entry beta divides alpha, so the pair rule's {0, alpha/m}
+        # is {0, beta} for each summand and only its hypotheses are
+        # checked: the multipliers are nonzero, and the base-level verdict
+        if div_bad:
+            rule: bool | str = "multiplier ratios are not integers"
+        elif not entries:
+            rule = True
+        else:
+            try:
+                _require_nonzero_multipliers(ms[0], alpha)
+            except InputError as exc:
+                rule = str(exc)
+            else:
+                if base_rule is None:
+                    base_rule = _base_rule(base, label)
+                rule = base_rule
+        add((f"{pid}.sum-rule", rule))
         add((f"{pid}.claimed-vs-enumeration", claims[i]))
 
     # one cross check is expected for each (i, j, summand) with i != j and
@@ -665,6 +684,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     # what completeness needs; its row still comes before the records'.
     lengths = [len(s) for s in seqs]
     multipliers = cert.multipliers
+    count = len(multipliers)
     keys: set[tuple[int, int, int]] = set()
     unexpected: set[tuple[int, int, int]] = set()
     duplicated: set[tuple[int, int, int]] = set()
@@ -677,22 +697,24 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         if not (0 <= i < r and 0 <= j < r and i != j and 0 <= s_idx < lengths[i]):
             unexpected.add(key)
             verdict: bool | str = "cross check out of range"
-        elif i >= len(multipliers) or j >= len(multipliers):
+        elif i >= count or j >= count:
             verdict = "cross check names a pair without a multiplier"
         else:
-            alpha_i, alpha_j = multipliers[i], multipliers[j]
+            # alpha_i and beta are read only to word a failure
             m = summand_multipliers[i][s_idx]
-            beta = seqs[i].entries[s_idx]
             if m is None:
-                verdict = f"entry {beta} does not divide multiplier {alpha_i}"
+                verdict = (f"entry {seqs[i].entries[s_idx]} does not divide "
+                           f"multiplier {multipliers[i]}")
             elif c.multiplier != m:
-                verdict = f"stored multiplier {c.multiplier} is not {alpha_i}/{beta} = {m}"
+                verdict = (f"stored multiplier {c.multiplier} is not "
+                           f"{multipliers[i]}/{seqs[i].entries[s_idx]} = {m}")
             elif c.verdict != "pass":
                 verdict = f"verdict {c.verdict!r} is not 'pass'"
             elif m == 0:
-                verdict = (f"summand multiplier {alpha_i}/{beta} is 0; "
-                           "the pair rule needs it nonzero")
+                verdict = (f"summand multiplier {multipliers[i]}/{seqs[i].entries[s_idx]} "
+                           "is 0; the pair rule needs it nonzero")
             else:
+                alpha_j = multipliers[j]
                 verdict = alpha_j % m != 0 or f"summand multiplier {m} divides {alpha_j}"
         cross_rows.append((f"cross[{i},{j},{s_idx}].nondivisible", verdict))
 

@@ -20,7 +20,7 @@ from circledeg.bundles import (
     SphereProduct,
     Stabilized,
     SymbolicRepeat,
-    _pair_rule_hypotheses,
+    _base_rule_hypotheses,
     builtin_registry,
     degree_bound,
     expr_dim,
@@ -423,7 +423,7 @@ def test_pair_rule_hypotheses_imply_promotion(base, label):
     # the pair rule is formula (ii) promoted by item (i): every base it
     # accepts, as domain and target base, meets (i)'s hypotheses
     try:
-        _pair_rule_hypotheses(1, 1, base, label)
+        _base_rule_hypotheses(base, label)
     except InputError:
         return
     assert promote_to_full_degree_set(base, base)

@@ -1382,3 +1382,55 @@ def test_cold_import_loads_no_fractions_in_a_child_process(tmp_path):
                             "Fraction(7, 2)", "[True, True, False]"]
     proc = run_cli_process("bound", "--domain-volume", "7/2", "--target-volume", "1/3")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{\n  "bound": 10\n}\n', "")
+
+
+# a request that needs only ``abelian`` or ``degsets`` loads neither
+# ``bundles`` nor ``realize``; its result goes to --out, so that stdout
+# holds only the modules it loaded
+_COLD_REQUEST = """\
+import json, sys
+from circledeg import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("circledeg"))]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["snf", "--in", "matrix.json"], ["sums", "--seq", "1,2"],
+                                  ["decompose", "--set", "0,1,3"]], ids=lambda argv: argv[0])
+def test_cold_request_loads_neither_bundles_nor_realize_in_a_child_process(tmp_path, argv):
+    (tmp_path / "matrix.json").write_text(
+        '{"matrix": {"rows": 2, "cols": 2, "entries": [2, 4, 6, 8]}}')
+    argv = [str(tmp_path / word) if word == "matrix.json" else word for word in argv]
+    proc = run_python_process(_COLD_REQUEST, *argv, "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert {"circledeg.abelian", "circledeg.degsets", "circledeg.schema"} <= set(loaded)
+    assert not {"circledeg.bundles", "circledeg.realize"} & set(loaded)
+    assert json.loads((tmp_path / "out.json").read_text())
+
+
+# the package imports a module on the first use of one of its names, and
+# still reaches every public name and every submodule
+_LAZY_PACKAGE = """\
+import json, sys
+import circledeg
+before = sorted(m for m in sys.modules if m.startswith("circledeg."))
+star = {}
+exec("from circledeg import *", star)
+submodules = ("abelian", "bundles", "cli", "degsets", "errors", "realize", "schema")
+print(json.dumps({
+    "before": before,
+    "missing": [name for name in circledeg.__all__ if name not in star],
+    "submodules": [getattr(circledeg, name) is sys.modules["circledeg." + name]
+                   for name in submodules],
+    "listed": sorted(set(submodules) - set(dir(circledeg))),
+}))
+"""
+
+
+def test_package_loads_each_module_on_first_use_in_a_child_process():
+    proc = run_python_process(_LAZY_PACKAGE)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {"before": [], "missing": [], "submodules": [True] * 7, "listed": []}
