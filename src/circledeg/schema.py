@@ -17,21 +17,29 @@ the document uses, with jsonschema's meaning: every subschema has a
 subschema; an array is a ``"type": "array"`` with ``items``; and a type
 list names only scalar types.  Compiling refuses anything else, any other
 keyword and any ``$ref`` outside the document, so an edit to the schema
-cannot silently weaken validation.  A rejection is worded by one walk
-over the payload that lists the errors jsonschema's validator would,
-with its messages, and picks jsonschema's best match, which names the
-offending field.  The walk descends only into the subtrees the compiled
-checks reject.  The wording is jsonschema's but for ``maxItems``, which
-names the array's length and the maximum where jsonschema echoes the
-whole array, megabytes of it for a long array of large items; jsonschema
-itself is not needed at run time.  A payload nested more than
-``MAX_NESTING`` containers deep is refused, so neither the checks nor the
-walk can exhaust the interpreter's stack.  The compiled checks are passed
-each value's depth and stop at a container past the bound; as every
-object is closed and every array has ``items``, they descend into every
-container of a payload they accept, so an accepted payload is within the
-bound without a walk of its own.  A rejected one is walked for its depth
-before its errors are listed.
+cannot silently weaken validation.  The checks use what the document
+proves to spend about one call per container: an object tests a value
+of exactly ``int`` or ``str`` against a leaf subschema (a string, or an
+integer with at most bounds) in its own loop, an array of such values is
+tested by one scan and its least and greatest member, and a ``oneOf``
+whose branches are closed objects each requiring a key, its tag, that no
+other branch lists tests a dict against the branch of its tag alone.
+
+A rejection is worded by one walk over the payload that lists the errors
+jsonschema's validator would, with its messages, and picks jsonschema's
+best match, which names the offending field.  The walk descends only
+into the subtrees the compiled checks reject.  The wording is
+jsonschema's but for ``maxItems``, which names the array's length and
+the maximum where jsonschema echoes the whole array, megabytes of it for
+a long array of large items; jsonschema itself is not needed at run
+time.  A payload nested more than ``MAX_NESTING`` containers deep is
+refused, so neither the checks nor the walk can exhaust the
+interpreter's stack.  The compiled checks are passed each value's depth
+and stop at a container past the bound; as every object is closed and
+every array has ``items``, they descend into every container of a
+payload they accept, so an accepted payload is within the bound without
+a walk of its own.  A rejected one is walked for its depth before its
+errors are listed.
 
 >>> validate_payload("pairInput", {"m": 2, "k": 6})
 >>> validate_payload("pairInput", {"m": 0, "k": 6})
@@ -46,7 +54,6 @@ import json
 import re
 from functools import lru_cache
 from importlib import resources
-from itertools import repeat
 from typing import Callable
 
 from ._frozen import Frozen
@@ -162,10 +169,28 @@ def _all(checks: list[_Check]) -> _Check:
     return check
 
 
-def _object_check(props: dict[str, _Check], required: tuple,
-                  extra: _Check | None) -> _Check:
+# a subschema as a container check reads it: the exact type and the bounds
+# of a leaf, ``(None, None, None)`` for any other subschema, and its check
+_Item = tuple[type | None, object, object, _Check]
+
+
+def _leaf(schema: dict) -> tuple[type | None, object, object]:
+    """``(type, minimum, maximum)`` of a leaf subschema, ``{"type":
+    "string"}`` or ``{"type": "integer"}`` with only ``minimum`` and
+    ``maximum``: a value of exactly that type passes it when within the
+    bounds, without a call.  ``(None, None, None)`` for any other."""
+    if schema == {"type": "string"}:
+        return str, None, None
+    if schema.get("type") == "integer" and schema.keys() <= {"type", "minimum", "maximum"}:
+        return int, schema.get("minimum", -float("inf")), schema.get("maximum", float("inf"))
+    return None, None, None
+
+
+def _object_check(props: dict[str, _Item], required: tuple,
+                  extra: _Item | None) -> _Check:
     """``"type": "object"`` with its ``properties``, ``required`` and
-    ``additionalProperties``, ``None`` for ``false``."""
+    ``additionalProperties``, ``None`` for ``false``.  A value of a leaf
+    property is checked in the loop when it is exactly of its type."""
     def check(v, d):
         if not isinstance(v, dict):
             return False
@@ -176,26 +201,71 @@ def _object_check(props: dict[str, _Check], required: tuple,
                 return False
         d += 1
         for key, item in v.items():
-            sub = props.get(key, extra)
-            if sub is None or not sub(item, d):
+            prop = props.get(key, extra)
+            if prop is None:
+                return False
+            kind, low, high, sub = prop
+            if type(item) is kind:
+                if kind is int and (item < low or item > high):
+                    return False
+            elif not sub(item, d):
                 return False
         return True
     return check
 
 
-def _array_check(items: _Check, min_items: int, max_items: float) -> _Check:
-    """``"type": "array"`` with its ``items``, ``minItems`` and ``maxItems``."""
+def _array_check(items: _Item, min_items: int, max_items: float) -> _Check:
+    """``"type": "array"`` with its ``items``, ``minItems`` and ``maxItems``.
+    When ``items`` is a leaf, a list all of whose members are exactly of its
+    type is checked by one scan and its least and greatest member."""
+    kind, low, high, sub = items
+    kinds = {kind}
+
     def check(v, d):
         if not isinstance(v, list):
             return False
         if d >= MAX_NESTING:
             raise _TooDeep
-        return min_items <= len(v) <= max_items and all(map(items, v, repeat(d + 1)))
+        if not min_items <= len(v) <= max_items:
+            return False
+        if not v:
+            return True
+        if kind is not None and kinds.issuperset(map(type, v)):
+            return kind is str or not (min(v) < low or max(v) > high)
+        d += 1
+        for item in v:
+            if not sub(item, d):
+                return False
+        return True
     return check
 
 
-def _one_of(subs: list[_Check]) -> _Check:
-    def check(v, d):
+def _one_of(branches: list[dict], subs: list[_Check]) -> _Check:
+    """``oneOf`` over ``branches``, compiled to ``subs``.  When every branch
+    is a closed ``"type": "object"`` requiring a key, its tag, that no other
+    branch lists in its ``properties``, a dict is checked by the branch of
+    its first key that is a tag: every other branch rejects it, as none
+    allows that key, and a value that is not a dict or has no tag fails
+    every branch.  Any other ``oneOf`` counts the branches that match."""
+    tags: dict[str, _Check] = {}
+    for i, (branch, sub) in enumerate(zip(branches, subs)):
+        listed = {key for j, other in enumerate(branches) if j != i
+                  for key in other.get("properties", {})}
+        own = [key for key in branch.get("required", ()) if key not in listed]
+        if not (own and branch.get("type") == "object"
+                and branch.get("additionalProperties") is False):
+            break
+        tags.update(dict.fromkeys(own, sub))
+    else:
+        def by_tag(v, d):
+            if isinstance(v, dict):
+                for key in v:
+                    if key in tags:
+                        return tags[key](v, d)
+            return False
+        return by_tag
+
+    def counting(v, d):
         matched = False
         for sub in subs:
             if sub(v, d):
@@ -203,7 +273,7 @@ def _one_of(subs: list[_Check]) -> _Check:
                     return False
                 matched = True
         return matched
-    return check
+    return counting
 
 
 def _compile(defs: dict) -> Callable[[str], _Check]:
@@ -253,14 +323,14 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
             if extra is True:
                 raise ValueError("cannot compile an object open to other keys")
             checks.append(_object_check(
-                {key: node(sub) for key, sub in schema.get("properties", {}).items()},
+                {key: item(sub) for key, sub in schema.get("properties", {}).items()},
                 tuple(schema.get("required", ())),
-                None if extra is False else node(extra)))
+                None if extra is False else item(extra)))
         elif types == "array":
             if "items" not in schema:
                 raise ValueError("cannot compile an array without items")
             checks.append(_array_check(
-                node(schema["items"]),
+                item(schema["items"]),
                 schema.get("minItems", 0), schema.get("maxItems", float("inf"))))
         elif types is not None:
             names = types if isinstance(types, list) else [types]
@@ -286,7 +356,8 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
             negated = node(schema["not"])
             checks.append(lambda v, d: not negated(v, d))
         if "oneOf" in schema:
-            checks.append(_one_of([node(sub) for sub in schema["oneOf"]]))
+            branches = schema["oneOf"]
+            checks.append(_one_of(branches, [node(sub) for sub in branches]))
         if "minimum" in schema:
             low = schema["minimum"]
             checks.append(lambda v, d: not _is_number(v, d) or not v < low)
@@ -299,6 +370,10 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
         compiled = _all(checks)
         by_id[id(schema)] = compiled
         return compiled
+
+    def item(schema: object) -> _Item:
+        check = node(schema)
+        return (*_leaf(schema), check)
 
     definition.checks = by_id
     return definition

@@ -38,3 +38,27 @@ def line_events(module: ModuleType, limit: int) -> Iterator[list[int]]:
         yield count
     finally:
         sys.settrace(previous)
+
+
+@contextmanager
+def calls(module: ModuleType, limit: int) -> Iterator[list[int]]:
+    """Counts the calls of functions in ``module``'s code, its closures,
+    comprehensions and generator expressions included, into the one-item
+    list it yields; a generator counts again each time it resumes.  The
+    first call past ``limit`` raises ``AssertionError``.  The profiler in
+    place before is restored."""
+    count = [0]
+    path = module.__file__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == path:
+            count[0] += 1
+            if count[0] > limit:
+                raise AssertionError(f"more than {limit} calls in {module.__name__}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield count
+    finally:
+        sys.setprofile(previous)
