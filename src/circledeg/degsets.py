@@ -508,39 +508,13 @@ class DecompositionCertificate(Frozen):
         )
 
 
-class _Budget:
-    """Leaves the decomposition search may still test.
-
-    ``progress`` ends the cap message, so that a cap hit says how far the
-    search got.  ``decompose`` keeps its parts in ``excluding``: the value
-    it is excluding, how many extraneous values are excluded and how many
-    there are; the text is formatted only when a cap fires.
-    """
-
-    def __init__(self, total: int) -> None:
-        self.total = total
-        self.left = total
-        self.excluding: tuple[int, int, int] | None = None
-
-    @property
-    def progress(self) -> str:
-        if self.excluding is None:
-            return ""
-        bad, done, count = self.excluding
-        return f" while excluding {bad} ({_excluded(done, count)}, budget {self.total})"
-
-    def spend(self, n: int = 1) -> None:
-        """Charge ``n`` leaves; raises once the total is overdrawn."""
-        self.left -= n
-        if self.left < 0:
-            raise ResourceCapError(
-                "budget", self.total,
-                f"decomposition search budget exhausted{self.progress}",
-            )
-
-
 def _excluded(done: int, count: int) -> str:
     return f"{done} of {count} extraneous values excluded"
+
+
+def _progress(bad: int, done: int, count: int, budget: int) -> str:
+    """The end of a cap message that ``decompose`` raises mid-search."""
+    return f" while excluding {bad} ({_excluded(done, count)}, budget {budget})"
 
 
 def _group_candidates(sums: int, diffs: int, pos: int, neg: int,
@@ -586,15 +560,20 @@ def _group_candidates(sums: int, diffs: int, pos: int, neg: int,
     return None if mask is None else (mask, base)
 
 
-def _exclusion_search(target: frozenset[int], values: Iterable[int],
-                      limits: SearchLimits) -> Callable[[int, _Budget], SequenceB | None]:
+def _exclusion_search(
+    target: frozenset[int], values: Iterable[int], limits: SearchLimits,
+) -> Callable[[int, int], tuple[int, tuple[int, ...] | None]]:
     """One lazy search walk that excludes each of ``values`` from ``target``.
 
-    Returns ``find(bad, budget)``: the first sequence B in graded
-    lexicographic order with target within S_B and ``bad`` outside it, or
-    None when no B within ``limits`` has both.  ``budget`` is charged what
-    a search for ``bad`` alone would charge: the leaves up to its hit, or
-    every leaf when none holds.
+    Returns ``find(bad, left)``, which raises nothing and returns
+    ``(charged, entries)``: ``entries`` are those of the first sequence B
+    in graded lexicographic order with target within S_B and ``bad``
+    outside it, or None when the walk passed ``left`` leaves or ran out
+    without one.  ``charged`` is what a search for ``bad`` alone would
+    charge: the leaf position of its hit, or the leaves walked, either of
+    which may pass ``left``.  The caller charges them and decides the
+    outcome: :func:`decompose` raises the ``budget`` cap once its charges
+    pass its budget, and the ``max_len`` cap for None within it.
 
     Sequences are enumerated as non-decreasing tuples of symbol indices
     (each multiset once), lengths first, entries ordered by magnitude then
@@ -608,14 +587,14 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
     so one walk serves every value.  It records the first hit of each
     value still pending (without a hit) and that hit's leaf position
     (leaves charged from the start of the walk through the hit), advances
-    only until ``bad`` has a hit or the position passes ``budget.left``,
-    and then pauses: the walk is a generator suspended after the last leaf
-    group it charged, and the next ``find`` resumes it there.  ``bad`` must
-    be one of ``values``; they may be asked for in any order.  For a target
-    spanning more than ``SEARCH_SPAN_CAP`` it raises
-    :class:`ResourceCapError` before it builds any mask: the first ``find``
-    builds them, the mask of ``values`` as wide as their span, which
-    subset sums of the target can make many times the target's.
+    only until ``bad`` has a hit or the position passes ``left``, and then
+    pauses: the walk is a generator suspended after the last leaf group it
+    charged, and the next ``find`` resumes it there.  ``bad`` must be one
+    of ``values``; they may be asked for in any order.  The masks of the
+    target and of ``values`` are built with the walk, each as wide as its
+    span, and subset sums of the target can make the span of ``values``
+    many times the target's, so :func:`decompose` builds the walk only
+    for a target within ``SEARCH_SPAN_CAP``.
 
     Each node carries the sums S of its prefix down the recursion as an
     integer bitmask: bit x - neg stands for the sum x, where ``neg``, the
@@ -666,28 +645,30 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
     need_hi = ordered[-1]
     need_lo = ordered[0]
     span = need_hi - need_lo
-    tmask = 0  # bit t - need_lo for each target t, built by the first find
     top = limits.max_entry
     end = 2 * top
-    pending: list[int] = []
-    low = wanted = 0  # bit v - low of ``wanted`` is set for each pending v
     # first hit of a value: its leaf position and the sequence's entries
     hits: dict[int, tuple[int, tuple[int, ...]]] = {}
     walked = 0  # leaves charged from the start of the walk
-    goal = limit = 0  # the value asked for and the budget left when asked
+    goal = limit = 0  # the value asked for and the leaves it may charge
 
-    def set_pending(kept: list[int]) -> None:
-        nonlocal pending, low, wanted
-        pending = kept
-        low = kept[0] if kept else 0
-        bits = bytearray((kept[-1] - low) // 8 + 1 if kept else 0)
-        for v in kept:  # one bit per value: summing shifted ints is quadratic
+    def bitmask(ascending: list[int]) -> tuple[int, int]:
+        """The least of ``ascending`` (0 when it is empty) and the mask
+        with bit v less that least for each v of ``ascending``."""
+        low = ascending[0] if ascending else 0
+        bits = bytearray((ascending[-1] - low) // 8 + 1 if ascending else 0)
+        for v in ascending:  # one bit per value: summing shifted ints is quadratic
             bits[(v - low) >> 3] |= 1 << ((v - low) & 7)
-        wanted = int.from_bytes(bits, "little")
+        return low, int.from_bytes(bits, "little")
+
+    _, tmask = bitmask(ordered)  # bit t - need_lo for each target t
+    pending = sorted(set(values))  # the values without a hit, ascending
+    low, wanted = bitmask(pending)  # bit v - low for each pending v
 
     def record_hits(start: int, sums: int, neg: int, picked: list[int]) -> None:
         """Tests the group below ``picked``, not yet charged, and records
         its first hit of each pending value outside ``sums``."""
+        nonlocal pending, low, wanted
         # the targets outside the sums, bit t - need_lo for target t; never
         # none of them: a prefix whose sums held the target without a
         # pending value would have been its hit one length earlier
@@ -721,7 +702,8 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
                 hits[bad] = (walked + best - start + 1,
                              (*picked, -mag if best & 1 else mag))
         if not hits.keys().isdisjoint(pending):
-            set_pending([v for v in pending if v not in hits])
+            pending = [v for v in pending if v not in hits]
+            low, wanted = bitmask(pending)
 
     def run_leaves(start: int, stop: int, first_neg: int, first_pos: int) -> int:
         """Leaves of the kept groups with index in [start, stop), as
@@ -839,27 +821,12 @@ def _exclusion_search(target: frozenset[int], values: Iterable[int],
 
     walker = walk()
 
-    def find(bad: int, budget: _Budget) -> SequenceB | None:
-        nonlocal goal, limit, tmask
-        if span > SEARCH_SPAN_CAP:
-            raise ResourceCapError(
-                "search_span", SEARCH_SPAN_CAP,
-                f"decomposition search over a target span of {span}, beyond "
-                f"the cap of {SEARCH_SPAN_CAP}{budget.progress}",
-            )
+    def find(bad: int, left: int) -> tuple[int, tuple[int, ...] | None]:
+        nonlocal goal, limit
         if bad not in hits:
-            goal, limit = bad, budget.left
-            if not tmask:  # the first find: build the masks, past the span cap
-                # as wide as the target hull, like the masks the walk builds
-                tmask = sum(1 << (t - need_lo) for t in target)
-                set_pending(sorted(set(values)))
+            goal, limit = bad, left
             next(walker, None)
-        if bad not in hits:
-            budget.spend(walked)
-            return None
-        at, entries = hits[bad]
-        budget.spend(at)
-        return SequenceB(entries)
+        return hits.get(bad, (walked, None))
 
     return find
 
@@ -872,8 +839,15 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
     sequence in graded lexicographic order whose sums contain ``a`` but not
     that value.  One search walk (:func:`_exclusion_search`) serves all
     the values: it resumes where the previous value's search stopped, and
-    each value is charged the leaves its own search from length 1 would
-    have tested.  Deterministic: same input, same certificate.
+    reports the leaves its own search from length 1 would have tested.
+    Deterministic: same input, same certificate.
+
+    ``decompose`` charges those leaves to ``limits.budget`` and raises the
+    search's three caps as :class:`ResourceCapError`: ``search_span``
+    before the walk is built, for a target spanning more than
+    ``SEARCH_SPAN_CAP`` that needs a search, then for each value ``budget``
+    once the leaves charged pass the budget and ``max_len`` when no
+    sequence within the caps excludes it.
 
     >>> [s.entries for s in decompose({0, 1, 3}).sequences]
     [(1, 3), (1, 2)]
@@ -887,50 +861,64 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
         raise InputError("target set must contain 0")
     limits = (limits or SearchLimits()).resolve(target)
 
+    transcript: list[TranscriptStep] = []
+    current: frozenset[int] = frozenset()
+
+    def step(s: SequenceB) -> None:
+        """Adds ``s`` and intersects its sums into ``current``."""
+        nonlocal current
+        sums = _sums_of(s.entries)
+        current = current & sums if transcript else sums
+        transcript.append(TranscriptStep(s, tuple(sorted(sums)), tuple(sorted(current))))
+
     if target == {0}:
         # No nonzero elements to seed with; the two smallest coprime
         # magnitudes > 1 intersect to {0}.
-        seqs = (SequenceB((2,)), SequenceB((3,)))
+        step(SequenceB((2,)))
+        step(SequenceB((3,)))
     else:
-        seqs = (SequenceB(tuple(sorted(x for x in target if x != 0))),)
-
-    budget = _Budget(limits.budget)
-    sequences: list[SequenceB] = list(seqs)
-    transcript: list[TranscriptStep] = []
-    current: frozenset[int] | None = None
-    for s in sequences:
-        sums = _sums_of(s.entries)
-        current = sums if current is None else current & sums
-        transcript.append(TranscriptStep(s, tuple(sorted(sums)), tuple(sorted(current))))
+        step(SequenceB(tuple(sorted(x for x in target if x != 0))))
 
     extraneous = sorted(current - target)
-    find = _exclusion_search(target, extraneous, limits)
     count = len(extraneous)
+    if extraneous:  # the first of them needs a search
+        span = max(target) - min(target)
+        if span > SEARCH_SPAN_CAP:
+            raise ResourceCapError(
+                "search_span", SEARCH_SPAN_CAP,
+                f"decomposition search over a target span of {span}, beyond the cap "
+                f"of {SEARCH_SPAN_CAP}{_progress(extraneous[0], 0, count, limits.budget)}",
+            )
+        find = _exclusion_search(target, extraneous, limits)
+    left = limits.budget
     for bad in extraneous:
         if bad not in current:
             continue
         # ``current`` holds the target, so it holds this many extraneous values
         done = count - (len(current) - len(target))
-        budget.excluding = (bad, done, count)
-        found = find(bad, budget)
-        if found is None:
+        charged, entries = find(bad, left)
+        left -= charged
+        if left < 0:
+            raise ResourceCapError(
+                "budget", limits.budget,
+                "decomposition search budget exhausted"
+                + _progress(bad, done, count, limits.budget),
+            )
+        if entries is None:
             raise ResourceCapError(
                 "max_len", limits.max_len,
                 f"no excluding sequence for {bad} within caps "
                 f"(max_len={limits.max_len}, max_entry={limits.max_entry}; "
                 f"{_excluded(done, count)})",
             )
-        sums = _sums_of(found.entries)
-        current = current & sums
-        sequences.append(found)
-        transcript.append(TranscriptStep(found, tuple(sorted(sums)), tuple(sorted(current))))
+        step(SequenceB(entries))
 
     if current != target:  # unreachable: each step excludes its value
         raise RuntimeError(f"decomposition intersection {sorted(current)} "
                            f"is not the target {sorted(target)}")
     return DecompositionCertificate(
         tuple(sorted(target)),
-        tuple(sequences),
+        tuple(t.sequence for t in transcript),
         limits.max_entry,
         limits,
         tuple(transcript),

@@ -604,7 +604,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     add(("base.flags", all(map(base.has, STRONG_BASE_FLAGS)) or (
         f"base lacks flags: {[f for f in STRONG_BASE_FLAGS if not base.has(f)]}")))
     label = cert.class_label
-    b = dict(base.named_classes).get(label)
+    b = base.named_class(label)
     add(("base.class", b is not None and label in base.fixes or (
         f"class {label!r} must be a named class fixed by degree-one self maps")))
     # b's free coordinates and its (residue, modulus) pairs: a bundle over

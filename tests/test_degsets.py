@@ -511,24 +511,39 @@ def test_decompose_refuses_caps_the_schema_refuses(target, limits, message):
     assert str(err.value).startswith(message)
 
 
-def test_search_span_cap_comes_before_any_mask():
-    # one past the cap is refused before the search; at the cap the search
-    # runs, and a wide target that needs no search is not refused at all
+def test_search_span_cap_comes_before_any_mask(monkeypatch):
+    # one past the cap is refused before the walk, and with it any mask, is
+    # built; at the cap the search runs, and a wide target that needs no
+    # search is not refused at all
+    built = []
+    exclusion_search = degsets._exclusion_search
+
+    def spy(target, values, limits):
+        built.append(max(target) - min(target))
+        return exclusion_search(target, values, limits)
+
+    monkeypatch.setattr(degsets, "_exclusion_search", spy)
     cap = degsets.SEARCH_SPAN_CAP
     with pytest.raises(ResourceCapError) as exc:
         decompose({0, 1, cap + 1})
     assert exc.value.cap_name == "search_span"
+    assert built == []
     assert [s.entries for s in decompose({0, 1, cap}, SearchLimits(max_entry=cap)).sequences] \
         == [(1, cap), (1, cap - 1)]
+    assert built == [cap]
     wide = degsets.TARGET_MAGNITUDE_CAP
     assert [s.entries for s in decompose({-wide, 0, wide}).sequences] == [(-wide, wide)]
-    # the mask of the pending values, here 2^62 bits wide, was built with
-    # the walk and raised MemoryError before the first find reached the cap
-    target = frozenset({0, 1, cap + 1})
-    find = degsets._exclusion_search(target, [2, 1 << 62], SearchLimits().resolve(target))
-    with pytest.raises(ResourceCapError) as exc:
-        find(2, degsets._Budget(10))
-    assert exc.value.cap_name == "search_span"
+    assert built == [cap]
+
+
+def test_find_charges_what_it_walked_and_raises_nothing():
+    # the walk only walks: a find with no budget left still walks its first
+    # group and reports the leaves, and the caller decides the cap
+    target = frozenset({0, 1, 3})
+    find = degsets._exclusion_search(target, [2, 4], SearchLimits().resolve(target))
+    charged, entries = find(2, 0)
+    assert charged > 0 and entries is None
+    assert find(4, 10 ** 6) == (27, (1, 2))
 
 
 def test_default_caps_stay_within_the_schema_at_the_edges():
@@ -545,9 +560,9 @@ def test_decompose_checks_its_result_without_assert(monkeypatch):
     asked = []
 
     def exclusion_search(target, values, limits):
-        def find(bad, budget):
+        def find(bad, left):
             asked.append(bad)
-            return SequenceB((1, 1, 1, 1))
+            return 0, (1, 1, 1, 1)
         return find
 
     monkeypatch.setattr(degsets, "_exclusion_search", exclusion_search)

@@ -3,11 +3,11 @@
 ``reference_search_excluding`` is the straightforward search that the
 one walk per call (``degsets._exclusion_search``) replaced: it enumerates
 the same sequences in the same order, but rebuilds S_B from scratch at
-every leaf, charges the budget one leaf at a time and starts afresh for
-every excluded value.  Plugged into ``decompose`` in place of the walk,
-one search per value, it must give byte-identical certificates and
-identical cap errors; called directly, the same sequence and the same
-budget left as the walk asked for that value alone.
+every leaf, counts the leaves one at a time and starts afresh for every
+excluded value.  Plugged into ``decompose`` in place of the walk, one
+search per value, it must give byte-identical certificates and identical
+cap errors; called directly, the same sequence and the same budget left
+as the walk asked for that value alone, or both must pass the budget.
 """
 
 from __future__ import annotations
@@ -37,21 +37,33 @@ def _symbol(index: int) -> int:
     return mag if index % 2 == 0 else -mag
 
 
-def reference_search_excluding(target, bad, limits, budget):
+class Overdrawn(Exception):
+    """The reference search counted one leaf past the budget left."""
+
+
+def reference_search_excluding(target, bad, limits, left):
+    """``find(bad, left)`` of the walk, as the walk answers it: the leaves
+    charged through the hit and its entries, or the leaves counted and
+    None once the count passes ``left`` (one leaf past it) or the search
+    runs out."""
     need_hi = max(target)
     need_lo = min(target)
     symbols = [_symbol(i) for i in range(2 * limits.max_entry)]
     top = limits.max_entry
+    leaves = 0
 
     def rec(start, slots, pos, neg, picked):
+        nonlocal leaves
         if slots == 0:
-            budget.spend()
+            leaves += 1
+            if leaves > left:
+                raise Overdrawn
             if pos < need_hi or neg > need_lo:
                 return None
             sums = _sums_of(picked)
             if bad in sums or not target <= sums:
                 return None
-            return SequenceB(tuple(picked))
+            return tuple(picked)
         if pos + slots * top < need_hi or neg - slots * top > need_lo:
             return None
         for idx in range(start, len(symbols)):
@@ -66,11 +78,14 @@ def reference_search_excluding(target, bad, limits, budget):
             picked.pop()
         return None
 
-    for length in range(1, limits.max_len + 1):
-        hit = rec(0, length, 0, 0, [])
-        if hit is not None:
-            return hit
-    return None
+    try:
+        for length in range(1, limits.max_len + 1):
+            hit = rec(0, length, 0, 0, [])
+            if hit is not None:
+                return leaves, hit
+    except Overdrawn:
+        pass
+    return leaves, None
 
 
 def outcome(target, limits=None):
@@ -86,9 +101,9 @@ def reference_seam(searched_values):
     ``reference_search_excluding`` per value asked, appending the value to
     ``searched_values``."""
     def exclusion_search(target, values, limits):
-        def find(bad, budget):
+        def find(bad, left):
             searched_values.append(bad)
-            return reference_search_excluding(target, bad, limits, budget)
+            return reference_search_excluding(target, bad, limits, left)
         return find
     return exclusion_search
 
@@ -164,18 +179,27 @@ def test_random_limits_match_reference(target, max_len, max_entry, budget):
     assert fast == slow
 
 
-def search_alone(target, bad, limits, budget):
+def search_alone(target, bad, limits, left):
     """The one walk with ``bad`` as its only pending value."""
-    return degsets._exclusion_search(target, (bad,), limits)(bad, budget)
+    return degsets._exclusion_search(target, (bad,), limits)(bad, left)
+
+
+def walk_answer(find, bad, total):
+    """``find(bad, total)``: the sequence found (None when there is none)
+    and the budget left, or the budget cap and the leaves charged."""
+    charged, entries = find(bad, total)
+    if charged > total:
+        return ("cap", "budget"), charged
+    return (None if entries is None else SequenceB(entries)), total - charged
 
 
 def searched(search, target, bad, limits):
-    """The sequence found and the budget left, or the cap error."""
-    budget = degsets._Budget(limits.budget)
-    try:
-        return search(target, bad, limits, budget), budget.left
-    except ResourceCapError as exc:
-        return ("cap", exc.cap_name, exc.cap_value, str(exc))
+    """The sequence found and the budget left, or the budget cap alone:
+    past the budget, the reference stops one leaf on and the walk at the
+    end of a group."""
+    got, left = walk_answer(lambda v, total: search(target, v, limits, total),
+                            bad, limits.budget)
+    return got if isinstance(got, tuple) else (got, left)
 
 
 @settings(max_examples=300, deadline=None)
@@ -225,14 +249,14 @@ def test_budget_sweep_matches_reference(target, smallest):
 def test_one_walk_matches_reference_per_value(nonzero, asks, max_len, max_entry, budgets):
     """One walk asked for several values, in any order and with a fresh
     budget each time, answers each as a search for that value alone: same
-    sequence and budget left, or the same cap error."""
+    sequence and budget left, or both pass the budget."""
     target = frozenset(nonzero | {0})
     values = [v for v in asks if v not in target]
     limits = SearchLimits(max_len, max_entry).resolve(target)
     find = degsets._exclusion_search(target, values, limits)
     for bad, total in zip(values, budgets):
         capped = limits._replace(budget=total)
-        fast = searched(lambda t, v, lim, budget: find(v, budget), target, bad, capped)
+        fast = searched(lambda t, v, lim, left: find(v, left), target, bad, capped)
         assert fast == searched(reference_search_excluding, target, bad, capped), bad
 
 
@@ -285,16 +309,6 @@ def spread(values, count):
     if len(values) <= count:
         return list(values)
     return [values[i * (len(values) - 1) // (count - 1)] for i in range(count)]
-
-
-def walk_answer(find, bad, total):
-    """``find(bad)`` on a fresh budget of ``total``: the sequence and the
-    budget left, or the cap error and how far the walk got."""
-    budget = degsets._Budget(total)
-    try:
-        return find(bad, budget), budget.left
-    except ResourceCapError as exc:
-        return ("cap", exc.cap_name, str(exc)), total - budget.left
 
 
 @pytest.mark.parametrize("target, bad", [
@@ -371,7 +385,7 @@ def test_length_one_walks_match_reference(target):
             find = degsets._exclusion_search(target, (other, bad), limits)
             for value, budget in ((other, total), (bad, limits.budget)):
                 capped = limits._replace(budget=budget)
-                walked = searched(lambda t, v, lim, b: find(v, b), target, value, capped)
+                walked = searched(lambda t, v, lim, left: find(v, left), target, value, capped)
                 assert walked == searched(reference_search_excluding, target, value, capped)
 
 
