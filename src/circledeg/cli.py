@@ -38,8 +38,8 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from functools import lru_cache, partial
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from . import abelian, degsets
 from .errors import InputError, ResourceCapError
@@ -53,6 +53,8 @@ if TYPE_CHECKING:
 # ``decompose`` does not load them
 
 __all__ = ["main", "build_parser"]
+
+_T = TypeVar("_T")
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -99,6 +101,17 @@ def _read_payload(args: argparse.Namespace) -> dict:
     return obj
 
 
+def _decoded(args: argparse.Namespace, payload: dict, key: str,
+             decode: Callable[[object], _T]) -> _T:
+    """``decode(payload[key])``.  An :class:`InputError` it raises, for a
+    value the schema admits but the decoder refuses, is worded as the
+    schema words a rejection, naming the field ``$.key``."""
+    try:
+        return decode(payload[key])
+    except InputError as exc:
+        raise InputError(f"invalid {args.spec.schema} at $.{key}: {exc}") from exc
+
+
 def _base_from(name: str) -> bundles.BaseManifold:
     from . import bundles
 
@@ -139,7 +152,7 @@ def _render_solutions(view: dict) -> str:
 
 
 def _cmd_snf(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
-    m = abelian.IntegerMatrix.from_json(payload["matrix"])
+    m = _decoded(args, payload, "matrix", abelian.IntegerMatrix.from_json)
     u, d, v = abelian.smith_normal_form(m)
     out = {"u": u.to_json(), "d": d.to_json(), "v": v.to_json()}
     return 0, out, lambda: "U =\n{}\nD =\n{}\nV =\n{}".format(
@@ -147,14 +160,16 @@ def _cmd_snf(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 def _cmd_group(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
-    g = abelian.canonicalize_group(abelian.IntegerMatrix.from_json(payload["relations"]))
+    g = abelian.canonicalize_group(
+        _decoded(args, payload, "relations", abelian.IntegerMatrix.from_json))
     return 0, {"group": g.to_json()}, lambda: _render_group(g)
 
 
 def _cmd_solve_k(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
-    g = abelian.FgAbelianGroup.from_json(payload["group"])
-    a = abelian.GroupElement.from_json(g, payload["a"])
-    c = abelian.GroupElement.from_json(g, payload["c"])
+    g = _decoded(args, payload, "group", abelian.FgAbelianGroup.from_json)
+    element = partial(abelian.GroupElement.from_json, g)
+    a = _decoded(args, payload, "a", element)
+    c = _decoded(args, payload, "c", element)
     view = abelian.solution_set_json(abelian.solve_scalar(a, c))
     return 0, {"solutions": view}, lambda: _render_solutions(view)
 
@@ -174,9 +189,10 @@ def _cmd_decompose(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 def _cmd_dv(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     from . import bundles
 
-    g = abelian.FgAbelianGroup.from_json(payload["group"])
-    a = abelian.GroupElement.from_json(g, payload["a"])
-    b = abelian.GroupElement.from_json(g, payload["b"])
+    g = _decoded(args, payload, "group", abelian.FgAbelianGroup.from_json)
+    element = partial(abelian.GroupElement.from_json, g)
+    a = _decoded(args, payload, "a", element)
+    b = _decoded(args, payload, "b", element)
     s = bundles.vertical_degree_set(a, b)
     # whether degree 0 belongs is an open classification question; the
     # set reports nonzero degrees only and this marker says so
@@ -187,11 +203,11 @@ def _cmd_dv(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 def _cmd_dfp(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     from . import bundles
 
-    dom = abelian.FgAbelianGroup.from_json(payload["domainGroup"])
-    tgt = abelian.FgAbelianGroup.from_json(payload["targetGroup"])
-    a = abelian.GroupElement.from_json(dom, payload["a"])
-    b = abelian.GroupElement.from_json(tgt, payload["b"])
-    cat = bundles.MapCatalogue.from_json(payload["catalogue"])
+    dom = _decoded(args, payload, "domainGroup", abelian.FgAbelianGroup.from_json)
+    tgt = _decoded(args, payload, "targetGroup", abelian.FgAbelianGroup.from_json)
+    a = _decoded(args, payload, "a", partial(abelian.GroupElement.from_json, dom))
+    b = _decoded(args, payload, "b", partial(abelian.GroupElement.from_json, tgt))
+    cat = _decoded(args, payload, "catalogue", bundles.MapCatalogue.from_json)
     res = bundles.fiber_preserving_degree_set(cat, a, b)
     return 0, res.to_json(), lambda: "{} ({})".format(
         res.degree_set.render(),
@@ -223,8 +239,9 @@ def _cmd_finite(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     from . import bundles
 
     registry = bundles.registry_from_env()
-    dom = bundles.expr_from_json(payload["domain"], registry)
-    tgt = bundles.expr_from_json(payload["target"], registry)
+    expr = partial(bundles.expr_from_json, registry=registry)
+    dom = _decoded(args, payload, "domain", expr)
+    tgt = _decoded(args, payload, "target", expr)
     verdict = bundles.finiteness_verdict(
         dom, tgt,
         bool(payload.get("dBaseFinite", False)),

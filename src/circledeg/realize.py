@@ -38,7 +38,7 @@ transcript the builder reads its claimed sets from.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._frozen import Frozen
 from .abelian import GroupElement
@@ -72,7 +72,6 @@ from .errors import HypothesisError, InputError, ResourceCapError
 
 __all__ = [
     "PairClaim",
-    "CrossCheck",
     "Combination",
     "Stabilization",
     "RealizationCertificate",
@@ -177,41 +176,6 @@ class PairClaim(Frozen):
             "rule": self.rule,
         }
 
-    @classmethod
-    def _from_json(cls, obj: dict, registry: Mapping[str, BaseManifold],
-                   bundles: dict) -> "PairClaim":
-        """Claim from a payload valid under the ``pairClaim`` schema, taking
-        the bundles it decodes from ``bundles`` or adding them there."""
-        return cls(
-            int(obj["index"]),
-            expr_from_json(obj["domain"], registry, bundles),
-            expr_from_json(obj["target"], registry, bundles),
-            DegreeSet.from_json(obj["claimed"]),
-            obj["rule"],
-        )
-
-
-class CrossCheck(Frozen):
-    """Firewall record: summand ``summand`` of M_i cannot reach N_j with
-    nonzero degree because its multiplier does not divide alpha_j."""
-
-    __slots__ = ("i", "j", "summand", "multiplier", "verdict")
-
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "summand": self.summand,
-            "multiplier": self.multiplier,
-            "verdict": self.verdict,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CrossCheck":
-        """Record from a payload valid under the ``crossCheck`` schema."""
-        return cls(int(obj["i"]), int(obj["j"]), int(obj["summand"]),
-                   int(obj["multiplier"]), obj["verdict"])
-
 
 class Combination(Frozen):
     """The assembled pair; ``pad_symbol`` names the free parameter for the
@@ -227,18 +191,6 @@ class Combination(Frozen):
             "resultTarget": expr_to_json(self.result_target),
             "rule": self.rule,
         }
-
-    @classmethod
-    def _from_json(cls, obj: dict, registry: Mapping[str, BaseManifold],
-                   bundles: dict) -> "Combination":
-        """Record from a payload valid under the ``combinationRecord`` schema,
-        taking the bundles it decodes from ``bundles`` or adding them there."""
-        return cls(
-            obj["l"],
-            expr_from_json(obj["resultDomain"], registry, bundles),
-            expr_from_json(obj["resultTarget"], registry, bundles),
-            obj["rule"],
-        )
 
 
 class Stabilization(Frozen):
@@ -260,6 +212,11 @@ class Stabilization(Frozen):
 
 
 class RealizationCertificate(Frozen):
+    """A realization certificate.  ``cross_checks`` holds one
+    ``(i, j, summand, multiplier, verdict)`` row per firewall claim:
+    summand ``summand`` of M_i cannot reach N_j with nonzero degree
+    because its multiplier does not divide alpha_j."""
+
     __slots__ = ("target", "dimension", "base", "class_label", "decomposition", "primes",
                  "multipliers", "pairs", "cross_checks", "combination", "final_set",
                  "stabilizations")
@@ -276,7 +233,8 @@ class RealizationCertificate(Frozen):
             "primes": list(self.primes),
             "multipliers": list(self.multipliers),
             "pairs": [p.to_json() for p in self.pairs],
-            "crossChecks": [c.to_json() for c in self.cross_checks],
+            "crossChecks": [{"i": i, "j": j, "summand": s, "multiplier": m, "verdict": v}
+                            for i, j, s, m, v in self.cross_checks],
             "combination": self.combination.to_json(),
             "finalSet": self.final_set.to_json(),
             "stabilizations": [s.to_json() for s in self.stabilizations],
@@ -287,8 +245,10 @@ class RealizationCertificate(Frozen):
         """Certificate from a payload valid under the
         ``realizationCertificate`` schema; call ``validate_payload`` first
         on JSON from outside.  Another kind of document or schema version
-        is refused here too.  Each distinct bundle of the pairs and the
-        combination is built once, and shared wherever it recurs."""
+        is refused here too.  The pairs and the combination are decoded
+        here, against the certificate's base: each distinct bundle among
+        them is built once, and shared wherever it recurs.  Each cross
+        check becomes an ``(i, j, summand, multiplier, verdict)`` row."""
         if not isinstance(obj, dict):
             raise InputError("certificate must be a JSON object")
         if obj.get("kind") != "realization-certificate":
@@ -298,6 +258,7 @@ class RealizationCertificate(Frozen):
         base = BaseManifold.from_json(obj["base"])
         registry = {base.name: base}
         bundles: dict = {}
+        combo = obj["combination"]
         return cls(
             DegreeSet.from_json(obj["targetSet"]),
             int(obj["dimension"]),
@@ -306,9 +267,16 @@ class RealizationCertificate(Frozen):
             DecompositionCertificate.from_json(obj["decomposition"]),
             tuple(map(int, obj["primes"])),
             tuple(map(int, obj["multipliers"])),
-            tuple(PairClaim._from_json(p, registry, bundles) for p in obj["pairs"]),
-            tuple(map(CrossCheck.from_json, obj["crossChecks"])),
-            Combination._from_json(obj["combination"], registry, bundles),
+            tuple(PairClaim(int(p["index"]),
+                            expr_from_json(p["domain"], registry, bundles),
+                            expr_from_json(p["target"], registry, bundles),
+                            DegreeSet.from_json(p["claimed"]), p["rule"])
+                  for p in obj["pairs"]),
+            tuple((int(c["i"]), int(c["j"]), int(c["summand"]), int(c["multiplier"]),
+                   c["verdict"]) for c in obj["crossChecks"]),
+            Combination(combo["l"], expr_from_json(combo["resultDomain"], registry, bundles),
+                        expr_from_json(combo["resultTarget"], registry, bundles),
+                        combo["rule"]),
             DegreeSet.from_json(obj["finalSet"]),
             tuple(Stabilization.from_json(s) for s in obj.get("stabilizations", ())),
         )
@@ -405,7 +373,7 @@ def build_construction(a: Iterable[int] | DegreeSet, dimension: int = 4,
             for s_idx, m in enumerate(ms):
                 # the construction guarantees it
                 assert alpha_j % m != 0, "prime firewall violated"
-                crosses.append(CrossCheck(i, j, s_idx, m, "pass"))
+                crosses.append((i, j, s_idx, m, "pass"))
 
     if r == 1:
         combination = Combination(None, pairs[0].domain, pairs[0].target, "direct")
@@ -524,10 +492,11 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     stored multipliers.  The Euler class of a target or a summand is
     compared with alpha*b or m*b by its coordinates, and the combined pair
     by its summands, so no multiple of b and no connected sum is built
-    unless a failure is worded.  One pass over the cross-check
-    records decides each record and gathers the completeness data; the
+    unless a failure is worded.  ``cert.cross_checks`` holds
+    ``(i, j, summand, multiplier, verdict)`` rows; one pass over them
+    decides each row and gathers the completeness data, and the
     ``cross.completeness`` row, which names missing, out-of-range and
-    repeated records, still comes before the records' rows.
+    repeated cross checks, still comes before their rows.
     """
     rows: list[tuple[str, bool | str]] = []
     add = rows.append
@@ -689,8 +658,8 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     unexpected: set[tuple[int, int, int]] = set()
     duplicated: set[tuple[int, int, int]] = set()
     cross_rows = []
-    for c in cert.cross_checks:
-        i, j, s_idx = key = (c.i, c.j, c.summand)
+    for i, j, s_idx, stored_m, stored_verdict in cert.cross_checks:
+        key = (i, j, s_idx)
         if key in keys:
             duplicated.add(key)
         keys.add(key)
@@ -705,11 +674,11 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             if m is None:
                 verdict = (f"entry {seqs[i].entries[s_idx]} does not divide "
                            f"multiplier {multipliers[i]}")
-            elif c.multiplier != m:
-                verdict = (f"stored multiplier {c.multiplier} is not "
+            elif stored_m != m:
+                verdict = (f"stored multiplier {stored_m} is not "
                            f"{multipliers[i]}/{seqs[i].entries[s_idx]} = {m}")
-            elif c.verdict != "pass":
-                verdict = f"verdict {c.verdict!r} is not 'pass'"
+            elif stored_verdict != "pass":
+                verdict = f"verdict {stored_verdict!r} is not 'pass'"
             elif m == 0:
                 verdict = (f"summand multiplier {multipliers[i]}/{seqs[i].entries[s_idx]} "
                            "is 0; the pair rule needs it nonzero")
@@ -843,14 +812,11 @@ def render_certificate(cert: RealizationCertificate) -> str:
             f"pair {p.index + 1}: {render_expr(p.domain)} -> {render_expr(p.target)} "
             f"realizes {p.claimed.render()} [{tags}]"
         )
-    for c in cert.cross_checks:
+    for i, j, s_idx, m, _ in cert.cross_checks:
         # an unverified certificate may name a pair it does not have
-        alpha = cert.multipliers[c.j] if 0 <= c.j < len(cert.multipliers) else "?"
-        lines.append(
-            f"cross pair {c.i + 1}->{c.j + 1}, summand {c.summand + 1}: "
-            f"{c.multiplier} does not divide {alpha} "
-            f"[cross-nondivisibility]"
-        )
+        alpha = cert.multipliers[j] if 0 <= j < len(cert.multipliers) else "?"
+        lines.append(f"cross pair {i + 1}->{j + 1}, summand {s_idx + 1}: "
+                     f"{m} does not divide {alpha} [cross-nondivisibility]")
     combo = cert.combination
     lines.append(
         f"combined: {render_expr(combo.result_domain)} -> "

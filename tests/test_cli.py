@@ -254,6 +254,54 @@ def test_malformed_payload_names_field(cli):
     assert out == ""
 
 
+def _edited(command: str, path: tuple, value) -> dict:
+    """The first JSON payload of ``CLI_REQUESTS`` for ``command``, with the
+    value at ``path`` replaced."""
+    payload = next(p for argv, p in CLI_REQUESTS if argv == [command])
+    out = json.loads(json.dumps(payload))
+    where = out
+    for key in path[:-1]:
+        where = where[key]
+    where[path[-1]] = value
+    return out
+
+
+_SHORT_MATRIX = "matrix entries length is not rows*cols"
+_LONG_FREE = "free coordinate count does not match group rank"
+_LONG_TORSION = "torsion coordinate count does not match group"
+_NO_CHAIN = "torsion factors must form a divisibility chain"
+_NO_BASE = "unknown base manifold: 'nope'"
+
+# payloads the schema admits whose decoder refuses the value at ``path``
+DECODE_ERRORS = [
+    ("snf", "snfInput", ("matrix", "entries"), [1], _SHORT_MATRIX),
+    ("group", "groupInput", ("relations", "entries"), [1], _SHORT_MATRIX),
+    ("solve-k", "solveInput", ("group", "torsion"), [2, 3], _NO_CHAIN),
+    ("solve-k", "solveInput", ("a", "free"), [2, 1], _LONG_FREE),
+    ("solve-k", "solveInput", ("c", "free"), [6, 1], _LONG_FREE),
+    ("dv", "dvInput", ("group", "torsion"), [4, 6], _NO_CHAIN),
+    ("dv", "dvInput", ("a", "torsion"), [2, 1], _LONG_TORSION),
+    ("dv", "dvInput", ("b", "torsion"), [4, 1], _LONG_TORSION),
+    ("dfp", "dfpInput", ("domainGroup", "torsion"), [2, 3], _NO_CHAIN),
+    ("dfp", "dfpInput", ("targetGroup", "torsion"), [2, 3], _NO_CHAIN),
+    ("dfp", "dfpInput", ("a", "free"), [2, 1], _LONG_FREE),
+    ("dfp", "dfpInput", ("b", "free"), [1, 1], _LONG_FREE),
+    ("dfp", "dfpInput", ("catalogue", "maps", 0, "action", "entries"), [4, 5], _SHORT_MATRIX),
+    ("finite", "finiteInput", ("domain", "bundle", "base"), "nope", _NO_BASE),
+    ("finite", "finiteInput", ("target", "bundle", "base"), "nope", _NO_BASE),
+]
+
+
+@pytest.mark.parametrize("command, schema, path, value, message", DECODE_ERRORS,
+                         ids=[f"{case[0]}-{case[2][0]}" for case in DECODE_ERRORS])
+def test_decode_error_names_its_field(cli, command, schema, path, value, message):
+    payload = _edited(command, path, value)
+    validate_payload(schema, payload)
+    code, out, err = cli(command, stdin_text=json.dumps(payload))
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid {schema} at $.{path[0]}: {message}\n"
+
+
 def test_invalid_json_reports_source(cli):
     code, _, err = cli("snf", stdin_text="{nope")
     assert code == 1

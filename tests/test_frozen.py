@@ -1,4 +1,4 @@
-"""Value semantics of the 26 record classes.
+"""Value semantics of the 25 record classes.
 
 Each class is a slotted ``Frozen`` subclass.  These tests pin, per class,
 what ``@dataclass(frozen=True)`` used to give: field order, structural
@@ -61,8 +61,6 @@ CLASSES = {
     "PairResult": (("degree_set", "exact", "rule"), lambda x: {"rule": x.rule + "-copy"}),
     "PairClaim": (("index", "domain", "target", "claimed", "rule"),
                   lambda x: {"index": x.index + 1}),
-    "CrossCheck": (("i", "j", "summand", "multiplier", "verdict"),
-                   lambda x: {"verdict": "fail"}),
     "Combination": (("pad_symbol", "result_domain", "result_target", "rule"),
                     lambda x: {"rule": "other"}),
     "Stabilization": (("shift", "from_dimension", "to_dimension", "rule"),
@@ -79,9 +77,8 @@ CLASSES = {
 
 # the records that only store their arguments, built by Frozen.__init__
 STORES_ONLY = {"SymbolicRepeat", "MapContribution", "FiberPreservingResult", "PairResult",
-               "TranscriptStep", "DecompositionCertificate", "PairClaim", "CrossCheck",
-               "Combination", "Stabilization", "RealizationCertificate", "Check",
-               "VerificationReport"}
+               "TranscriptStep", "DecompositionCertificate", "PairClaim", "Combination",
+               "Stabilization", "RealizationCertificate", "Check", "VerificationReport"}
 
 
 def samples() -> dict:
