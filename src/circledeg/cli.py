@@ -34,11 +34,12 @@ selftest failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from functools import lru_cache, partial
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 from . import abelian, degsets
@@ -46,6 +47,8 @@ from .errors import InputError, ResourceCapError
 from .schema import validate_payload
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import bundles
 
 # ``bundles`` and ``realize`` are imported by the handlers that use them, so
@@ -67,7 +70,7 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise InputError(f"{what} must be a comma-separated list of integers") from exc
 
 
-def _read_json(args: argparse.Namespace) -> object:
+def _read_json(args: SimpleNamespace) -> object:
     """The JSON document in ``--in FILE``, or on stdin for ``-`` or none."""
     if args.infile is None or args.infile == "-":
         text = sys.stdin.read()
@@ -85,7 +88,7 @@ def _read_json(args: argparse.Namespace) -> object:
         raise InputError(f"{source} is not valid JSON: {exc}") from exc
 
 
-def _read_payload(args: argparse.Namespace) -> dict:
+def _read_payload(args: SimpleNamespace) -> dict:
     """The request's payload, valid under its command's schema: the JSON
     document overlaid with every payload flag given, a flag winning over
     the same key.  The document is not read when a flag that builds the
@@ -101,7 +104,7 @@ def _read_payload(args: argparse.Namespace) -> dict:
     return obj
 
 
-def _decoded(args: argparse.Namespace, payload: dict, key: str,
+def _decoded(args: SimpleNamespace, payload: dict, key: str,
              decode: Callable[[object], _T]) -> _T:
     """``decode(payload[key])``.  An :class:`InputError` it raises, for a
     value the schema admits but the decoder refuses, is worded as the
@@ -218,7 +221,8 @@ def _cmd_dfp(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 def _cmd_pair(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     from . import bundles
 
-    base = _base_from(payload.get("preset") or "knot-glue-3")
+    base = (_decoded(args, payload, "preset", _base_from) if payload.get("preset")
+            else _base_from("knot-glue-3"))
     res = bundles.same_base_pair_degree_set(
         int(payload["m"]), int(payload["k"]), base,
         payload.get("classLabel") or "b")
@@ -255,7 +259,7 @@ def _cmd_realize(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 
     base = None
     if payload.get("preset"):
-        base = _base_from(payload["preset"])
+        base = _decoded(args, payload, "preset", _base_from)
     cert = realize.build_construction(
         payload["set"],
         int(payload.get("dim", 4)),
@@ -348,19 +352,22 @@ def _cmd_selftest(payload: None, args) -> tuple[int, dict, Callable[[], str]]:
 
 
 # ---------------------------------------------------------------------------
-# parser: one table declares every subcommand and its payload flags; its rows
-# are plain slotted classes, as a NamedTuple class costs a cold start ~0.3 ms.
-# A request whose first word names a subcommand parses with a parser that
-# holds that subcommand alone, which a cold start builds in under half the
-# time all 14 take.
+# parser: one table declares every subcommand and its flags; its rows are
+# plain slotted classes, as a NamedTuple class costs a cold start ~0.3 ms.
+# A valid request is read straight from the table, so a cold start does not
+# import argparse, nor the gettext and locale that argparse pulls in (~4 ms
+# together).  Help and usage errors are argparse's: such an argv goes to a
+# parser that holds only the subcommand named first, which a cold start
+# builds in under half the time all 14 take.
 
 
 class _Flag:
-    """A payload flag.  Its payload key is also its argparse dest.  An
-    ``int`` is converted by argparse, so a malformed one is a usage error;
-    a ``list`` is a comma-separated list of integers, parsed with the
-    payload, so a malformed one is bad input.  A flag that builds the
-    payload ``alone`` leaves the JSON document unread."""
+    """A flag that takes a value.  Its key is its argparse dest and, for a
+    payload flag, its payload key.  An ``int`` is converted with ``int()``
+    as argv is parsed, so a malformed one is a usage error; a ``list`` is a
+    comma-separated list of integers, parsed with the payload, so a
+    malformed one is bad input.  A payload flag that builds the payload
+    ``alone`` leaves the JSON document unread."""
 
     __slots__ = ("name", "key", "metavar", "help", "type", "alone")
 
@@ -370,17 +377,24 @@ class _Flag:
         self.type, self.alone = type, alone
 
 
+_IN = _Flag("--in", "infile", "FILE", "JSON payload file, - for stdin (default: stdin)")
+_OUT = _Flag("--out", "outfile", "FILE", "write the result here instead of stdout")
+_FORMATS = ("json", "text")  # the choices of --format
+
+
 class _Command:
     """A subcommand: its handler, the schema of its payload (``None`` for
-    one it reads itself or has none of), its help text, its payload flags,
-    and whether it reads a JSON document at all."""
+    one it reads itself or has none of), its help text and its payload
+    flags.  Its ``options`` are those flags, ``--in`` unless it reads no
+    JSON document at all, and ``--out``."""
 
-    __slots__ = ("name", "fn", "schema", "help", "flags", "reads")
+    __slots__ = ("name", "fn", "schema", "help", "flags", "options")
 
     def __init__(self, name: str, fn: Callable, schema: str | None, help: str,
                  flags: tuple[_Flag, ...] = (), reads: bool = True) -> None:
         self.name, self.fn, self.schema, self.help = name, fn, schema, help
-        self.flags, self.reads = flags, reads
+        self.flags = flags
+        self.options = (*flags, _IN, _OUT) if reads else (*flags, _OUT)
 
 
 _SET = _Flag("--set", "set", "A", "comma-separated members, must include 0", list, True)
@@ -423,22 +437,71 @@ _COMMANDS = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, as bad input; argparse's own 2 is the code of
-    a resource cap hit."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+_BY_NAME = {spec.name: spec for spec in _COMMANDS}
 
 
-_NAMES = tuple(spec.name for spec in _COMMANDS)
+def _is_value(word: str) -> bool:
+    """Whether argparse takes ``word`` as the value of the flag before it:
+    a word not starting with ``-``, a lone ``-``, or a negative number by
+    argparse's pattern, compiled only for a word that is not ``-`` and
+    digits."""
+    return (not word.startswith("-") or word == "-" or word[1:].isdecimal()
+            or re.match(r"^-\d+$|^-\d*\.\d+$", word) is not None)
+
+
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` makes of a valid request,
+    read from the table without argparse: a subcommand, then its options
+    and ``--format``, each as ``--flag=value``, ``--flag value`` or
+    ``-m value``, a separate value only where argparse takes one.
+    ``None`` for any other argv (help, a usage error or a form this reader
+    leaves to argparse)."""
+    spec = _BY_NAME.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options = {flag.name: flag for flag in spec.options}
+    got = dict.fromkeys(flag.key for flag in spec.options)
+    got.update(command=spec.name, spec=spec, format="json")
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, value = word.partition("=") if word.startswith("--") else (word, "", "")
+        flag = options.get(name)
+        if flag is None and name != "--format":
+            return None
+        if not eq:
+            value = next(words, None)
+            if value is None or not _is_value(value):
+                return None
+        elif value == "--":  # argparse before 3.13 drops it and stores []
+            return None
+        if flag is None:  # --format
+            if value not in _FORMATS:
+                return None
+            got["format"] = value
+        elif flag.type is not int:
+            got[flag.key] = value
+        else:
+            try:
+                got[flag.key] = int(value)
+            except ValueError:
+                return None
+    return SimpleNamespace(**got)
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of the one named ``only``: its
     usage line still lists every subcommand, so its usage and error text
     are those of the full parser."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors exit 1, as bad input; argparse's own 2 is the code
+        of a resource cap hit."""
+
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="circledeg",
         description="Exact degree-set arithmetic for oriented circle bundles.",
@@ -446,19 +509,14 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = _COMMANDS
     if only is not None:
-        sub.metavar = "{" + ",".join(_NAMES) + "}"
-        specs = [spec for spec in _COMMANDS if spec.name == only]
+        sub.metavar = "{" + ",".join(_BY_NAME) + "}"
+        specs = [_BY_NAME[only]]
     for spec in specs:
         p = sub.add_parser(spec.name, help=spec.help)
-        for flag in spec.flags:
+        for flag in spec.options:
             p.add_argument(flag.name, dest=flag.key, metavar=flag.metavar, help=flag.help,
-                           type=None if flag.type is list else flag.type)
-        if spec.reads:
-            p.add_argument("--in", dest="infile", metavar="FILE",
-                           help="JSON payload file, - for stdin (default: stdin)")
-        p.add_argument("--out", dest="outfile", metavar="FILE",
-                       help="write the result here instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), default="json",
+                           type=int if flag.type is int else None)
+        p.add_argument("--format", choices=_FORMATS, default="json",
                        help="output rendering (default: json)")
         p.set_defaults(spec=spec)
     return parser
@@ -466,18 +524,21 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 @lru_cache(maxsize=None)
 def _parser(only: str | None) -> argparse.ArgumentParser:
-    """``build_parser(only)``, built once per process: a cold request
-    builds one subcommand's parser, not all 14, and further ``main`` calls
-    of the process share it."""
+    """``build_parser(only)``, built once per process: an argv left to
+    argparse builds one subcommand's parser, not all 14, and further
+    ``main`` calls of the process share it."""
     return build_parser(only)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # --help, no words or an unknown first word need the full table
-    first = argv[0] if argv else None
-    args = _parser(first if first in _NAMES else None).parse_args(argv)
+    args = _table_args(argv)
+    if args is None:
+        # --help, no words or an unknown first word need the full table
+        first = argv[0] if argv else None
+        parsed = _parser(first if first in _BY_NAME else None).parse_args(argv)
+        args = SimpleNamespace(**vars(parsed))
     try:
         payload = _read_payload(args) if args.spec.schema else None
         code, obj, render = args.spec.fn(payload, args)

@@ -271,6 +271,7 @@ _LONG_FREE = "free coordinate count does not match group rank"
 _LONG_TORSION = "torsion coordinate count does not match group"
 _NO_CHAIN = "torsion factors must form a divisibility chain"
 _NO_BASE = "unknown base manifold: 'nope'"
+_NO_PRESET = "unknown preset 'nope'; available: hyp-odd-4, knot-glue-3, surface"
 
 # payloads the schema admits whose decoder refuses the value at ``path``
 DECODE_ERRORS = [
@@ -289,6 +290,8 @@ DECODE_ERRORS = [
     ("dfp", "dfpInput", ("catalogue", "maps", 0, "action", "entries"), [4, 5], _SHORT_MATRIX),
     ("finite", "finiteInput", ("domain", "bundle", "base"), "nope", _NO_BASE),
     ("finite", "finiteInput", ("target", "bundle", "base"), "nope", _NO_BASE),
+    ("pair", "pairInput", ("preset",), "nope", _NO_PRESET),
+    ("realize", "realizeInput", ("preset",), "nope", _NO_PRESET),
 ]
 
 
@@ -527,9 +530,10 @@ def test_list_flag_past_the_digit_limit_names_the_limit(cli, argv, flag):
 
 
 def test_a_request_builds_only_its_own_subcommands_parser(cli, monkeypatch):
-    # each subcommand's parser is built at most once per process, and a
-    # request naming a subcommand builds that one alone: a cold pair
-    # request constructs 2 ArgumentParsers where the full table takes 15
+    # a valid request is read from the command table and builds no
+    # ArgumentParser; an argv left to argparse that names a subcommand builds
+    # that one's parser alone, at most once per process: 2 ArgumentParsers
+    # where the full table takes 15
     built, constructed = [], []
     init = argparse.ArgumentParser.__init__
 
@@ -545,10 +549,16 @@ def test_a_request_builds_only_its_own_subcommands_parser(cli, monkeypatch):
     cli_module._parser.cache_clear()
     try:
         assert cli("pair", "-m", "2", "-k", "6")[0] == 0
-        assert (built, len(constructed)) == (["pair"], 2)
-        assert cli("pair", "-m", "3", "-k", "6")[0] == 0
         assert cli("sums", "--seq", "1,3")[0] == 0
-        assert (built, len(constructed)) == (["pair", "sums"], 4)
+        assert (built, len(constructed)) == ([], 0)
+        # an abbreviated flag is argparse's to expand
+        assert cli("pair", "-m", "2", "-k", "6", "--form", "text")[0] == 0
+        assert (built, len(constructed)) == (["pair"], 2)
+        assert cli("pair", "-m", "3", "-k", "6", "--form", "text")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--help"])
+        assert exc.value.code == 0
+        assert (built, len(constructed)) == (["pair", "decompose"], 4)
         build_parser()
         assert len(constructed) == 4 + 1 + len(cli_module._COMMANDS)
     finally:
@@ -556,7 +566,8 @@ def test_a_request_builds_only_its_own_subcommands_parser(cli, monkeypatch):
 
 
 # what the CLI fuzz test gives a drawn flag
-FLAG_VALUES = ["0", "-1", "7", str(10**30), str(10**3999 + 1), "1,3", ",", "x", ""]
+FLAG_VALUES = ["0", "-1", "7", str(10**30), str(10**3999 + 1), "1,3", ",", "x", "",
+               "-", "-4", "-6,1,2", "-x y", "--"]
 
 
 @lru_cache(maxsize=1)
@@ -574,12 +585,17 @@ def payloads_by_command() -> dict[str, list]:
 @st.composite
 def flag_requests(draw):
     """A subcommand of the parser's table with a subset of its payload
-    flags, each given a value of ``FLAG_VALUES``, and either no stdin or a
-    CLI request's payload, most often one of the subcommand's own."""
+    flags and ``--format``, each given a value of ``FLAG_VALUES`` in one
+    word (``--flag=value``) or two (``--flag value``, ``-m value``), and
+    either no stdin or a CLI request's payload, most often one of the
+    subcommand's own."""
     spec = draw(st.sampled_from(cli_module._COMMANDS))
     flags = draw(st.lists(st.sampled_from(spec.flags), unique=True)) if spec.flags else []
-    argv = [spec.name, "--format", draw(st.sampled_from(["json", "text"]))]
-    argv += [f"{flag.name}={draw(st.sampled_from(FLAG_VALUES))}" for flag in flags]
+    given = [("--format", draw(st.sampled_from(["json", "text"])))]
+    given += [(flag.name, draw(st.sampled_from(FLAG_VALUES))) for flag in flags]
+    argv = [spec.name]
+    for name, value in given:
+        argv += draw(st.sampled_from([[f"{name}={value}"], [name, value]]))
     everyone = [p for payloads in payloads_by_command().values() for p in payloads]
     own = payloads_by_command().get(spec.name, everyone)
     payload = draw(st.one_of(st.none(), st.sampled_from(own), st.sampled_from(everyone)))
@@ -619,10 +635,15 @@ def parse_outcome(parser: argparse.ArgumentParser, argv: list[str]) -> object:
 
 
 def assert_parsed_as_by_the_full_parser(argv: list[str]) -> None:
-    # main's rule: a first word naming a subcommand picks that one's parser
+    # main's rules: the command table reads what it can, and for the rest a
+    # first word naming a subcommand picks that one's parser
+    full = parse_outcome(build_parser(), argv)
     first = argv[0] if argv else None
-    own = cli_module._parser(first if first in cli_module._NAMES else None)
-    assert parse_outcome(own, argv) == parse_outcome(build_parser(), argv), argv
+    own = cli_module._parser(first if first in cli_module._BY_NAME else None)
+    assert parse_outcome(own, argv) == full, argv
+    table = cli_module._table_args(argv)
+    if table is not None:
+        assert vars(table) == full, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -635,6 +656,7 @@ def assert_parsed_as_by_the_full_parser(argv: list[str]) -> None:
     ["bogus"],
     ["pair", "snf"],
     ["decompose", "--set", "-6,1,2"],
+    ["sums", "--seq=--"],  # before 3.13, argparse stores [] for --seq
     ["realize", "--set=0,1", "--dim", "5", "--format=text"],
     ["verify", "--in", "-", "--out", "x.json"],
     ["selftest", "--in", "x.json"],
@@ -645,7 +667,39 @@ def test_a_subcommands_own_parser_parses_as_the_full_one(monkeypatch, argv):
     assert_parsed_as_by_the_full_parser(argv)
 
 
-STRAY_WORDS = ["bogus", "pair", "-h", "--in", "-", "--format", "xml", "-m", "x", "--", ""]
+@pytest.mark.parametrize("argv", [
+    *(argv for argv, _ in CLI_REQUESTS),
+    ["pair", "-m", "-4", "-k", "8", "--format=text"],
+    ["pair", "-m", "2", "-k", "-6", "-m", "3", "--class", "-.5"],  # the last -m wins
+    ["pair", "-m", "2", "-k", "6", "--preset", "x", "--preset=surface"],
+    ["realize", "--set=0,1,3", "--dim", "4", "--budget=1000", "--max-len", "-1"],
+    ["decompose", "--set=-6,1,2", "--max-entry", " 7 "],
+    ["verify", "--in", "-", "--out", "x.json", "--format", "text", "--format", "json"],
+    ["stabilize", "--dim", "7", "--in=cert.json", "--out="],
+    ["sums", "--seq", ""],
+    ["selftest", "--format", "text"],
+], ids=" ".join)
+def test_the_command_table_reads_a_valid_request(argv):
+    table = cli_module._table_args(argv)
+    assert table is not None
+    assert vars(table) == parse_outcome(build_parser(), argv)
+
+
+# the separate values argparse takes, and words it takes for flags; a word
+# with a space that starts with "-" is a value to argparse too, and left to it
+@pytest.mark.parametrize("word", ["7", "", "-", "-4", "-\u0663", "-4\n", "-4\n\n", "-.5", "-1.5",
+                                  "-1.", "-1.2.3", "-1e5", "-1_000", "-0x1", "-x", "-h", "--",
+                                  "--seq", "---"])
+def test_the_command_table_takes_a_value_where_argparse_does(word):
+    argv = ["sums", "--seq", word]
+    full = parse_outcome(build_parser(), argv)
+    table = cli_module._table_args(argv)
+    assert (vars(table) if table is not None else None) == (
+        full if isinstance(full, dict) else None)
+
+
+STRAY_WORDS = ["bogus", "pair", "-h", "--in", "-", "--format", "xml", "-m", "x", "--", "",
+               "-4", "-6,1,2", "-x y"]
 
 
 @st.composite
@@ -1439,7 +1493,7 @@ _COLD_REQUEST = """\
 import json, sys
 from circledeg import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("circledeg"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
@@ -1455,6 +1509,22 @@ def test_cold_request_loads_neither_bundles_nor_realize_in_a_child_process(tmp_p
     assert code == 0
     assert {"circledeg.abelian", "circledeg.degsets", "circledeg.schema"} <= set(loaded)
     assert not {"circledeg.bundles", "circledeg.realize"} & set(loaded)
+    assert json.loads((tmp_path / "out.json").read_text())
+
+
+# a valid request is parsed without argparse, so it loads neither argparse
+# nor the gettext and locale that argparse brings in
+@pytest.mark.parametrize("argv", [["snf", "--in", "matrix.json"], ["pair", "-m", "-4", "-k", "8"]],
+                         ids=lambda argv: argv[0])
+def test_cold_request_loads_no_argparse_in_a_child_process(tmp_path, argv):
+    (tmp_path / "matrix.json").write_text(
+        '{"matrix": {"rows": 2, "cols": 2, "entries": [2, 4, 6, 8]}}')
+    argv = [str(tmp_path / word) if word == "matrix.json" else word for word in argv]
+    proc = run_python_process(_COLD_REQUEST, *argv, "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
     assert json.loads((tmp_path / "out.json").read_text())
 
 
