@@ -38,7 +38,7 @@ import json
 import os
 import re
 import sys
-from functools import lru_cache, partial
+from functools import partial
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -70,7 +70,7 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise InputError(f"{what} must be a comma-separated list of integers") from exc
 
 
-def _read_json(args: SimpleNamespace) -> object:
+def _read_json(args: SimpleNamespace | argparse.Namespace) -> object:
     """The JSON document in ``--in FILE``, or on stdin for ``-`` or none."""
     if args.infile is None or args.infile == "-":
         text = sys.stdin.read()
@@ -88,7 +88,7 @@ def _read_json(args: SimpleNamespace) -> object:
         raise InputError(f"{source} is not valid JSON: {exc}") from exc
 
 
-def _read_payload(args: SimpleNamespace) -> dict:
+def _read_payload(args: SimpleNamespace | argparse.Namespace) -> dict:
     """The request's payload, valid under its command's schema: the JSON
     document overlaid with every payload flag given, a flag winning over
     the same key.  The document is not read when a flag that builds the
@@ -104,7 +104,7 @@ def _read_payload(args: SimpleNamespace) -> dict:
     return obj
 
 
-def _decoded(args: SimpleNamespace, payload: dict, key: str,
+def _decoded(args: SimpleNamespace | argparse.Namespace, payload: dict, key: str,
              decode: Callable[[object], _T]) -> _T:
     """``decode(payload[key])``.  An :class:`InputError` it raises, for a
     value the schema admits but the decoder refuses, is worded as the
@@ -356,9 +356,8 @@ def _cmd_selftest(payload: None, args) -> tuple[int, dict, Callable[[], str]]:
 # plain slotted classes, as a NamedTuple class costs a cold start ~0.3 ms.
 # A valid request is read straight from the table, so a cold start does not
 # import argparse, nor the gettext and locale that argparse pulls in (~4 ms
-# together).  Help and usage errors are argparse's: such an argv goes to a
-# parser that holds only the subcommand named first, which a cold start
-# builds in under half the time all 14 take.
+# together).  Help, usage errors and any argv the table leaves aside go to
+# argparse's parser of all 14 subcommands, so their text is argparse's alone.
 
 
 class _Flag:
@@ -453,9 +452,10 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
     """What ``build_parser().parse_args(argv)`` makes of a valid request,
     read from the table without argparse: a subcommand, then its options
     and ``--format``, each as ``--flag=value``, ``--flag value`` or
-    ``-m value``, a separate value only where argparse takes one.
-    ``None`` for any other argv (help, a usage error or a form this reader
-    leaves to argparse)."""
+    ``-m value``, a separate value only where argparse takes one; a joined
+    ``--flag=--`` is the value ``--``, as in argparse from Python 3.13
+    (earlier ones store ``[]``).  ``None`` for any other argv (help, a
+    usage error or a form this reader leaves to argparse)."""
     spec = _BY_NAME.get(argv[0]) if argv else None
     if spec is None:
         return None
@@ -472,8 +472,6 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
             value = next(words, None)
             if value is None or not _is_value(value):
                 return None
-        elif value == "--":  # argparse before 3.13 drops it and stores []
-            return None
         if flag is None:  # --format
             if value not in _FORMATS:
                 return None
@@ -488,10 +486,10 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**got)
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the one named ``only``: its
-    usage line still lists every subcommand, so its usage and error text
-    are those of the full parser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  ``main`` builds it only for what
+    the command table leaves to it: help, a usage error, or a form such
+    as an abbreviated flag."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -507,11 +505,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         description="Exact degree-set arithmetic for oriented circle bundles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = _COMMANDS
-    if only is not None:
-        sub.metavar = "{" + ",".join(_BY_NAME) + "}"
-        specs = [_BY_NAME[only]]
-    for spec in specs:
+    for spec in _COMMANDS:
         p = sub.add_parser(spec.name, help=spec.help)
         for flag in spec.options:
             p.add_argument(flag.name, dest=flag.key, metavar=flag.metavar, help=flag.help,
@@ -522,23 +516,10 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser(only: str | None) -> argparse.ArgumentParser:
-    """``build_parser(only)``, built once per process: an argv left to
-    argparse builds one subcommand's parser, not all 14, and further
-    ``main`` calls of the process share it."""
-    return build_parser(only)
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _table_args(argv)
-    if args is None:
-        # --help, no words or an unknown first word need the full table
-        first = argv[0] if argv else None
-        parsed = _parser(first if first in _BY_NAME else None).parse_args(argv)
-        args = SimpleNamespace(**vars(parsed))
+    args = _table_args(argv) or build_parser().parse_args(argv)
     try:
         payload = _read_payload(args) if args.spec.schema else None
         code, obj, render = args.spec.fn(payload, args)
