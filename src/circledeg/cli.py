@@ -49,7 +49,7 @@ from .schema import validate_payload
 if TYPE_CHECKING:
     import argparse
 
-    from . import bundles
+    from . import bundles, realize
 
 # ``bundles`` and ``realize`` are imported by the handlers that use them, so
 # that a request for ``snf``, ``group``, ``solve-k``, ``sums`` or
@@ -113,6 +113,19 @@ def _decoded(args: SimpleNamespace | argparse.Namespace, payload: dict, key: str
         return decode(payload[key])
     except InputError as exc:
         raise InputError(f"invalid {args.spec.schema} at $.{key}: {exc}") from exc
+
+
+def _certificate(obj: dict, schema: str, root: str) -> realize.RealizationCertificate:
+    """``RealizationCertificate.from_json(obj)``, ``obj`` being the value at
+    ``root`` of a ``schema`` payload.  A value the schema admits but the
+    decoder refuses is worded as the schema words a rejection, naming the
+    field's path from the payload."""
+    from . import realize
+
+    try:
+        return realize.RealizationCertificate.from_json(obj)
+    except InputError as exc:  # its text starts with the path from obj, "$…"
+        raise InputError(f"invalid {schema} at {root}{str(exc)[1:]}") from exc
 
 
 def _base_from(name: str) -> bundles.BaseManifold:
@@ -273,7 +286,7 @@ def _cmd_realize(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
 def _cmd_verify(payload: dict, args) -> tuple[int, dict, Callable[[], str]]:
     from . import realize
 
-    cert = realize.RealizationCertificate.from_json(payload)
+    cert = _certificate(payload, "realizationCertificate", "$")
     report = realize.verify_certificate(cert)
     return (0 if report.valid else 3), report.to_json(), report.render
 
@@ -286,12 +299,12 @@ def _cmd_stabilize(payload: None, args) -> tuple[int, dict, Callable[[], str]]:
         validate_payload("realizationCertificate", obj)
         if args.dim is None:
             raise InputError("stabilize needs --dim when given a bare certificate")
-        cert_obj, dim = obj, args.dim
+        cert = _certificate(obj, "realizationCertificate", "$")
+        dim = args.dim
     else:
         validate_payload("stabilizeInput", obj)
-        cert_obj = obj["certificate"]
+        cert = _certificate(obj["certificate"], "stabilizeInput", "$.certificate")
         dim = args.dim if args.dim is not None else int(obj["dim"])
-    cert = realize.RealizationCertificate.from_json(cert_obj)
     up = realize.stabilize(cert, dim)
     return 0, up.to_json(), lambda: realize.render_certificate(up)
 
@@ -453,9 +466,9 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
     read from the table without argparse: a subcommand, then its options
     and ``--format``, each as ``--flag=value``, ``--flag value`` or
     ``-m value``, a separate value only where argparse takes one; a joined
-    ``--flag=--`` is the value ``--``, as in argparse from Python 3.13
-    (earlier ones store ``[]``).  ``None`` for any other argv (help, a
-    usage error or a form this reader leaves to argparse)."""
+    ``--flag=--`` is the value ``--``, as ``build_parser`` reads it on
+    every Python.  ``None`` for any other argv (help, a usage error or a
+    form this reader leaves to argparse)."""
     spec = _BY_NAME.get(argv[0]) if argv else None
     if spec is None:
         return None
@@ -500,6 +513,21 @@ def build_parser() -> argparse.ArgumentParser:
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 
+    class _Store(argparse.Action):
+        """Stores a flag's value.  Before Python 3.13 argparse passes ``[]``
+        for a joined ``--flag=--``; this takes the value ``--`` and refuses
+        it as 3.13 does."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                values = "--"
+                if self.type is int:
+                    raise argparse.ArgumentError(self, "invalid int value: '--'")
+                if self.choices:
+                    raise argparse.ArgumentError(self, "invalid choice: '--' (choose "
+                                                       f"from {', '.join(map(repr, self.choices))})")
+            setattr(namespace, self.dest, values)
+
     parser = _Parser(
         prog="circledeg",
         description="Exact degree-set arithmetic for oriented circle bundles.",
@@ -509,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(spec.name, help=spec.help)
         for flag in spec.options:
             p.add_argument(flag.name, dest=flag.key, metavar=flag.metavar, help=flag.help,
-                           type=int if flag.type is int else None)
-        p.add_argument("--format", choices=_FORMATS, default="json",
+                           type=int if flag.type is int else None, action=_Store)
+        p.add_argument("--format", choices=_FORMATS, default="json", action=_Store,
                        help="output rendering (default: json)")
         p.set_defaults(spec=spec)
     return parser

@@ -69,6 +69,7 @@ from .degsets import (
     enumerated_sums,
 )
 from .errors import HypothesisError, InputError, ResourceCapError
+from .schema import _json_path
 
 __all__ = [
     "PairClaim",
@@ -248,36 +249,57 @@ class RealizationCertificate(Frozen):
         is refused here too.  The pairs and the combination are decoded
         here, against the certificate's base: each distinct bundle among
         them is built once, and shared wherever it recurs.  Each cross
-        check becomes an ``(i, j, summand, multiplier, verdict)`` row."""
+        check becomes an ``(i, j, summand, multiplier, verdict)`` row.  A
+        value the schema admits but a decoder refuses raises an
+        :class:`InputError` that names the JSON path of its field, such as
+        ``$.pairs[0].target: unknown base manifold: 'nope'``."""
         if not isinstance(obj, dict):
             raise InputError("certificate must be a JSON object")
         if obj.get("kind") != "realization-certificate":
             raise InputError("not a realization certificate")
         if obj.get("schemaVersion") != 1:
             raise InputError(f"unsupported schema version: {obj.get('schemaVersion')!r}")
-        base = BaseManifold.from_json(obj["base"])
-        registry = {base.name: base}
-        bundles: dict = {}
-        combo = obj["combination"]
+        at: tuple = ("base",)  # the path of the field being decoded
+        try:
+            base = BaseManifold.from_json(obj["base"])
+            registry = {base.name: base}
+            bundles: dict = {}
+            at = ("targetSet",)
+            target = DegreeSet.from_json(obj["targetSet"])
+            at = ("decomposition",)
+            decomposition = DecompositionCertificate.from_json(obj["decomposition"])
+            pairs = []
+            for i, p in enumerate(obj["pairs"]):
+                at = ("pairs", i, "domain")
+                domain = expr_from_json(p["domain"], registry, bundles)
+                at = ("pairs", i, "target")
+                pair_target = expr_from_json(p["target"], registry, bundles)
+                at = ("pairs", i, "claimed")
+                pairs.append(PairClaim(int(p["index"]), domain, pair_target,
+                                       DegreeSet.from_json(p["claimed"]), p["rule"]))
+            combo = obj["combination"]
+            at = ("combination", "resultDomain")
+            domain = expr_from_json(combo["resultDomain"], registry, bundles)
+            at = ("combination", "resultTarget")
+            combination = Combination(combo["l"], domain, expr_from_json(
+                combo["resultTarget"], registry, bundles), combo["rule"])
+            at = ("finalSet",)
+            final_set = DegreeSet.from_json(obj["finalSet"])
+        except InputError as exc:
+            raise InputError(f"{_json_path(at)}: {exc}") from exc
         return cls(
-            DegreeSet.from_json(obj["targetSet"]),
+            target,
             int(obj["dimension"]),
             base,
             obj["classLabel"],
-            DecompositionCertificate.from_json(obj["decomposition"]),
+            decomposition,
             tuple(map(int, obj["primes"])),
             tuple(map(int, obj["multipliers"])),
-            tuple(PairClaim(int(p["index"]),
-                            expr_from_json(p["domain"], registry, bundles),
-                            expr_from_json(p["target"], registry, bundles),
-                            DegreeSet.from_json(p["claimed"]), p["rule"])
-                  for p in obj["pairs"]),
+            tuple(pairs),
             tuple((int(c["i"]), int(c["j"]), int(c["summand"]), int(c["multiplier"]),
                    c["verdict"]) for c in obj["crossChecks"]),
-            Combination(combo["l"], expr_from_json(combo["resultDomain"], registry, bundles),
-                        expr_from_json(combo["resultTarget"], registry, bundles),
-                        combo["rule"]),
-            DegreeSet.from_json(obj["finalSet"]),
+            combination,
+            final_set,
             tuple(Stabilization.from_json(s) for s in obj.get("stabilizations", ())),
         )
 

@@ -25,6 +25,17 @@ tested by one scan and its least and greatest member, and a ``oneOf``
 whose branches are closed objects each requiring a key, its tag, that no
 other branch lists tests a dict against the branch of its tag alone.
 
+The checks come in two tiers with the same verdicts.  A definition's
+first payload in a process is checked by closures, which cost well under
+a millisecond to build for a certificate.  From its second payload on,
+the checks are generated as Python source and compiled once: each leaf
+test is inlined in its container's function, so a payload takes about
+half the time, but generating a certificate's checks costs several
+milliseconds, about ten times its closures.  A process that validates
+one payload, such as a cold ``verify``, so never pays for them, and one
+that validates many pays once.  The rejection walk below uses the
+closures alone.
+
 A rejection is worded by one walk over the payload that lists the errors
 jsonschema's validator would, with its messages, and picks jsonschema's
 best match, which names the offending field.  The walk descends only
@@ -240,28 +251,36 @@ def _array_check(items: _Item, min_items: int, max_items: float) -> _Check:
     return check
 
 
-def _one_of(branches: list[dict], subs: list[_Check]) -> _Check:
-    """``oneOf`` over ``branches``, compiled to ``subs``.  When every branch
-    is a closed ``"type": "object"`` requiring a key, its tag, that no other
-    branch lists in its ``properties``, a dict is checked by the branch of
-    its first key that is a tag: every other branch rejects it, as none
-    allows that key, and a value that is not a dict or has no tag fails
-    every branch.  Any other ``oneOf`` counts the branches that match."""
-    tags: dict[str, _Check] = {}
-    for i, (branch, sub) in enumerate(zip(branches, subs)):
+def _tags(branches: list[dict]) -> dict[str, int] | None:
+    """The tags of a ``oneOf`` and the index of the branch each belongs to,
+    when every branch is a closed ``"type": "object"`` requiring a key, its
+    tag, that no other branch lists in its ``properties``; ``None`` when
+    one is not.  A dict is then checked by the branch of its first key that
+    is a tag: every other branch rejects it, as none allows that key, and a
+    value that is not a dict or has no tag fails every branch."""
+    tags: dict[str, int] = {}
+    for i, branch in enumerate(branches):
         listed = {key for j, other in enumerate(branches) if j != i
                   for key in other.get("properties", {})}
         own = [key for key in branch.get("required", ()) if key not in listed]
         if not (own and branch.get("type") == "object"
                 and branch.get("additionalProperties") is False):
-            break
-        tags.update(dict.fromkeys(own, sub))
-    else:
+            return None
+        tags.update(dict.fromkeys(own, i))
+    return tags
+
+
+def _one_of(branches: list[dict], subs: list[_Check]) -> _Check:
+    """``oneOf`` over ``branches``, compiled to ``subs``: by tag where
+    ``_tags`` finds them, and otherwise by counting the branches that
+    match."""
+    tags = _tags(branches)
+    if tags is not None:
         def by_tag(v, d):
             if isinstance(v, dict):
                 for key in v:
                     if key in tags:
-                        return tags[key](v, d)
+                        return subs[tags[key]](v, d)
             return False
         return by_tag
 
@@ -286,7 +305,8 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
     know, and on a subschema outside the closed, typed part of the draft
     that the module docstring describes.  The look-up's ``checks`` maps
     ``id(subschema)`` to the check of every subschema compiled so far;
-    the look-up holds ``defs``, so no id in it can be reused."""
+    the look-up holds ``defs``, so no id in it can be reused.  Its
+    ``generated`` looks up the same checks generated as source."""
     table: dict[str, _Check] = {}
     by_id: dict[int, _Check] = {}
     pending: set[str] = set()
@@ -376,7 +396,145 @@ def _compile(defs: dict) -> Callable[[str], _Check]:
         return (*_leaf(schema), check)
 
     definition.checks = by_id
+    definition.generated = _generate(defs, definition)
     return definition
+
+
+# a scalar type's test of the value named {0}, at depth ``d``, as source
+_TYPE_SOURCE = {
+    "string": "isinstance({0}, str)", "boolean": "isinstance({0}, bool)",
+    "null": "{0} is None", "number": "_is_number({0}, d)",
+    "integer": "type({0}) is int or _is_integer({0}, d)",
+}
+# the keywords that each add a test to a subschema's check
+_TESTS = ("type", "$ref", "const", "enum", "not", "oneOf", "minimum", "maximum",
+          "minLength")
+
+
+def _generate(defs: dict, closures: Callable[[str], _Check]) -> Callable[[str], _Check]:
+    """Look-up of a check generated as Python source for a definition that
+    ``closures``, the closures' look-up of the same ``$defs`` table,
+    accepts.  It gives the closures' verdicts and raises ``_TooDeep`` at
+    the same containers, testing in the same order: one function per
+    definition and per object, array or ``oneOf`` subschema, with every
+    other subschema inlined as an expression, an integer or string array
+    scanned at once and a tagged ``oneOf`` dispatched by its tag.  Every
+    key, bound and constant of the table is a name bound in the namespace
+    the source runs in, never text of the source.  A definition's source
+    holds every function it reaches that no earlier one emitted, and is
+    compiled once.  The look-up's ``source`` holds every line generated
+    so far."""
+    namespace: dict = {"MAX_NESTING": MAX_NESTING, "_TooDeep": _TooDeep, "_same": _same,
+                       "_is_integer": _is_integer, "_is_number": _is_number}
+    functions: dict[object, str] = {}  # by definition name, or by id of a subschema
+    source: list[str] = []
+    checks: dict[str, _Check] = {}
+
+    def bind(value: object) -> str:
+        name = f"c{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def function(key: object, body: Callable[..., list[str]], *args: object) -> str:
+        if key not in functions:  # named first, so that a cycle can call it
+            name = functions[key] = f"f{len(functions)}"
+            lines = body(*args)
+            source.extend([f"def {name}(v, d):", *("    " + line for line in lines)])
+        return functions[key]
+
+    def ref(name: str) -> str:
+        schema = defs[name]
+        tests = schema.keys() & _TESTS
+        if tests == {"type"} and schema["type"] in ("object", "array"):
+            return function(id(schema), container, schema)
+        if tests == {"oneOf"}:
+            return function(id(schema["oneOf"]), one_of, schema["oneOf"])
+        return function(name, lambda: [f"return {test(schema, 'v')}"])
+
+    def test(schema: dict, x: str) -> str:
+        types = schema.get("type")
+        parts = []
+        if types in ("object", "array"):
+            parts.append(f"{function(id(schema), container, schema)}({x}, d)")
+        elif types is not None:
+            names = types if isinstance(types, list) else [types]
+            parts.append(" or ".join(_TYPE_SOURCE[n].format(x) for n in names))
+        if "$ref" in schema:
+            parts.append(f"{ref(schema['$ref'].removeprefix('#/$defs/'))}({x}, d)")
+        if "const" in schema:
+            const = schema["const"]
+            parts.append(f"{x} == {bind(const)}" if isinstance(const, str)
+                         else f"{x} is {bind(const)}" if const is None or isinstance(const, bool)
+                         else f"{x} == {bind(const)} and type({x}) is not bool")
+        if "enum" in schema:
+            parts.append(f"any(_same({x}, e) for e in {bind(tuple(schema['enum']))})")
+        if "not" in schema:
+            parts.append(f"not {test(schema['not'], x)}")
+        if "oneOf" in schema:
+            parts.append(f"{function(id(schema['oneOf']), one_of, schema['oneOf'])}({x}, d)")
+        for key, op in (("minimum", "<"), ("maximum", ">")):
+            if key in schema:
+                bound = f"not {x} {op} {bind(schema[key])}"
+                parts.append(bound if types in ("integer", "number")
+                             else f"not _is_number({x}, d) or {bound}")
+        if "minLength" in schema:
+            length = f"len({x}) >= {bind(schema['minLength'])}"
+            parts.append(length if types == "string" else f"not isinstance({x}, str) or {length}")
+        return "((" + ") and (".join(parts) + "))"
+
+    def container(schema: dict) -> list[str]:
+        lines = [f"if not isinstance(v, {'dict' if schema['type'] == 'object' else 'list'}): "
+                 "return False", "if d >= MAX_NESTING: raise _TooDeep"]
+        if schema["type"] == "array":
+            for key, op in (("minItems", "<"), ("maxItems", ">")):
+                if key in schema:
+                    lines.append(f"if len(v) {op} {bind(schema[key])}: return False")
+            items = schema["items"]
+            kind = _leaf(items)[0]
+            if kind is not None:
+                bounds = [f"{f}(v) {op} {bind(items[key])}" for f, op, key in (
+                    ("min", "<", "minimum"), ("max", ">", "maximum")) if key in items]
+                lines.append(f"if {bind({kind})}.issuperset(map(type, v)): return "
+                             + (f"not v or not ({' or '.join(bounds)})" if bounds else "True"))
+            return lines + ["d += 1", "for x in v:", f"    if not {test(items, 'x')}: return False",
+                            "return True"]
+        required = " or ".join(f"{bind(key)} not in v" for key in schema.get("required", ()))
+        lines += [f"if {required}: return False"] if required else []
+        lines += ["d += 1", "for k, x in v.items():"]
+        keyword = "if"
+        for key, sub in schema.get("properties", {}).items():
+            lines += [f"    {keyword} k == {bind(key)}:",
+                      f"        if not {test(sub, 'x')}: return False"]
+            keyword = "elif"
+        extra = schema["additionalProperties"]
+        other = "return False" if extra is False else f"if not {test(extra, 'x')}: return False"
+        lines += ["    else:", "        " + other] if keyword == "elif" else ["    " + other]
+        return lines + ["return True"]
+
+    def one_of(branches: list[dict]) -> list[str]:
+        tags = _tags(branches)
+        if tags:
+            lines = ["if isinstance(v, dict):", "    for k in v:"]
+            for key, i in tags.items():
+                lines += [f"        if k == {bind(key)}:",
+                          f"            return {test(branches[i], 'v')}"]
+            return lines + ["return False"]
+        lines = ["m = False"]
+        for branch in branches:
+            lines += [f"if {test(branch, 'v')}:", "    if m: return False", "    m = True"]
+        return lines + ["return m"]
+
+    def generated(name: str) -> _Check:
+        if name not in checks:
+            closures(name)  # refuses what the closures do not know
+            start = len(source)
+            check = ref(name)
+            exec(compile("\n".join(source[start:]), "<schema checks>", "exec"), namespace)
+            checks[name] = namespace[check]
+        return checks[name]
+
+    generated.source = source
+    return generated
 
 
 @lru_cache(maxsize=1)
@@ -524,12 +682,19 @@ def _json_path(path: tuple) -> str:
         else "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']" for key in path)
 
 
+# the definitions validate_payload has checked a payload of in this
+# process; each later payload of one runs its generated check
+_validated: set[str] = set()
+
+
 def validate_payload(name: str, obj: object) -> None:
     """Raise :class:`InputError` naming the failing field when ``obj``
     does not match the schema ``name``."""
     schema_for(name)  # an unknown name raises KeyError
+    lookup = _shipped().generated if name in _validated else _shipped()
+    _validated.add(name)
     try:
-        if _shipped()(name)(obj, 0):
+        if lookup(name)(obj, 0):
             return
     except _TooDeep:
         pass

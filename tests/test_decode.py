@@ -12,6 +12,7 @@ import copy
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,8 @@ def test_decoder_matches_the_former_one_on_edge_cases(name):
         validate_payload("realizationCertificate", obj)
     new, old = (outcome(RealizationCertificate.from_json, obj),
                 outcome(former_from_json, obj))
+    if isinstance(new, str):  # the former decoder named no field
+        new = re.sub(r"^(InputError: )\$\S*: ", r"\1", new)
     assert new == old
     if not isinstance(new, str):
         assert realize.verify_certificate(new) == realize.verify_certificate(old)
@@ -352,8 +355,9 @@ def test_edge_cases_decode_or_fail_as_expected():
     assert mixed.pairs[0].target == mixed.combination.result_target.summands[0]
     assert decoded("rank-zero").pairs[0].target.euler.free == ()
     assert decoded("rank-zero-fixing-a-torsion-class") == \
-        "InputError: fixed class 'b' must be non-torsion"
-    assert decoded("unknown-base") == "InputError: unknown base manifold: 'surface'"
+        "InputError: $.base: fixed class 'b' must be non-torsion"
+    assert decoded("unknown-base") == \
+        "InputError: $.pairs[1].target: unknown base manifold: 'surface'"
     assert decoded("other-kind") == "InputError: not a realization certificate"
     assert decoded("future-version") == "InputError: unsupported schema version: 2"
 

@@ -10,6 +10,7 @@ the package never imports it.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
 import io
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings
+from cli_process import run_python_process
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from work_count import line_events
 
@@ -69,8 +71,41 @@ def reference_error(name: str, obj: object) -> str | None:
     return f"invalid {name} at {where}: {best.message}"
 
 
+class _Every(set):
+    """A set holding every name: each definition has had its first payload."""
+
+    def __contains__(self, name: object) -> bool:
+        return True
+
+
+class _Nothing(set):
+    """A set that stays empty: each payload is its definition's first."""
+
+    def add(self, name: object) -> None:
+        pass
+
+
+@pytest.fixture
+def tiers(monkeypatch):
+    """The two tiers of compiled checks, each in turn: the closures and the
+    checks generated as source.  Each step makes ``validate_payload`` and
+    ``shipped`` check every payload with its tier, and gives the function
+    that compiles a ``$defs`` table to that tier's look-up."""
+    def each():
+        for generated in (False, True):
+            monkeypatch.setattr(schema, "_validated", _Every() if generated else _Nothing())
+            yield (lambda defs: schema._compile(defs).generated) if generated else schema._compile
+    return each
+
+
+def shipped(name: str) -> schema._Check:
+    """The check ``validate_payload`` runs next on a payload of ``name``."""
+    lookup = schema._shipped()
+    return lookup.generated(name) if name in schema._validated else lookup(name)
+
+
 def assert_agrees(name: str, obj: object) -> None:
-    verdict = schema._shipped()(name)(obj, 0)
+    verdict = shipped(name)(obj, 0)
     assert verdict == reference(name).is_valid(obj), (name, obj)
     try:
         validate_payload(name, obj)
@@ -166,9 +201,10 @@ def test_every_shipped_definition_compiles():
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_corpus_verdicts_match_jsonschema(name):
-    for obj in corpus():
-        assert_agrees(name, obj)
+def test_corpus_verdicts_match_jsonschema(name, tiers):
+    for _ in tiers():
+        for obj in corpus():
+            assert_agrees(name, obj)
 
 
 @lru_cache(maxsize=1)
@@ -237,13 +273,16 @@ def mutated(draw, seeds=valid_seeds):
     return name, obj
 
 
-@settings(max_examples=300, deadline=None)
+# each example runs every tier, which ``tiers`` sets anew
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated())
-def test_mutations_match_jsonschema(case):
+def test_mutations_match_jsonschema(tiers, case):
     name, obj = case
-    assert_agrees(name, obj)
-    for other in NAMES:
-        assert schema._shipped()(other)(obj, 0) == reference(other).is_valid(obj), other
+    for _ in tiers():
+        assert_agrees(name, obj)
+        for other in NAMES:
+            assert shipped(other)(obj, 0) == reference(other).is_valid(obj), other
 
 
 # the converter of each definition that has a ``from_json``
@@ -292,13 +331,16 @@ def test_schema_valid_payloads_convert(name, data):
 
 
 def test_each_request_is_validated_once(monkeypatch, tmp_path):
-    checks = schema._shipped()
     validated: list[str] = []
 
-    def counting(name):
-        validated.append(name)
-        return checks(name)
-    monkeypatch.setattr(schema, "_shipped", lambda: counting)
+    def counted(lookup):
+        def counting(name):
+            validated.append(name)
+            return lookup(name)
+        return counting
+    lookup = counted(schema._shipped())
+    lookup.generated = counted(schema._shipped().generated)
+    monkeypatch.setattr(schema, "_shipped", lambda: lookup)
     code, out = run_main(["realize", "--set", "0,1,3"])
     cert = json.loads(out)
     requests = CLI_REQUESTS + [(["verify"], cert), (["stabilize", "--dim", "8"], cert),
@@ -404,9 +446,9 @@ DIGITS = {"type": "object", "properties": {"a": {"type": "string"}},
     ({**INTEGERS, "items": {"type": "integer", "minimum": 2}}, [3, 1, 9], False),
     ({**INTEGERS, "items": {"type": "integer", "maximum": 2}}, [3.0, 2], False),
 ])
-def test_edge_cases_match_jsonschema(definition, value, valid):
-    check = schema._compile({"x": definition})("x")
-    assert check(value, 0) is valid
+def test_edge_cases_match_jsonschema(definition, value, valid, tiers):
+    for compiled in tiers():
+        assert compiled({"x": definition})("x")(value, 0) is valid
     assert jsonschema.Draft202012Validator(definition).is_valid(value) is valid
 
 
@@ -449,7 +491,12 @@ def _with(cert: dict, key: str, value: object) -> dict:
 
 
 @pytest.mark.parametrize("value", NEAR_LEAVES, ids=repr)
-def test_leaf_checks_agree_on_values_near_their_type(value):
+def test_leaf_checks_agree_on_values_near_their_type(value, tiers):
+    for _ in tiers():
+        leaf_checks_agree(value)
+
+
+def leaf_checks_agree(value: object) -> None:
     cert = golden_certificate()
     # an integer and a string property of an object
     assert_agrees("realizationCertificate", _with(cert, "dimension", value))
@@ -476,24 +523,25 @@ def test_leaf_checks_agree_on_values_near_their_type(value):
     ("group", lambda v: {"rank": 1, "torsion": [v]}, 2, None),
     ("group", lambda v: {"rank": 1, "torsion": [v, 3, 2**70]}, 2, None),
 ], ids=["dimension", "primes", "caps.maxEntry", "caps.budget", "torsion", "torsion-among"])
-def test_leaf_bounds_agree_at_their_edges(name, place, low, high):
-    for bound, outward in ((low, -1), (high, 1)):
-        if bound is None:
-            continue
-        for value, valid in ((bound + outward, False), (bound, True), (bound - outward, True)):
+def test_leaf_bounds_agree_at_their_edges(name, place, low, high, tiers):
+    edges = [edge for bound, outward in ((low, -1), (high, 1)) if bound is not None
+             for edge in ((bound + outward, False), (bound, True), (bound - outward, True))]
+    for _ in tiers():
+        for value, valid in edges:
             for number in (value, float(value), _Int(value)):
                 assert_agrees(name, place(number))
-            assert schema._shipped()(name)(place(value), 0) is valid
+            assert shipped(name)(place(value), 0) is valid
 
 
 @pytest.mark.parametrize("members", [
     [], [2], [2, 3], [2, True], [True, 2], [2, 2.0], [2.0, 2], [2, 2.5], [2, 1], [1, 2],
     [2, _Int(1)], [2, _Int(3)], [2**70, 2], [2, "2"], [2, None], [2, [2]], [False],
 ], ids=repr)
-def test_integer_arrays_agree_whatever_their_members(members):
-    assert_agrees("group", {"rank": 0, "torsion": members})
-    assert_agrees("element", {"free": members})
-    assert_agrees("realizationCertificate", _with(golden_certificate(), "primes", members))
+def test_integer_arrays_agree_whatever_their_members(members, tiers):
+    for _ in tiers():
+        assert_agrees("group", {"rank": 0, "torsion": members})
+        assert_agrees("element", {"free": members})
+        assert_agrees("realizationCertificate", _with(golden_certificate(), "primes", members))
 
 
 SPHERE = {"sphereProduct": 2}
@@ -632,9 +680,10 @@ def test_progression_arrays_are_bounded_by_the_cap():
     {"type": "array"},
     {"type": "array", "maxItems": 2},
 ])
-def test_compile_refuses_what_it_does_not_know(definition):
-    with pytest.raises(ValueError):
-        schema._compile({"x": definition})("x")
+def test_compile_refuses_what_it_does_not_know(definition, tiers):
+    for compiled in tiers():
+        with pytest.raises(ValueError):
+            compiled({"x": definition})("x")
 
 
 def subschemas(schema: dict):
@@ -664,6 +713,51 @@ def test_compiling_the_certificate_checks_is_bounded():
     defs = schema._document()["$defs"]
     with line_events(schema, 5_000):
         schema._compile(defs)("realizationCertificate")
+
+
+def test_a_definitions_second_payload_runs_generated_checks(monkeypatch):
+    # generating the certificate's checks costs about ten times compiling
+    # its closures, which a process validating one payload would pay for
+    # nothing
+    lookup = schema._compile(schema._document()["$defs"])
+    monkeypatch.setattr(schema, "_shipped", lambda: lookup)
+    monkeypatch.setattr(schema, "_validated", set())
+    cert = golden_certificate()
+    low = r"at \$\.dimension: 2 is less than the minimum of 3"
+    with pytest.raises(InputError, match=low):  # a rejected payload counts too
+        validate_payload("realizationCertificate", {**cert, "dimension": 2})
+    validate_payload("pairInput", {"m": 2, "k": 6})
+    assert lookup.generated.source == []
+    validate_payload("realizationCertificate", cert)
+    generated = len(lookup.generated.source)
+    assert generated > 0
+    with pytest.raises(InputError, match=low):
+        validate_payload("realizationCertificate", {**cert, "dimension": 2})
+    assert len(lookup.generated.source) == generated
+    validate_payload("pairInput", {"m": 2, "k": 6})
+    assert len(lookup.generated.source) > generated
+
+
+def test_generated_source_binds_every_key_bound_and_constant():
+    # no text of the document reaches the source: each key, bound and
+    # constant is a name bound in its namespace
+    generated = schema._compile(schema._document()["$defs"]).generated
+    for name in NAMES:
+        generated(name)
+    literals = {node.value for node in ast.walk(ast.parse("\n".join(generated.source)))
+                if isinstance(node, ast.Constant)}
+    assert literals <= {True, False, None, 1}, literals
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["stabilize", "--dim", "7"]])
+def test_a_cold_certificate_request_generates_no_source(argv):
+    script = ("import os, sys\n"
+              "from circledeg import schema\n"
+              "from circledeg.cli import main\n"
+              "assert main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
+              "assert schema._shipped().generated.source == [], 'source was generated'\n")
+    proc = run_python_process(script, *argv, "--in", str(GOLDEN / "realize-013-dim4.json"))
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("edit", [
@@ -944,19 +1038,20 @@ def nested_expr(levels: int, shift: int = 3) -> dict:
     return expr
 
 
-def test_nesting_bound_is_exact():
+def test_nesting_bound_is_exact(tiers):
     # finiteInput -> domain -> one object and its "stabilized" per level
     levels = (schema.MAX_NESTING - 2) // 2
     deepest = {"domain": nested_expr(levels), "target": {"sphereProduct": 2}}
     assert not schema._nested_deeper_than(deepest, schema.MAX_NESTING)
     assert schema._nested_deeper_than(deepest, schema.MAX_NESTING - 1)
-    validate_payload("finiteInput", deepest)
-    # a rejection at the bound is still worded as jsonschema words it
     bad = {"domain": nested_expr(levels, shift=2), "target": {"sphereProduct": 2}}
-    assert_agrees("finiteInput", bad)
     deeper = {"domain": {"sum": [nested_expr(levels)]}, "target": {"sphereProduct": 2}}
-    with pytest.raises(InputError, match="finiteInput at payload: nested more than"):
-        validate_payload("finiteInput", deeper)
+    for _ in tiers():
+        validate_payload("finiteInput", deepest)
+        # a rejection at the bound is still worded as jsonschema words it
+        assert_agrees("finiteInput", bad)
+        with pytest.raises(InputError, match="finiteInput at payload: nested more than"):
+            validate_payload("finiteInput", deeper)
     assert not schema._nested_deeper_than(5, 0)
     assert schema._nested_deeper_than([], 0)
 
@@ -1018,7 +1113,7 @@ def payload_nesting(name: str, kind: str, levels: int) -> dict:
 @pytest.mark.parametrize("levels", range(schema.MAX_NESTING - 2, schema.MAX_NESTING + 3))
 @pytest.mark.parametrize("kind", sorted(WRAPS))
 @pytest.mark.parametrize("name", ["finiteInput", "realizationCertificate"])
-def test_folded_nesting_bound_matches_walking_first(name, kind, levels, unknown_key):
+def test_folded_nesting_bound_matches_walking_first(name, kind, levels, unknown_key, tiers):
     obj = payload_nesting(name, kind, levels)
     if unknown_key:
         # first in the object, so the compiled check rejects the key before
@@ -1026,9 +1121,17 @@ def test_folded_nesting_bound_matches_walking_first(name, kind, levels, unknown_
         obj = {"unknown": deep_list(levels - 1), **obj}
     assert schema._nested_deeper_than(obj, levels - 1)
     assert not schema._nested_deeper_than(obj, levels)
-    assert gate_error(name, obj) == walk_first_error(name, obj)
-    assert (gate_error(name, obj) is None) == (levels <= schema.MAX_NESTING
-                                               and not unknown_key)
+    outcomes = []
+    for _ in tiers():
+        assert gate_error(name, obj) == walk_first_error(name, obj)
+        assert (gate_error(name, obj) is None) == (levels <= schema.MAX_NESTING
+                                                   and not unknown_key)
+        try:
+            outcomes.append(shipped(name)(obj, 0))
+        except schema._TooDeep:
+            outcomes.append(schema._TooDeep)
+    # each tier stops at the same container
+    assert outcomes[0] is outcomes[1]
 
 
 @pytest.mark.parametrize("name, place", [
@@ -1037,13 +1140,14 @@ def test_folded_nesting_bound_matches_walking_first(name, kind, levels, unknown_
     ("realizationCertificate",
      lambda obj, deep: obj["pairs"][0].update(domain={"sum": deep})),
 ])
-def test_very_deep_value_is_refused_by_the_bound(name, place):
+def test_very_deep_value_is_refused_by_the_bound(name, place, tiers):
     obj = ({"domain": {"sphereProduct": 2}, "target": {"sphereProduct": 2}}
            if name == "finiteInput" else {"m": 2, "k": 6} if name == "pairInput"
            else golden_certificate())
     place(obj, deep_list(10**5))
-    assert gate_error(name, obj) == walk_first_error(name, obj) == (
-        f"invalid {name} at payload: nested more than {schema.MAX_NESTING} levels deep")
+    for _ in tiers():
+        assert gate_error(name, obj) == walk_first_error(name, obj) == (
+            f"invalid {name} at payload: nested more than {schema.MAX_NESTING} levels deep")
 
 
 def test_accepted_payloads_are_not_walked_for_their_depth(monkeypatch):
@@ -1082,24 +1186,25 @@ LISTS = {"type": "array", "items": {"$ref": "#/$defs/lists"}}
     # a definition that descends into itself
     ({"type": "array", "items": {"$ref": "#/$defs/x"}}, lambda v: [v]),
 ])
-def test_compiled_check_bounds_what_it_accepts_unseen(definition, wrap):
+def test_compiled_check_bounds_what_it_accepts_unseen(definition, wrap, tiers):
     # every container of an accepted value is one the check descended into,
     # so the check stops at a container past the bound itself
     defs = {"x": definition, "lists": LISTS}
-    check = schema._compile(defs)("x")
     plain = jsonschema.Draft202012Validator({"$defs": defs, "$ref": "#/$defs/x"})
 
     def nesting(levels):
         return wrap(deep_list(levels - 1))
     limit = schema.MAX_NESTING
-    assert check(nesting(limit), 0) is True
     assert plain.is_valid(nesting(limit))
-    with pytest.raises(schema._TooDeep):
-        check(nesting(limit + 1), 0)
-    # the depth passed in counts the containers around the value
-    assert check(nesting(limit - 5), 5) is True
-    with pytest.raises(schema._TooDeep):
-        check(nesting(limit - 4), 5)
+    for compiled in tiers():
+        check = compiled(defs)("x")
+        assert check(nesting(limit), 0) is True
+        with pytest.raises(schema._TooDeep):
+            check(nesting(limit + 1), 0)
+        # the depth passed in counts the containers around the value
+        assert check(nesting(limit - 5), 5) is True
+        with pytest.raises(schema._TooDeep):
+            check(nesting(limit - 4), 5)
 
 
 # one payload rejected by each kind of keyword, and that keyword
