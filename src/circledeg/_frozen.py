@@ -4,7 +4,10 @@ Each record class declares its fields once, as ``__slots__``, in
 constructor order.  A record that only stores its arguments declares no
 ``__init__``: :meth:`Frozen.__init__` takes one positional argument per
 field.  A record that validates or canonicalizes its arguments writes its
-own ``__init__``, which sets every field once with ``object.__setattr__``.
+own ``__init__``, which unpacks the class's slot setters, ``_setters``, in
+field order and stores every field once through them: a slot's ``__set__``
+called directly skips the lookup by name that a generic attribute store
+makes on each call, and costs less than a loop over the setters.
 :class:`Frozen` supplies the rest: equality and hashing over the tuple of
 fields, the ``Name(field=value, ...)`` repr, refusal of assignment and
 deletion, copy and pickle support through the constructor, and

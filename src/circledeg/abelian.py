@@ -87,9 +87,10 @@ class IntegerMatrix(Frozen):
         for row in entries:
             if len(row) != cols:
                 raise InputError("entry row length does not match column count")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        set_rows, set_cols, set_entries = self._setters
+        set_rows(self, rows)
+        set_cols(self, cols)
+        set_entries(self, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -185,8 +186,9 @@ class FgAbelianGroup(Frozen):
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise InputError("torsion factors must form a divisibility chain")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
+        set_rank, set_torsion = self._setters
+        set_rank(self, rank)
+        set_torsion(self, torsion)
 
     @property
     def generator_count(self) -> int:
@@ -241,10 +243,10 @@ class GroupElement(Frozen):
             raise InputError("free coordinate count does not match group rank")
         if len(tors) != len(group.torsion):
             raise InputError("torsion coordinate count does not match group")
-        tors = tuple(r % d for r, d in zip(tors, group.torsion))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "torsion", tors)
+        set_group, set_free, set_torsion = self._setters
+        set_group(self, group)
+        set_free(self, free)
+        set_torsion(self, tuple(r % d for r, d in zip(tors, group.torsion)))
 
     def _check_same_group(self, other: "GroupElement") -> None:
         if self.group != other.group:
@@ -266,12 +268,14 @@ class GroupElement(Frozen):
 
     def scale(self, k: int) -> "GroupElement":
         # built directly: the coordinates already fit the group, so only the
-        # torsion residues need reducing again
+        # torsion residues need reducing again, and only when there are any
         out = object.__new__(GroupElement)
-        object.__setattr__(out, "group", self.group)
-        object.__setattr__(out, "free", tuple([k * a for a in self.free]))
-        object.__setattr__(out, "torsion", tuple(
-            [k * r % d for r, d in zip(self.torsion, self.group.torsion)]))
+        set_group, set_free, set_torsion = self._setters
+        group = self.group
+        set_group(out, group)
+        set_free(out, tuple([k * a for a in self.free]))
+        set_torsion(out, tuple([k * r % d for r, d in zip(self.torsion, group.torsion)])
+                    if group.torsion else ())
         return out
 
     __rmul__ = scale

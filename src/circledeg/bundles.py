@@ -45,7 +45,6 @@ import json
 import os
 import re
 from functools import lru_cache
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from ._frozen import Frozen
@@ -63,9 +62,11 @@ from .degsets import DegreeSet
 from .errors import GroupMismatchError, HypothesisError, InputError
 from .schema import MAX_NESTING, validate_payload
 
-# as in abelian, each function that makes a Fraction imports fractions
+# as in abelian, each function that makes a Fraction imports fractions;
+# pathlib only names a type
 if TYPE_CHECKING:
     from fractions import Fraction
+    from pathlib import Path
 
 __all__ = [
     "KNOWN_FLAGS",
@@ -169,13 +170,15 @@ class BaseManifold(Frozen):
             volume = Fraction(volume)
             if volume < 0:
                 raise InputError("simplicial volume must be nonnegative")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "named_classes", tuple(sorted(classes.items())))
-        object.__setattr__(self, "flags", frozenset(flags))
-        object.__setattr__(self, "fixes", fixes)
-        object.__setattr__(self, "volume", volume)
+        set_name, set_dim, set_h2, set_classes, set_flags, set_fixes, set_volume = \
+            self._setters
+        set_name(self, name)
+        set_dim(self, dim)
+        set_h2(self, h2)
+        set_classes(self, tuple(sorted(classes.items())))
+        set_flags(self, frozenset(flags))
+        set_fixes(self, fixes)
+        set_volume(self, volume)
 
     def has(self, flag: str) -> bool:
         return flag in self.flags
@@ -233,10 +236,12 @@ class CircleBundle(Frozen):
     __slots__ = ("base", "euler")
 
     def __init__(self, base: BaseManifold, euler: GroupElement) -> None:
-        if euler.group != base.h2:
+        # a multiple of a base's class shares the base's group object
+        if euler.group is not base.h2 and euler.group != base.h2:
             raise InputError("Euler class must live in the base's cohomology group")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "euler", euler)
+        set_base, set_euler = self._setters
+        set_base(self, base)
+        set_euler(self, euler)
 
 
 class SphereProduct(Frozen):
@@ -247,7 +252,8 @@ class SphereProduct(Frozen):
     def __init__(self, dim: int) -> None:
         if dim < 2:
             raise InputError("sphere product dimension must be >= 2")
-        object.__setattr__(self, "dim", dim)
+        set_dim, = self._setters
+        set_dim(self, dim)
 
 
 class ConnectedSum(Frozen):
@@ -259,7 +265,8 @@ class ConnectedSum(Frozen):
         dims = {expr_dim(s) for s in summands}
         if len(dims) != 1:
             raise InputError("connected sum summands must share a dimension")
-        object.__setattr__(self, "summands", summands)
+        set_summands, = self._setters
+        set_summands(self, summands)
 
 
 class Stabilized(Frozen):
@@ -271,8 +278,9 @@ class Stabilized(Frozen):
     def __init__(self, inner: ManifoldExpr, shift: int) -> None:
         if shift < 3:
             raise InputError("stabilization shift must be >= 3")
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "shift", shift)
+        set_inner, set_shift = self._setters
+        set_inner(self, inner)
+        set_shift(self, shift)
 
 
 class SymbolicRepeat(Frozen):
@@ -388,11 +396,9 @@ class MapModel(Frozen):
     def __init__(self, degree: int, action: IntegerMatrix) -> None:
         if degree == 0:
             raise InputError("map degree must be nonzero")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "action", action)
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "action": self.action.to_json()}
+        set_degree, set_action = self._setters
+        set_degree(self, degree)
+        set_action(self, action)
 
     @classmethod
     def from_json(cls, obj: dict) -> "MapModel":
@@ -408,11 +414,9 @@ class MapCatalogue(Frozen):
     __slots__ = ("maps", "complete")
 
     def __init__(self, maps: tuple[MapModel, ...], complete: bool = False) -> None:
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "complete", complete)
-
-    def to_json(self) -> dict:
-        return {"complete": self.complete, "maps": [m.to_json() for m in self.maps]}
+        set_maps, set_complete = self._setters
+        set_maps(self, maps)
+        set_complete(self, complete)
 
     @classmethod
     def from_json(cls, obj: dict) -> "MapCatalogue":

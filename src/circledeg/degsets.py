@@ -111,11 +111,12 @@ class DegreeSet(Frozen):
     def __init__(self, finite: Iterable[int] = (),
                  progressions: Sequence[tuple[int, int]] = (),
                  excludes_zero_in_progressions: bool = False) -> None:
+        set_finite, set_progressions, set_flag = self._setters
         if not progressions:
             # a finite set: nothing to drop, and no flag that matters
-            object.__setattr__(self, "finite", tuple(sorted(set(map(int, finite)))))
-            object.__setattr__(self, "progressions", ())
-            object.__setattr__(self, "excludes_zero_in_progressions", False)
+            set_finite(self, tuple(sorted(set(map(int, finite)))))
+            set_progressions(self, ())
+            set_flag(self, False)
             return
         _check_progressions(len(progressions), "a degree set would hold")
         progs = []
@@ -139,9 +140,9 @@ class DegreeSet(Frozen):
             flag = False
         # a finite 0 clears the flag above, so no covered member stays
         finite = _uncovered(finite, bases_by_mod)
-        object.__setattr__(self, "finite", tuple(finite))
-        object.__setattr__(self, "progressions", tuple(kept))
-        object.__setattr__(self, "excludes_zero_in_progressions", flag)
+        set_finite(self, tuple(finite))
+        set_progressions(self, tuple(kept))
+        set_flag(self, flag)
 
     # -- queries
 
@@ -341,7 +342,8 @@ class SequenceB(Frozen):
         ent = tuple(map(int, entries))
         if 0 in ent:
             raise InputError("sequence entries must be nonzero")
-        object.__setattr__(self, "entries", ent)
+        set_entries, = self._setters
+        set_entries(self, ent)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -411,9 +413,10 @@ class SearchLimits(Frozen):
 
     def __init__(self, max_len: int | None = None, max_entry: int | None = None,
                  budget: int = 10_000_000) -> None:
-        object.__setattr__(self, "max_len", max_len)
-        object.__setattr__(self, "max_entry", max_entry)
-        object.__setattr__(self, "budget", budget)
+        set_max_len, set_max_entry, set_budget = self._setters
+        set_max_len(self, max_len)
+        set_max_entry(self, max_entry)
+        set_budget(self, budget)
 
     def to_json(self) -> dict:
         return {key: getattr(self, name) for key, name in _CAP_KEYS}
@@ -926,8 +929,10 @@ def decompose(a: Iterable[int], limits: SearchLimits | None = None) -> Decomposi
 
 
 def enumerated_sums(sequences: Sequence[SequenceB]) -> Iterator[frozenset[int]]:
-    """S_B of each of ``sequences`` in turn, each recomputed by walking all
-    2^|B| subsets (independent of the sparse DP that builds certificates).
+    """S_B of each of ``sequences`` in turn, each recomputed from all 2^|B|
+    subset sums (independent of the sparse DP that builds certificates):
+    a list of the sums of the subsets of the entries so far, duplicates
+    kept, doubles with each entry.
 
     Before yielding any it raises :class:`ResourceCapError` for a sequence
     longer than ``VERIFY_LENGTH_CAP`` and then for more than
@@ -950,11 +955,9 @@ def enumerated_sums(sequences: Sequence[SequenceB]) -> Iterator[frozenset[int]]:
             f"beyond the cap of {ENUMERATION_CAP}",
         )
     for s in sequences:
-        entries = s.entries
-        sums = [0] * (1 << len(entries))
-        for mask in range(1, len(sums)):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + entries[low.bit_length() - 1]
+        sums = [0]
+        for e in s.entries:
+            sums += [x + e for x in sums]
         yield frozenset(sums)
 
 

@@ -505,8 +505,10 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     runner that turns the error's text into the detail; the rest are
     recorded directly.  Each S_B(i) is re-derived once, by full subset
     enumeration, and serves both the decomposition check and pair i's
-    claimed set; the decomposition's transcript is not read.  Pair degree
-    sets are re-won from the same-base rule: each pair's multipliers are
+    claimed set; the decomposition's transcript is not read.  When every
+    pair claims its S_B(i), the final set is compared with the enumerated
+    intersection, and otherwise with the claimed sets' intersection.  Pair
+    degree sets are re-won from the same-base rule: each pair's multipliers are
     tested for zero, and the rule's hypotheses on the base and the class,
     which no pair changes, are decided once per certificate and their
     verdict shared by every pair's ``sum-rule`` row.  Cross
@@ -552,8 +554,10 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     # each S_B(i) is compared with pair i's claim as soon as it is
     # enumerated and then dropped, so only the intersection is kept
     claims: list[bool | str] = []
+    meet: frozenset[int] | None = None  # the intersection once enumerated
 
     def intersection() -> bool | str:
+        nonlocal meet
         inter: frozenset[int] | None = None
         for i, sums in enumerate(enumerated_sums(seqs)):
             inter = sums if inter is None else inter & sums
@@ -564,6 +568,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
                     and sums.issuperset(claim.finite)
                     or f"claimed set {_outline(claim)} is not the subsequence-sum "
                        f"set of {list(seqs[i].entries)}")
+        meet = inter
         return inter == frozenset(decomp.target) or \
             "stored sequences do not intersect to the target"
     valid = check("decomposition.valid", intersection)
@@ -606,8 +611,9 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
 
     def is_multiple(bundle: ManifoldExpr, m: int) -> bool:
         """Whether ``bundle`` is the bundle over ``base`` with Euler class m*b."""
+        # a decoded or built certificate shares its base among its bundles
         return (isinstance(bundle, CircleBundle)
-                and bundle.base == base
+                and (bundle.base is base or bundle.base == base)
                 and bundle.euler.free == tuple([m * x for x in b_free])
                 and (not b_torsion
                      or bundle.euler.torsion == tuple([m * x % d for x, d in b_torsion])))
@@ -680,6 +686,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     unexpected: set[tuple[int, int, int]] = set()
     duplicated: set[tuple[int, int, int]] = set()
     cross_rows = []
+    pair_key = prefix = None  # the rows of one (i, j) share their id's prefix
     for i, j, s_idx, stored_m, stored_verdict in cert.cross_checks:
         key = (i, j, s_idx)
         if key in keys:
@@ -707,7 +714,9 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
             else:
                 alpha_j = multipliers[j]
                 verdict = alpha_j % m != 0 or f"summand multiplier {m} divides {alpha_j}"
-        cross_rows.append((f"cross[{i},{j},{s_idx}].nondivisible", verdict))
+        if (i, j) != pair_key:
+            pair_key, prefix = (i, j), f"cross[{i},{j},"
+        cross_rows.append((f"{prefix}{s_idx}].nondivisible", verdict))
 
     expected = (r - 1) * sum(lengths)
     found = len(keys) - len(unexpected)
@@ -762,11 +771,18 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
           or f"combined pair must live in dimension {cert.dimension}")
 
     def final_intersection() -> bool | str:
-        inter = None
-        for pair in cert.pairs:
-            inter = pair.claimed if inter is None else inter.intersect(pair.claimed)
-        return inter is not None and cert.final_set.equals(inter) \
-            or "final set must be the intersection of the pair degree sets"
+        final = cert.final_set
+        if meet is not None and len(cert.pairs) == r and all(c is True for c in claims):
+            # each pair claims its S_B(i), so the claims meet where the
+            # enumeration did
+            same = not final.progressions and len(final.finite) == len(meet) \
+                and meet.issuperset(final.finite)
+        else:
+            inter = None
+            for pair in cert.pairs:
+                inter = pair.claimed if inter is None else inter.intersect(pair.claimed)
+            same = inter is not None and final.equals(inter)
+        return same or "final set must be the intersection of the pair degree sets"
     check("final.intersection", final_intersection)
     check("final.equals-target", lambda: cert.final_set.equals(target) or (
         f"final set {cert.final_set.render()} differs from the target "

@@ -62,9 +62,9 @@ circledeg.errors.InputError: invalid pairInput at $.m: 0 should not be valid und
 from __future__ import annotations
 
 import json
+import os
 import re
 from functools import lru_cache
-from importlib import resources
 from typing import Callable
 
 from ._frozen import Frozen
@@ -87,8 +87,11 @@ _Check = Callable[[object, int], bool]
 
 @lru_cache(maxsize=1)
 def _document() -> dict:
-    text = resources.files("circledeg.schemas").joinpath(_DOCUMENT).read_text("utf-8")
-    return json.loads(text)
+    # read by this module's own loader from beside this file, in a directory
+    # or a zip archive alike; importlib.resources and pathlib, which a
+    # clean interpreter would import for it, cost more than the whole read
+    path = os.path.join(os.path.dirname(__file__), "schemas", _DOCUMENT)
+    return json.loads(__spec__.loader.get_data(path).decode("utf-8"))
 
 
 def schema_names() -> list[str]:

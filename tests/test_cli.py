@@ -1582,6 +1582,22 @@ def test_cold_request_loads_no_argparse_in_a_child_process(tmp_path, argv):
     assert json.loads((tmp_path / "out.json").read_text())
 
 
+# under -S no site hook imports pathlib or importlib.resources ahead of the
+# package, so a cold verify there shows that the package imports neither:
+# the schema document is read by the schema module's own loader
+def test_verify_in_a_clean_interpreter_loads_no_pathlib_in_a_child_process(tmp_path):
+    report = tmp_path / "report.txt"
+    proc = run_python_process(_COLD_REQUEST, "verify", "--in",
+                              str(GOLDEN / "realize-013-dim4.json"), "--format", "text",
+                              "--out", str(report), flags=("-S",))
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert "circledeg.realize" in loaded
+    assert not {"pathlib", "importlib.resources"} & set(loaded)
+    assert report.read_text().splitlines()[-1] == "valid"
+
+
 # the package imports a module on the first use of one of its names, and
 # still reaches every public name and every submodule
 _LAZY_PACKAGE = """\

@@ -403,6 +403,15 @@ def test_sums_match_enumeration(entries):
     assert set(got.finite) == enumerate_sums(entries)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-4, 4).filter(bool), max_size=10), max_size=3))
+def test_enumerated_sums_match_every_combination(sequences):
+    # small magnitudes, so that entries repeat and sums collide
+    got = list(degsets.enumerated_sums([SequenceB(tuple(s)) for s in sequences]))
+    assert got == [{sum(c) for r in range(len(s) + 1) for c in itertools.combinations(s, r)}
+                   for s in sequences]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(-8, 8), min_size=1, max_size=6))
 def test_elements_are_single_subsequence_sums(vals):
