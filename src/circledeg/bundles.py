@@ -210,7 +210,12 @@ class BaseManifold(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "BaseManifold":
-        """Base from a payload valid under the ``baseManifold`` schema."""
+        """Base from a payload valid under the ``baseManifold`` schema.  A
+        payload equal to a shipped preset's own ``to_json()`` returns that
+        preset's record itself, shared by every such payload."""
+        for payload, preset in _preset_payloads():
+            if obj == payload:
+                return preset
         group = FgAbelianGroup.from_json(obj["group"])
         classes = tuple(
             (name, GroupElement.from_json(group, elem))
@@ -323,44 +328,50 @@ def expr_to_json(expr: ManifoldExpr) -> dict:
 def expr_from_json(obj: dict, registry: Mapping[str, BaseManifold],
                    bundles: dict[tuple, CircleBundle] | None = None) -> ManifoldExpr:
     """Expression from a payload valid under the ``manifoldExpr`` schema.
-    Nesting deeper than ``MAX_NESTING`` is refused, so that callers who
-    skip ``validate_payload`` cannot exhaust the stack.  Each distinct
-    bundle is taken from ``bundles``, keyed by its base name and Euler
-    coordinates, or built once and added there, so it is shared wherever
-    it recurs; ``None`` starts an empty table for this call, and
-    ``RealizationCertificate.from_json`` passes one table for all the
-    expressions of one certificate."""
-    if bundles is None:
-        bundles = {}
+    An expression object must have exactly one key, its kind, and nesting
+    deeper than ``MAX_NESTING`` is refused, so that callers who skip
+    ``validate_payload`` get an :class:`InputError` and cannot exhaust the
+    stack.  Each distinct bundle is taken from ``bundles``, keyed by its
+    base name and Euler coordinates, or built once and added there, so it
+    is shared wherever it recurs; ``None`` starts an empty table for this
+    call, and ``RealizationCertificate.from_json`` passes one table for
+    all the expressions of one certificate."""
+    return _decode_expr(obj, registry, {} if bundles is None else bundles, 0)
 
-    def decode(obj: dict, depth: int) -> ManifoldExpr:
-        if depth >= MAX_NESTING:
-            raise InputError(f"manifold expression nested more than {MAX_NESTING} levels deep")
-        key, val = next(iter(obj.items()))
-        depth += 1
-        if key == "bundle":
-            name = val.get("base")
-            if name not in registry:
-                raise InputError(f"unknown base manifold: {name!r}")
-            euler = val["euler"]
-            free, torsion = tuple(euler.get("free", ())), tuple(euler.get("torsion", ()))
-            bundle = bundles.get((name, free, torsion))
-            if bundle is None:
-                base = registry[name]
-                bundle = bundles[name, free, torsion] = CircleBundle(
-                    base, GroupElement(base.h2, free, torsion))
-            return bundle
-        if key == "sphereProduct":
-            return SphereProduct(int(val))
-        if key == "sum":
-            return ConnectedSum(tuple(decode(s, depth) for s in val))
-        if key == "stabilized":
-            return Stabilized(decode(val["inner"], depth), int(val["shift"]))
-        if key == "repeat":
-            return SymbolicRepeat(decode(val["factor"], depth), str(val["symbol"]))
-        raise InputError(f"unknown manifold expression kind: {key!r}")
 
-    return decode(obj, 0)
+def _decode_expr(obj: dict, registry: Mapping[str, BaseManifold],
+                 bundles: dict[tuple, CircleBundle], depth: int) -> ManifoldExpr:
+    if depth >= MAX_NESTING:
+        raise InputError(f"manifold expression nested more than {MAX_NESTING} levels deep")
+    try:
+        (key, val), = obj.items()
+    except ValueError:
+        raise InputError("manifold expression must have exactly one key, "
+                         f"got {list(obj)}") from None
+    depth += 1
+    if key == "bundle":
+        name = val.get("base")
+        if name not in registry:
+            raise InputError(f"unknown base manifold: {name!r}")
+        euler = val["euler"]
+        free, torsion = tuple(euler.get("free", ())), tuple(euler.get("torsion", ()))
+        bundle = bundles.get((name, free, torsion))
+        if bundle is None:
+            base = registry[name]
+            bundle = bundles[name, free, torsion] = CircleBundle(
+                base, GroupElement(base.h2, free, torsion))
+        return bundle
+    if key == "sphereProduct":
+        return SphereProduct(int(val))
+    if key == "sum":
+        return ConnectedSum(tuple([_decode_expr(s, registry, bundles, depth) for s in val]))
+    if key == "stabilized":
+        return Stabilized(_decode_expr(val["inner"], registry, bundles, depth),
+                          int(val["shift"]))
+    if key == "repeat":
+        return SymbolicRepeat(_decode_expr(val["factor"], registry, bundles, depth),
+                              str(val["symbol"]))
+    raise InputError(f"unknown manifold expression kind: {key!r}")
 
 
 def _render_element(e: GroupElement) -> str:
@@ -724,6 +735,12 @@ def _presets() -> dict[str, BaseManifold]:
             "hyp-odd-4", 4, ("hyperbolic", "d_self_is_01"), ("b",)
         ),
     }
+
+
+@lru_cache(maxsize=1)
+def _preset_payloads() -> tuple[tuple[dict, BaseManifold], ...]:
+    """Each shipped preset with its ``to_json()``, which no caller mutates."""
+    return tuple((base.to_json(), base) for base in _presets().values())
 
 
 def load_registry(path: str | Path) -> dict[str, BaseManifold]:

@@ -38,7 +38,7 @@ transcript the builder reads its claimed sets from.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ._frozen import Frozen
 from .abelian import GroupElement
@@ -246,10 +246,12 @@ class RealizationCertificate(Frozen):
         """Certificate from a payload valid under the
         ``realizationCertificate`` schema; call ``validate_payload`` first
         on JSON from outside.  Another kind of document or schema version
-        is refused here too.  The pairs and the combination are decoded
-        here, against the certificate's base: each distinct bundle among
-        them is built once, and shared wherever it recurs.  Each cross
-        check becomes an ``(i, j, summand, multiplier, verdict)`` row.  A
+        is refused here too.  A ``base`` equal to a shipped preset's own
+        ``to_json()`` decodes to that preset record, shared by every such
+        certificate; any other base is decoded.  The pairs and the
+        combination are decoded here, against the certificate's base: each
+        distinct bundle among them is built once, and shared wherever it
+        recurs.  Each cross check becomes an ``(i, j, summand, multiplier, verdict)`` row.  A
         value the schema admits but a decoder refuses raises an
         :class:`InputError` that names the JSON path of its field, such as
         ``$.pairs[0].target: unknown base manifold: 'nope'``."""
@@ -296,8 +298,8 @@ class RealizationCertificate(Frozen):
             tuple(map(int, obj["primes"])),
             tuple(map(int, obj["multipliers"])),
             tuple(pairs),
-            tuple((int(c["i"]), int(c["j"]), int(c["summand"]), int(c["multiplier"]),
-                   c["verdict"]) for c in obj["crossChecks"]),
+            tuple([(int(c["i"]), int(c["j"]), int(c["summand"]), int(c["multiplier"]),
+                    c["verdict"]) for c in obj["crossChecks"]]),
             combination,
             final_set,
             tuple(Stabilization.from_json(s) for s in obj.get("stabilizations", ())),
@@ -500,16 +502,19 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     Records one ``(id, verdict)`` row per claim, in a fixed order, in the
     report's ``rows``; the verdict is True or the failure detail, and
     ``first_failure`` is the id of the earliest failed check.  No
-    :class:`Check` record is built unless ``report.checks`` is read.  A
-    verdict that can raise :class:`InputError` or a cap goes through a
-    runner that turns the error's text into the detail; the rest are
-    recorded directly.  Each S_B(i) is re-derived once, by full subset
-    enumeration, and serves both the decomposition check and pair i's
-    claimed set; the decomposition's transcript is not read.  When every
-    pair claims its S_B(i), the final set is compared with the enumerated
-    intersection, and otherwise with the claimed sets' intersection.  Pair
-    degree sets are re-won from the same-base rule: each pair's multipliers are
-    tested for zero, and the rule's hypotheses on the base and the class,
+    :class:`Check` record is built unless ``report.checks`` is read.  The
+    checks run in line, with no runner and no closure per check: each of
+    the six verdicts that can raise :class:`InputError` or a cap
+    (``decomposition.valid``, ``primes.primality``, ``combination.shape``,
+    ``combination.dimension``, ``final.intersection`` and
+    ``final.equals-target``) is decided in its own ``try``, whose handler
+    records the error's text as the detail.  Each S_B(i) is re-derived
+    once, by full subset enumeration, and serves both the decomposition
+    check and pair i's claimed set; the decomposition's transcript is not
+    read.  When every pair claims its S_B(i), the final set is compared
+    with the enumerated intersection, and otherwise with the claimed sets'
+    intersection.  Pair degree sets are re-won from the same-base rule:
+    each pair's multipliers are tested for zero, and the rule's hypotheses on the base and the class,
     which no pair changes, are decided once per certificate and their
     verdict shared by every pair's ``sum-rule`` row.  Cross
     non-divisibility and the combination shape are recomputed from the
@@ -525,20 +530,10 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     rows: list[tuple[str, bool | str]] = []
     add = rows.append
 
-    def check(cid: str, verdict: Callable[[], bool | str]) -> bool | str:
-        """Records check ``cid`` for a verdict that can raise and returns
-        the verdict: ``verdict()`` is True when it passes and otherwise the
-        failure detail.  An :class:`InputError` or a cap ``verdict`` raises
-        fails the check with the error's text."""
-        try:
-            got = verdict()
-        except (InputError, ResourceCapError) as exc:
-            got = str(exc)
-        add((cid, got))
-        return got
-
     # A verdict that cannot raise is recorded directly as ``cond or
-    # detail``, so a detail is formatted only for a failure.
+    # detail``, so a detail is formatted only for a failure.  One that can
+    # raise an InputError or a cap is decided in a ``try`` whose handler
+    # makes the error's text the detail.
     target = cert.target
     add(("target.form", target.is_finite_set and target.contains(0)
          or "target must be a finite set containing 0"))
@@ -551,38 +546,43 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
 
     seqs = decomp.sequences
     r = len(seqs)
+    pairs = cert.pairs
     # each S_B(i) is compared with pair i's claim as soon as it is
     # enumerated and then dropped, so only the intersection is kept
     claims: list[bool | str] = []
     meet: frozenset[int] | None = None  # the intersection once enumerated
-
-    def intersection() -> bool | str:
-        nonlocal meet
+    try:
         inter: frozenset[int] | None = None
         for i, sums in enumerate(enumerated_sums(seqs)):
             inter = sums if inter is None else inter & sums
-            if i < len(cert.pairs):
-                claim = cert.pairs[i].claimed
+            if i < len(pairs):
+                claim = pairs[i].claimed
                 claims.append(
                     not claim.progressions and len(claim.finite) == len(sums)
                     and sums.issuperset(claim.finite)
                     or f"claimed set {_outline(claim)} is not the subsequence-sum "
                        f"set of {list(seqs[i].entries)}")
         meet = inter
-        return inter == frozenset(decomp.target) or \
+        valid: bool | str = inter == frozenset(decomp.target) or \
             "stored sequences do not intersect to the target"
-    valid = check("decomposition.valid", intersection)
+    except (InputError, ResourceCapError) as exc:
+        valid = str(exc)
+    add(("decomposition.valid", valid))
     # a cap is raised before the first S_B is enumerated and fails every claim
-    claims = claims or [valid] * len(cert.pairs)
+    claims = claims or [valid] * len(pairs)
 
     expected_primes = 0 if r == 1 else r
     add(("primes.count", len(cert.primes) == expected_primes or (
         f"expected {expected_primes} primes for {r} sequences, got {len(cert.primes)}")))
     add(("primes.distinct", len(set(cert.primes)) == len(cert.primes) or "primes repeat"))
-    check("primes.primality", lambda: all(map(_is_prime, cert.primes)) or (
-        f"not prime: {[p for p in cert.primes if not _is_prime(p)]}"))
-    hull = max((abs(x) for s in seqs for x in s.entries), default=0)
-    add(("primes.size", all(p > hull for p in cert.primes) or (
+    try:
+        primality: bool | str = all(map(_is_prime, cert.primes)) or (
+            f"not prime: {[p for p in cert.primes if not _is_prime(p)]}")
+    except (InputError, ResourceCapError) as exc:
+        primality = str(exc)
+    add(("primes.primality", primality))
+    hull = max([abs(x) for s in seqs for x in s.entries], default=0)
+    add(("primes.size", not cert.primes or min(cert.primes) > hull or (
         f"primes {[p for p in cert.primes if p <= hull]} are not larger than "
         f"the largest entry magnitude {hull}")))
 
@@ -624,7 +624,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
         [alpha // beta if alpha % beta == 0 else None for beta in s.entries]
         for s, alpha in zip(seqs, cert.multipliers)]
 
-    indexes = [p.index for p in cert.pairs]
+    indexes = [p.index for p in pairs]
     add(("pair.count", indexes == list(range(r)) or (
         f"expected {r} pairs, got {len(indexes)}" if len(indexes) != r
         else f"pairs are indexed {indexes}, expected {list(range(r))}")))
@@ -632,7 +632,7 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
     # the pair rule's hypotheses on the base and the class, decided by the
     # first pair that needs them
     base_rule: bool | str | None = None
-    for i, pair in enumerate(cert.pairs):
+    for i, pair in enumerate(pairs):
         pid = f"pair[{i}]"
         add((f"{pid}.rule", pair.rule == expected_rule or (
             f"rule {pair.rule!r} does not match the base (expected {expected_rule!r})")))
@@ -738,55 +738,74 @@ def verify_certificate(cert: RealizationCertificate) -> VerificationReport:
 
     combo = cert.combination
     n0 = base.dim + 1
-
-    def shape() -> bool | str:
-        dom = _strip_stabilization(combo.result_domain)
-        cod = _strip_stabilization(combo.result_target)
-        if r == 1:
-            return (combo.pad_symbol is None
-                    and combo.rule == "direct"
-                    and len(cert.pairs) == 1
-                    and dom == cert.pairs[0].domain
-                    and cod == cert.pairs[0].target
-                    ) or "single-pair combination must reuse the pair unchanged"
-        if (combo.pad_symbol is not None and len(cert.pairs) == r
+    dom = _strip_stabilization(combo.result_domain)
+    cod = _strip_stabilization(combo.result_target)
+    shape: bool | str | None
+    if r == 1:
+        shape = (
+            combo.pad_symbol is None
+            and combo.rule == "direct"
+            and len(pairs) == 1
+            and dom == pairs[0].domain
+            and cod == pairs[0].target
+        ) or "single-pair combination must reuse the pair unchanged"
+    else:
+        shape = None  # until a padded combination decides it
+        if (combo.pad_symbol is not None and len(pairs) == r
                 and combo.rule == "padded-combination"):
-            pad = (SymbolicRepeat(SphereProduct(n0), combo.pad_symbol),)
-            domains = tuple(p.domain for p in cert.pairs) + pad
-            targets = tuple(p.target for p in cert.pairs) + pad
-            dom_ok = isinstance(dom, ConnectedSum) and dom.summands == domains
-            if dom_ok and isinstance(cod, ConnectedSum) and cod.summands == targets:
-                return True
-            # summands that cannot form a connected sum fail with the reason
-            # the constructor gives, domains first
-            ConnectedSum(domains)
-            if dom_ok:
-                ConnectedSum(targets)
-        return ("combination must connect-sum all pair domains (and targets) "
-                f"with a symbolic number of S^{n0 - 1}xS^1 copies")
-    check("combination.shape", shape)
+            try:
+                pad = (SymbolicRepeat(SphereProduct(n0), combo.pad_symbol),)
+                domains = tuple([p.domain for p in pairs]) + pad
+                targets = tuple([p.target for p in pairs]) + pad
+                dom_ok = isinstance(dom, ConnectedSum) and dom.summands == domains
+                if dom_ok and isinstance(cod, ConnectedSum) and cod.summands == targets:
+                    shape = True
+                else:
+                    # summands that cannot form a connected sum fail with
+                    # the reason the constructor gives, domains first
+                    ConnectedSum(domains)
+                    if dom_ok:
+                        ConnectedSum(targets)
+            except (InputError, ResourceCapError) as exc:
+                shape = str(exc)
+        if shape is None:
+            shape = ("combination must connect-sum all pair domains (and targets) "
+                     f"with a symbolic number of S^{n0 - 1}xS^1 copies")
+    add(("combination.shape", shape))
 
-    check("combination.dimension", lambda: expr_dim(combo.result_domain) == cert.dimension
-          and expr_dim(combo.result_target) == cert.dimension
-          or f"combined pair must live in dimension {cert.dimension}")
+    try:
+        dimension: bool | str = (
+            expr_dim(combo.result_domain) == cert.dimension
+            and expr_dim(combo.result_target) == cert.dimension
+            or f"combined pair must live in dimension {cert.dimension}")
+    except (InputError, ResourceCapError) as exc:
+        dimension = str(exc)
+    add(("combination.dimension", dimension))
 
-    def final_intersection() -> bool | str:
-        final = cert.final_set
-        if meet is not None and len(cert.pairs) == r and all(c is True for c in claims):
+    final = cert.final_set
+    try:
+        # a claim is True or a detail, so counting True finds a failed one
+        if meet is not None and len(pairs) == r and claims.count(True) == len(claims):
             # each pair claims its S_B(i), so the claims meet where the
             # enumeration did
             same = not final.progressions and len(final.finite) == len(meet) \
                 and meet.issuperset(final.finite)
         else:
-            inter = None
-            for pair in cert.pairs:
-                inter = pair.claimed if inter is None else inter.intersect(pair.claimed)
-            same = inter is not None and final.equals(inter)
-        return same or "final set must be the intersection of the pair degree sets"
-    check("final.intersection", final_intersection)
-    check("final.equals-target", lambda: cert.final_set.equals(target) or (
-        f"final set {cert.final_set.render()} differs from the target "
-        f"{target.render()}"))
+            meets = None
+            for pair in pairs:
+                meets = pair.claimed if meets is None else meets.intersect(pair.claimed)
+            same = meets is not None and final.equals(meets)
+        intersection: bool | str = \
+            same or "final set must be the intersection of the pair degree sets"
+    except (InputError, ResourceCapError) as exc:
+        intersection = str(exc)
+    add(("final.intersection", intersection))
+    try:
+        equals_target: bool | str = final.equals(target) or (
+            f"final set {final.render()} differs from the target {target.render()}")
+    except (InputError, ResourceCapError) as exc:
+        equals_target = str(exc)
+    add(("final.equals-target", equals_target))
 
     dim = n0
     chain_ok = True

@@ -539,6 +539,20 @@ def test_expr_json_round_trip():
         expr_from_json({"bundle": {"base": "nope", "euler": {"free": [1]}}}, reg)
 
 
+@pytest.mark.parametrize("obj,keys", [
+    ({}, "[]"),
+    ({"sphereProduct": 4, "bundle": {}}, "['sphereProduct', 'bundle']"),
+    ({"sum": [{"sphereProduct": 4}, {}]}, "[]"),
+    ({"stabilized": {"inner": {"sphereProduct": 4, "sum": []}, "shift": 3}},
+     "['sphereProduct', 'sum']"),
+])
+def test_expr_from_json_refuses_an_object_without_exactly_one_key(obj, keys):
+    # a library caller may skip validate_payload, which refuses these too
+    with pytest.raises(InputError) as err:
+        expr_from_json(obj, builtin_registry())
+    assert str(err.value) == f"manifold expression must have exactly one key, got {keys}"
+
+
 # ---------------------------------------------------------------------------
 # presets and registry
 

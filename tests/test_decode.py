@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from test_cli import HOSTILE
 from test_realize import tamper_cases
+from test_verify_reference import reference_verify_certificate
 
 from circledeg import realize
 from circledeg.abelian import FgAbelianGroup, GroupElement
@@ -28,6 +29,7 @@ from circledeg.bundles import (
     SphereProduct,
     Stabilized,
     SymbolicRepeat,
+    builtin_registry,
     parse_volume,
 )
 from circledeg.degsets import (
@@ -380,3 +382,37 @@ def test_each_distinct_bundle_is_built_once_per_certificate(monkeypatch):
     assert second == first
     assert len(built) == 2 * len(distinct)
     assert not {id(b) for b in bundle_objects(second)} & {id(b) for b in found}
+
+
+def test_the_golden_base_decodes_to_the_shipped_preset():
+    cert = RealizationCertificate.from_json(golden())
+    preset = builtin_registry()["knot-glue-3"]
+    assert cert.base is preset
+    assert cert == former_from_json(golden())
+    assert all(b.base is preset and b.euler.group is preset.h2 for b in bundle_objects(cert))
+
+
+PRESET_BASE_EDITS = {  # name -> edit of the golden's base payload
+    "flags-in-another-order": lambda base: base["flags"].reverse(),
+    "no-volume-key": lambda base: base.pop("volume"),
+    "preset-name-other-flags": lambda base: base["flags"].remove("d_self_is_01"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_BASE_EDITS))
+def test_a_base_unlike_a_preset_payload_is_decoded(name):
+    obj = golden()
+    PRESET_BASE_EDITS[name](obj["base"])
+    validate_payload("realizationCertificate", obj)
+    cert, former = RealizationCertificate.from_json(obj), former_from_json(obj)
+    assert cert == former
+    preset = builtin_registry()["knot-glue-3"]
+    assert cert.base is not preset
+    assert (cert.base == preset) is (name != "preset-name-other-flags")
+    assert all(b.base is cert.base for b in bundle_objects(cert))
+    report, reference = (realize.verify_certificate(cert),
+                         reference_verify_certificate(former))
+    assert (report.rows, report.valid, report.first_failure) == \
+        (reference.rows, reference.valid, reference.first_failure)
+    assert report.first_failure == (
+        "base.flags" if name == "preset-name-other-flags" else None)
